@@ -6,10 +6,9 @@
 //! and fatal to the perfect-sampling law when the colliding components
 //! interact (the coordinator's node pick correlating with an engine's
 //! accept/reject loop would bias the very distribution the chi-squared
-//! pins certify). Tags must therefore be globally unique, and the one
-//! intentional share in this tree (`ShardedEngine` and
-//! `ConcurrentEngine`, which must stay draw-for-draw identical) must be
-//! *visibly* intentional: allowlisted with its justification.
+//! pins certify). Tags must therefore be globally unique, and any
+//! intentional share must be *visibly* intentional: allowlisted with its
+//! justification.
 //!
 //! Scope: `from_seed_stream` call sites outside `rng.rs` (the definition
 //! site). `derive_seed(parent, i)` child streams are *not* stream tags —

@@ -23,7 +23,7 @@
 //! best workload=d16 requests_per_sec=195000
 //! ```
 
-use pts_engine::{ConcurrentEngine, EngineConfig, L0Factory};
+use pts_engine::{EngineConfig, L0Factory, ShardedEngine};
 use pts_server::{serve, Client, ClientConfig};
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -60,7 +60,7 @@ fn main() {
     let trials = if full { 7 } else { 5 };
     let total: u64 = if full { 20_000 } else { 4_000 };
 
-    let engine = ConcurrentEngine::new(
+    let engine = ShardedEngine::new(
         EngineConfig::new(1 << 10).shards(2).pool_size(1).seed(4242),
         L0Factory::default(),
     );

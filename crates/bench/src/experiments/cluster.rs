@@ -1,6 +1,6 @@
 //! C1: cluster throughput and sample latency vs node count.
 //!
-//! Drives the `s1`/`t1`/`n1` zipfian turnstile workload through a real
+//! Drives the `s1`/`n1` zipfian turnstile workload through a real
 //! `pts-cluster` coordinator over `N ∈ {1, 2, 4}` loopback `pts-server`
 //! nodes (batched ingest routed per slice owner — one `IngestBatch`
 //! request per touched node per batch), then times the scatter–gather
@@ -8,18 +8,17 @@
 //! for the exact per-node masses) plus one `Sample` fetch from the
 //! picked node, so the draw column directly prices the coordinator's
 //! consistency protocol as a function of `N`. The last row repeats the
-//! identical workload **in-process** on one `ConcurrentEngine` (no
+//! identical workload **in-process** on one `ShardedEngine` (no
 //! sockets, direct calls) — the single-engine reference the cluster's
 //! law is pinned against in `crates/cluster/tests/cluster_law.rs`.
 //!
 //! Timing is gated on cluster-side completion: every ingest run ends
 //! with a mass scatter before the clock stops (the `Stats` answer
 //! observes every previously acknowledged apply on each node), the
-//! cluster analogue of `t1`'s `flush()` rule and `n1`'s final `Stats`
-//! round trip.
+//! cluster analogue of `n1`'s final `Stats` round trip.
 
 use pts_cluster::{ClusterConfig, Coordinator};
-use pts_engine::{ConcurrentEngine, EngineConfig, LpLe2Factory};
+use pts_engine::{EngineConfig, LpLe2Factory, ShardedEngine};
 use pts_server::{serve, ClientConfig, Server};
 use pts_stream::gen::zipf_vector;
 use pts_stream::{Stream, StreamStyle};
@@ -32,7 +31,7 @@ const NODE_COUNTS: [usize; 3] = [1, 2, 4];
 /// Ingest batch size (the `n1` sweet spot).
 const BATCH: usize = 1024;
 
-/// The fixed workload (the `s1`/`t1`/`n1` shape).
+/// The fixed workload (the `s1`/`n1` shape).
 fn workload(quick: bool) -> (Stream, usize, usize) {
     let n = 1 << 12;
     let target_updates = if quick { 60_000 } else { 600_000 };
@@ -43,9 +42,9 @@ fn workload(quick: bool) -> (Stream, usize, usize) {
     (base, reps, n)
 }
 
-fn node_engine(n: usize, seed: u64) -> ConcurrentEngine<LpLe2Factory> {
+fn node_engine(n: usize, seed: u64) -> ShardedEngine<LpLe2Factory> {
     let factory = LpLe2Factory::for_universe(n, 2.0);
-    ConcurrentEngine::new(
+    ShardedEngine::new(
         EngineConfig::new(n).shards(2).pool_size(2).seed(seed),
         factory,
     )
@@ -133,7 +132,6 @@ pub fn c1_cluster_scaling(quick: bool) -> Table {
             direct.ingest_batch(batch);
         }
     }
-    direct.flush();
     let ingest_secs = started.elapsed().as_secs_f64();
     let updates = direct.stats().updates;
     let started = Instant::now();

@@ -30,7 +30,7 @@ use pts_util::Table;
 
 /// A runnable experiment.
 pub struct Experiment {
-    /// Identifier (`tab1`, `e1`, …, `s1`, `t1`, `w1`, `n1`, `c1`, `m1`, `mt1`, `o1`, `tr1`, `a3`).
+    /// Identifier (`tab1`, `e1`, …, `s1`, `w1`, `n1`, `c1`, `m1`, `mt1`, `o1`, `tr1`, `a3`).
     pub id: &'static str,
     /// What it reproduces.
     pub title: &'static str,
@@ -110,11 +110,6 @@ pub fn registry() -> Vec<Experiment> {
             id: "s1",
             title: "S1 — engine ingest throughput vs shard count (pts-engine)",
             run: throughput::s1_engine_throughput,
-        },
-        Experiment {
-            id: "t1",
-            title: "T1 — concurrent engine thread scaling, T in {1,2,4,8} (pts-engine)",
-            run: throughput::t1_thread_scaling,
         },
         Experiment {
             id: "w1",

@@ -23,7 +23,7 @@
 //! flat in N) is the reproducible claim.
 
 use pts_cluster::{ClusterConfig, Coordinator};
-use pts_engine::{ConcurrentEngine, EngineConfig, L0Factory};
+use pts_engine::{EngineConfig, L0Factory, ShardedEngine};
 use pts_server::{serve, Client, ClientConfig, Server};
 use pts_util::table::fmt_sig;
 use pts_util::Table;
@@ -37,8 +37,8 @@ const NODE_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// A small served engine — the request path, not the sampler, is the
 /// thing under test.
-fn small_engine(seed: u64) -> ConcurrentEngine<L0Factory> {
-    ConcurrentEngine::new(
+fn small_engine(seed: u64) -> ShardedEngine<L0Factory> {
+    ShardedEngine::new(
         EngineConfig::new(1 << 10).shards(2).pool_size(1).seed(seed),
         L0Factory::default(),
     )

@@ -4,7 +4,7 @@
 //! metric, zero when compiled off"; `o1` is the experiment that holds the
 //! implementation to it. Instrumentation is a compile-time feature, so one
 //! process cannot measure both sides: `o1` shells out to `cargo run` and
-//! executes the `obs_overhead` helper binary twice on the pinned S1/T1
+//! executes the `obs_overhead` helper binary twice on the pinned S1
 //! workload — once from the default (instrumented) workspace build, once
 //! from `--no-default-features` (obs compiled off) — and reports best-of-N
 //! ingest rates side by side with the relative overhead.
@@ -28,8 +28,8 @@ fn workspace_root() -> std::path::PathBuf {
 }
 
 /// Runs the `obs_overhead` helper in one feature configuration and returns
-/// `(seq_rate, conc_rate)` in updates/sec.
-fn run_side(obs_on: bool, quick: bool) -> (f64, f64) {
+/// its best ingest rate in updates/sec.
+fn run_side(obs_on: bool, quick: bool) -> f64 {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
     let mut cmd = Command::new(cargo);
     cmd.current_dir(workspace_root()).args([
@@ -67,14 +67,11 @@ fn run_side(obs_on: bool, quick: bool) -> (f64, f64) {
         if obs_on { "on" } else { "off" },
         if built { "on" } else { "off" }
     );
-    let best = parse_best(&stdout);
-    let rate = |w: &str| {
-        best.iter()
-            .find(|(name, _)| name == w)
-            .unwrap_or_else(|| panic!("o1: helper printed no best line for {w}"))
-            .1
-    };
-    (rate("seq"), rate("conc"))
+    parse_best(&stdout)
+        .into_iter()
+        .find(|(name, _)| name == "seq")
+        .expect("o1: helper printed no best line for seq")
+        .1
 }
 
 /// Extracts the helper's `obs=on|off` self-report.
@@ -102,20 +99,11 @@ pub(crate) fn parse_best(stdout: &str) -> Vec<(String, f64)> {
 pub fn o1_obs_overhead(quick: bool) -> Table {
     let trials = if quick { 5 } else { 7 };
     println!("  building + running obs_overhead in both feature builds (best of {trials})");
-    let (off_seq, off_conc) = run_side(false, quick);
-    println!(
-        "  obs off: seq {} u/s, conc {} u/s",
-        fmt_sig(off_seq, 3),
-        fmt_sig(off_conc, 3)
-    );
-    let (on_seq, on_conc) = run_side(true, quick);
-    println!(
-        "  obs on:  seq {} u/s, conc {} u/s",
-        fmt_sig(on_seq, 3),
-        fmt_sig(on_conc, 3)
-    );
+    let off_seq = run_side(false, quick);
+    println!("  obs off: seq {} u/s", fmt_sig(off_seq, 3));
+    let on_seq = run_side(true, quick);
+    println!("  obs on:  seq {} u/s", fmt_sig(on_seq, 3));
 
-    let overhead = |off: f64, on: f64| format!("{:+.1}%", (off / on - 1.0) * 100.0);
     let mut table = Table::new(["workload", "obs", "trials", "best updates/sec", "overhead"]);
     table.push_row([
         "seq S=4".into(),
@@ -129,21 +117,7 @@ pub fn o1_obs_overhead(quick: bool) -> Table {
         "on".into(),
         trials.to_string(),
         fmt_sig(on_seq, 3),
-        overhead(off_seq, on_seq),
-    ]);
-    table.push_row([
-        "conc T=4".into(),
-        "off".into(),
-        trials.to_string(),
-        fmt_sig(off_conc, 3),
-        "baseline".into(),
-    ]);
-    table.push_row([
-        "conc T=4".into(),
-        "on".into(),
-        trials.to_string(),
-        fmt_sig(on_conc, 3),
-        overhead(off_conc, on_conc),
+        format!("{:+.1}%", (off_seq / on_seq - 1.0) * 100.0),
     ]);
     table
 }
@@ -159,13 +133,9 @@ mod tests {
     fn parses_the_helper_output_contract() {
         let stdout = "obs=off\n\
                       trial workload=seq i=0 updates=61440 seconds=0.021 rate=2926000\n\
-                      best workload=seq updates_per_sec=3100000\n\
-                      best workload=conc updates_per_sec=4800000\n";
+                      best workload=seq updates_per_sec=3100000\n";
         assert_eq!(parse_obs(stdout), Some(false));
-        assert_eq!(
-            parse_best(stdout),
-            vec![("seq".to_string(), 3.1e6), ("conc".to_string(), 4.8e6)]
-        );
+        assert_eq!(parse_best(stdout), vec![("seq".to_string(), 3.1e6)]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! N1: service throughput — requests/sec over loopback vs batch size.
 //!
-//! Drives the same zipfian turnstile workload as `s1`/`t1` through a live
+//! Drives the same zipfian turnstile workload as `s1` through a live
 //! `pts-server` on 127.0.0.1 (one `IngestBatch` request per batch, a
 //! `Sample` request every 8 batches — the always-on serving mix), for
 //! batch sizes `B ∈ {64, 256, 1024, 4096}`. The last row repeats the best
@@ -9,12 +9,10 @@
 //! trip, amortized over `B` updates per request.
 //!
 //! Timing is gated on server-side completion: every run ends with a
-//! `Stats` round trip before the clock stops, which drains the engine's
-//! per-shard FIFO queues (the concurrent front-end's mass query observes
-//! every previously enqueued apply), so enqueued-but-unapplied work never
-//! counts as served — the socket analogue of `t1`'s `flush()` rule.
+//! `Stats` round trip before the clock stops, so the server has answered
+//! every earlier request and none of the ingest is still in flight.
 
-use pts_engine::{ConcurrentEngine, EngineConfig, LpLe2Factory};
+use pts_engine::{EngineConfig, LpLe2Factory, ShardedEngine};
 use pts_server::{serve, Client};
 use pts_stream::gen::zipf_vector;
 use pts_stream::{Stream, StreamStyle};
@@ -27,7 +25,7 @@ const BATCH_SIZES: [usize; 4] = [64, 256, 1024, 4096];
 /// One sample request per this many ingest requests.
 const QUERY_EVERY: usize = 8;
 
-/// The fixed workload (the `s1`/`t1` shape): one churny zipfian stream,
+/// The fixed workload (the `s1` shape): one churny zipfian stream,
 /// repeated to the target update count.
 fn workload(quick: bool) -> (Stream, usize, usize) {
     let n = 1 << 12;
@@ -39,9 +37,9 @@ fn workload(quick: bool) -> (Stream, usize, usize) {
     (base, reps, n)
 }
 
-fn engine(n: usize) -> ConcurrentEngine<LpLe2Factory> {
+fn engine(n: usize) -> ShardedEngine<LpLe2Factory> {
     let factory = LpLe2Factory::for_universe(n, 2.0);
-    ConcurrentEngine::new(
+    ShardedEngine::new(
         EngineConfig::new(n).shards(4).pool_size(2).seed(99),
         factory,
     )
@@ -117,7 +115,6 @@ pub fn n1_service_throughput(quick: bool) -> Table {
             }
         }
     }
-    direct.flush();
     let elapsed = started.elapsed().as_secs_f64();
     let updates = direct.stats().updates;
     let req_rate = calls as f64 / elapsed;

@@ -18,10 +18,6 @@
 //!   one shard, pool of one L0 sampler). This is an allocator-level
 //!   measurement, so small tiers are noisy (page granularity, free-list
 //!   reuse); the million-tenant row is the honest one.
-//!
-//! Engines are `ShardedEngine`s on purpose: the concurrent engine spawns
-//! worker threads per instance, which is exactly the per-tenant-resource
-//! explosion the tenant map exists to avoid at this scale.
 
 use pts_engine::{EngineConfig, L0Factory, ShardedEngine};
 use pts_server::{Client, ClientConfig, Pending, Server};

@@ -1,27 +1,18 @@
-//! S1 / T1: engine ingest throughput.
+//! S1: engine ingest throughput.
 //!
-//! **S1** (sequential): batched ingest through the shard router is
-//! shard-count-insensitive on one thread (total pool work is conserved),
-//! while queries stay serviceable throughout. Drives a zipfian turnstile
-//! workload through `ShardedEngine` configurations `S ∈ {1, 4, 16}` and
-//! reports wall-clock updates/sec, plus the cost of interleaving a query
-//! every `Q` batches (the always-on serving mode).
-//!
-//! **T1** (concurrent): the same workload through `ConcurrentEngine` with
-//! `T ∈ {1, 2, 4, 8}` shard worker threads, against the sequential `s1`
-//! configuration as baseline. Linearity makes per-shard application
-//! embarrassingly parallel, so on a machine with ≥ T cores the ingest rate
-//! scales with T; the table records the machine's available parallelism so
-//! single-core smoke runs (where threading can only add channel overhead)
-//! are readable as such. `flush()` gates every timing stop — enqueued but
-//! unapplied work never counts as ingested.
+//! Batched ingest through the shard router is shard-count-insensitive on
+//! one thread (total pool work is conserved), while queries stay
+//! serviceable throughout. Drives a zipfian turnstile workload through
+//! `ShardedEngine` configurations `S ∈ {1, 4, 16}` and reports wall-clock
+//! updates/sec, plus the cost of interleaving a query every `Q` batches
+//! (the always-on serving mode).
 //!
 //! The workload is identical across rows (same updates, same batch size),
 //! so rows are directly comparable; the sampler is the perfect L₂ family
 //! (`LpLe2Factory`), the engine's production default for value-weighted
 //! sampling.
 
-use pts_engine::{ConcurrentEngine, EngineConfig, LpLe2Factory, ShardedEngine};
+use pts_engine::{EngineConfig, LpLe2Factory, ShardedEngine};
 use pts_stream::gen::zipf_vector;
 use pts_stream::{Stream, StreamStyle};
 use pts_util::table::fmt_sig;
@@ -33,7 +24,7 @@ pub fn s1_engine_throughput(quick: bool) -> Table {
     let batch_len = 1024;
     let query_every_batches = 8;
 
-    // One fixed workload for every configuration (shared with T1).
+    // One fixed workload for every configuration.
     let (base, reps, n) = workload(quick);
 
     let mut table = Table::new([
@@ -82,7 +73,7 @@ pub fn s1_engine_throughput(quick: bool) -> Table {
     table
 }
 
-/// The fixed T1/S1 workload: one churny zipfian stream, repeated until the
+/// The fixed S1 workload: one churny zipfian stream, repeated until the
 /// target update count is reached. Returns `(stream, reps, universe)`.
 ///
 /// Public because the `obs_overhead` helper binary (experiment `o1`) must
@@ -97,99 +88,6 @@ pub fn workload(quick: bool) -> (Stream, usize, usize) {
     (base, reps, n)
 }
 
-/// T1 runner: thread scaling of the concurrent engine vs the sequential
-/// `s1` baseline on the identical workload.
-pub fn t1_thread_scaling(quick: bool) -> Table {
-    let batch_len = 1024;
-    let query_every_batches = 8;
-    let (base, reps, n) = workload(quick);
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    println!("  available parallelism: {cores} core(s)");
-
-    let mut table = Table::new([
-        "mode",
-        "threads",
-        "updates",
-        "ingest s",
-        "updates/sec",
-        "vs seq",
-        "queries",
-        "⊥",
-    ]);
-
-    // Sequential baseline: the s1 configuration (S = 4) on one thread.
-    let factory = LpLe2Factory::for_universe(n, 2.0);
-    let config = EngineConfig::new(n).shards(4).pool_size(2).seed(99);
-    let mut engine = ShardedEngine::new(config, factory);
-    let mut queries = 0u64;
-    let started = Instant::now();
-    for _ in 0..reps {
-        for (b, batch) in base.batches(batch_len).enumerate() {
-            engine.ingest_batch(batch);
-            if b % query_every_batches == 0 {
-                let _ = engine.sample();
-                queries += 1;
-            }
-        }
-    }
-    let seq_elapsed = started.elapsed().as_secs_f64();
-    let seq_rate = engine.stats().updates as f64 / seq_elapsed;
-    println!(
-        "  seq S=4: {} updates in {seq_elapsed:.2}s = {} updates/sec",
-        engine.stats().updates,
-        fmt_sig(seq_rate, 3)
-    );
-    table.push_row([
-        "seq".into(),
-        "1".into(),
-        engine.stats().updates.to_string(),
-        fmt_sig(seq_elapsed, 3),
-        fmt_sig(seq_rate, 3),
-        "1.00".into(),
-        queries.to_string(),
-        engine.stats().fails.to_string(),
-    ]);
-
-    for threads in [1usize, 2, 4, 8] {
-        let factory = LpLe2Factory::for_universe(n, 2.0);
-        let config = EngineConfig::new(n).shards(threads).pool_size(2).seed(99);
-        let mut engine = ConcurrentEngine::new(config, factory);
-        let mut queries = 0u64;
-        let started = Instant::now();
-        for _ in 0..reps {
-            for (b, batch) in base.batches(batch_len).enumerate() {
-                engine.ingest_batch(batch);
-                if b % query_every_batches == 0 {
-                    let _ = engine.sample();
-                    queries += 1;
-                }
-            }
-        }
-        // Everything enqueued must be applied before the clock stops.
-        engine.flush();
-        let elapsed = started.elapsed().as_secs_f64();
-        let stats = engine.stats();
-        let rate = stats.updates as f64 / elapsed;
-        println!(
-            "  T={threads:>2}: {} updates in {elapsed:.2}s = {} updates/sec ({:.2}x seq)",
-            stats.updates,
-            fmt_sig(rate, 3),
-            rate / seq_rate
-        );
-        table.push_row([
-            "conc".into(),
-            threads.to_string(),
-            stats.updates.to_string(),
-            fmt_sig(elapsed, 3),
-            fmt_sig(rate, 3),
-            format!("{:.2}", rate / seq_rate),
-            queries.to_string(),
-            stats.fails.to_string(),
-        ]);
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,17 +99,6 @@ mod tests {
         let md = t.to_markdown();
         for s in ["| 1 ", "| 4 ", "| 16 "] {
             assert!(md.contains(s), "missing row {s}: {md}");
-        }
-    }
-
-    #[test]
-    fn t1_reports_baseline_and_all_thread_counts() {
-        let t = t1_thread_scaling(true);
-        assert_eq!(t.len(), 5, "1 sequential baseline + 4 thread counts");
-        let md = t.to_markdown();
-        assert!(md.contains("| seq "), "missing baseline row: {md}");
-        for row in ["| conc | 1 ", "| conc | 2 ", "| conc | 4 ", "| conc | 8 "] {
-            assert!(md.contains(row), "missing row {row}: {md}");
         }
     }
 }

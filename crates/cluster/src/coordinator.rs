@@ -14,8 +14,8 @@
 //! ```
 //!
 //! — scatter a `Stats` query for the masses, pick a node with
-//! [`pts_engine::pick_by_mass`] (the *same code* both engine front-ends
-//! use for the shard pick), then fetch the draw from that node, whose
+//! [`pts_engine::pick_by_mass`] (the *same code* the engine uses for the
+//! shard pick), then fetch the draw from that node, whose
 //! own two-stage shard draw serves its slice law. Linearity is what
 //! makes the composition exact: disjoint slices add, so the per-node
 //! masses are the global mass decomposition, for any node count. The ⊥

@@ -36,14 +36,14 @@
 //!
 //! ```
 //! use pts_cluster::{ClusterConfig, Coordinator};
-//! use pts_engine::{ConcurrentEngine, EngineConfig, L0Factory};
+//! use pts_engine::{EngineConfig, L0Factory, ShardedEngine};
 //! use pts_server::{serve, ClientConfig};
 //! use pts_stream::Update;
 //! use std::time::Duration;
 //!
 //! // Two real loopback nodes (any SamplingService implementor).
 //! let engine = |seed| {
-//!     ConcurrentEngine::new(
+//!     ShardedEngine::new(
 //!         EngineConfig::new(1 << 10).shards(2).pool_size(2).seed(seed),
 //!         L0Factory::default(),
 //!     )

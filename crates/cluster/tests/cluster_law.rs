@@ -18,7 +18,7 @@
 //!   uninterrupted control cluster.
 
 use pts_cluster::{ClusterConfig, ClusterError, Coordinator, NodeHealth};
-use pts_engine::{ConcurrentEngine, EngineConfig, L0Factory, LpLe2Factory, SamplerFactory};
+use pts_engine::{EngineConfig, L0Factory, LpLe2Factory, SamplerFactory, ShardedEngine};
 use pts_server::{serve, serve_with_spawner, ClientConfig, Server};
 use pts_stream::{FrequencyVector, Update};
 use pts_util::stats::chi_square_test;
@@ -37,7 +37,7 @@ where
 {
     (0..count)
         .map(|i| {
-            let engine = ConcurrentEngine::new(
+            let engine = ShardedEngine::new(
                 EngineConfig::new(universe)
                     .shards(2)
                     .pool_size(2)
@@ -61,7 +61,7 @@ where
 {
     (0..count)
         .map(|i| {
-            let engine = ConcurrentEngine::new(
+            let engine = ShardedEngine::new(
                 EngineConfig::new(universe)
                     .shards(2)
                     .pool_size(2)
@@ -70,7 +70,7 @@ where
             );
             let tenant_factory = factory.clone();
             serve_with_spawner("127.0.0.1:0", engine, move |ns| {
-                ConcurrentEngine::new(
+                ShardedEngine::new(
                     EngineConfig::new(universe)
                         .shards(2)
                         .pool_size(2)
@@ -266,7 +266,7 @@ fn kill_restore_rejoin_is_draw_for_draw_identical_to_control() {
     // the checkpoint.
     let replacement = serve(
         "127.0.0.1:0",
-        ConcurrentEngine::new(
+        ShardedEngine::new(
             EngineConfig::new(n).shards(2).pool_size(2).seed(9999),
             factory,
         ),
@@ -416,7 +416,7 @@ fn reconnect_revives_a_node_without_a_restore() {
     // back, state intact.
     let revived = serve(
         addr.as_str(),
-        ConcurrentEngine::new(
+        ShardedEngine::new(
             EngineConfig::new(n).shards(2).pool_size(2).seed(101),
             L0Factory::default(),
         ),
@@ -476,7 +476,7 @@ fn rejoin_rejects_a_foreign_universe_checkpoint() {
 
     // A checkpoint from a universe-64 engine of the same factory type.
     let mut foreign = Vec::new();
-    ConcurrentEngine::new(
+    ShardedEngine::new(
         EngineConfig::new(64).shards(2).pool_size(2).seed(100),
         L0Factory::default(),
     )
@@ -491,7 +491,7 @@ fn rejoin_rejects_a_foreign_universe_checkpoint() {
     // node stays out of the scatter set.
     let replacement = serve(
         "127.0.0.1:0",
-        ConcurrentEngine::new(
+        ShardedEngine::new(
             EngineConfig::new(n).shards(2).pool_size(2).seed(9),
             L0Factory::default(),
         ),

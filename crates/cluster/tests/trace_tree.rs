@@ -6,7 +6,7 @@
 //! single trace id, correctly parented across three real sockets.
 
 use pts_cluster::{ClusterConfig, Coordinator};
-use pts_engine::{ConcurrentEngine, EngineConfig, L0Factory};
+use pts_engine::{EngineConfig, L0Factory, ShardedEngine};
 use pts_obs::SpanRecord;
 use pts_server::{serve, ClientConfig, Server};
 use pts_stream::Update;
@@ -19,7 +19,7 @@ const NODES: usize = 3;
 fn spawn_nodes() -> Vec<Server> {
     (0..NODES)
         .map(|i| {
-            let engine = ConcurrentEngine::new(
+            let engine = ShardedEngine::new(
                 EngineConfig::new(UNIVERSE)
                     .shards(2)
                     .pool_size(2)

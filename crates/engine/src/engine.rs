@@ -33,13 +33,13 @@ use pts_util::{derive_seed, Xoshiro256pp};
 use std::io::{Read, Write};
 
 /// Mass-proportional pick over `masses`: the first stage of every
-/// two-stage draw in this stack. Both engine front-ends use it to choose
-/// a shard, and the `pts-cluster` coordinator uses the *same code* to
-/// choose a node — the bit-identical contracts (concurrent vs sequential,
-/// restored cluster vs uninterrupted control) ride on this arithmetic
-/// being one implementation, not copies kept in sync by hand: one RNG
-/// draw scaled by `total`, then a left-to-right subtraction scan with the
-/// last entry absorbing any floating-point residue.
+/// two-stage draw in this stack. The engine uses it to choose a shard,
+/// and the `pts-cluster` coordinator uses the *same code* to choose a
+/// node — the bit-identical contracts (restored engine or cluster vs
+/// uninterrupted control) ride on this arithmetic being one
+/// implementation, not copies kept in sync by hand: one RNG draw scaled
+/// by `total`, then a left-to-right subtraction scan with the last entry
+/// absorbing any floating-point residue.
 ///
 /// `total` must be the caller's sum of `masses` (passed in, not
 /// recomputed, so the caller's zero-total early-out and the pick agree on
@@ -92,80 +92,6 @@ impl Decode for EngineStats {
             samples: r.get_u64()?,
             fails: r.get_u64()?,
             merges: r.get_u64()?,
-        })
-    }
-}
-
-/// The decoded interior of an engine checkpoint — shared by both
-/// front-ends, which is what makes checkpoints interchangeable: a
-/// `ShardedEngine` can restore a `ConcurrentEngine`'s file and vice versa.
-pub(crate) struct EngineImage<F: SamplerFactory> {
-    pub config: EngineConfig,
-    pub factory: F,
-    pub rng: Xoshiro256pp,
-    pub stats: EngineStats,
-    pub shards: Vec<Shard<F>>,
-}
-
-impl<F: SamplerFactory> EngineImage<F> {
-    /// Serializes the common checkpoint payload. `shard_state` yields each
-    /// shard's own wire bytes (produced inline by the sequential engine,
-    /// gathered from worker threads by the concurrent one).
-    pub(crate) fn write_checkpoint<W: Write>(
-        config: EngineConfig,
-        factory: &F,
-        rng: &Xoshiro256pp,
-        stats: EngineStats,
-        shard_state: impl Iterator<Item = Result<Vec<u8>, WireError>>,
-        sink: &mut W,
-    ) -> std::io::Result<()>
-    where
-        F: Encode,
-    {
-        let mut payload = WireWriter::new();
-        config.encode(&mut payload)?;
-        factory.encode(&mut payload)?;
-        rng.encode(&mut payload)?;
-        stats.encode(&mut payload)?;
-        let mut count = 0usize;
-        for bytes in shard_state {
-            payload.put_bytes(&bytes?);
-            count += 1;
-        }
-        debug_assert_eq!(count, config.shards, "one state blob per shard");
-        write_frame(KIND_ENGINE, payload.as_bytes(), sink)
-    }
-
-    /// Reads and validates the common checkpoint payload.
-    pub(crate) fn read_checkpoint<R: Read>(src: &mut R) -> Result<Self, WireError>
-    where
-        F: Decode,
-        F::Sampler: Decode,
-    {
-        let payload = read_frame(KIND_ENGINE, src)?;
-        let mut r = WireReader::new(&payload);
-        let config = EngineConfig::decode(&mut r)?;
-        let factory = F::decode(&mut r)?;
-        let rng = Xoshiro256pp::decode(&mut r)?;
-        let stats = EngineStats::decode(&mut r)?;
-        let mut shards = Vec::with_capacity(config.shards);
-        for _ in 0..config.shards {
-            let shard: Shard<F> = Shard::decode(&mut r)?;
-            if shard.universe() != config.universe {
-                return Err(WireError::Invalid("shard universe mismatch"));
-            }
-            if shard.pool_len() != config.pool_size {
-                return Err(WireError::Invalid("shard pool-size mismatch"));
-            }
-            shards.push(shard);
-        }
-        r.finish()?;
-        Ok(Self {
-            config,
-            factory,
-            rng,
-            stats,
-            shards,
         })
     }
 }
@@ -362,57 +288,72 @@ impl<F: SamplerFactory> ShardedEngine<F> {
     ///
     /// The restored engine ([`ShardedEngine::restore`]) is bit-identical
     /// going forward: the same subsequent call sequence produces the same
-    /// draws, masses, and snapshots as the uninterrupted original. The
-    /// payload is front-end-agnostic — a [`crate::ConcurrentEngine`] can
-    /// restore it too.
-    pub fn checkpoint<W: std::io::Write>(&self, sink: &mut W) -> std::io::Result<()>
+    /// draws, masses, and snapshots as the uninterrupted original.
+    pub fn checkpoint<W: Write>(&self, sink: &mut W) -> std::io::Result<()>
     where
         F: Encode,
         F::Sampler: Encode,
     {
+        let mut payload = WireWriter::new();
+        self.config.encode(&mut payload)?;
+        self.factory.encode(&mut payload)?;
+        self.rng.encode(&mut payload)?;
+        self.stats.encode(&mut payload)?;
+        for shard in &self.shards {
+            shard.encode(&mut payload)?;
+        }
         let mut counted = pts_obs::CountingWriter::new(sink);
-        EngineImage::write_checkpoint(
-            self.config,
-            &self.factory,
-            &self.rng,
-            self.stats,
-            self.shards.iter().map(Encode::to_wire_bytes),
-            &mut counted,
-        )?;
+        write_frame(KIND_ENGINE, payload.as_bytes(), &mut counted)?;
         obs().checkpoint_bytes.add(counted.count());
         Ok(())
     }
 
-    /// Rebuilds an engine from a [`ShardedEngine::checkpoint`] payload
-    /// (written by either front-end). Malformed input — truncation,
-    /// corruption, a bumped format version, a different factory type —
-    /// returns a [`WireError`] and never panics.
-    pub fn restore<R: std::io::Read>(src: &mut R) -> Result<Self, WireError>
+    /// Rebuilds an engine from a [`ShardedEngine::checkpoint`] payload.
+    /// Malformed input — truncation, corruption, a bumped format version,
+    /// a different factory type — returns a [`WireError`] and never
+    /// panics.
+    pub fn restore<R: Read>(src: &mut R) -> Result<Self, WireError>
     where
         F: Decode,
         F::Sampler: Decode,
     {
         let mut counted = pts_obs::CountingReader::new(src);
-        let image: EngineImage<F> = EngineImage::read_checkpoint(&mut counted)?;
+        let payload = read_frame(KIND_ENGINE, &mut counted)?;
+        let mut r = WireReader::new(&payload);
+        let config = EngineConfig::decode(&mut r)?;
+        let factory = F::decode(&mut r)?;
+        let rng = Xoshiro256pp::decode(&mut r)?;
+        let stats = EngineStats::decode(&mut r)?;
+        let mut shards = Vec::with_capacity(config.shards);
+        for _ in 0..config.shards {
+            let shard: Shard<F> = Shard::decode(&mut r)?;
+            if shard.universe() != config.universe {
+                return Err(WireError::Invalid("shard universe mismatch"));
+            }
+            if shard.pool_len() != config.pool_size {
+                return Err(WireError::Invalid("shard pool-size mismatch"));
+            }
+            shards.push(shard);
+        }
+        r.finish()?;
         obs().restore_bytes.add(counted.count());
-        let router = ShardRouter::new(image.config.shards, derive_seed(image.config.seed, 0x5A4D));
-        let plan = (0..image.config.shards).map(|_| Vec::new()).collect();
+        let router = ShardRouter::new(config.shards, derive_seed(config.seed, 0x5A4D));
+        let plan = (0..config.shards).map(|_| Vec::new()).collect();
         Ok(Self {
-            config: image.config,
-            factory: image.factory,
+            config,
+            factory,
             router,
-            shards: image.shards,
+            shards,
             plan,
-            rng: image.rng,
-            stats: image.stats,
+            rng,
+            stats,
         })
     }
 
     /// Eagerly respawns every consumed pool slot in every shard (the same
     /// catch-up a lazy respawn performs at the next draw, done now so a
     /// query burst finds live instances). Returns the number of slots
-    /// refilled; the concurrent engine runs the same catch-up across all
-    /// shards in parallel.
+    /// refilled.
     pub fn prime(&mut self) -> usize {
         self.shards.iter_mut().map(Shard::prime).sum()
     }

@@ -16,8 +16,8 @@ use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
 /// A recipe for spawning independent sampler instances over `[0, n)`.
 ///
 /// `Clone` is a supertrait because every shard owns its own copy of the
-/// factory (the ownership model that lets a shard move wholesale onto a
-/// worker thread); factories are parameter bundles, so cloning is cheap.
+/// factory (a shard owns everything it needs to evolve); factories are
+/// parameter bundles, so cloning is cheap.
 pub trait SamplerFactory: Clone {
     /// The sampler type produced. `Clone + Debug` because pooled instances
     /// live inside clonable, debuggable engine state.

@@ -36,11 +36,9 @@
 //!         snapshot()/merge() ── compact exact state, router-agnostic
 //! ```
 //!
-//! Two front-ends drive this data path: [`ShardedEngine`] applies the
-//! per-shard runs sequentially, and [`ConcurrentEngine`] owns one worker
-//! thread per shard and fans them out over channels — same seeds, same
-//! plans, bit-identical outputs (see the [`concurrent`] module docs for
-//! the consistency model).
+//! [`ShardedEngine`] is the one driver of this data path: it owns every
+//! shard and applies the per-shard runs in shard order, so a fixed seed
+//! and call sequence give the same draws on every machine.
 //!
 //! ## Quickstart
 //!
@@ -64,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod concurrent;
 pub mod config;
 pub mod engine;
 pub mod factory;
@@ -74,15 +71,12 @@ pub mod router;
 pub mod service;
 pub mod shard;
 pub mod snapshot;
-pub mod worker;
 
-pub use concurrent::ConcurrentEngine;
 pub use config::EngineConfig;
 pub use engine::{pick_by_mass, EngineStats, ShardedEngine};
 pub use factory::{L0Factory, LogGFactory, LpLe2Factory, PerfectLpFactory, SamplerFactory};
 pub use pool::SamplerPool;
 pub use router::ShardRouter;
 pub use service::SamplingService;
-pub use shard::{Shard, ShardState};
+pub use shard::Shard;
 pub use snapshot::EngineSnapshot;
-pub use worker::ShardReport;

@@ -87,10 +87,9 @@ impl<S: TurnstileSampler> SamplerPool<S> {
     /// Eagerly respawns every consumed slot from the current `net` state,
     /// returning how many slots were refilled. Semantically this is the same
     /// catch-up a lazy respawn performs at the next draw — done now, off the
-    /// query path, so the refills count toward [`SamplerPool::respawns`].
-    /// The concurrent engine fans this out across shard workers, which is
-    /// what turns the serial replay-the-whole-net-vector hot spot into a
-    /// parallel one.
+    /// query path, so the refills count toward [`SamplerPool::respawns`]
+    /// and a query burst finds live instances instead of paying the
+    /// replay-the-whole-net-vector respawn on the request path.
     pub fn refill<F>(&mut self, factory: &F, universe: usize, net: &BTreeMap<u64, i64>) -> usize
     where
         F: SamplerFactory<Sampler = S>,

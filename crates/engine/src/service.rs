@@ -4,15 +4,15 @@
 //! grow engine internals (nor the engine grow socket concerns).
 //! [`SamplingService`] is the boundary: exactly the operations the service
 //! protocol (`pts_util::protocol`) can express, object-shaped enough that
-//! the server is generic over *which* engine front-end — sequential
-//! [`crate::ShardedEngine`] or threaded [`crate::ConcurrentEngine`] —
-//! happens to serve the traffic.
+//! the server hosts any implementor — [`crate::ShardedEngine`] over any
+//! encodable factory, or a test double wrapping one.
 //!
 //! The trait deliberately re-exposes engine operations under service
 //! semantics:
 //!
-//! * state-changing and state-reporting calls take the receiver the
-//!   protocol loop actually holds (`&mut self` behind a lock);
+//! * state-changing calls take `&mut self` (the protocol loop holds the
+//!   engine behind a lock); state-reporting calls, checkpoint included,
+//!   take `&self`;
 //! * checkpoint/restore move **bytes**, not writers, because the protocol
 //!   ships checkpoints as response payloads;
 //! * restore *replaces* the receiver in place, so a server can apply a
@@ -27,8 +27,8 @@ use pts_util::wire::WireError;
 
 /// Everything a request/response front-end may ask of an engine.
 ///
-/// Implementations exist for both engine front-ends; a server written
-/// against this trait cannot reach around it into engine internals.
+/// A server written against this trait cannot reach around it into
+/// engine internals.
 pub trait SamplingService {
     /// The universe bound `n`: every ingested index must lie in `[0, n)`.
     ///
@@ -83,9 +83,8 @@ pub trait SamplingService {
     }
 
     /// Serializes the engine's complete state as one framed checkpoint
-    /// payload (see `DESIGN.md` S29). `&mut self` because the concurrent
-    /// front-end must flush to quiescence first.
-    fn checkpoint_bytes(&mut self) -> std::io::Result<Vec<u8>>;
+    /// payload (see `DESIGN.md` S29).
+    fn checkpoint_bytes(&self) -> std::io::Result<Vec<u8>>;
 
     /// Replaces this engine's state with a previously captured checkpoint.
     /// Malformed or wrong-factory bytes leave the engine **unchanged** and
@@ -93,11 +92,10 @@ pub trait SamplingService {
     fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), WireError>;
 }
 
-/// Both front-ends implement the service surface by delegation; the bounds
+/// The engine implements the service surface by delegation; the bounds
 /// are exactly what checkpoint/restore require of the factory.
 mod impls {
     use super::*;
-    use crate::concurrent::ConcurrentEngine;
     use crate::engine::ShardedEngine;
     use crate::factory::SamplerFactory;
     use pts_util::wire::{Decode, Encode};
@@ -135,7 +133,7 @@ mod impls {
             ShardedEngine::support(self)
         }
 
-        fn checkpoint_bytes(&mut self) -> std::io::Result<Vec<u8>> {
+        fn checkpoint_bytes(&self) -> std::io::Result<Vec<u8>> {
             let mut bytes = Vec::new();
             ShardedEngine::checkpoint(self, &mut bytes)?;
             Ok(bytes)
@@ -143,51 +141,6 @@ mod impls {
 
         fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), WireError> {
             *self = ShardedEngine::restore(&mut &bytes[..])?;
-            Ok(())
-        }
-    }
-
-    impl<F> SamplingService for ConcurrentEngine<F>
-    where
-        F: SamplerFactory + Encode + Decode + Send + 'static,
-        F::Sampler: Encode + Decode + Send + 'static,
-    {
-        fn universe(&self) -> usize {
-            self.config().universe
-        }
-
-        fn ingest_batch(&mut self, batch: &[Update]) {
-            ConcurrentEngine::ingest_batch(self, batch);
-        }
-
-        fn sample(&mut self) -> Option<Sample> {
-            ConcurrentEngine::sample(self)
-        }
-
-        fn snapshot(&self) -> EngineSnapshot {
-            ConcurrentEngine::snapshot(self)
-        }
-
-        fn stats(&self) -> EngineStats {
-            ConcurrentEngine::stats(self)
-        }
-
-        fn mass(&self) -> f64 {
-            ConcurrentEngine::mass(self)
-        }
-
-        fn support(&self) -> usize {
-            ConcurrentEngine::support(self)
-        }
-
-        fn checkpoint_bytes(&mut self) -> std::io::Result<Vec<u8>> {
-            let mut bytes = Vec::new();
-            ConcurrentEngine::checkpoint(self, &mut bytes)?;
-            Ok(bytes)
-        }
-
-        fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-            *self = ConcurrentEngine::restore(&mut &bytes[..])?;
             Ok(())
         }
     }
@@ -199,10 +152,9 @@ mod tests {
     use crate::config::EngineConfig;
     use crate::engine::ShardedEngine;
     use crate::factory::L0Factory;
-    use crate::ConcurrentEngine;
 
-    /// A driver written only against the trait: both front-ends serve it,
-    /// and checkpoint → restore round-trips through bytes.
+    /// A driver written only against the trait: the engine serves it, and
+    /// checkpoint → restore round-trips through bytes.
     fn drive<S: SamplingService>(engine: &mut S) {
         assert_eq!(engine.universe(), 32);
         engine.ingest_batch(&[Update::new(3, 5), Update::new(17, -2)]);
@@ -231,9 +183,8 @@ mod tests {
     }
 
     #[test]
-    fn both_front_ends_serve_the_trait() {
+    fn sharded_engine_serves_the_trait() {
         let config = EngineConfig::new(32).shards(2).pool_size(2).seed(9);
         drive(&mut ShardedEngine::new(config, L0Factory::default()));
-        drive(&mut ConcurrentEngine::new(config, L0Factory::default()));
     }
 }

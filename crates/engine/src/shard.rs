@@ -20,11 +20,8 @@
 //! may mutate the net vector or the live instances — every mutation goes
 //! through [`Shard::apply_run`] (which advances compact state, mass, and
 //! live instances *in lockstep*) or [`Shard::draw`]/[`Shard::prime`] (which
-//! only consume/respawn pool instances and never touch the net state).
-//! This is what makes a shard a unit of concurrency: hand the whole value
-//! to a worker thread and the lockstep invariant cannot be violated from
-//! outside. The [`ShardState`] trait is the narrow, object-safe,
-//! `Send`-able surface the concurrent front-end's workers drive.
+//! only consume/respawn pool instances and never touch the net state), so
+//! the lockstep invariant cannot be violated from outside.
 //!
 //! Space accounting: the sparse net state is `O(nnz)` for the shard's
 //! slice — this is the price of always-queryable respawn, paid once per
@@ -37,50 +34,6 @@ use pts_samplers::Sample;
 use pts_stream::Update;
 use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
 use std::collections::BTreeMap;
-
-/// The narrow surface a shard exposes to a driver that owns it exclusively
-/// (the sequential engine, or one worker thread of the concurrent engine).
-///
-/// Everything a worker can be asked to do is here and nothing more: apply a
-/// coalesced run, draw, eagerly respawn the pool, and report state. The
-/// `Send` supertrait is the point — any implementor can be moved onto a
-/// worker thread wholesale.
-pub trait ShardState: Send {
-    /// Applies a coalesced run of updates to compact state, mass, and every
-    /// live pool instance, in lockstep.
-    fn apply_run(&mut self, run: &[Update]);
-
-    /// Draws one sample from the shard's slice (⊥ retried across the pool).
-    fn draw(&mut self) -> Option<Sample>;
-
-    /// Eagerly respawns every consumed pool slot from the net state,
-    /// returning how many slots were refilled.
-    fn prime(&mut self) -> usize;
-
-    /// The exact `G`-mass of the slice.
-    fn mass(&self) -> f64;
-
-    /// Number of non-zero coordinates in the slice.
-    fn support(&self) -> usize;
-
-    /// The sparse net entries (sorted by index), materialized for shipping.
-    fn snapshot_entries(&self) -> Vec<(u64, i64)>;
-
-    /// Lazy respawns performed by the pool (eager refills included).
-    fn respawns(&self) -> u64;
-
-    /// Live pool instances.
-    fn live(&self) -> usize;
-
-    /// Sketch bits of live instances plus compact-state bits.
-    fn space_bits(&self) -> usize;
-
-    /// The shard's complete wire encoding (factory, net vector, mass, pool
-    /// with live instances) — what a checkpoint ships per shard. Produced
-    /// on the owning thread, so the concurrent front-end serializes shards
-    /// in parallel with zero copying of live state.
-    fn encode_state(&self) -> Result<Vec<u8>, WireError>;
-}
 
 /// A shard: factory + pool + compact state + incremental mass.
 #[derive(Debug, Clone)]
@@ -259,52 +212,6 @@ where
     }
 }
 
-impl<F> ShardState for Shard<F>
-where
-    F: SamplerFactory + Send + Encode,
-    F::Sampler: Send + Encode,
-{
-    fn apply_run(&mut self, run: &[Update]) {
-        Shard::apply_run(self, run);
-    }
-
-    fn draw(&mut self) -> Option<Sample> {
-        Shard::draw(self)
-    }
-
-    fn prime(&mut self) -> usize {
-        Shard::prime(self)
-    }
-
-    fn mass(&self) -> f64 {
-        Shard::mass(self)
-    }
-
-    fn support(&self) -> usize {
-        Shard::support(self)
-    }
-
-    fn snapshot_entries(&self) -> Vec<(u64, i64)> {
-        self.entries().collect()
-    }
-
-    fn respawns(&self) -> u64 {
-        Shard::respawns(self)
-    }
-
-    fn live(&self) -> usize {
-        Shard::live(self)
-    }
-
-    fn space_bits(&self) -> usize {
-        Shard::space_bits(self)
-    }
-
-    fn encode_state(&self) -> Result<Vec<u8>, WireError> {
-        self.to_wire_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,20 +270,5 @@ mod tests {
         let s = shard.draw().expect("primed instance samples");
         assert_eq!(s.index, 4);
         assert_eq!(s.estimate, 9.0);
-    }
-
-    #[test]
-    fn shard_is_usable_through_the_narrow_trait() {
-        fn drive<C: ShardState>(cell: &mut C) -> Option<Sample> {
-            cell.apply_run(&[Update::new(7, 2)]);
-            cell.prime();
-            assert_eq!(cell.support(), 1);
-            assert_eq!(cell.snapshot_entries(), vec![(7, 2)]);
-            cell.draw()
-        }
-        let f = L0Factory::default();
-        let mut shard = Shard::new(f, 16, 1, 8);
-        let s = drive(&mut shard).expect("must sample");
-        assert_eq!(s.index, 7);
     }
 }

@@ -1,17 +1,15 @@
 //! The durable-snapshot contract: `checkpoint → restore` yields an engine
 //! **bit-identical going forward** — the same subsequent call sequence
 //! produces the same draws, the same masses, the same snapshots, and the
-//! same stats as the uninterrupted original. Pinned the same way
-//! `concurrent_equivalence.rs` pins the threaded front-end: every draw is
-//! compared, across S ∈ {1, 4}, for both front-ends and across them.
+//! same stats as the uninterrupted original. Every draw is compared,
+//! across S ∈ {1, 4}, and a golden test pins the checkpoint bytes.
 //!
 //! The second half is the adversarial-input contract: truncations at every
 //! prefix, a bumped version byte, flipped payload bytes, and a
 //! wrong-factory restore all return `WireError` — never a panic.
 
 use pts_engine::{
-    ConcurrentEngine, EngineConfig, L0Factory, LogGFactory, LpLe2Factory, SamplerFactory,
-    ShardedEngine,
+    EngineConfig, L0Factory, LogGFactory, LpLe2Factory, SamplerFactory, ShardedEngine,
 };
 use pts_stream::{Stream, StreamStyle, Update};
 use pts_util::wire::{Decode, WireError, WIRE_VERSION};
@@ -29,35 +27,41 @@ fn workload(n: usize, seed: u64) -> (Vec<Update>, Vec<Update>) {
     (a.to_vec(), b.to_vec())
 }
 
-/// Drives the second half of the call sequence on both engines via the
-/// given closures, asserting every observable agrees.
-fn drive_identically<E1, E2>(
-    original: &mut E1,
-    restored: &mut E2,
+/// Drives the second half of the call sequence on both engines, asserting
+/// every observable agrees.
+fn drive_identically<F>(
+    original: &mut ShardedEngine<F>,
+    restored: &mut ShardedEngine<F>,
     second_half: &[Update],
-    ingest1: impl Fn(&mut E1, &[Update]),
-    ingest2: impl Fn(&mut E2, &[Update]),
-    observe1: impl Fn(&mut E1) -> (Option<pts_samplers::Sample>, f64),
-    observe2: impl Fn(&mut E2) -> (Option<pts_samplers::Sample>, f64),
-) {
+) where
+    F: SamplerFactory,
+{
     for (round, chunk) in second_half.chunks(23).enumerate() {
-        ingest1(original, chunk);
-        ingest2(restored, chunk);
+        original.ingest_batch(chunk);
+        restored.ingest_batch(chunk);
         if round % 2 == 0 {
             for d in 0..3 {
-                let (s1, m1) = observe1(original);
-                let (s2, m2) = observe2(restored);
-                assert_eq!(s1, s2, "draw diverged at round {round} draw {d}");
-                assert_eq!(m1.to_bits(), m2.to_bits(), "mass diverged at {round}");
+                assert_eq!(
+                    original.sample(),
+                    restored.sample(),
+                    "draw diverged at round {round} draw {d}"
+                );
+                assert_eq!(
+                    original.mass().to_bits(),
+                    restored.mass().to_bits(),
+                    "mass diverged at {round}"
+                );
             }
         }
     }
     // Tail burst past pool capacity: the restored engine must walk the
     // identical lazy-respawn seed stream.
     for d in 0..16 {
-        let (s1, _) = observe1(original);
-        let (s2, _) = observe2(restored);
-        assert_eq!(s1, s2, "tail draw {d} diverged");
+        assert_eq!(
+            original.sample(),
+            restored.sample(),
+            "tail draw {d} diverged"
+        );
     }
 }
 
@@ -65,8 +69,8 @@ fn drive_identically<E1, E2>(
 /// restored engine to be indistinguishable from the original thereafter.
 fn sharded_roundtrip<F>(config: EngineConfig, factory: F, seed: u64)
 where
-    F: SamplerFactory + Encode + Decode + Send + 'static,
-    F::Sampler: Encode + Decode + Send + 'static,
+    F: SamplerFactory + Encode + Decode,
+    F::Sampler: Encode + Decode,
 {
     let (first, second) = workload(config.universe, seed);
     let mut engine = ShardedEngine::new(config, factory);
@@ -89,82 +93,10 @@ where
     assert_eq!(restored.mass().to_bits(), engine.mass().to_bits());
     assert_eq!(restored.support(), engine.support());
 
-    drive_identically(
-        &mut engine,
-        &mut restored,
-        &second,
-        |e, c| e.ingest_batch(c),
-        |e, c| e.ingest_batch(c),
-        |e| (e.sample(), e.mass()),
-        |e| (e.sample(), e.mass()),
-    );
+    drive_identically(&mut engine, &mut restored, &second);
     assert_eq!(restored.snapshot(), engine.snapshot());
     assert_eq!(restored.stats(), engine.stats());
     assert_eq!(restored.respawns(), engine.respawns());
-}
-
-/// Same contract through the concurrent front-end, plus both cross-engine
-/// directions: sequential checkpoint → concurrent restore and back.
-fn concurrent_roundtrip<F>(config: EngineConfig, factory: F, seed: u64)
-where
-    F: SamplerFactory + Encode + Decode + Send + 'static,
-    F::Sampler: Encode + Decode + Send + 'static,
-{
-    let (first, second) = workload(config.universe, seed);
-    let mut engine = ConcurrentEngine::new(config, factory);
-    for chunk in first.chunks(31) {
-        engine.ingest_batch(chunk);
-    }
-    for _ in 0..3 {
-        let _ = engine.sample();
-    }
-
-    let mut bytes = Vec::new();
-    engine.checkpoint(&mut bytes).expect("checkpoint");
-
-    // Concurrent → concurrent.
-    let mut restored: ConcurrentEngine<F> =
-        ConcurrentEngine::restore(&mut bytes.as_slice()).unwrap();
-    assert_eq!(restored.stats(), engine.stats());
-    assert_eq!(restored.snapshot(), engine.snapshot());
-    drive_identically(
-        &mut engine,
-        &mut restored,
-        &second,
-        |e, c| e.ingest_batch(c),
-        |e, c| e.ingest_batch(c),
-        |e| (e.sample(), e.mass()),
-        |e| (e.sample(), e.mass()),
-    );
-    assert_eq!(restored.snapshot(), engine.snapshot());
-    assert_eq!(restored.stats(), engine.stats());
-
-    // Concurrent checkpoint → sequential restore: the payload is
-    // front-end-agnostic, and the sequential twin continues bit-identically
-    // against a freshly restored concurrent sibling.
-    let mut seq: ShardedEngine<F> = ShardedEngine::restore(&mut bytes.as_slice()).unwrap();
-    let mut conc: ConcurrentEngine<F> = ConcurrentEngine::restore(&mut bytes.as_slice()).unwrap();
-    drive_identically(
-        &mut seq,
-        &mut conc,
-        &second,
-        |e, c| e.ingest_batch(c),
-        |e, c| e.ingest_batch(c),
-        |e| (e.sample(), e.mass()),
-        |e| (e.sample(), e.mass()),
-    );
-    assert_eq!(seq.snapshot(), conc.snapshot());
-    assert_eq!(seq.stats(), conc.stats());
-
-    // And the reverse direction: a sequential checkpoint restores into the
-    // concurrent front-end.
-    let mut seq_bytes = Vec::new();
-    seq.checkpoint(&mut seq_bytes).expect("checkpoint");
-    let mut back: ConcurrentEngine<F> =
-        ConcurrentEngine::restore(&mut seq_bytes.as_slice()).unwrap();
-    for d in 0..8 {
-        assert_eq!(seq.sample(), back.sample(), "reverse-restore draw {d}");
-    }
 }
 
 #[test]
@@ -201,26 +133,33 @@ fn sharded_restore_is_bit_identical_log_g() {
     );
 }
 
+/// Golden pin on the checkpoint bytes themselves: a tiny fixed engine must
+/// serialize to exactly this length and FNV-1a digest. Any change to the
+/// payload layout — field order, shard framing, pool encoding — moves one
+/// of the two and must come with a `WIRE_VERSION` bump.
 #[test]
-fn concurrent_restore_is_bit_identical_l0() {
-    for shards in [1usize, 4] {
-        let config = EngineConfig::new(96)
-            .shards(shards)
-            .pool_size(2)
-            .seed(700 + shards as u64);
-        concurrent_roundtrip(config, L0Factory::default(), 70 + shards as u64);
-    }
-}
-
-#[test]
-fn concurrent_restore_is_bit_identical_l2() {
-    for shards in [1usize, 4] {
-        let config = EngineConfig::new(64)
-            .shards(shards)
-            .pool_size(2)
-            .seed(900 + shards as u64);
-        concurrent_roundtrip(config, LpLe2Factory::for_universe(64, 2.0), 90);
-    }
+fn checkpoint_bytes_are_pinned() {
+    let mut e = ShardedEngine::new(
+        EngineConfig::new(16).shards(2).pool_size(1).seed(2024),
+        L0Factory::default(),
+    );
+    e.ingest_batch(&[
+        Update::new(1, 4),
+        Update::new(6, -3),
+        Update::new(11, 7),
+        Update::new(6, 1),
+        Update::new(15, -2),
+    ]);
+    let _ = e.sample();
+    let mut bytes = Vec::new();
+    e.checkpoint(&mut bytes).unwrap();
+    let digest = pts_util::wire::fnv1a64(&bytes);
+    assert_eq!(
+        (bytes.len(), digest),
+        (19_679, 0xfa83_5c6d_725b_d299),
+        "checkpoint bytes moved: len {} digest {digest:#018x}",
+        bytes.len()
+    );
 }
 
 #[test]
@@ -318,8 +257,4 @@ fn malformed_checkpoints_error_never_panic() {
         ShardedEngine::<LpLe2Factory>::restore(&mut bytes.as_slice()),
         Err(WireError::Invalid(_))
     ));
-    // Concurrent restore enforces the same validation.
-    assert!(
-        ConcurrentEngine::<L0Factory>::restore(&mut bytes[..bytes.len() / 2].as_ref()).is_err()
-    );
 }

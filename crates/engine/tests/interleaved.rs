@@ -6,7 +6,7 @@
 //! chi-squared tests here pin both query phases to the exact law of the
 //! vector at that point of the stream, for S ∈ {1, 4}.
 
-use pts_engine::{ConcurrentEngine, EngineConfig, L0Factory, SamplerFactory, ShardedEngine};
+use pts_engine::{EngineConfig, L0Factory, SamplerFactory, ShardedEngine};
 use pts_stream::{FrequencyVector, Stream, StreamStyle, Update};
 use pts_util::stats::chi_square_test;
 use pts_util::Xoshiro256pp;
@@ -115,10 +115,10 @@ fn interleaved_ingest_sample_ingest_holds_the_law_both_times() {
 }
 
 #[test]
-fn interleaved_concurrent_engine_matches_the_final_law() {
-    // Same interleaving through the threaded front-end, S = 4: ingest,
-    // query burst (consuming pools mid-stream), parallel prime, ingest the
-    // rest, then chi-squared on the final law.
+fn interleaved_prime_matches_the_final_law() {
+    // Same interleaving with an eager catch-up, S = 4: ingest, query burst
+    // (consuming pools mid-stream), prime, ingest the rest, then
+    // chi-squared on the final law.
     let x = FrequencyVector::from_values(vec![10, -20, 30, 5, 0, 15, -8, 12]);
     let factory = pts_engine::LpLe2Factory::for_universe(x.n(), 2.0);
     let probs = ideal_probs(&x, &factory);
@@ -128,14 +128,14 @@ fn interleaved_concurrent_engine_matches_the_final_law() {
     let (first, second) = updates.split_at(updates.len() / 2);
 
     let config = EngineConfig::new(x.n()).shards(4).pool_size(2).seed(77);
-    let mut engine = ConcurrentEngine::new(config, factory);
+    let mut engine = ShardedEngine::new(config, factory);
     for chunk in first.chunks(32) {
         engine.ingest_batch(chunk);
     }
     for _ in 0..40 {
         let _ = engine.sample();
     }
-    engine.prime(); // parallel catch-up from the mid-stream net state
+    engine.prime(); // eager catch-up from the mid-stream net state
     for chunk in second.chunks(32) {
         engine.ingest_batch(chunk);
     }
@@ -152,7 +152,7 @@ fn interleaved_concurrent_engine_matches_the_final_law() {
     let chi = chi_square_test(&counts, &probs, 5.0);
     assert!(
         chi.p_value > 1e-4,
-        "concurrent interleave law broken, chi2 {:.2} p {:.6}",
+        "primed interleave law broken, chi2 {:.2} p {:.6}",
         chi.statistic,
         chi.p_value
     );

@@ -205,7 +205,7 @@ pub enum ClientError {
     /// A checkpoint too large to ship in one `Restore` request
     /// ([`pts_util::protocol::MAX_RESTORE_BYTES`]); restore it out-of-band
     /// by starting the replacement server from the bytes directly
-    /// (`ShardedEngine::restore` / `ConcurrentEngine::restore`). Detected
+    /// (`ShardedEngine::restore`). Detected
     /// client-side, before anything is sent, so the connection survives.
     CheckpointTooLarge {
         /// The oversized checkpoint's byte count.

@@ -48,12 +48,12 @@
 //! ## Quickstart
 //!
 //! ```
-//! use pts_engine::{ConcurrentEngine, EngineConfig, L0Factory};
+//! use pts_engine::{EngineConfig, L0Factory, ShardedEngine};
 //! use pts_server::{serve, Client};
 //! use pts_stream::Update;
 //!
 //! // Any SamplingService implementor works; loopback port 0 = ephemeral.
-//! let engine = ConcurrentEngine::new(
+//! let engine = ShardedEngine::new(
 //!     EngineConfig::new(1 << 10).shards(2).pool_size(2).seed(7),
 //!     L0Factory::default(),
 //! );

@@ -47,6 +47,9 @@ pub(crate) struct ServerObs {
     pub conn_active: Gauge,
     /// `server.conn.frame_timeouts` — whole-frame deadlines tripped.
     pub conn_timeouts: Counter,
+    /// `server.panics` — dispatches that panicked inside an engine and
+    /// were answered `Internal` instead of killing a worker.
+    pub panics: Counter,
     /// `server.requests.inflight` — requests enqueued (demuxed off a
     /// connection) but not yet answered, across all connections.
     pub inflight: Gauge,
@@ -141,6 +144,7 @@ pub(crate) fn obs() -> &'static ServerObs {
             conn_closed: r.counter("server.conn.closed"),
             conn_active: r.gauge("server.conn.active"),
             conn_timeouts: r.counter("server.conn.frame_timeouts"),
+            panics: r.counter("server.panics"),
             inflight: r.gauge("server.requests.inflight"),
             frame_recoverable: r.counter_labeled("server.frame_errors", "class", "recoverable"),
             frame_fatal: r.counter_labeled("server.frame_errors", "class", "fatal"),

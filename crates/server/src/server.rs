@@ -28,10 +28,15 @@
 //! namespaces per node viable (the paper's samplers are tiny).
 //! Namespace 0 is the default tenant, created at bind from the engine
 //! passed in; `CreateNamespace` builds additional tenants through the
-//! spawner given to [`Server::bind_with_spawner`]. Concurrency inside an
-//! engine is the engine's own business: a hosted
-//! [`pts_engine::ConcurrentEngine`] still applies runs on its per-shard
-//! worker threads while its mutex only serializes front-end calls.
+//! spawner given to [`Server::bind_with_spawner`].
+//!
+//! Panic containment: a worker runs each dispatch under `catch_unwind`,
+//! so an engine that panics costs one `Internal` error response — under
+//! the request's own id — and a poisoned tenant mutex, never a worker.
+//! Later requests to that tenant answer `Internal` ("engine lock
+//! poisoned") until a `DropNamespace` + `CreateNamespace` replaces it;
+//! every other tenant, and the rest of the connection's FIFO, is
+//! untouched.
 //!
 //! Shutdown: a `Shutdown` request (or [`Server::shutdown`]) sets a shared
 //! flag; the accept loop is woken by a loopback connection, joins the
@@ -51,6 +56,7 @@ use pts_util::wire::{Decode, WireError, KIND_REQUEST};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -691,7 +697,10 @@ fn worker_loop<E: SamplingService>(
 /// Drains one connection's FIFO: pops jobs in order, dispatches, and
 /// writes each response under the connection's write lock. Releases
 /// ownership (`scheduled = false`) when the queue empties so the reader
-/// re-schedules the connection on its next enqueue.
+/// re-schedules the connection on its next enqueue. A panicking dispatch
+/// is answered `Internal` under its own id and draining continues: an
+/// unwinding worker would leave this FIFO owned by nobody (`scheduled`
+/// stuck true) and shrink the pool for every connection.
 fn drain_connection<E: SamplingService>(conn: &Conn, shared: &Arc<Shared<E>>) {
     loop {
         let (id, job) = {
@@ -714,7 +723,17 @@ fn drain_connection<E: SamplingService>(conn: &Conn, shared: &Arc<Shared<E>>) {
                 drop(job.queue_span);
                 let (trace, ns) = (job.trace, job.ns);
                 let kind = kind_name(&job.request);
-                let (response, wants_shutdown) = dispatch(shared, ns, trace, job.request);
+                let request = job.request;
+                let (response, wants_shutdown) =
+                    catch_unwind(AssertUnwindSafe(|| dispatch(shared, ns, trace, request)))
+                        .unwrap_or_else(|payload| {
+                            obs().panics.inc();
+                            let what = panic_message(payload.as_ref());
+                            event("server.panic", format!("ns={ns} kind={kind}: {what}"));
+                            let message = format!("engine panicked: {what}");
+                            let error = ServiceError::new(ErrorCode::Internal, message);
+                            (Response::Error(error), false)
+                        });
                 (response, wants_shutdown, trace, kind, ns)
             }
             Job::Reply(response) => (response, false, None, "error", 0),
@@ -796,6 +815,16 @@ fn respond(conn: &Conn, request_id: u64, response: &Response) -> std::io::Result
     obs().bytes_out.add(total - w.flushed);
     w.flushed = total;
     Ok(())
+}
+
+/// The text of a caught panic's payload (the `&str` or `String` every
+/// `panic!` with a message carries).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 /// An error response carrying the wire error's rendering as its message.

@@ -21,7 +21,7 @@
 //! (unreadable id, frame-level error). A readable id with an unreadable
 //! namespace or trace field *is* attributable: the error echoes the id.
 
-use pts_engine::{ConcurrentEngine, EngineConfig, L0Factory};
+use pts_engine::{EngineConfig, L0Factory, ShardedEngine};
 use pts_server::{serve, serve_with_spawner, Client, ClientError};
 use pts_stream::Update;
 use pts_util::protocol::{
@@ -31,8 +31,8 @@ use pts_util::protocol::{
 use pts_util::wire::{write_frame, Encode, WireWriter, KIND_REQUEST, WIRE_MAGIC, WIRE_VERSION};
 use pts_util::Xoshiro256pp;
 
-fn small_engine(seed: u64) -> ConcurrentEngine<L0Factory> {
-    ConcurrentEngine::new(
+fn small_engine(seed: u64) -> ShardedEngine<L0Factory> {
+    ShardedEngine::new(
         EngineConfig::new(64).shards(2).pool_size(1).seed(seed),
         L0Factory::default(),
     )

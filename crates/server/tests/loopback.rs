@@ -12,9 +12,7 @@
 //!   draw-for-draw identical to the original (the durable-snapshot
 //!   contract of `checkpoint_restore.rs`, now spanning a kill).
 
-use pts_engine::{
-    ConcurrentEngine, EngineConfig, L0Factory, LpLe2Factory, SamplerFactory, ShardedEngine,
-};
+use pts_engine::{EngineConfig, L0Factory, LpLe2Factory, SamplerFactory, ShardedEngine};
 use pts_server::{serve, Client, ClientError};
 use pts_stream::{FrequencyVector, Update};
 use pts_util::protocol::ErrorCode;
@@ -26,7 +24,7 @@ fn updates_of(x: &FrequencyVector) -> Vec<Update> {
 
 #[test]
 fn session_ingest_sample_stats_snapshot() {
-    let engine = ConcurrentEngine::new(
+    let engine = ShardedEngine::new(
         EngineConfig::new(64).shards(2).pool_size(2).seed(7),
         L0Factory::default(),
     );
@@ -70,7 +68,7 @@ where
     let total: f64 = weights.iter().sum();
     let probs: Vec<f64> = weights.iter().map(|w| w / total).collect();
 
-    let engine = ConcurrentEngine::new(
+    let engine = ShardedEngine::new(
         EngineConfig::new(x.n()).shards(2).pool_size(2).seed(11),
         factory,
     );
@@ -135,7 +133,7 @@ fn checkpoint_kill_restore_continues_identically() {
     let config = EngineConfig::new(128).shards(2).pool_size(2).seed(21);
     let factory = LpLe2Factory::for_universe(128, 2.0);
 
-    let server_a = serve("127.0.0.1:0", ConcurrentEngine::new(config, factory)).unwrap();
+    let server_a = serve("127.0.0.1:0", ShardedEngine::new(config, factory)).unwrap();
     let mut client_a = Client::connect(server_a.local_addr()).unwrap();
     let x = pts_stream::gen::zipf_vector(128, 1.1, 60, 5);
     client_a.ingest_batch(&updates_of(&x)).unwrap();
@@ -150,9 +148,9 @@ fn checkpoint_kill_restore_continues_identically() {
     client_a.shutdown_server().unwrap();
     server_a.join();
 
-    // A fresh server hosting a *different* engine (sequential front-end,
-    // different seed, nothing ingested) — the restore replaces all of it,
-    // and checkpoints are front-end-agnostic by the S29 contract.
+    // A fresh server hosting a *different* engine (different seed,
+    // nothing ingested) — the restore replaces all of it by the S29
+    // contract.
     let stand_in = ShardedEngine::new(config.seed(9999), factory);
     let server_b = serve("127.0.0.1:0", stand_in).unwrap();
     let mut client_b = Client::connect(server_b.local_addr()).unwrap();
@@ -171,7 +169,7 @@ fn checkpoint_kill_restore_continues_identically() {
 
 #[test]
 fn out_of_universe_ingest_is_in_band_and_atomic() {
-    let engine = ConcurrentEngine::new(
+    let engine = ShardedEngine::new(
         EngineConfig::new(16).shards(2).pool_size(1).seed(3),
         L0Factory::default(),
     );
@@ -216,7 +214,7 @@ fn restore_rejects_garbage_and_wrong_factory_in_band() {
     // A checkpoint from a *different factory type*: decodes as a frame but
     // fails the factory tag check — still in-band, engine still untouched.
     let mut foreign = Vec::new();
-    ConcurrentEngine::new(config, LpLe2Factory::for_universe(32, 2.0))
+    ShardedEngine::new(config, LpLe2Factory::for_universe(32, 2.0))
         .checkpoint(&mut foreign)
         .unwrap();
     let err = client.restore(&foreign).unwrap_err();
@@ -232,7 +230,7 @@ fn restore_rejects_garbage_and_wrong_factory_in_band() {
 
 #[test]
 fn concurrent_clients_all_land_their_updates() {
-    let engine = ConcurrentEngine::new(
+    let engine = ShardedEngine::new(
         EngineConfig::new(1 << 10).shards(4).pool_size(1).seed(8),
         L0Factory::default(),
     );

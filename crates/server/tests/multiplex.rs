@@ -14,7 +14,7 @@
 //! * `max_in_flight` backpressures `submit_*` instead of growing the
 //!   demux table without bound.
 
-use pts_engine::{ConcurrentEngine, EngineConfig, L0Factory};
+use pts_engine::{EngineConfig, L0Factory, ShardedEngine};
 use pts_server::{serve, Client, ClientConfig, ClientError};
 use pts_stream::Update;
 use pts_util::protocol::{
@@ -247,7 +247,7 @@ fn wait_timeout_expires_cleanly_and_connection_survives() {
 /// exactly right afterwards.
 #[test]
 fn live_pipelined_bursts_land_exactly() {
-    let engine = ConcurrentEngine::new(
+    let engine = ShardedEngine::new(
         EngineConfig::new(256).shards(2).pool_size(1).seed(21),
         L0Factory::default(),
     );

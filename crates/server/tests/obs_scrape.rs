@@ -8,7 +8,7 @@
 //! with a scraper thread polling throughout, then checks the exposition
 //! actually carried the instrumentation the traffic generated.
 
-use pts_engine::{ConcurrentEngine, EngineConfig, L0Factory, SamplerFactory};
+use pts_engine::{EngineConfig, L0Factory, SamplerFactory, ShardedEngine};
 use pts_obs::MetricsServer;
 use pts_server::{serve, Client};
 use pts_stream::{FrequencyVector, Update};
@@ -54,7 +54,7 @@ fn law_holds_while_a_concurrent_scraper_polls() {
     let total: f64 = weights.iter().sum();
     let probs: Vec<f64> = weights.iter().map(|w| w / total).collect();
 
-    let engine = ConcurrentEngine::new(
+    let engine = ShardedEngine::new(
         EngineConfig::new(x.n()).shards(2).pool_size(2).seed(11),
         factory,
     );

@@ -68,7 +68,7 @@ impl SamplingService for TenantEngine {
     fn support(&self) -> usize {
         delegate!(self, e => SamplingService::support(e))
     }
-    fn checkpoint_bytes(&mut self) -> std::io::Result<Vec<u8>> {
+    fn checkpoint_bytes(&self) -> std::io::Result<Vec<u8>> {
         delegate!(self, e => e.checkpoint_bytes())
     }
     fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), WireError> {

@@ -29,7 +29,7 @@ use std::time::Duration;
 fn spawn_nodes(universe: usize, count: usize) -> Vec<pts_server::Server> {
     (0..count)
         .map(|i| {
-            let engine = ConcurrentEngine::new(
+            let engine = ShardedEngine::new(
                 EngineConfig::new(universe)
                     .shards(2)
                     .pool_size(2)
@@ -131,7 +131,7 @@ fn main() {
 
     let replacement = serve(
         "127.0.0.1:0",
-        ConcurrentEngine::new(
+        ShardedEngine::new(
             EngineConfig::new(universe).shards(2).pool_size(2).seed(999),
             LpLe2Factory::for_universe(universe, 2.0),
         ),

@@ -15,12 +15,6 @@
 //!
 //! Run with: `cargo run --release --example network_monitor`
 //!
-//! Pass `--concurrent` to serve the same traffic through the threaded
-//! front-end (`ConcurrentEngine`): one worker thread per shard, pipelined
-//! ingest, and a parallel pool catch-up (`prime`) between the mid-stream
-//! probe and the query burst. The report is identical by the engines'
-//! determinism contract — only the wall-clock changes.
-//!
 //! Pass `--tenants N` for the wire-v4 multi-tenant variant: N routers'
 //! monitors — each with its own attackers and its own traffic — served by
 //! ONE `pts-server` process through one connection, each in its own
@@ -39,68 +33,6 @@
 
 use perfect_sampling::prelude::*;
 use std::collections::HashMap;
-
-/// The two serving modes, behind one trait object-free facade: both
-/// engines expose the same methods, so the example abstracts them with an
-/// enum rather than generics.
-enum Monitor {
-    Sequential(ShardedEngine<PerfectLpFactory>),
-    Concurrent(ConcurrentEngine<PerfectLpFactory>),
-}
-
-impl Monitor {
-    fn ingest_batch(&mut self, batch: &[Update]) {
-        match self {
-            Monitor::Sequential(e) => e.ingest_batch(batch),
-            Monitor::Concurrent(e) => e.ingest_batch(batch),
-        }
-    }
-
-    fn sample(&mut self) -> Option<Sample> {
-        match self {
-            Monitor::Sequential(e) => e.sample(),
-            Monitor::Concurrent(e) => e.sample(),
-        }
-    }
-
-    /// Eager pool catch-up before a query burst (parallel across shards in
-    /// concurrent mode).
-    fn prime(&mut self) -> usize {
-        match self {
-            Monitor::Sequential(e) => e.prime(),
-            Monitor::Concurrent(e) => e.prime(),
-        }
-    }
-
-    fn respawns(&self) -> u64 {
-        match self {
-            Monitor::Sequential(e) => e.respawns(),
-            Monitor::Concurrent(e) => e.respawns(),
-        }
-    }
-
-    /// Serializes the complete engine state (the durable-snapshot wire
-    /// format; the concurrent front-end flushes to quiescence first).
-    fn checkpoint(&mut self) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        match self {
-            Monitor::Sequential(e) => e.checkpoint(&mut bytes).expect("checkpoint"),
-            Monitor::Concurrent(e) => e.checkpoint(&mut bytes).expect("checkpoint"),
-        }
-        bytes
-    }
-
-    /// Rebuilds a monitor from checkpoint bytes — the payload is
-    /// front-end-agnostic, so recovery picks its mode independently of the
-    /// mode that wrote it.
-    fn restore(concurrent: bool, bytes: &[u8]) -> Monitor {
-        if concurrent {
-            Monitor::Concurrent(ConcurrentEngine::restore(&mut &bytes[..]).expect("restore"))
-        } else {
-            Monitor::Sequential(ShardedEngine::restore(&mut &bytes[..]).expect("restore"))
-        }
-    }
-}
 
 /// One tenant's scenario: its own attacker pair and turnstile stream over
 /// the shared 96-source universe.
@@ -249,7 +181,6 @@ fn main() {
         return;
     }
 
-    let concurrent = std::env::args().any(|a| a == "--concurrent");
     let n = 96; // source universe (hashed /24s, say)
     let seed = 7u64;
 
@@ -278,25 +209,13 @@ fn main() {
         .sum();
     println!("attackers hold {:.2}% of F4", attacker_share * 100.0);
 
-    // One engine, perfect L4 law, 2 shards × 2 pooled samplers — threaded
-    // or not, same seeds, same draws. The `control` twin runs the identical
-    // call sequence without ever crashing, to prove recovery is invisible.
+    // One engine, perfect L4 law, 2 shards × 2 pooled samplers. The
+    // `control` twin runs the identical call sequence without ever
+    // crashing, to prove recovery is invisible.
     let config = EngineConfig::new(n).shards(2).pool_size(2).seed(seed);
     let factory = PerfectLpFactory::for_universe(n, 4.0);
-    let build = |concurrent: bool| {
-        if concurrent {
-            Monitor::Concurrent(ConcurrentEngine::new(config, factory))
-        } else {
-            Monitor::Sequential(ShardedEngine::new(config, factory))
-        }
-    };
-    if concurrent {
-        println!("mode: concurrent (one worker thread per shard)\n");
-    } else {
-        println!("mode: sequential (pass --concurrent for the threaded front-end)\n");
-    }
-    let mut engine = build(concurrent);
-    let mut control = build(concurrent);
+    let mut engine = ShardedEngine::new(config, factory);
+    let mut control = ShardedEngine::new(config, factory);
 
     // Ingest the first half of the traffic, then probe MID-STREAM: the
     // engine answers while the attack is still in flight.
@@ -321,16 +240,17 @@ fn main() {
     // live sampler sketches, RNG positions — and the process "dies"; a
     // replacement restores from the bytes and keeps serving as if nothing
     // happened.
-    let snapshot_bytes = engine.checkpoint();
+    let mut snapshot_bytes = Vec::new();
+    engine.checkpoint(&mut snapshot_bytes).expect("checkpoint");
     drop(engine);
-    let mut engine = Monitor::restore(concurrent, &snapshot_bytes);
+    let mut engine: ShardedEngine<PerfectLpFactory> =
+        ShardedEngine::restore(&mut &snapshot_bytes[..]).expect("restore");
     println!(
         "crash + recovery: {} checkpoint bytes restored mid-attack",
         snapshot_bytes.len()
     );
 
-    // Finish the stream, then catch the pools up *before* the query burst
-    // (in concurrent mode every shard replays its net vector in parallel).
+    // Finish the stream, then catch the pools up *before* the query burst.
     for batch in second_half.chunks(128) {
         engine.ingest_batch(batch);
         control.ingest_batch(batch);

@@ -1,7 +1,7 @@
 //! The engine as a network service: a real TCP session over loopback.
 //!
 //! Everything previous examples did in-process now crosses a socket:
-//! a `pts-server` hosts a `ConcurrentEngine`, and a blocking `Client`
+//! a `pts-server` hosts a `ShardedEngine`, and a blocking `Client`
 //! drives it through the framed request/response protocol (PROTOCOL.md) —
 //! batched turnstile ingest, mid-stream sampling, live stats, and a full
 //! engine checkpoint pulled *over the wire*.
@@ -42,7 +42,7 @@ fn main() {
     let universe = 1 << 12;
     let config = EngineConfig::new(universe).shards(4).pool_size(2).seed(42);
     let factory = LpLe2Factory::for_universe(universe, 2.0);
-    let engine = ConcurrentEngine::new(config, factory);
+    let engine = ShardedEngine::new(config, factory);
 
     // Port 0 = ephemeral: the OS picks a free loopback port.
     let server = serve("127.0.0.1:0", engine).expect("bind loopback");
@@ -86,7 +86,7 @@ fn main() {
 
     // A fresh server, fresh port, hosting a blank engine of the same
     // type — one Restore request replaces its state wholesale.
-    let stand_in = ConcurrentEngine::new(config.seed(999), factory);
+    let stand_in = ShardedEngine::new(config.seed(999), factory);
     let server_b = serve("127.0.0.1:0", stand_in).expect("bind replacement");
     let mut client_b = Client::connect(server_b.local_addr()).expect("reconnect");
     client_b.restore(&checkpoint).expect("restore");

@@ -46,11 +46,7 @@
 //! assert!(s.index == 3 || s.index == 900);
 //! ```
 //!
-//! Under heavy traffic, [`pts_engine::ConcurrentEngine`] is the same engine
-//! with one worker thread per shard — identical outputs (bit-for-bit, same
-//! seeds), pipelined batched ingest, and parallel pool catch-up.
-//!
-//! Behind a socket, [`pts_server`] serves either engine over a framed,
+//! Behind a socket, [`pts_server`] serves the engine over a framed,
 //! request-id multiplexed TCP protocol (see `PROTOCOL.md`) with a
 //! matching client — blocking methods plus a pipelined
 //! `submit_*`/[`pts_server::Pending`] API — and `examples/serve_demo.rs`
@@ -105,8 +101,8 @@ pub mod prelude {
         SubsetNormParams,
     };
     pub use pts_engine::{
-        ConcurrentEngine, EngineConfig, EngineSnapshot, EngineStats, L0Factory, LogGFactory,
-        LpLe2Factory, PerfectLpFactory, SamplerFactory, SamplingService, ShardedEngine,
+        EngineConfig, EngineSnapshot, EngineStats, L0Factory, LogGFactory, LpLe2Factory,
+        PerfectLpFactory, SamplerFactory, SamplingService, ShardedEngine,
     };
     pub use pts_obs::{MetricsServer, MetricsServerConfig};
     pub use pts_samplers::{
