@@ -7,8 +7,8 @@
 //!
 //! * every `impl Decode for …` block, workspace-wide, and
 //! * every parsing-shaped function (`get_*`, `read_*`, `decode`,
-//!   `from_wire_bytes`, `from_u8`) in a file named `wire.rs` or
-//!   `protocol.rs`.
+//!   `decode_*`, `from_wire_bytes`, `from_u8`) in a file named `wire.rs`
+//!   or `protocol.rs`.
 //!
 //! Inside those regions the pass flags `.unwrap(` / `.expect(` calls,
 //! the panic macro family (`panic!`, `unreachable!`, `todo!`,
@@ -47,6 +47,7 @@ fn is_parsing_fn(name: &str) -> bool {
     name.starts_with("get_")
         || name.starts_with("read_")
         || name == "decode"
+        || name.starts_with("decode_")
         || name == "from_wire_bytes"
         || name == "from_u8"
 }

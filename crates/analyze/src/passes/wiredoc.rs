@@ -19,13 +19,10 @@
 //!   `KIND_RESPONSE`; the document renders `MAX_FRAME_BYTES` in MiB and
 //!   `MAX_SAMPLE_COUNT` in digit-grouped form correctly; the FNV-1a
 //!   offset/prime quoted in §1 are the ones `wire.rs` actually uses.
-//! * **Worked hex examples** — every fenced block in §6 whose lines
-//!   lead with hex byte pairs is decoded as a complete frame: magic,
-//!   version, kind, LEB128 length vs. actual payload size, and a
-//!   *recomputed* FNV-1a 64 checksum must all hold. (The annotation
-//!   text after the bytes is ignored, so `fnv1a64(02 04 ‖ 04)` notes
-//!   cannot confuse the parser: extraction stops at the first
-//!   non-hex-pair token on each line.)
+//!
+//! The §6 worked hex examples are not this pass's job: the unit test
+//! `protocol_md_worked_examples_are_exact` in `protocol.rs` reads them
+//! straight from PROTOCOL.md and pins each against the encoder.
 
 use crate::diag::Finding;
 use crate::lexer::{Tok, TokKind};
@@ -36,19 +33,10 @@ use std::collections::BTreeMap;
 pub const NAME: &str = "wire-doc";
 
 /// The FNV-1a 64 offset basis (checked against both wire.rs and
-/// PROTOCOL.md §1, and used to recompute worked-example checksums).
+/// PROTOCOL.md §1).
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 /// The FNV-1a 64 prime.
 const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Everything extracted from wire.rs + protocol.rs.
 #[derive(Default)]
@@ -56,8 +44,6 @@ struct CodeModel {
     /// `const NAME = value` for every evaluatable integer const, with
     /// the defining file and line.
     consts: BTreeMap<String, (u64, String, u32)>,
-    /// The `WIRE_MAGIC` bytes.
-    magic: Option<Vec<u8>>,
     /// `ErrorCode` variants in declaration order.
     error_codes: Vec<(String, u64, u32)>,
     /// All integer literal values seen in wire.rs (for the FNV check).
@@ -150,11 +136,7 @@ fn extract(toks: &[Tok], rel: &str, model: &mut CodeModel) {
                     k += 1;
                 }
                 let expr = &toks[lo..k.min(toks.len())];
-                if name == "WIRE_MAGIC" {
-                    if let Some(s) = expr.iter().find(|t| t.kind == TokKind::Str) {
-                        model.magic = Some(s.text.clone().into_bytes());
-                    }
-                } else if let Some(v) = eval(expr, &model.consts) {
+                if let Some(v) = eval(expr, &model.consts) {
                     model.consts.insert(name, (v, rel.to_string(), line));
                 }
                 i = k + 1;
@@ -360,7 +342,7 @@ fn check_doc(doc: &str, model: &CodeModel, out: &mut Vec<Finding>) {
             continue;
         }
         if in_code_block {
-            continue; // worked examples are validated as frames below
+            continue; // worked examples are pinned by protocol.rs's tests
         }
         let hexes = hex_literals(line);
         if let Some(v) = version {
@@ -450,9 +432,6 @@ fn check_doc(doc: &str, model: &CodeModel, out: &mut Vec<Finding>) {
     check_table(doc, model, "REQ_", "request", out);
     check_table(doc, model, "RESP_", "response", out);
     check_error_table(doc, model, out);
-
-    // --- Worked hex examples ------------------------------------------
-    check_hex_examples(doc, model, out);
 }
 
 /// `0x`-prefixed hex literals on a line, with their positions.
@@ -666,145 +645,6 @@ fn check_error_table(doc: &str, model: &CodeModel, out: &mut Vec<Finding>) {
     }
 }
 
-/// Decodes every hex-leading fenced block in the document as a frame and
-/// verifies envelope structure and checksum.
-fn check_hex_examples(doc: &str, model: &CodeModel, out: &mut Vec<Finding>) {
-    let magic = model.magic.clone().unwrap_or_else(|| b"PTSW".to_vec());
-    let version = get(model, "WIRE_VERSION");
-    let kind_req = get(model, "KIND_REQUEST");
-    let kind_resp = get(model, "KIND_RESPONSE");
-    let mut block_start = 0u32;
-    let mut bytes: Vec<u8> = Vec::new();
-    let mut in_block = false;
-    let mut block_idx = 0usize;
-    for (idx, line) in doc.lines().enumerate() {
-        let lineno = (idx + 1) as u32;
-        if line.trim_start().starts_with("```") {
-            if in_block {
-                // Block closed: validate if it looked like a frame dump.
-                if bytes.len() >= 12 {
-                    block_idx += 1;
-                    validate_frame(
-                        &bytes,
-                        block_idx,
-                        block_start,
-                        &magic,
-                        version,
-                        kind_req,
-                        kind_resp,
-                        out,
-                    );
-                }
-                bytes.clear();
-                in_block = false;
-            } else {
-                in_block = true;
-                block_start = lineno;
-            }
-            continue;
-        }
-        if in_block {
-            for tok in line.split_whitespace() {
-                if tok.len() == 2 && tok.chars().all(|c| c.is_ascii_hexdigit()) {
-                    if let Ok(b) = u8::from_str_radix(tok, 16) {
-                        bytes.push(b);
-                    }
-                } else {
-                    break; // annotation text starts here
-                }
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn validate_frame(
-    bytes: &[u8],
-    block_idx: usize,
-    line: u32,
-    magic: &[u8],
-    version: Option<u64>,
-    kind_req: Option<u64>,
-    kind_resp: Option<u64>,
-    out: &mut Vec<Finding>,
-) {
-    let mut bad = |detail: String| {
-        out.push(Finding {
-            pass: NAME,
-            file: "PROTOCOL.md".into(),
-            line,
-            key: format!("hex:{block_idx}"),
-            message: format!("worked example #{block_idx}: {detail}"),
-        });
-    };
-    if bytes.len() < magic.len() + 2 || &bytes[..magic.len()] != magic {
-        bad(format!("does not open with the wire magic {:02X?}", magic));
-        return;
-    }
-    let v = bytes[magic.len()] as u64;
-    let k = bytes[magic.len() + 1] as u64;
-    if version.is_some() && Some(v) != version {
-        bad(format!(
-            "version byte is {v:#04x} but WIRE_VERSION is {:#04x}",
-            version.unwrap_or(0)
-        ));
-        return;
-    }
-    if Some(k) != kind_req && Some(k) != kind_resp {
-        bad(format!(
-            "kind byte {k:#04x} is neither KIND_REQUEST nor KIND_RESPONSE"
-        ));
-        return;
-    }
-    // LEB128 length.
-    let mut pos = magic.len() + 2;
-    let mut len: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let Some(&b) = bytes.get(pos) else {
-            bad("ends inside the length varint".into());
-            return;
-        };
-        pos += 1;
-        len |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-        if shift > 63 {
-            bad("length varint is overlong".into());
-            return;
-        }
-    }
-    let expect_total = pos as u64 + len + 8;
-    if expect_total != bytes.len() as u64 {
-        bad(format!(
-            "length field says {len} payload bytes, so the frame should be {expect_total} bytes, \
-             but the example has {}",
-            bytes.len()
-        ));
-        return;
-    }
-    let payload = &bytes[pos..pos + len as usize];
-    let mut hashed = Vec::with_capacity(payload.len() + 2);
-    hashed.push(v as u8);
-    hashed.push(k as u8);
-    hashed.extend_from_slice(payload);
-    let want = fnv1a64(&hashed);
-    let got = u64::from_le_bytes(match bytes[pos + len as usize..].try_into() {
-        Ok(tail) => tail,
-        Err(_) => {
-            bad("checksum tail is not 8 bytes".into());
-            return;
-        }
-    });
-    if want != got {
-        bad(format!(
-            "checksum mismatch: document says {got:#018x}, recomputed FNV-1a 64 is {want:#018x}"
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -832,7 +672,8 @@ mod tests {
             "pub const WIRE_MAGIC: [u8; 4] = *b\"PTSW\";\n\
              pub enum ErrorCode { Malformed = 1, TooLarge = 4, }",
         );
-        assert_eq!(m.magic.as_deref(), Some(b"PTSW".as_slice()));
+        // The magic is a byte string, not an integer: left unmodeled.
+        assert_eq!(get(&m, "WIRE_MAGIC"), None);
         assert_eq!(m.error_codes.len(), 2);
         assert_eq!(m.error_codes[1], ("TooLarge".to_string(), 4, 2));
     }
@@ -844,23 +685,6 @@ mod tests {
         check_uniqueness(&m, &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].message.contains("share tag value 0x01"));
-    }
-
-    #[test]
-    fn a_good_frame_validates_and_a_bad_checksum_fails() {
-        // "PTSW" 02 04 01 04 + fnv1a64(02 04 04) LE — the §6.1 Stats frame.
-        let mut frame = b"PTSW".to_vec();
-        frame.extend_from_slice(&[0x02, 0x04, 0x01, 0x04]);
-        let sum = fnv1a64(&[0x02, 0x04, 0x04]);
-        frame.extend_from_slice(&sum.to_le_bytes());
-        let mut out = Vec::new();
-        validate_frame(&frame, 1, 10, b"PTSW", Some(2), Some(4), Some(5), &mut out);
-        assert!(out.is_empty(), "{out:?}");
-        let last = frame.len() - 1;
-        frame[last] ^= 0xFF;
-        validate_frame(&frame, 1, 10, b"PTSW", Some(2), Some(4), Some(5), &mut out);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].message.contains("checksum mismatch"));
     }
 
     #[test]

@@ -79,7 +79,6 @@ fn wiredoc_pass_fires_on_planted_drift() {
         "dup:REQ_0x04",       // REQ_STATS and REQ_PING share a tag
         "doc:version",        // PROTOCOL.md quotes 0x03, code says 2
         "table:request:0x09", // ghost row not backed by any REQ_ const
-        "hex:1",              // worked example's checksum tail flipped
     ]
     .iter()
     .map(|s| s.to_string())

@@ -24,7 +24,8 @@
 //! ```
 
 use pts_engine::{EngineConfig, L0Factory, ShardedEngine};
-use pts_server::{serve, Client, ClientConfig};
+use pts_server::{serve, Client, ClientConfig, Pending};
+use pts_util::protocol::DEFAULT_NAMESPACE;
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -45,7 +46,11 @@ fn run_pass(client: &mut Client, total: u64) -> f64 {
             let front: pts_server::Pending<_> = window.pop_front().expect("non-empty window");
             front.wait().expect("stats response");
         }
-        window.push_back(client.submit_stats().expect("submit stats"));
+        window.push_back(
+            client
+                .submit_stats_ns(DEFAULT_NAMESPACE)
+                .expect("submit stats"),
+        );
     }
     for pending in window {
         pending.wait().expect("stats response");
@@ -67,7 +72,7 @@ fn main() {
     let server = serve("127.0.0.1:0", engine).expect("bind loopback server");
     let mut config = ClientConfig::new().max_in_flight(DEPTH);
     if traced {
-        config = config.trace_sampling(TRACE_EVERY).trace_seed(4242);
+        config = config.trace_sampling(TRACE_EVERY);
     }
     let mut client = Client::connect_with(server.local_addr(), &config).expect("connect");
 
@@ -84,6 +89,9 @@ fn main() {
         println!("trial workload=d16 i={i} requests={total} seconds={secs:.3} rate={rate:.0}");
     }
     println!("best workload=d16 requests_per_sec={best:.0}");
-    client.shutdown_server().expect("shutdown");
+    client
+        .submit_shutdown()
+        .and_then(Pending::wait)
+        .expect("shutdown");
     server.join();
 }

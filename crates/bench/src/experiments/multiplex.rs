@@ -25,6 +25,7 @@
 use pts_cluster::{ClusterConfig, Coordinator};
 use pts_engine::{EngineConfig, L0Factory, ShardedEngine};
 use pts_server::{serve, Client, ClientConfig, Server};
+use pts_util::protocol::DEFAULT_NAMESPACE;
 use pts_util::table::fmt_sig;
 use pts_util::Table;
 use std::collections::VecDeque;
@@ -54,7 +55,11 @@ fn depth_run(client: &mut Client, total: u64, depth: usize) -> f64 {
             let front: pts_server::Pending<_> = window.pop_front().expect("non-empty window");
             front.wait().expect("stats response");
         }
-        window.push_back(client.submit_stats().expect("submit stats"));
+        window.push_back(
+            client
+                .submit_stats_ns(DEFAULT_NAMESPACE)
+                .expect("submit stats"),
+        );
     }
     for pending in window {
         pending.wait().expect("stats response");

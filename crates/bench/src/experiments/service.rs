@@ -13,9 +13,10 @@
 //! every earlier request and none of the ingest is still in flight.
 
 use pts_engine::{EngineConfig, LpLe2Factory, ShardedEngine};
-use pts_server::{serve, Client};
+use pts_server::{serve, Client, Pending};
 use pts_stream::gen::zipf_vector;
 use pts_stream::{Stream, StreamStyle};
+use pts_util::protocol::DEFAULT_NAMESPACE;
 use pts_util::table::fmt_sig;
 use pts_util::{Table, Xoshiro256pp};
 use std::time::Instant;
@@ -65,19 +66,33 @@ pub fn n1_service_throughput(quick: bool) -> Table {
         let started = Instant::now();
         for _ in 0..reps {
             for (b, batch) in base.batches(batch_len).enumerate() {
-                client.ingest_batch(batch).expect("ingest");
+                client
+                    .submit_ingest_batch_ns(DEFAULT_NAMESPACE, batch)
+                    .and_then(Pending::wait)
+                    .expect("ingest");
                 requests += 1;
                 if b % QUERY_EVERY == 0 {
-                    let _ = client.sample().expect("sample round trip");
+                    let _ = client
+                        .submit_sample_many_ns(DEFAULT_NAMESPACE, 1)
+                        .and_then(Pending::wait)
+                        .expect("sample round trip")
+                        .pop()
+                        .flatten();
                     requests += 1;
                 }
             }
         }
         // Server-side completion gate (see module docs), also a request.
-        let stats = client.stats().expect("stats");
+        let stats = client
+            .submit_stats_ns(DEFAULT_NAMESPACE)
+            .and_then(Pending::wait)
+            .expect("stats");
         requests += 1;
         let elapsed = started.elapsed().as_secs_f64();
-        client.shutdown_server().expect("shutdown");
+        client
+            .submit_shutdown()
+            .and_then(Pending::wait)
+            .expect("shutdown");
         server.join();
 
         let req_rate = requests as f64 / elapsed;

@@ -105,7 +105,10 @@ fn tier_run(tenants: u64) -> (f64, Option<u64>) {
 
     // Spot-check a probe tenant actually holds its stream before teardown.
     let probe = tenants.max(2) / 2;
-    let stats = client.stats_ns(probe).expect("probe stats");
+    let stats = client
+        .submit_stats_ns(probe)
+        .and_then(Pending::wait)
+        .expect("probe stats");
     assert_eq!(stats.updates, 1, "tenant {probe} lost its ingest");
 
     let bytes_per_tenant = match (rss_before, rss_after) {
@@ -113,7 +116,10 @@ fn tier_run(tenants: u64) -> (f64, Option<u64>) {
         _ => None,
     };
 
-    client.shutdown_server().expect("shutdown");
+    client
+        .submit_shutdown()
+        .and_then(Pending::wait)
+        .expect("shutdown");
     server.join();
     (secs, bytes_per_tenant)
 }

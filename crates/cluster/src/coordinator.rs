@@ -451,7 +451,10 @@ impl Coordinator {
                 addr: addr.clone(),
                 source: ClientError::Io(e),
             })?;
-        let stats = client.stats().map_err(|source| ClusterError::Node {
+        let stats = client
+            .submit_stats_ns(DEFAULT_NAMESPACE)
+            .and_then(Pending::wait);
+        let stats = stats.map_err(|source| ClusterError::Node {
             node,
             addr: addr.clone(),
             source,
@@ -497,17 +500,18 @@ impl Coordinator {
         }
     }
 
-    /// Runs one blocking exchange against a node's client; failures go
-    /// through [`Coordinator::fail_node`].
+    /// Runs one blocking exchange against a node's client: submits with
+    /// `op`, then waits for the answer; failures go through
+    /// [`Coordinator::fail_node`].
     fn with_node<T>(
         &mut self,
         node: usize,
-        op: impl FnOnce(&mut Client) -> Result<T, ClientError>,
+        op: impl FnOnce(&mut Client) -> Result<Pending<T>, ClientError>,
     ) -> Result<T, ClusterError> {
         let Some(client) = self.nodes[node].client.as_mut() else {
             return Err(self.node_down(node));
         };
-        match op(client) {
+        match op(client).and_then(Pending::wait) {
             Ok(v) => Ok(v),
             Err(source) => Err(self.fail_node(node, source)),
         }
@@ -553,16 +557,12 @@ impl Coordinator {
     /// at once, an error return means any subset of the *other* touched
     /// nodes may have applied theirs (see the module docs).
     pub fn ingest_batch(&mut self, batch: &[Update]) -> Result<u64, ClusterError> {
-        self.ingest_batch_in(DEFAULT_NAMESPACE, batch)
+        self.ingest_batch_ns(DEFAULT_NAMESPACE, batch)
     }
 
     /// [`Coordinator::ingest_batch`] addressed to namespace `ns` — same
     /// routing and pipelining, against that tenant's slice owners.
     pub fn ingest_batch_ns(&mut self, ns: u64, batch: &[Update]) -> Result<u64, ClusterError> {
-        self.ingest_batch_in(ns, batch)
-    }
-
-    fn ingest_batch_in(&mut self, ns: u64, batch: &[Update]) -> Result<u64, ClusterError> {
         if let Some(u) = batch
             .iter()
             .find(|u| (u.index as u128) >= self.universe as u128)
@@ -627,13 +627,13 @@ impl Coordinator {
     /// The exact cluster `G`-mass `Σ_j G(x_j)`: a `Stats` scatter over
     /// the slice owners, summed.
     pub fn mass(&mut self) -> Result<f64, ClusterError> {
-        Ok(self.scatter_masses(DEFAULT_NAMESPACE)?.2)
+        self.mass_ns(DEFAULT_NAMESPACE)
     }
 
     /// [`Coordinator::mass`] for namespace `ns` — that tenant's exact
     /// cluster-wide `G`-mass.
     pub fn mass_ns(&mut self, ns: u64) -> Result<f64, ClusterError> {
-        Ok(self.scatter_masses(ns)?.2)
+        Ok(self.scatter_masses(ns, None)?.2)
     }
 
     /// Scatters a `Stats` query to every slice owner; returns the owners,
@@ -642,16 +642,11 @@ impl Coordinator {
     /// The scatter is **pipelined**: every owner's `Stats` is submitted
     /// before any answer is awaited, so wall-clock cost is ~one round
     /// trip regardless of owner count (the `m1` bench's scatter row
-    /// measures exactly this path).
-    fn scatter_masses(&mut self, ns: u64) -> Result<(Vec<usize>, Vec<f64>, f64), ClusterError> {
-        self.scatter_masses_traced(ns, None)
-    }
-
-    /// [`Coordinator::scatter_masses`] under a trace: when `trace` is set
-    /// the scatter gets a `cluster.scatter` span and every per-node
-    /// `Stats` submit carries that span's context, so each node's stage
-    /// spans parent to the scatter in the burst's tree.
-    fn scatter_masses_traced(
+    /// measures exactly this path). When `trace` is set the scatter gets
+    /// a `cluster.scatter` span and every per-node `Stats` submit carries
+    /// that span's context, so each node's stage spans parent to the
+    /// scatter in the burst's tree.
+    fn scatter_masses(
         &mut self,
         ns: u64,
         trace: Option<TraceContext>,
@@ -688,7 +683,7 @@ impl Coordinator {
     /// (`None` is the paper's ⊥, an honest outcome — see the module
     /// docs).
     pub fn sample(&mut self) -> Result<Option<Sample>, ClusterError> {
-        Ok(self.sample_many(1)?.pop().flatten())
+        self.sample_ns(DEFAULT_NAMESPACE)
     }
 
     /// [`Coordinator::sample`] from namespace `ns`'s own law.
@@ -718,7 +713,7 @@ impl Coordinator {
     /// draw-for-draw identity with an uninterrupted control is lost in
     /// that narrow window.
     pub fn sample_many(&mut self, count: u64) -> Result<Vec<Option<Sample>>, ClusterError> {
-        self.sample_many_in(DEFAULT_NAMESPACE, count)
+        self.sample_many_ns(DEFAULT_NAMESPACE, count)
     }
 
     /// [`Coordinator::sample_many`] from namespace `ns`'s own law — the
@@ -731,10 +726,6 @@ impl Coordinator {
         ns: u64,
         count: u64,
     ) -> Result<Vec<Option<Sample>>, ClusterError> {
-        self.sample_many_in(ns, count)
-    }
-
-    fn sample_many_in(&mut self, ns: u64, count: u64) -> Result<Vec<Option<Sample>>, ClusterError> {
         if count == 0 {
             return Ok(Vec::new());
         }
@@ -748,7 +739,7 @@ impl Coordinator {
             root.tag(format!("ns={ns} count={count}"));
         }
         let trace = span_ctx(&root);
-        let (owners, masses, total) = self.scatter_masses_traced(ns, trace)?;
+        let (owners, masses, total) = self.scatter_masses(ns, trace)?;
         if total <= 0.0 {
             // The zero vector: ⊥ without consuming RNG, like the engine.
             return Ok(vec![None; count as usize]);
@@ -859,7 +850,9 @@ impl Coordinator {
         let mut total_support = 0;
         for node in 0..self.nodes.len() {
             let slice = self.node_slice(node);
-            let service = self.with_node(node, |client| client.stats()).ok();
+            let service = self
+                .with_node(node, |c| c.submit_stats_ns(DEFAULT_NAMESPACE))
+                .ok();
             if let (Some(s), Some(_)) = (&service, slice) {
                 total_mass += s.mass;
                 total_updates += s.updates;
@@ -889,7 +882,7 @@ impl Coordinator {
     /// [`Coordinator::rejoin`] identically.
     pub fn checkpoint_node(&mut self, node: usize) -> Result<Vec<u8>, ClusterError> {
         self.check_node_index(node)?;
-        self.with_node(node, |client| client.checkpoint())
+        self.with_node(node, |c| c.submit_checkpoint_ns(DEFAULT_NAMESPACE))
     }
 
     /// Creates namespace `ns` on every slice owner (pipelined scatter),
@@ -980,7 +973,7 @@ impl Coordinator {
     /// touching its neighbors.
     pub fn checkpoint_tenant(&mut self, node: usize, ns: u64) -> Result<Vec<u8>, ClusterError> {
         self.check_node_index(node)?;
-        self.with_node(node, |client| client.checkpoint_ns(ns))
+        self.with_node(node, |c| c.submit_checkpoint_ns(ns))
     }
 
     /// Revives namespace `ns`'s `from`-owned slices on node `to` from a
@@ -1017,20 +1010,20 @@ impl Coordinator {
                 "restore target already hosts this tenant",
             ));
         }
-        self.with_node(to, |client| client.create_namespace(ns))?;
-        let restored = self.with_node(to, |client| client.restore_ns(ns, checkpoint));
+        self.with_node(to, |c| c.submit_create_namespace(ns))?;
+        let restored = self.with_node(to, |c| c.submit_restore_ns(ns, checkpoint));
         if restored.is_err() {
             // A tenant that accepted the create but not the checkpoint is
             // blank — letting it own slices would corrupt the law. Shed
             // it (best-effort: the node may just have died).
-            let _ = self.with_node(to, |client| client.drop_namespace(ns));
+            let _ = self.with_node(to, |c| c.submit_drop_namespace(ns));
             return restored;
         }
         // Universe re-validation, exactly like rejoin: the restore
         // replaced the tenant's engine wholesale.
-        let stats = self.with_node(to, |client| client.stats_ns(ns))?;
+        let stats = self.with_node(to, |c| c.submit_stats_ns(ns))?;
         if stats.universe != self.universe as u64 {
-            let _ = self.with_node(to, |client| client.drop_namespace(ns));
+            let _ = self.with_node(to, |c| c.submit_drop_namespace(ns));
             return Err(ClusterError::UniverseMismatch {
                 node: to,
                 got: stats.universe,
@@ -1075,7 +1068,7 @@ impl Coordinator {
         // Shed the stale copy. A failure here leaves `from` hosting a
         // no-longer-routed copy of `ns` — harmless to the law (nothing
         // routes there), retryable once the node is repaired.
-        self.with_node(from, |client| client.drop_namespace(ns))?;
+        self.with_node(from, |c| c.submit_drop_namespace(ns))?;
         self.rebalances += 1;
         let o = obs();
         o.rebalance_bytes.add(checkpoint.len() as u64);
@@ -1113,8 +1106,8 @@ impl Coordinator {
             return Err(ClusterError::Topology("rebalance target is not standby"));
         }
         let sw = Stopwatch::start();
-        let checkpoint = self.with_node(from, |client| client.checkpoint())?;
-        self.with_node(to, |client| client.restore(&checkpoint))?;
+        let checkpoint = self.with_node(from, |c| c.submit_checkpoint_ns(DEFAULT_NAMESPACE))?;
+        self.with_node(to, |c| c.submit_restore_ns(DEFAULT_NAMESPACE, &checkpoint))?;
         for owner in &mut self.slice_owner {
             if *owner == from {
                 *owner = to;
@@ -1170,7 +1163,7 @@ impl Coordinator {
     ) -> Result<(), ClusterError> {
         self.check_node_index(node)?;
         self.attach(node, Some(addr.into()))?;
-        let restored = self.with_node(node, |client| client.restore(checkpoint));
+        let restored = self.with_node(node, |c| c.submit_restore_ns(DEFAULT_NAMESPACE, checkpoint));
         if restored.is_err() {
             // A node that accepted the connection but not the checkpoint
             // is blank — letting it own a slice would corrupt the law.
@@ -1181,7 +1174,7 @@ impl Coordinator {
         // so the attach-time validation no longer speaks for it: a
         // checkpoint from a different cluster must not sneak a wrong
         // coordinate space into the scatter set.
-        let stats = self.with_node(node, |client| client.stats())?;
+        let stats = self.with_node(node, |c| c.submit_stats_ns(DEFAULT_NAMESPACE))?;
         if stats.universe != self.universe as u64 {
             self.nodes[node].client = None;
             return Err(ClusterError::UniverseMismatch {

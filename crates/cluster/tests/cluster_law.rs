@@ -21,6 +21,7 @@ use pts_cluster::{ClusterConfig, ClusterError, Coordinator, NodeHealth};
 use pts_engine::{EngineConfig, L0Factory, LpLe2Factory, SamplerFactory, ShardedEngine};
 use pts_server::{serve, serve_with_spawner, ClientConfig, Server};
 use pts_stream::{FrequencyVector, Update};
+use pts_util::protocol::DEFAULT_NAMESPACE;
 use pts_util::stats::chi_square_test;
 use pts_util::{Decode, Encode};
 use std::time::Duration;
@@ -423,7 +424,11 @@ fn reconnect_revives_a_node_without_a_restore() {
     )
     .expect("rebind the freed port");
     let mut direct = pts_server::Client::connect(&addr).unwrap();
-    direct.restore(&checkpoint).unwrap();
+    direct
+        .submit_restore_ns(DEFAULT_NAMESPACE, &checkpoint)
+        .unwrap()
+        .wait()
+        .unwrap();
     drop(direct);
 
     // reconnect: no restore through the coordinator, nothing lost.
@@ -596,7 +601,7 @@ fn tenant_checkpoint_restore_on_another_node_is_draw_for_draw_identical() {
     // node 0 keeps serving namespace 0), restore onto the standby.
     let bytes = subject.checkpoint_tenant(0, 7).unwrap();
     let mut direct = pts_server::Client::connect(subject.node_addr(0)).unwrap();
-    direct.drop_namespace(7).unwrap();
+    direct.submit_drop_namespace(7).unwrap().wait().unwrap();
     drop(direct);
     subject.restore_tenant(7, 0, 2, &bytes).unwrap();
 

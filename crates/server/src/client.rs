@@ -1,5 +1,5 @@
-//! The client: typed request/response methods — blocking or pipelined —
-//! over one multiplexed connection.
+//! The client: one typed submit method per request verb over one
+//! multiplexed connection.
 //!
 //! Since wire v3 a connection is **multiplexed**: every request carries a
 //! client-assigned id its response echoes, so many requests can be in
@@ -16,23 +16,16 @@
 //!      └─ wait() blocks until *this* id resolves
 //! ```
 //!
-//! Two API layers share that machinery:
+//! Every `submit_*` method returns a [`Pending`] at once: keep up to
+//! [`ClientConfig::max_in_flight`] submitted before waiting any, and the
+//! connection amortizes one round trip over the whole window. A blocking
+//! call is `submit_…(…)?.wait()` — one request in flight.
 //!
-//! * **Blocking methods** ([`Client::ingest_batch`], [`Client::stats`],
-//!   …) — unchanged signatures from the lockstep era, now sugar for
-//!   `submit_*()?.wait()` (exactly one request in flight).
-//! * **Pipelined handles** ([`Client::submit_stats`] and friends) —
-//!   return a [`Pending`] immediately; keep up to
-//!   [`ClientConfig::max_in_flight`] submitted before waiting any, and
-//!   the connection amortizes one round trip over the whole window.
-//!
-//! Since wire v4 every request is addressed to a **namespace** (a
-//! logical tenant engine on the server). The un-suffixed methods all
-//! target the default namespace 0, so single-tenant code is unchanged;
-//! the `*_ns` variants ([`Client::ingest_batch_ns`],
-//! [`Client::submit_stats_ns`], …) address any tenant, and
-//! [`Client::create_namespace`] / [`Client::drop_namespace`] /
-//! [`Client::list_namespaces`] manage the tenant set itself.
+//! Every engine-scoped request is addressed to a **namespace** (wire v4:
+//! a logical tenant engine on the server) — pass
+//! [`pts_util::protocol::DEFAULT_NAMESPACE`] (0) for the default tenant.
+//! [`Client::submit_create_namespace`] / [`Client::submit_drop_namespace`]
+//! / [`Client::submit_list_namespaces`] manage the tenant set itself.
 //!
 //! The recoverable/fatal error split is preserved *per request*: an
 //! in-band error response resolves only its own id (as
@@ -52,7 +45,7 @@ use pts_obs::{Span, Stopwatch, Tracer};
 use pts_samplers::Sample;
 use pts_stream::Update;
 use pts_util::protocol::{
-    read_response, write_request_traced, Request, Response, ServiceError, ServiceStats,
+    read_response, write_request, Request, RequestHeader, Response, ServiceError, ServiceStats,
     TraceContext, DEFAULT_NAMESPACE,
 };
 use pts_util::wire::WireError;
@@ -121,10 +114,6 @@ pub struct ClientConfig {
     /// `trace_every`-th request. 0 (the default) disables sampling; in
     /// the obs-off build nothing is ever sampled regardless.
     pub trace_every: u64,
-    /// Phase shift for the deterministic trace sampler (see
-    /// [`pts_obs::Tracer`]): with `trace_every = N`, request `k` is
-    /// sampled iff `k ≡ trace_seed (mod N)`.
-    pub trace_seed: u64,
 }
 
 impl Default for ClientConfig {
@@ -135,7 +124,6 @@ impl Default for ClientConfig {
             write_timeout: None,
             max_in_flight: DEFAULT_MAX_IN_FLIGHT,
             trace_every: 0,
-            trace_seed: 0,
         }
     }
 }
@@ -177,13 +165,6 @@ impl ClientConfig {
     /// a distributed trace (0 disables — the default).
     pub fn trace_sampling(mut self, every: u64) -> Self {
         self.trace_every = every;
-        self
-    }
-
-    /// Sets the trace sampler's phase shift (see
-    /// [`ClientConfig::trace_seed`]).
-    pub fn trace_seed(mut self, seed: u64) -> Self {
-        self.trace_seed = seed;
         self
     }
 }
@@ -289,8 +270,10 @@ impl DeadReason {
 /// One request's slot in the demux table.
 #[derive(Debug)]
 enum Slot {
-    /// Submitted; its response has not arrived.
-    Waiting,
+    /// Submitted; its response has not arrived. The stopwatch started at
+    /// submit and feeds `server.client.resolve.ns` when the response
+    /// arrives — not when the caller gets round to claiming it.
+    Waiting(Stopwatch),
     /// The response arrived before anyone waited.
     Ready(Response),
 }
@@ -329,9 +312,12 @@ impl Demux {
         let Ok(mut s) = self.state.lock() else {
             return;
         };
-        match s.slots.get_mut(&id) {
-            Some(slot @ Slot::Waiting) => {
-                *slot = Slot::Ready(resp);
+        match s.slots.get(&id) {
+            Some(&Slot::Waiting(sw)) => {
+                // Submit→resolve ends here, however late the caller
+                // claims the response.
+                obs().client_resolve.observe_elapsed(sw);
+                s.slots.insert(id, Slot::Ready(resp));
                 s.waiting -= 1;
                 s.pending_since = if s.waiting == 0 {
                     None
@@ -394,8 +380,6 @@ pub struct Pending<T> {
     /// for untraced requests); records when this handle resolves or is
     /// abandoned.
     span: Span,
-    /// Feeds the `server.client.resolve.ns` submit→resolve histogram.
-    sw: Stopwatch,
 }
 
 impl<T> Pending<T> {
@@ -439,8 +423,8 @@ impl<T> Pending<T> {
         let resp = loop {
             match s.slots.remove(&self.id) {
                 Some(Slot::Ready(resp)) => break resp,
-                Some(Slot::Waiting) => {
-                    s.slots.insert(self.id, Slot::Waiting);
+                Some(waiting @ Slot::Waiting(_)) => {
+                    s.slots.insert(self.id, waiting);
                 }
                 // Only reachable dead: the reader cleared nothing, but a
                 // poisoned path may have; fall through to the dead check.
@@ -448,7 +432,7 @@ impl<T> Pending<T> {
             }
             if let Some(dead) = &s.dead {
                 let err = dead.to_error();
-                if matches!(s.slots.remove(&self.id), Some(Slot::Waiting)) {
+                if matches!(s.slots.remove(&self.id), Some(Slot::Waiting(_))) {
                     s.waiting -= 1;
                 }
                 drop(s);
@@ -466,7 +450,7 @@ impl<T> Pending<T> {
                         // Expired: release the slot exactly like Drop
                         // does, so the connection keeps working and the
                         // late response becomes a bounded stray.
-                        if matches!(s.slots.remove(&self.id), Some(Slot::Waiting)) {
+                        if matches!(s.slots.remove(&self.id), Some(Slot::Waiting(_))) {
                             s.waiting -= 1;
                             if s.waiting == 0 {
                                 s.pending_since = None;
@@ -486,9 +470,8 @@ impl<T> Pending<T> {
         drop(s);
         // A slot freed: a submit blocked on the in-flight cap can run.
         self.demux.cv.notify_all();
-        // Resolved: close the submit→resolve span and record the latency
-        // before decoding (decode cost is the caller's, not the wire's).
-        obs().client_resolve.observe_elapsed(self.sw);
+        // Resolved: close the submit→resolve span before decoding (decode
+        // cost is the caller's, not the wire's).
         std::mem::take(&mut self.span).finish();
         match resp {
             Response::Error(e) => Err(ClientError::Server(e)),
@@ -503,7 +486,7 @@ impl<T> Drop for Pending<T> {
             return;
         }
         if let Ok(mut s) = self.demux.state.lock() {
-            if matches!(s.slots.remove(&self.id), Some(Slot::Waiting)) {
+            if matches!(s.slots.remove(&self.id), Some(Slot::Waiting(_))) {
                 s.waiting -= 1;
                 if s.waiting == 0 {
                     s.pending_since = None;
@@ -537,15 +520,6 @@ pub struct Client {
     /// submit that carries no explicit parent context (disabled by
     /// default — and always in the obs-off build).
     tracer: Tracer,
-}
-
-/// A successfully written request: the assigned id plus the client-side
-/// span and stopwatch that travel into the [`Pending`] and resolve with
-/// its response.
-struct Submitted {
-    id: u64,
-    span: Span,
-    sw: Stopwatch,
 }
 
 impl Client {
@@ -614,31 +588,26 @@ impl Client {
             reader: Some(reader),
             next_id: 1,
             max_in_flight: config.max_in_flight.max(1),
-            tracer: Tracer::new(config.trace_seed, config.trace_every),
+            tracer: Tracer::new(0, config.trace_every),
         })
     }
 
-    /// [`Client::submit_traced`] with no explicit parent — the
-    /// connection's own sampler decides whether a trace starts here.
-    fn submit_raw(&mut self, ns: u64, request: &Request) -> Result<Submitted, ClientError> {
-        self.submit_traced(ns, None, request)
-    }
-
-    /// Assigns an id, registers its slot (blocking while the connection
-    /// is at [`ClientConfig::max_in_flight`]), and writes one request
-    /// frame addressed to `ns` carrying the request's trace context
-    /// (wire v5). An explicit `parent` — the coordinator propagating its
-    /// scatter trace — wins; otherwise the connection's own
-    /// [`Tracer`] may start a fresh trace; untraced requests carry the
-    /// `0` marker and a no-op span. A write failure is fatal: the stream
-    /// position is torn, so the connection is poisoned and every
+    /// The one submit path: assigns an id, registers its slot (blocking
+    /// while the connection is at [`ClientConfig::max_in_flight`]), and
+    /// writes one request frame addressed to `ns` carrying the request's
+    /// trace context (wire v5). An explicit `parent` — the coordinator
+    /// propagating its scatter trace — wins; otherwise the connection's
+    /// own [`Tracer`] may start a fresh trace; untraced requests carry
+    /// the `0` marker and a no-op span. A write failure is fatal: the
+    /// stream position is torn, so the connection is poisoned and every
     /// outstanding request fails.
-    fn submit_traced(
+    fn submit<T>(
         &mut self,
         ns: u64,
         parent: Option<TraceContext>,
         request: &Request,
-    ) -> Result<Submitted, ClientError> {
+        decode: fn(Response) -> Result<T, ClientError>,
+    ) -> Result<Pending<T>, ClientError> {
         let mut span = match parent {
             Some(ctx) => Span::start(ctx.trace_id, ctx.parent_span_id, "client.submit"),
             None => match self.tracer.sample() {
@@ -680,7 +649,7 @@ impl Client {
             }
             let id = self.next_id;
             self.next_id += 1;
-            s.slots.insert(id, Slot::Waiting);
+            s.slots.insert(id, Slot::Waiting(sw));
             s.waiting += 1;
             if s.pending_since.is_none() {
                 s.pending_since = Some(Instant::now());
@@ -690,13 +659,18 @@ impl Client {
         if span.is_recording() {
             span.tag(format!("kind={} ns={ns} id={id}", kind_name(request)));
         }
-        match write_request_traced(id, ns, trace, request, &mut self.writer)
-            .and_then(|()| self.writer.flush())
-        {
-            Ok(()) => Ok(Submitted { id, span, sw }),
+        let header = RequestHeader { id, ns, trace };
+        match write_request(&header, request, &mut self.writer).and_then(|()| self.writer.flush()) {
+            Ok(()) => Ok(Pending {
+                demux: Arc::clone(&self.demux),
+                id,
+                decode,
+                done: false,
+                span,
+            }),
             Err(e) => {
                 if let Ok(mut s) = self.demux.state.lock() {
-                    if matches!(s.slots.remove(&id), Some(Slot::Waiting)) {
+                    if matches!(s.slots.remove(&id), Some(Slot::Waiting(_))) {
                         s.waiting -= 1;
                     }
                 }
@@ -707,54 +681,25 @@ impl Client {
         }
     }
 
-    /// Builds the typed handle for a written request.
-    fn pending<T>(
-        &self,
-        sub: Submitted,
-        decode: fn(Response) -> Result<T, ClientError>,
-    ) -> Pending<T> {
-        Pending {
-            demux: Arc::clone(&self.demux),
-            id: sub.id,
-            decode,
-            done: false,
-            span: sub.span,
-            sw: sub.sw,
-        }
-    }
-
-    // ---- pipelined submission API -------------------------------------
+    // ---- the request API: one submit per verb -------------------------
     //
-    // The un-suffixed methods are namespace-0 sugar; the `_ns` variants
-    // address any tenant.
+    // Each returns a `Pending` at once; a blocking call is
+    // `submit_…(…)?.wait()`. Engine-scoped verbs address namespace `ns`
+    // (`DEFAULT_NAMESPACE` is the default tenant).
 
-    /// Submits a batch of turnstile updates without waiting; resolves to
-    /// the accepted count.
-    pub fn submit_ingest_batch(&mut self, batch: &[Update]) -> Result<Pending<u64>, ClientError> {
-        self.submit_ingest_batch_ns(DEFAULT_NAMESPACE, batch)
-    }
-
-    /// [`Client::submit_ingest_batch`] addressed to namespace `ns`.
+    /// Submits a batch of turnstile updates to namespace `ns`; resolves
+    /// to the accepted count.
     pub fn submit_ingest_batch_ns(
         &mut self,
         ns: u64,
         batch: &[Update],
     ) -> Result<Pending<u64>, ClientError> {
         let pairs = batch.iter().map(|u| (u.index, u.delta)).collect();
-        let sub = self.submit_raw(ns, &Request::IngestBatch(pairs))?;
-        Ok(self.pending(sub, decode_ingested))
+        self.submit(ns, None, &Request::IngestBatch(pairs), decode_ingested)
     }
 
-    /// Submits a `count`-draw sample request without waiting; resolves to
-    /// the draws in draw order.
-    pub fn submit_sample_many(
-        &mut self,
-        count: u64,
-    ) -> Result<Pending<Vec<Option<Sample>>>, ClientError> {
-        self.submit_sample_many_ns(DEFAULT_NAMESPACE, count)
-    }
-
-    /// [`Client::submit_sample_many`] addressed to namespace `ns`.
+    /// Submits a `count`-draw sample request to namespace `ns`; resolves
+    /// to the draws in draw order (`None` is the paper's ⊥).
     pub fn submit_sample_many_ns(
         &mut self,
         ns: u64,
@@ -773,29 +718,17 @@ impl Client {
         count: u64,
         parent: Option<TraceContext>,
     ) -> Result<Pending<Vec<Option<Sample>>>, ClientError> {
-        let sub = self.submit_traced(ns, parent, &Request::Sample { count })?;
-        Ok(self.pending(sub, decode_samples))
+        self.submit(ns, parent, &Request::Sample { count }, decode_samples)
     }
 
-    /// Submits a snapshot request without waiting.
-    pub fn submit_snapshot(&mut self) -> Result<Pending<EngineSnapshot>, ClientError> {
-        self.submit_snapshot_ns(DEFAULT_NAMESPACE)
-    }
-
-    /// [`Client::submit_snapshot`] addressed to namespace `ns`.
+    /// Submits a request for namespace `ns`'s compact mergeable
+    /// snapshot.
     pub fn submit_snapshot_ns(&mut self, ns: u64) -> Result<Pending<EngineSnapshot>, ClientError> {
-        let sub = self.submit_raw(ns, &Request::Snapshot)?;
-        Ok(self.pending(sub, decode_snapshot))
+        self.submit(ns, None, &Request::Snapshot, decode_snapshot)
     }
 
-    /// Submits a stats request without waiting — the building block of
-    /// the cluster's concurrent `Stats` scatter.
-    pub fn submit_stats(&mut self) -> Result<Pending<ServiceStats>, ClientError> {
-        self.submit_stats_ns(DEFAULT_NAMESPACE)
-    }
-
-    /// [`Client::submit_stats`] addressed to namespace `ns` — stats are
-    /// per-tenant (each namespace has its own counters, mass, support).
+    /// Submits a stats request to namespace `ns` — stats are per-tenant
+    /// (each namespace has its own counters, mass, support).
     pub fn submit_stats_ns(&mut self, ns: u64) -> Result<Pending<ServiceStats>, ClientError> {
         self.submit_stats_ns_traced(ns, None)
     }
@@ -809,30 +742,24 @@ impl Client {
         ns: u64,
         parent: Option<TraceContext>,
     ) -> Result<Pending<ServiceStats>, ClientError> {
-        let sub = self.submit_traced(ns, parent, &Request::Stats)?;
-        Ok(self.pending(sub, decode_stats))
+        self.submit(ns, parent, &Request::Stats, decode_stats)
     }
 
-    /// Submits a checkpoint pull without waiting.
-    pub fn submit_checkpoint(&mut self) -> Result<Pending<Vec<u8>>, ClientError> {
-        self.submit_checkpoint_ns(DEFAULT_NAMESPACE)
-    }
-
-    /// [`Client::submit_checkpoint`] addressed to namespace `ns` —
-    /// checkpoints are per-tenant, which is what makes individual tenants
+    /// Submits a pull of namespace `ns`'s complete engine checkpoint (a
+    /// framed `KIND_ENGINE` payload — feed it to an engine `restore`,
+    /// persist it, or send it back via [`Client::submit_restore_ns`]).
+    /// Checkpoints are per-tenant, which is what makes individual tenants
     /// migratable.
     pub fn submit_checkpoint_ns(&mut self, ns: u64) -> Result<Pending<Vec<u8>>, ClientError> {
-        let sub = self.submit_raw(ns, &Request::Checkpoint)?;
-        Ok(self.pending(sub, decode_checkpoint))
+        self.submit(ns, None, &Request::Checkpoint, decode_checkpoint)
     }
 
-    /// Submits a restore without waiting (the [`Client::restore`] size
-    /// cap applies before anything is sent).
-    pub fn submit_restore(&mut self, checkpoint: &[u8]) -> Result<Pending<()>, ClientError> {
-        self.submit_restore_ns(DEFAULT_NAMESPACE, checkpoint)
-    }
-
-    /// [`Client::submit_restore`] addressed to namespace `ns`.
+    /// Submits a restore of namespace `ns` from a previously captured
+    /// checkpoint — how a migrated tenant's state lands on its new node.
+    /// Checkpoints above [`pts_util::protocol::MAX_RESTORE_BYTES`] are
+    /// refused here, before anything is sent (shipping one would hit the
+    /// server's frame cap and fatally close the connection); restore
+    /// those out-of-band via the engine's own `restore`.
     pub fn submit_restore_ns(
         &mut self,
         ns: u64,
@@ -843,145 +770,35 @@ impl Client {
                 bytes: checkpoint.len(),
             });
         }
-        let sub = self.submit_raw(ns, &Request::Restore(checkpoint.to_vec()))?;
-        Ok(self.pending(sub, decode_restored))
+        let request = Request::Restore(checkpoint.to_vec());
+        self.submit(ns, None, &request, decode_restored)
     }
 
-    /// Submits a server shutdown request without waiting (server-scoped:
-    /// no namespace to address).
+    /// Submits a server shutdown request (server-scoped: no namespace to
+    /// address); acknowledged before the server's accept loop exits.
     pub fn submit_shutdown(&mut self) -> Result<Pending<()>, ClientError> {
-        let sub = self.submit_raw(DEFAULT_NAMESPACE, &Request::Shutdown)?;
-        Ok(self.pending(sub, decode_shutdown))
+        self.submit(DEFAULT_NAMESPACE, None, &Request::Shutdown, decode_shutdown)
     }
 
-    /// Submits a namespace creation without waiting. The server builds
-    /// the tenant's engine through its spawner; creating an existing
-    /// namespace (or 0) resolves as a recoverable server error.
+    /// Submits a namespace creation. The server builds the tenant's
+    /// engine through its spawner; creating an existing namespace (or 0)
+    /// resolves as a recoverable server error.
     pub fn submit_create_namespace(&mut self, ns: u64) -> Result<Pending<()>, ClientError> {
-        let sub = self.submit_raw(ns, &Request::CreateNamespace)?;
-        Ok(self.pending(sub, decode_ns_created))
+        self.submit(ns, None, &Request::CreateNamespace, decode_ns_created)
     }
 
-    /// Submits a namespace drop without waiting. Dropping namespace 0 or
-    /// a namespace the server does not host resolves as a recoverable
-    /// server error.
+    /// Submits a namespace drop, releasing its tenant engine. Dropping
+    /// namespace 0 or a namespace the server does not host resolves as a
+    /// recoverable server error.
     pub fn submit_drop_namespace(&mut self, ns: u64) -> Result<Pending<()>, ClientError> {
-        let sub = self.submit_raw(ns, &Request::DropNamespace)?;
-        Ok(self.pending(sub, decode_ns_dropped))
+        self.submit(ns, None, &Request::DropNamespace, decode_ns_dropped)
     }
 
-    /// Submits a namespace listing without waiting; resolves to the
-    /// hosted namespaces in ascending order.
+    /// Submits a namespace listing; resolves to the hosted namespaces in
+    /// ascending order (always containing 0).
     pub fn submit_list_namespaces(&mut self) -> Result<Pending<Vec<u64>>, ClientError> {
-        let sub = self.submit_raw(DEFAULT_NAMESPACE, &Request::ListNamespaces)?;
-        Ok(self.pending(sub, decode_namespaces))
-    }
-
-    // ---- blocking API (sugar: one in-flight request) ------------------
-
-    /// Applies a batch of turnstile updates; returns the accepted count.
-    pub fn ingest_batch(&mut self, batch: &[Update]) -> Result<u64, ClientError> {
-        self.submit_ingest_batch(batch)?.wait()
-    }
-
-    /// [`Client::ingest_batch`] addressed to namespace `ns`.
-    pub fn ingest_batch_ns(&mut self, ns: u64, batch: &[Update]) -> Result<u64, ClientError> {
-        self.submit_ingest_batch_ns(ns, batch)?.wait()
-    }
-
-    /// Draws one sample from the served engine (`None` is the paper's ⊥).
-    pub fn sample(&mut self) -> Result<Option<Sample>, ClientError> {
-        Ok(self.sample_many(1)?.pop().flatten())
-    }
-
-    /// [`Client::sample`] addressed to namespace `ns`.
-    pub fn sample_ns(&mut self, ns: u64) -> Result<Option<Sample>, ClientError> {
-        Ok(self.sample_many_ns(ns, 1)?.pop().flatten())
-    }
-
-    /// Draws `count` samples in one round trip, in draw order.
-    pub fn sample_many(&mut self, count: u64) -> Result<Vec<Option<Sample>>, ClientError> {
-        self.submit_sample_many(count)?.wait()
-    }
-
-    /// [`Client::sample_many`] addressed to namespace `ns`.
-    pub fn sample_many_ns(
-        &mut self,
-        ns: u64,
-        count: u64,
-    ) -> Result<Vec<Option<Sample>>, ClientError> {
-        self.submit_sample_many_ns(ns, count)?.wait()
-    }
-
-    /// Fetches the engine's compact mergeable snapshot.
-    pub fn snapshot(&mut self) -> Result<EngineSnapshot, ClientError> {
-        self.submit_snapshot()?.wait()
-    }
-
-    /// [`Client::snapshot`] addressed to namespace `ns`.
-    pub fn snapshot_ns(&mut self, ns: u64) -> Result<EngineSnapshot, ClientError> {
-        self.submit_snapshot_ns(ns)?.wait()
-    }
-
-    /// Fetches the engine's counters, mass, and support.
-    pub fn stats(&mut self) -> Result<ServiceStats, ClientError> {
-        self.submit_stats()?.wait()
-    }
-
-    /// [`Client::stats`] addressed to namespace `ns`.
-    pub fn stats_ns(&mut self, ns: u64) -> Result<ServiceStats, ClientError> {
-        self.submit_stats_ns(ns)?.wait()
-    }
-
-    /// Pulls a complete engine checkpoint (a framed `KIND_ENGINE` payload
-    /// — feed it to an engine `restore`, persist it, or send it back via
-    /// [`Client::restore`]).
-    pub fn checkpoint(&mut self) -> Result<Vec<u8>, ClientError> {
-        self.submit_checkpoint()?.wait()
-    }
-
-    /// [`Client::checkpoint`] addressed to namespace `ns`.
-    pub fn checkpoint_ns(&mut self, ns: u64) -> Result<Vec<u8>, ClientError> {
-        self.submit_checkpoint_ns(ns)?.wait()
-    }
-
-    /// Replaces the served engine's state with a previously captured
-    /// checkpoint. Checkpoints above
-    /// [`pts_util::protocol::MAX_RESTORE_BYTES`] are refused here, before
-    /// anything is sent (shipping one would hit the server's frame cap
-    /// and fatally close the connection); restore those out-of-band via
-    /// the engine's own `restore`.
-    pub fn restore(&mut self, checkpoint: &[u8]) -> Result<(), ClientError> {
-        self.submit_restore(checkpoint)?.wait()
-    }
-
-    /// [`Client::restore`] addressed to namespace `ns` — how a migrated
-    /// tenant's state lands on its new node.
-    pub fn restore_ns(&mut self, ns: u64, checkpoint: &[u8]) -> Result<(), ClientError> {
-        self.submit_restore_ns(ns, checkpoint)?.wait()
-    }
-
-    /// Asks the server to shut down (acknowledged before the server's
-    /// accept loop exits).
-    pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        self.submit_shutdown()?.wait()
-    }
-
-    /// Creates namespace `ns` on the server (a fresh tenant engine built
-    /// by the server's spawner).
-    pub fn create_namespace(&mut self, ns: u64) -> Result<(), ClientError> {
-        self.submit_create_namespace(ns)?.wait()
-    }
-
-    /// Drops namespace `ns`, releasing its tenant engine.
-    pub fn drop_namespace(&mut self, ns: u64) -> Result<(), ClientError> {
-        self.submit_drop_namespace(ns)?.wait()
-    }
-
-    /// Lists every namespace the server hosts, ascending (always
-    /// contains 0).
-    pub fn list_namespaces(&mut self) -> Result<Vec<u64>, ClientError> {
-        self.submit_list_namespaces()?.wait()
+        let request = Request::ListNamespaces;
+        self.submit(DEFAULT_NAMESPACE, None, &request, decode_namespaces)
     }
 
     // ---- fuzz-only hooks ----------------------------------------------

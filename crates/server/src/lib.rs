@@ -34,14 +34,14 @@
 //!   protocol-recoverable errors (unknown namespaces included) keep the
 //!   connection, framing-fatal ones close it (see `pts_util::protocol`
 //!   for the normative classification).
-//! * **[`Client`]** is the matching multiplexed client: the familiar
-//!   blocking methods (ingest / sample / snapshot / stats / checkpoint /
-//!   restore / shutdown) are sugar over one in-flight request against
-//!   namespace 0, the `_ns` twins address any tenant, and the `submit_*`
-//!   twins return [`Pending`] handles so one connection can hold up to
+//! * **[`Client`]** is the matching multiplexed client: one `submit_*`
+//!   method per request verb, each addressed to a namespace and each
+//!   returning a [`Pending`] handle, so one connection can hold up to
 //!   [`ClientConfig::max_in_flight`] requests in flight with
-//!   out-of-order completion. `create_namespace` / `drop_namespace` /
-//!   `list_namespaces` manage the tenant set.
+//!   out-of-order completion. A blocking call is
+//!   `submit_…(…)?.wait()`; `submit_create_namespace` /
+//!   `submit_drop_namespace` / `submit_list_namespaces` manage the
+//!   tenant set.
 //! * **[`serve`]** is the one-call entry point `examples/serve_demo.rs`
 //!   uses.
 //!
@@ -49,9 +49,11 @@
 //!
 //! ```
 //! use pts_engine::{EngineConfig, L0Factory, ShardedEngine};
-//! use pts_server::{serve, Client};
+//! use pts_server::{serve, Client, ClientError};
 //! use pts_stream::Update;
+//! use pts_util::protocol::DEFAULT_NAMESPACE;
 //!
+//! # fn main() -> Result<(), ClientError> {
 //! // Any SamplingService implementor works; loopback port 0 = ephemeral.
 //! let engine = ShardedEngine::new(
 //!     EngineConfig::new(1 << 10).shards(2).pool_size(2).seed(7),
@@ -59,15 +61,20 @@
 //! );
 //! let server = serve("127.0.0.1:0", engine).unwrap();
 //!
-//! let mut client = Client::connect(server.local_addr()).unwrap();
-//! client.ingest_batch(&[Update::new(3, 5), Update::new(900, -2)]).unwrap();
-//! let draw = client.sample().unwrap().expect("non-zero state samples");
+//! let mut client = Client::connect(server.local_addr())?;
+//! let batch = [Update::new(3, 5), Update::new(900, -2)];
+//! client.submit_ingest_batch_ns(DEFAULT_NAMESPACE, &batch)?.wait()?;
+//! let draws = client.submit_sample_many_ns(DEFAULT_NAMESPACE, 1)?.wait()?;
+//! let draw = draws[0].expect("non-zero state samples");
 //! assert!(draw.index == 3 || draw.index == 900);
 //!
-//! let checkpoint = client.checkpoint().unwrap(); // full engine state, framed
-//! client.shutdown_server().unwrap();
+//! // Full engine state, framed.
+//! let checkpoint = client.submit_checkpoint_ns(DEFAULT_NAMESPACE)?.wait()?;
+//! client.submit_shutdown()?.wait()?;
 //! server.join();
 //! # let _ = checkpoint;
+//! # Ok(())
+//! # }
 //! ```
 //!
 //! Durability composes with serving: the checkpoint bytes a client pulls

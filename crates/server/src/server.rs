@@ -3,9 +3,10 @@
 //! [`SamplingService`] engines.
 //!
 //! Threading model (wire v3): each accepted connection gets one reader
-//! thread that frames and demuxes requests — peeling the leading varint
-//! request id and namespace — into the connection's FIFO queue; a
-//! **bounded pool** of `WORKER_THREADS` workers drains those queues and
+//! thread that frames and demuxes requests — decoding each payload's
+//! request header (id, namespace, trace) — into the connection's FIFO
+//! queue; a **bounded pool** of `WORKER_THREADS` workers drains those
+//! queues and
 //! writes each response (under the echoed id) through the connection's
 //! write lock. At most one worker owns a connection's FIFO at a time, so
 //! one connection's requests are processed **in submission order** — the
@@ -49,10 +50,11 @@ use pts_engine::SamplingService;
 use pts_obs::{event, CountingWriter, Span, Stopwatch};
 use pts_stream::Update;
 use pts_util::protocol::{
-    read_frame_lenient, split_namespace, split_request_id, split_trace, write_response, ErrorCode,
-    FrameError, Request, Response, ServiceError, TraceContext, DEFAULT_NAMESPACE, MAX_FRAME_BYTES,
+    decode_request, read_frame_lenient, write_response, ErrorCode, FrameError, Request,
+    RequestError, RequestHeader, Response, ServiceError, TraceContext, DEFAULT_NAMESPACE,
+    MAX_FRAME_BYTES,
 };
-use pts_util::wire::{Decode, WireError, KIND_REQUEST};
+use pts_util::wire::{WireError, KIND_REQUEST};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -464,12 +466,12 @@ where
     }
 }
 
-/// Serves one connection's read half: frames requests, peels each payload
-/// into `(id, namespace, body)`, and enqueues decoded requests for the
-/// worker pool — until EOF, a fatal framing error, or shutdown.
+/// Serves one connection's read half: frames requests, decodes each
+/// payload into its header and body, and enqueues decoded requests for
+/// the worker pool — until EOF, a fatal framing error, or shutdown.
 /// Frame-level and id-level failures are answered inline (under id 0 —
-/// unattributable); namespace and body decode failures are answered
-/// under the request's own id, which by then *was* readable.
+/// unattributable); later decode failures are answered under the
+/// request's own id, which by then *was* readable.
 fn handle_connection<E: SamplingService>(
     stream: TcpStream,
     shared: Arc<Shared<E>>,
@@ -531,47 +533,49 @@ fn handle_connection<E: SamplingService>(
         let mut src = std::io::Cursor::new([first]).chain(body);
         let outcome = read_frame_lenient(KIND_REQUEST, MAX_FRAME_BYTES, &mut src);
         match outcome {
-            Ok(payload) => match split_request_id(&payload) {
-                // The id itself was unreadable (or the reserved 0):
-                // answer unattributably, keep the connection.
-                Err(err) => {
-                    obs().frame_payload.inc();
-                    event("server.frame_error.payload", err.to_string());
-                    if respond(&conn, 0, &error_response(ErrorCode::Malformed, &err)).is_err() {
+            Ok(payload) => match decode_request(&payload) {
+                Ok((header, request)) => {
+                    let queue_span = stage_span(
+                        header.trace,
+                        "server.queue_wait",
+                        kind_name(&request),
+                        header.ns,
+                    );
+                    let job = Job::Dispatch(DispatchJob {
+                        header,
+                        request,
+                        queue_span,
+                        queued: Stopwatch::start(),
+                    });
+                    if enqueue(&conn, &ready, &shared, header.id, job).is_err() {
                         return;
                     }
                 }
-                // The id was sound but the namespace varint, the trace
-                // context, or the body was not: answer under the
-                // request's own id, in queue order (errors must not
-                // overtake earlier responses).
-                Ok((id, rest)) => match split_namespace(rest).and_then(|(ns, rest)| {
-                    let (trace, body) = split_trace(rest)?;
-                    Ok((ns, trace, Request::from_wire_bytes(body)?))
-                }) {
-                    Err(err) => {
-                        obs().frame_payload.inc();
-                        event("server.frame_error.payload", err.to_string());
-                        let response = error_response(ErrorCode::Malformed, &err);
-                        if enqueue(&conn, &ready, &shared, id, Job::Reply(response)).is_err() {
-                            return;
-                        }
+                // The id was sound but the namespace, the trace context,
+                // or the body was not: answer under the request's own id,
+                // in queue order (errors must not overtake earlier
+                // responses).
+                Err(RequestError {
+                    id: Some(id),
+                    error,
+                }) => {
+                    obs().frame_payload.inc();
+                    event("server.frame_error.payload", error.to_string());
+                    let response = error_response(ErrorCode::Malformed, &error);
+                    if enqueue(&conn, &ready, &shared, id, Job::Reply(response)).is_err() {
+                        return;
                     }
-                    Ok((ns, trace, request)) => {
-                        let queue_span =
-                            stage_span(trace, "server.queue_wait", kind_name(&request), ns);
-                        let job = Job::Dispatch(DispatchJob {
-                            ns,
-                            trace,
-                            request,
-                            queue_span,
-                            queued: Stopwatch::start(),
-                        });
-                        if enqueue(&conn, &ready, &shared, id, job).is_err() {
-                            return;
-                        }
+                }
+                // The id itself was unreadable (or the reserved 0):
+                // answer unattributably, keep the connection.
+                Err(RequestError { id: None, error }) => {
+                    obs().frame_payload.inc();
+                    event("server.frame_error.payload", error.to_string());
+                    let response = error_response(ErrorCode::Malformed, &error);
+                    if respond(&conn, 0, &response).is_err() {
+                        return;
                     }
-                },
+                }
             },
             // Frame boundary survived: report under id 0 and continue.
             Err(FrameError::Recoverable(err)) => {
@@ -609,11 +613,10 @@ enum Job {
 }
 
 /// A decoded request in flight between the reader and a worker: its
-/// namespace, wire trace context, and the queue-wait stage span opened
-/// at enqueue time (closed when a worker pops the job).
+/// header (namespace and wire trace context), and the queue-wait stage
+/// span opened at enqueue time (closed when a worker pops the job).
 struct DispatchJob {
-    ns: u64,
-    trace: Option<TraceContext>,
+    header: RequestHeader,
     request: Request,
     queue_span: Span,
     queued: Stopwatch,
@@ -721,7 +724,7 @@ fn drain_connection<E: SamplingService>(conn: &Conn, shared: &Arc<Shared<E>>) {
                 // The queue-wait stage ends here: a worker owns the job.
                 obs().stage_queue_wait.observe_elapsed(job.queued);
                 drop(job.queue_span);
-                let (trace, ns) = (job.trace, job.ns);
+                let RequestHeader { ns, trace, .. } = job.header;
                 let kind = kind_name(&job.request);
                 let request = job.request;
                 let (response, wants_shutdown) =

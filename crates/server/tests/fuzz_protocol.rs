@@ -22,10 +22,10 @@
 //! namespace or trace field *is* attributable: the error echoes the id.
 
 use pts_engine::{EngineConfig, L0Factory, ShardedEngine};
-use pts_server::{serve, serve_with_spawner, Client, ClientError};
+use pts_server::{serve, serve_with_spawner, Client, ClientError, Pending};
 use pts_stream::Update;
 use pts_util::protocol::{
-    write_request_traced, ErrorCode, Request, Response, ServiceError, TraceContext,
+    write_request, ErrorCode, Request, RequestHeader, Response, ServiceError, TraceContext,
     DEFAULT_NAMESPACE,
 };
 use pts_util::wire::{write_frame, Encode, WireWriter, KIND_REQUEST, WIRE_MAGIC, WIRE_VERSION};
@@ -81,7 +81,12 @@ fn enveloped_v5(id: u64, ns: u64, body: &[u8]) -> Vec<u8> {
 /// with `trace_id ‖ parent_span_id`.
 fn traced_frame(id: u64, ns: u64, trace: TraceContext, request: &Request) -> Vec<u8> {
     let mut out = Vec::new();
-    write_request_traced(id, ns, Some(trace), request, &mut out).unwrap();
+    let header = RequestHeader {
+        id,
+        ns,
+        trace: Some(trace),
+    };
+    write_request(&header, request, &mut out).unwrap();
     out
 }
 
@@ -99,9 +104,12 @@ fn expect_error(client: &mut Client, id: u64, code: ErrorCode, context: &str) {
 
 /// Asserts the connection still answers a real request correctly.
 fn assert_usable(client: &mut Client, context: &str) {
-    let stats = client.stats().unwrap_or_else(|e| {
-        panic!("{context}: connection unusable afterwards: {e}");
-    });
+    let stats = client
+        .submit_stats_ns(DEFAULT_NAMESPACE)
+        .and_then(Pending::wait)
+        .unwrap_or_else(|e| {
+            panic!("{context}: connection unusable afterwards: {e}");
+        });
     assert_eq!(stats.updates, 0, "{context}: fuzz must not mutate state");
 }
 
@@ -131,7 +139,7 @@ fn byte_soup_payloads_yield_errors_and_connection_survives() {
         );
     }
     assert_usable(&mut client, "after 200 soup rounds");
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -152,7 +160,7 @@ fn truncation_at_every_prefix_yields_errors_on_one_connection() {
         expect_error(&mut client, id, ErrorCode::Malformed, &format!("cut {cut}"));
     }
     assert_usable(&mut client, "after truncation sweep");
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -184,7 +192,7 @@ fn truncation_at_every_prefix_of_the_id_field_yields_id_zero_errors() {
     client.send_raw(&enveloped(&id_bytes)).unwrap();
     expect_error(&mut client, u64::MAX, ErrorCode::Malformed, "empty body");
     assert_usable(&mut client, "after id-truncation sweep");
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -200,7 +208,7 @@ fn request_id_zero_is_rejected_in_band() {
         .unwrap();
     expect_error(&mut client, 0, ErrorCode::Malformed, "id 0 request");
     assert_usable(&mut client, "after id-0 request");
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -215,8 +223,13 @@ fn duplicate_and_interleaved_request_ids_are_echoed() {
 
     // Two Stats under the same id, written back-to-back before reading.
     let mut twice = Vec::new();
-    pts_util::protocol::write_request(7, DEFAULT_NAMESPACE, &Request::Stats, &mut twice).unwrap();
-    pts_util::protocol::write_request(7, DEFAULT_NAMESPACE, &Request::Stats, &mut twice).unwrap();
+    let header = RequestHeader {
+        id: 7,
+        ns: DEFAULT_NAMESPACE,
+        trace: None,
+    };
+    write_request(&header, &Request::Stats, &mut twice).unwrap();
+    write_request(&header, &Request::Stats, &mut twice).unwrap();
     client.send_raw(&twice).unwrap();
     for round in 0..2 {
         match client.recv_response() {
@@ -229,8 +242,12 @@ fn duplicate_and_interleaved_request_ids_are_echoed() {
     let ids: Vec<u64> = (100..132).collect();
     let mut burst = Vec::new();
     for &id in &ids {
-        pts_util::protocol::write_request(id, DEFAULT_NAMESPACE, &Request::Stats, &mut burst)
-            .unwrap();
+        let header = RequestHeader {
+            id,
+            ns: DEFAULT_NAMESPACE,
+            trace: None,
+        };
+        write_request(&header, &Request::Stats, &mut burst).unwrap();
     }
     client.send_raw(&burst).unwrap();
     let mut seen = Vec::new();
@@ -244,7 +261,7 @@ fn duplicate_and_interleaved_request_ids_are_echoed() {
     assert_eq!(seen, ids, "every pipelined id must be echoed exactly once");
 
     assert_usable(&mut client, "after id fuzz");
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -273,7 +290,7 @@ fn oversized_inner_length_prefix_is_rejected_without_allocation() {
     expect_error(&mut client, 2, ErrorCode::Malformed, "oversized blob");
 
     assert_usable(&mut client, "after oversized-length attacks");
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -282,7 +299,12 @@ fn checksum_flip_version_bump_and_wrong_kind_are_recoverable() {
     let (server, mut client) = live_server();
 
     let mut good = Vec::new();
-    pts_util::protocol::write_request(1, DEFAULT_NAMESPACE, &Request::Stats, &mut good).unwrap();
+    let header = RequestHeader {
+        id: 1,
+        ns: DEFAULT_NAMESPACE,
+        trace: None,
+    };
+    write_request(&header, &Request::Stats, &mut good).unwrap();
 
     // Flip each payload/checksum byte in turn: every flip is caught by
     // the checksum and answered under id 0 (the frame can't be trusted,
@@ -312,7 +334,7 @@ fn checksum_flip_version_bump_and_wrong_kind_are_recoverable() {
     expect_error(&mut client, 0, ErrorCode::Malformed, "wrong kind");
 
     assert_usable(&mut client, "after framing corruption sweep");
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -336,13 +358,16 @@ fn empty_batch_and_zero_sample_count_are_in_band_errors() {
     expect_error(&mut client, 2, ErrorCode::Malformed, "zero sample count");
 
     // The typed client surfaces the same rejection in-band.
-    match client.ingest_batch(&[]) {
+    match client
+        .submit_ingest_batch_ns(DEFAULT_NAMESPACE, &[])
+        .and_then(Pending::wait)
+    {
         Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Malformed),
         other => panic!("empty batch must be a server error, got {other:?}"),
     }
 
     assert_usable(&mut client, "after no-op-work rejections");
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -353,7 +378,11 @@ fn empty_batch_and_zero_sample_count_are_in_band_errors() {
 #[test]
 fn stats_response_reports_universe_and_rejects_truncation() {
     let (server, mut client) = live_server();
-    let stats = client.stats().unwrap();
+    let stats = client
+        .submit_stats_ns(DEFAULT_NAMESPACE)
+        .unwrap()
+        .wait()
+        .unwrap();
     assert_eq!(stats.universe, 64, "served universe must cross the wire");
 
     // Client-side adversarial safety: every proper prefix of a real
@@ -367,8 +396,16 @@ fn stats_response_reports_universe_and_rejects_truncation() {
     }
 
     // And the connection still serves the cluster's scatter path.
-    assert_eq!(client.stats().unwrap().universe, 64);
-    client.shutdown_server().unwrap();
+    assert_eq!(
+        client
+            .submit_stats_ns(DEFAULT_NAMESPACE)
+            .unwrap()
+            .wait()
+            .unwrap()
+            .universe,
+        64
+    );
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -383,14 +420,23 @@ fn bad_magic_gets_an_error_then_a_clean_close_and_server_survives() {
     expect_error(&mut client, 0, ErrorCode::Malformed, "raw soup");
     // The connection is now closed: the next round trip fails cleanly.
     assert!(matches!(
-        client.stats(),
+        client
+            .submit_stats_ns(DEFAULT_NAMESPACE)
+            .and_then(Pending::wait),
         Err(ClientError::Io(_) | ClientError::Wire(_))
     ));
 
     // The server itself is fine: fresh connections work.
     let mut fresh = Client::connect(server.local_addr()).unwrap();
-    assert_eq!(fresh.ingest_batch(&[Update::new(1, 1)]).unwrap(), 1);
-    fresh.shutdown_server().unwrap();
+    assert_eq!(
+        fresh
+            .submit_ingest_batch_ns(DEFAULT_NAMESPACE, &[Update::new(1, 1)])
+            .unwrap()
+            .wait()
+            .unwrap(),
+        1
+    );
+    fresh.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -410,13 +456,15 @@ fn envelope_length_over_cap_is_too_large_then_close() {
     client.send_raw(&frame).unwrap();
     expect_error(&mut client, 0, ErrorCode::TooLarge, "over-cap length");
     assert!(matches!(
-        client.stats(),
+        client
+            .submit_stats_ns(DEFAULT_NAMESPACE)
+            .and_then(Pending::wait),
         Err(ClientError::Io(_) | ClientError::Wire(_))
     ));
 
     let mut fresh = Client::connect(server.local_addr()).unwrap();
     assert_usable(&mut fresh, "server after over-cap frame");
-    fresh.shutdown_server().unwrap();
+    fresh.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -440,7 +488,10 @@ fn unknown_namespace_is_in_band_recoverable() {
 
     // Typed client: the same rejection surfaces as a recoverable server
     // error, for read-only and mutating kinds alike.
-    let err = client.stats_ns(77).expect_err("stats on unknown ns");
+    let err = client
+        .submit_stats_ns(77)
+        .and_then(Pending::wait)
+        .expect_err("stats on unknown ns");
     match &err {
         ClientError::Server(e) => assert_eq!(e.code, ErrorCode::UnknownNamespace),
         other => panic!("wanted UnknownNamespace, got {other:?}"),
@@ -450,7 +501,8 @@ fn unknown_namespace_is_in_band_recoverable() {
         "an unknown namespace is scoped to its request"
     );
     let err = client
-        .ingest_batch_ns(77, &[Update::new(1, 1)])
+        .submit_ingest_batch_ns(77, &[Update::new(1, 1)])
+        .and_then(Pending::wait)
         .expect_err("ingest on unknown ns");
     match &err {
         ClientError::Server(e) => assert_eq!(e.code, ErrorCode::UnknownNamespace),
@@ -458,7 +510,7 @@ fn unknown_namespace_is_in_band_recoverable() {
     }
 
     assert_usable(&mut client, "after unknown-namespace probes");
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -498,7 +550,7 @@ fn truncation_at_every_prefix_of_the_namespace_field_echoes_the_id() {
     client.send_raw(&enveloped(&payload)).unwrap();
     expect_error(&mut client, 99, ErrorCode::Malformed, "empty body after ns");
     assert_usable(&mut client, "after ns-truncation sweep");
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -522,12 +574,12 @@ fn request_id_zero_wins_over_namespace_errors() {
     client.send_raw(&enveloped_v5(0, 31, &create)).unwrap();
     expect_error(&mut client, 0, ErrorCode::Malformed, "id 0 create");
     assert_eq!(
-        client.list_namespaces().unwrap(),
+        client.submit_list_namespaces().unwrap().wait().unwrap(),
         vec![DEFAULT_NAMESPACE],
         "a dead-on-arrival create must not leave a tenant behind"
     );
     assert_usable(&mut client, "after id-0/namespace sweep");
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -577,7 +629,7 @@ fn truncation_at_every_prefix_of_the_trace_field_echoes_the_id() {
         "empty body after trace",
     );
     assert_usable(&mut client, "after trace-truncation sweep");
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -592,7 +644,11 @@ fn trace_field_rides_every_request_kind() {
         trace_id: 0xDECAF,
         parent_span_id: 7,
     };
-    let checkpoint = client.checkpoint().unwrap();
+    let checkpoint = client
+        .submit_checkpoint_ns(DEFAULT_NAMESPACE)
+        .unwrap()
+        .wait()
+        .unwrap();
     let script: Vec<(u64, u64, Request)> = vec![
         (1, 9, Request::CreateNamespace),
         (2, 9, Request::IngestBatch(vec![(3, 5), (9, -2)])),
@@ -617,7 +673,7 @@ fn trace_field_rides_every_request_kind() {
         }
     }
     assert_usable(&mut client, "after traced sweep of every kind");
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -630,23 +686,16 @@ fn untraced_and_traced_requests_interleave_on_one_connection() {
     let ids: Vec<u64> = (1..=16).collect();
     let mut burst = Vec::new();
     for &id in &ids {
-        if id % 2 == 0 {
-            let ctx = TraceContext {
-                trace_id: 0x1000 + id,
-                parent_span_id: id,
-            };
-            write_request_traced(
-                id,
-                DEFAULT_NAMESPACE,
-                Some(ctx),
-                &Request::Stats,
-                &mut burst,
-            )
-            .unwrap();
-        } else {
-            pts_util::protocol::write_request(id, DEFAULT_NAMESPACE, &Request::Stats, &mut burst)
-                .unwrap();
-        }
+        let trace = (id % 2 == 0).then_some(TraceContext {
+            trace_id: 0x1000 + id,
+            parent_span_id: id,
+        });
+        let header = RequestHeader {
+            id,
+            ns: DEFAULT_NAMESPACE,
+            trace,
+        };
+        write_request(&header, &Request::Stats, &mut burst).unwrap();
     }
     client.send_raw(&burst).unwrap();
     let mut seen = Vec::new();
@@ -662,7 +711,7 @@ fn untraced_and_traced_requests_interleave_on_one_connection() {
         "every interleaved id must be echoed exactly once"
     );
     assert_usable(&mut client, "after traced/untraced interleave");
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -676,8 +725,15 @@ fn untraced_and_traced_requests_interleave_on_one_connection() {
 fn drop_then_use_is_unknown_namespace_and_race_stays_in_band() {
     let (server, mut client) = live_tenant_server();
 
-    client.create_namespace(5).unwrap();
-    assert_eq!(client.ingest_batch_ns(5, &[Update::new(3, 5)]).unwrap(), 1);
+    client.submit_create_namespace(5).unwrap().wait().unwrap();
+    assert_eq!(
+        client
+            .submit_ingest_batch_ns(5, &[Update::new(3, 5)])
+            .unwrap()
+            .wait()
+            .unwrap(),
+        1
+    );
 
     // Pipelined on one connection: ingest, drop, ingest — FIFO makes the
     // first land and the second die.
@@ -702,9 +758,9 @@ fn drop_then_use_is_unknown_namespace_and_race_stays_in_band() {
 
     // Recreate: the tenant comes back *empty* (a fresh spawner build, not
     // the dropped engine).
-    client.create_namespace(5).unwrap();
+    client.submit_create_namespace(5).unwrap().wait().unwrap();
     assert_eq!(
-        client.stats_ns(5).unwrap().updates,
+        client.submit_stats_ns(5).unwrap().wait().unwrap().updates,
         0,
         "recreate must yield a fresh engine"
     );
@@ -715,7 +771,7 @@ fn drop_then_use_is_unknown_namespace_and_race_stays_in_band() {
     let mut racer = Client::connect(server.local_addr()).unwrap();
     for round in 0..20u64 {
         let ns = 100 + round;
-        client.create_namespace(ns).unwrap();
+        client.submit_create_namespace(ns).unwrap().wait().unwrap();
         let use_pending = racer
             .submit_ingest_batch_ns(ns, &[Update::new(1, 1)])
             .unwrap();
@@ -731,6 +787,6 @@ fn drop_then_use_is_unknown_namespace_and_race_stays_in_band() {
     }
     assert_usable(&mut racer, "racer after drop races");
     assert_usable(&mut client, "after drop races");
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }

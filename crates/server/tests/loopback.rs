@@ -13,9 +13,9 @@
 //!   contract of `checkpoint_restore.rs`, now spanning a kill).
 
 use pts_engine::{EngineConfig, L0Factory, LpLe2Factory, SamplerFactory, ShardedEngine};
-use pts_server::{serve, Client, ClientError};
+use pts_server::{serve, Client, ClientError, Pending};
 use pts_stream::{FrequencyVector, Update};
-use pts_util::protocol::ErrorCode;
+use pts_util::protocol::{ErrorCode, DEFAULT_NAMESPACE};
 use pts_util::stats::chi_square_test;
 
 fn updates_of(x: &FrequencyVector) -> Vec<Update> {
@@ -32,28 +32,56 @@ fn session_ingest_sample_stats_snapshot() {
     let mut client = Client::connect(server.local_addr()).unwrap();
 
     let accepted = client
-        .ingest_batch(&[Update::new(3, 5), Update::new(17, -2), Update::new(40, 1)])
+        .submit_ingest_batch_ns(
+            DEFAULT_NAMESPACE,
+            &[Update::new(3, 5), Update::new(17, -2), Update::new(40, 1)],
+        )
+        .unwrap()
+        .wait()
         .unwrap();
     assert_eq!(accepted, 3);
 
-    let draw = client.sample().unwrap().expect("non-zero state samples");
+    let draw = client
+        .submit_sample_many_ns(DEFAULT_NAMESPACE, 1)
+        .unwrap()
+        .wait()
+        .unwrap()
+        .pop()
+        .flatten()
+        .expect("non-zero state samples");
     assert!([3, 17, 40].contains(&draw.index));
 
-    let stats = client.stats().unwrap();
+    let stats = client
+        .submit_stats_ns(DEFAULT_NAMESPACE)
+        .unwrap()
+        .wait()
+        .unwrap();
     assert_eq!(stats.updates, 3);
     assert_eq!(stats.batches, 1);
     assert_eq!(stats.samples + stats.fails, 1);
     assert_eq!(stats.support, 3);
     assert_eq!(stats.mass, 3.0, "L0 mass is the support");
 
-    let snapshot = client.snapshot().unwrap();
+    let snapshot = client
+        .submit_snapshot_ns(DEFAULT_NAMESPACE)
+        .unwrap()
+        .wait()
+        .unwrap();
     assert_eq!(snapshot.entries(), &[(3, 5), (17, -2), (40, 1)]);
 
     // A second connection observes the same engine.
     let mut other = Client::connect(server.local_addr()).unwrap();
-    assert_eq!(other.stats().unwrap().support, 3);
+    assert_eq!(
+        other
+            .submit_stats_ns(DEFAULT_NAMESPACE)
+            .unwrap()
+            .wait()
+            .unwrap()
+            .support,
+        3
+    );
 
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -74,7 +102,11 @@ where
     );
     let server = serve("127.0.0.1:0", engine).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    client.ingest_batch(&updates_of(x)).unwrap();
+    client
+        .submit_ingest_batch_ns(DEFAULT_NAMESPACE, &updates_of(x))
+        .unwrap()
+        .wait()
+        .unwrap();
 
     let mut counts = vec![0u64; x.n()];
     let mut fails = 0u64;
@@ -82,7 +114,12 @@ where
     let mut remaining = trials;
     while remaining > 0 {
         let take = remaining.min(500);
-        for draw in client.sample_many(take).unwrap() {
+        for draw in client
+            .submit_sample_many_ns(DEFAULT_NAMESPACE, take)
+            .unwrap()
+            .wait()
+            .unwrap()
+        {
             match draw {
                 Some(s) => counts[s.index as usize] += 1,
                 None => fails += 1,
@@ -101,7 +138,7 @@ where
         chi.statistic,
         chi.p_value
     );
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -136,16 +173,36 @@ fn checkpoint_kill_restore_continues_identically() {
     let server_a = serve("127.0.0.1:0", ShardedEngine::new(config, factory)).unwrap();
     let mut client_a = Client::connect(server_a.local_addr()).unwrap();
     let x = pts_stream::gen::zipf_vector(128, 1.1, 60, 5);
-    client_a.ingest_batch(&updates_of(&x)).unwrap();
-    let _warmup = client_a.sample_many(3).unwrap(); // consume pool state
+    client_a
+        .submit_ingest_batch_ns(DEFAULT_NAMESPACE, &updates_of(&x))
+        .unwrap()
+        .wait()
+        .unwrap();
+    let _warmup = client_a
+        .submit_sample_many_ns(DEFAULT_NAMESPACE, 3)
+        .unwrap()
+        .wait()
+        .unwrap(); // consume pool state
 
     // Pull the full engine state over the wire...
-    let checkpoint = client_a.checkpoint().unwrap();
+    let checkpoint = client_a
+        .submit_checkpoint_ns(DEFAULT_NAMESPACE)
+        .unwrap()
+        .wait()
+        .unwrap();
     // ...record what the original will serve next...
-    let expected_draws = client_a.sample_many(20).unwrap();
-    let expected_stats = client_a.stats().unwrap();
+    let expected_draws = client_a
+        .submit_sample_many_ns(DEFAULT_NAMESPACE, 20)
+        .unwrap()
+        .wait()
+        .unwrap();
+    let expected_stats = client_a
+        .submit_stats_ns(DEFAULT_NAMESPACE)
+        .unwrap()
+        .wait()
+        .unwrap();
     // ...and kill it.
-    client_a.shutdown_server().unwrap();
+    client_a.submit_shutdown().unwrap().wait().unwrap();
     server_a.join();
 
     // A fresh server hosting a *different* engine (different seed,
@@ -154,16 +211,28 @@ fn checkpoint_kill_restore_continues_identically() {
     let stand_in = ShardedEngine::new(config.seed(9999), factory);
     let server_b = serve("127.0.0.1:0", stand_in).unwrap();
     let mut client_b = Client::connect(server_b.local_addr()).unwrap();
-    client_b.restore(&checkpoint).unwrap();
+    client_b
+        .submit_restore_ns(DEFAULT_NAMESPACE, &checkpoint)
+        .unwrap()
+        .wait()
+        .unwrap();
 
-    let replay_draws = client_b.sample_many(20).unwrap();
+    let replay_draws = client_b
+        .submit_sample_many_ns(DEFAULT_NAMESPACE, 20)
+        .unwrap()
+        .wait()
+        .unwrap();
     assert_eq!(
         replay_draws, expected_draws,
         "restored server diverged from the killed original"
     );
-    let replay_stats = client_b.stats().unwrap();
+    let replay_stats = client_b
+        .submit_stats_ns(DEFAULT_NAMESPACE)
+        .unwrap()
+        .wait()
+        .unwrap();
     assert_eq!(replay_stats, expected_stats);
-    client_b.shutdown_server().unwrap();
+    client_b.submit_shutdown().unwrap().wait().unwrap();
     server_b.join();
 }
 
@@ -180,16 +249,28 @@ fn out_of_universe_ingest_is_in_band_and_atomic() {
     // error is in-band (the engine would have panicked), and the
     // connection survives.
     let err = client
-        .ingest_batch(&[Update::new(2, 1), Update::new(16, 1)])
+        .submit_ingest_batch_ns(DEFAULT_NAMESPACE, &[Update::new(2, 1), Update::new(16, 1)])
+        .and_then(Pending::wait)
         .unwrap_err();
     match err {
         ClientError::Server(e) => assert_eq!(e.code, ErrorCode::OutOfUniverse),
         other => panic!("wrong error kind: {other}"),
     }
-    let stats = client.stats().unwrap();
+    let stats = client
+        .submit_stats_ns(DEFAULT_NAMESPACE)
+        .unwrap()
+        .wait()
+        .unwrap();
     assert_eq!(stats.updates, 0, "rejected batch must not partially apply");
-    assert_eq!(client.ingest_batch(&[Update::new(2, 1)]).unwrap(), 1);
-    client.shutdown_server().unwrap();
+    assert_eq!(
+        client
+            .submit_ingest_batch_ns(DEFAULT_NAMESPACE, &[Update::new(2, 1)])
+            .unwrap()
+            .wait()
+            .unwrap(),
+        1
+    );
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -202,10 +283,17 @@ fn restore_rejects_garbage_and_wrong_factory_in_band() {
     )
     .unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    client.ingest_batch(&[Update::new(5, 2)]).unwrap();
+    client
+        .submit_ingest_batch_ns(DEFAULT_NAMESPACE, &[Update::new(5, 2)])
+        .unwrap()
+        .wait()
+        .unwrap();
 
     // Garbage bytes: in-band Malformed, engine untouched.
-    let err = client.restore(&[0xDE, 0xAD, 0xBE, 0xEF]).unwrap_err();
+    let err = client
+        .submit_restore_ns(DEFAULT_NAMESPACE, &[0xDE, 0xAD, 0xBE, 0xEF])
+        .and_then(Pending::wait)
+        .unwrap_err();
     match err {
         ClientError::Server(e) => assert_eq!(e.code, ErrorCode::Malformed),
         other => panic!("wrong error kind: {other}"),
@@ -217,14 +305,26 @@ fn restore_rejects_garbage_and_wrong_factory_in_band() {
     ShardedEngine::new(config, LpLe2Factory::for_universe(32, 2.0))
         .checkpoint(&mut foreign)
         .unwrap();
-    let err = client.restore(&foreign).unwrap_err();
+    let err = client
+        .submit_restore_ns(DEFAULT_NAMESPACE, &foreign)
+        .and_then(Pending::wait)
+        .unwrap_err();
     match err {
         ClientError::Server(e) => assert_eq!(e.code, ErrorCode::Malformed),
         other => panic!("wrong error kind: {other}"),
     }
 
-    assert_eq!(client.stats().unwrap().support, 1, "state survived");
-    client.shutdown_server().unwrap();
+    assert_eq!(
+        client
+            .submit_stats_ns(DEFAULT_NAMESPACE)
+            .unwrap()
+            .wait()
+            .unwrap()
+            .support,
+        1,
+        "state survived"
+    );
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -244,10 +344,21 @@ fn concurrent_clients_all_land_their_updates() {
                 // Disjoint coordinate ranges per client.
                 for i in 0..64 {
                     client
-                        .ingest_batch(&[Update::new(t * 256 + i, 1 + i as i64)])
+                        .submit_ingest_batch_ns(
+                            DEFAULT_NAMESPACE,
+                            &[Update::new(t * 256 + i, 1 + i as i64)],
+                        )
+                        .unwrap()
+                        .wait()
                         .unwrap();
                 }
-                let s = client.sample().unwrap();
+                let s = client
+                    .submit_sample_many_ns(DEFAULT_NAMESPACE, 1)
+                    .unwrap()
+                    .wait()
+                    .unwrap()
+                    .pop()
+                    .flatten();
                 assert!(s.is_some(), "well-populated engine must sample");
             })
         })
@@ -257,10 +368,14 @@ fn concurrent_clients_all_land_their_updates() {
     }
 
     let mut client = Client::connect(addr).unwrap();
-    let stats = client.stats().unwrap();
+    let stats = client
+        .submit_stats_ns(DEFAULT_NAMESPACE)
+        .unwrap()
+        .wait()
+        .unwrap();
     assert_eq!(stats.updates, 4 * 64);
     assert_eq!(stats.support, 4 * 64);
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -273,7 +388,7 @@ fn shutdown_request_stops_the_accept_loop() {
     let server = serve("127.0.0.1:0", engine).unwrap();
     let addr = server.local_addr();
     let mut client = Client::connect(addr).unwrap();
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
     // The listener is gone: a fresh connect must fail (the port was
     // ephemeral, so nothing else is listening there).

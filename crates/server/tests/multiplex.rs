@@ -19,6 +19,7 @@ use pts_server::{serve, Client, ClientConfig, ClientError};
 use pts_stream::Update;
 use pts_util::protocol::{
     read_request, write_response, ErrorCode, Response, ServiceError, ServiceStats,
+    DEFAULT_NAMESPACE,
 };
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
@@ -66,7 +67,7 @@ fn sixteen_in_flight_resolve_out_of_order_by_id() {
         // Collect the whole burst before answering anything…
         let mut ids = Vec::new();
         for _ in 0..DEPTH {
-            let (id, _ns, _req) = read_request(&mut stream).unwrap();
+            let id = read_request(&mut stream).unwrap().0.id;
             ids.push(id);
         }
         // …then answer strictly in reverse: the last-submitted request
@@ -78,7 +79,7 @@ fn sixteen_in_flight_resolve_out_of_order_by_id() {
     let mut client = Client::connect(addr).unwrap();
     let mut pending = Vec::new();
     for _ in 0..DEPTH {
-        pending.push(client.submit_stats().unwrap());
+        pending.push(client.submit_stats_ns(DEFAULT_NAMESPACE).unwrap());
     }
     let ids: Vec<u64> = pending.iter().map(|p| p.id()).collect();
     assert_eq!(
@@ -107,7 +108,7 @@ fn recoverable_error_resolves_only_its_own_id() {
     let (addr, server) = scripted_server(|mut stream| {
         let mut ids = Vec::new();
         for _ in 0..3 {
-            let (id, _ns, _req) = read_request(&mut stream).unwrap();
+            let id = read_request(&mut stream).unwrap().0.id;
             ids.push(id);
         }
         // Fail the middle request in-band; answer its neighbors normally,
@@ -122,9 +123,9 @@ fn recoverable_error_resolves_only_its_own_id() {
         write_response(ids[0], &stats_marked(ids[0]), &mut stream).unwrap();
     });
     let mut client = Client::connect(addr).unwrap();
-    let first = client.submit_stats().unwrap();
-    let second = client.submit_stats().unwrap();
-    let third = client.submit_stats().unwrap();
+    let first = client.submit_stats_ns(DEFAULT_NAMESPACE).unwrap();
+    let second = client.submit_stats_ns(DEFAULT_NAMESPACE).unwrap();
+    let third = client.submit_stats_ns(DEFAULT_NAMESPACE).unwrap();
     let (first_id, third_id) = (first.id(), third.id());
 
     let err = second.wait().expect_err("scripted failure must surface");
@@ -154,7 +155,9 @@ fn fatal_failure_resolves_all_pending() {
         }
     });
     let mut client = Client::connect(addr).unwrap();
-    let pending: Vec<_> = (0..4).map(|_| client.submit_stats().unwrap()).collect();
+    let pending: Vec<_> = (0..4)
+        .map(|_| client.submit_stats_ns(DEFAULT_NAMESPACE).unwrap())
+        .collect();
     for (i, p) in pending.into_iter().enumerate() {
         let err = p.wait().expect_err("dead peer must fail the request");
         assert!(
@@ -163,7 +166,7 @@ fn fatal_failure_resolves_all_pending() {
         );
     }
     // The connection is poisoned: new submissions fail immediately.
-    assert!(client.submit_stats().is_err());
+    assert!(client.submit_stats_ns(DEFAULT_NAMESPACE).is_err());
     server.join().unwrap();
 }
 
@@ -174,21 +177,21 @@ fn fatal_failure_resolves_all_pending() {
 fn max_in_flight_backpressures_submit() {
     const HOLD: Duration = Duration::from_millis(200);
     let (addr, server) = scripted_server(|mut stream| {
-        let (first, _, _) = read_request(&mut stream).unwrap();
-        let (second, _, _) = read_request(&mut stream).unwrap();
+        let first = read_request(&mut stream).unwrap().0.id;
+        let second = read_request(&mut stream).unwrap().0.id;
         // Hold both slots hostage, then release one.
         std::thread::sleep(HOLD);
         write_response(first, &stats_marked(first), &mut stream).unwrap();
-        let (third, _, _) = read_request(&mut stream).unwrap();
+        let third = read_request(&mut stream).unwrap().0.id;
         write_response(second, &stats_marked(second), &mut stream).unwrap();
         write_response(third, &stats_marked(third), &mut stream).unwrap();
     });
     let config = ClientConfig::default().max_in_flight(2);
     let mut client = Client::connect_with(addr, &config).unwrap();
-    let first = client.submit_stats().unwrap();
-    let second = client.submit_stats().unwrap();
+    let first = client.submit_stats_ns(DEFAULT_NAMESPACE).unwrap();
+    let second = client.submit_stats_ns(DEFAULT_NAMESPACE).unwrap();
     let blocked_at = Instant::now();
-    let third = client.submit_stats().unwrap(); // must wait for a slot
+    let third = client.submit_stats_ns(DEFAULT_NAMESPACE).unwrap(); // must wait for a slot
     assert!(
         blocked_at.elapsed() >= HOLD / 2,
         "third submit should have blocked at max_in_flight=2, returned in {:?}",
@@ -209,17 +212,17 @@ fn max_in_flight_backpressures_submit() {
 fn wait_timeout_expires_cleanly_and_connection_survives() {
     const HOLD: Duration = Duration::from_millis(200);
     let (addr, server) = scripted_server(move |mut stream| {
-        let (slow, _, _) = read_request(&mut stream).unwrap();
+        let slow = read_request(&mut stream).unwrap().0.id;
         // Let the client's deadline expire before anything is answered.
         std::thread::sleep(HOLD);
-        let (fast, _, _) = read_request(&mut stream).unwrap();
+        let fast = read_request(&mut stream).unwrap().0.id;
         // The expired request's response arrives late — it must be
         // swallowed as a stray, not resolve the later handle.
         write_response(slow, &stats_marked(slow), &mut stream).unwrap();
         write_response(fast, &stats_marked(fast), &mut stream).unwrap();
     });
     let mut client = Client::connect(addr).unwrap();
-    let slow = client.submit_stats().unwrap();
+    let slow = client.submit_stats_ns(DEFAULT_NAMESPACE).unwrap();
     let started = Instant::now();
     assert!(
         slow.wait_timeout(Duration::from_millis(25))
@@ -231,7 +234,7 @@ fn wait_timeout_expires_cleanly_and_connection_survives() {
         started.elapsed() < HOLD,
         "wait_timeout must return at its own deadline, not the response's"
     );
-    let fast = client.submit_stats().unwrap();
+    let fast = client.submit_stats_ns(DEFAULT_NAMESPACE).unwrap();
     let fast_id = fast.id();
     let stats = fast
         .wait_timeout(Duration::from_secs(5))
@@ -258,22 +261,30 @@ fn live_pipelined_bursts_land_exactly() {
     let pending: Vec<_> = (0..32)
         .map(|i| {
             client
-                .submit_ingest_batch(&[Update::new(i as u64, i + 1)])
+                .submit_ingest_batch_ns(DEFAULT_NAMESPACE, &[Update::new(i as u64, i + 1)])
                 .unwrap()
         })
         .collect();
     let accepted: u64 = pending.into_iter().map(|p| p.wait().unwrap()).sum();
     assert_eq!(accepted, 32, "every pipelined batch must ack exactly once");
-    assert_eq!(client.stats().unwrap().updates, 32);
+    assert_eq!(
+        client
+            .submit_stats_ns(DEFAULT_NAMESPACE)
+            .unwrap()
+            .wait()
+            .unwrap()
+            .updates,
+        32
+    );
 
     // A mixed in-flight burst: samples and stats interleaved.
-    let draws = client.submit_sample_many(8).unwrap();
-    let stats = client.submit_stats().unwrap();
-    let more = client.submit_sample_many(4).unwrap();
+    let draws = client.submit_sample_many_ns(DEFAULT_NAMESPACE, 8).unwrap();
+    let stats = client.submit_stats_ns(DEFAULT_NAMESPACE).unwrap();
+    let more = client.submit_sample_many_ns(DEFAULT_NAMESPACE, 4).unwrap();
     assert_eq!(draws.wait().unwrap().len(), 8);
     assert_eq!(stats.wait().unwrap().updates, 32);
     assert_eq!(more.wait().unwrap().len(), 4);
 
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }

@@ -12,6 +12,7 @@ use pts_engine::{EngineConfig, L0Factory, SamplerFactory, ShardedEngine};
 use pts_obs::MetricsServer;
 use pts_server::{serve, Client};
 use pts_stream::{FrequencyVector, Update};
+use pts_util::protocol::DEFAULT_NAMESPACE;
 use pts_util::stats::chi_square_test;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -78,7 +79,11 @@ fn law_holds_while_a_concurrent_scraper_polls() {
 
     let mut client = Client::connect(server.local_addr()).unwrap();
     let updates: Vec<Update> = x.iter_nonzero().map(|(i, v)| Update::new(i, v)).collect();
-    client.ingest_batch(&updates).unwrap();
+    client
+        .submit_ingest_batch_ns(DEFAULT_NAMESPACE, &updates)
+        .unwrap()
+        .wait()
+        .unwrap();
 
     let trials = 3_000u64;
     let mut counts = vec![0u64; x.n()];
@@ -86,7 +91,12 @@ fn law_holds_while_a_concurrent_scraper_polls() {
     let mut remaining = trials;
     while remaining > 0 {
         let take = remaining.min(500);
-        for draw in client.sample_many(take).unwrap() {
+        for draw in client
+            .submit_sample_many_ns(DEFAULT_NAMESPACE, take)
+            .unwrap()
+            .wait()
+            .unwrap()
+        {
             match draw {
                 Some(s) => counts[s.index as usize] += 1,
                 None => fails += 1,
@@ -127,7 +137,7 @@ fn law_holds_while_a_concurrent_scraper_polls() {
         assert!(body.is_empty(), "obs-off exposition must be empty: {body}");
     }
 
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
     metrics.join();
 }

@@ -15,7 +15,7 @@ use pts_engine::{
     EngineConfig, EngineSnapshot, EngineStats, L0Factory, SamplingService, ShardedEngine,
 };
 use pts_samplers::Sample;
-use pts_server::{serve_with_spawner, Client, ClientConfig, ClientError};
+use pts_server::{serve_with_spawner, Client, ClientConfig, ClientError, Pending};
 use pts_stream::Update;
 use pts_util::protocol::ErrorCode;
 use pts_util::wire::WireError;
@@ -108,8 +108,12 @@ fn panicking_tenant_costs_error_responses_not_workers() {
         .collect();
     let mut controls: Vec<ShardedEngine<L0Factory>> = Vec::new();
     for ns in healthy_ns.into_iter().chain([POISONED]) {
-        c.create_namespace(ns).expect("create tenant");
-        c.ingest_batch_ns(ns, &batch).expect("ingest");
+        c.submit_create_namespace(ns)
+            .and_then(Pending::wait)
+            .expect("create tenant");
+        c.submit_ingest_batch_ns(ns, &batch)
+            .and_then(Pending::wait)
+            .expect("ingest");
     }
     for ns in healthy_ns {
         let mut control = healthy(ns);
@@ -140,22 +144,47 @@ fn panicking_tenant_costs_error_responses_not_workers() {
         assert_eq!(draws, want, "healthy draw {k} (ns {ns}) diverged");
     }
     // The connection that carried the panics still works.
-    assert_eq!(c.stats_ns(1).expect("stats").updates, batch.len() as u64);
+    assert_eq!(
+        c.submit_stats_ns(1)
+            .and_then(Pending::wait)
+            .expect("stats")
+            .updates,
+        batch.len() as u64
+    );
 
     // (c) A fresh connection completes a blocking create.
     let mut fresh = client(addr);
-    fresh.create_namespace(9).expect("create after panics");
     fresh
-        .ingest_batch_ns(9, &batch)
+        .submit_create_namespace(9)
+        .and_then(Pending::wait)
+        .expect("create after panics");
+    fresh
+        .submit_ingest_batch_ns(9, &batch)
+        .and_then(Pending::wait)
         .expect("ingest after panics");
 
     // The poisoned tenant keeps answering Internal; drop + re-create
     // replaces it with a fresh engine.
-    assert_internal(c.sample_many_ns(POISONED, 1), "poisoned after the burst");
-    c.drop_namespace(POISONED).expect("drop poisoned tenant");
-    c.create_namespace(POISONED).expect("re-create tenant");
-    assert_eq!(c.stats_ns(POISONED).expect("fresh stats").updates, 0);
+    assert_internal(
+        c.submit_sample_many_ns(POISONED, 1).and_then(Pending::wait),
+        "poisoned after the burst",
+    );
+    c.submit_drop_namespace(POISONED)
+        .and_then(Pending::wait)
+        .expect("drop poisoned tenant");
+    c.submit_create_namespace(POISONED)
+        .and_then(Pending::wait)
+        .expect("re-create tenant");
+    assert_eq!(
+        c.submit_stats_ns(POISONED)
+            .and_then(Pending::wait)
+            .expect("fresh stats")
+            .updates,
+        0
+    );
 
-    c.shutdown_server().expect("shutdown");
+    c.submit_shutdown()
+        .and_then(Pending::wait)
+        .expect("shutdown");
     server.join();
 }

@@ -24,6 +24,7 @@ use pts_engine::{
 use pts_samplers::Sample;
 use pts_server::{serve_with_spawner, Client, Server};
 use pts_stream::{gen::zipf_vector, FrequencyVector, Update};
+use pts_util::protocol::DEFAULT_NAMESPACE;
 use pts_util::stats::chi_square_test;
 use pts_util::wire::WireError;
 
@@ -172,15 +173,27 @@ impl LawTally {
 fn per_tenant_laws_hold_concurrently_through_one_server() {
     let (server, mut client) = live_tenant_server();
     for ns in [1, 2, 3] {
-        client.create_namespace(ns).unwrap();
+        client.submit_create_namespace(ns).unwrap().wait().unwrap();
     }
 
     let x1 = zipf_vector(32, 1.1, 20, 41);
     let x2 = zipf_vector(48, 1.2, 25, 42);
     let x3 = zipf_vector(24, 1.0, 15, 43);
-    client.ingest_batch_ns(1, &updates_of(&x1)).unwrap();
-    client.ingest_batch_ns(2, &updates_of(&x2)).unwrap();
-    client.ingest_batch_ns(3, &updates_of(&x3)).unwrap();
+    client
+        .submit_ingest_batch_ns(1, &updates_of(&x1))
+        .unwrap()
+        .wait()
+        .unwrap();
+    client
+        .submit_ingest_batch_ns(2, &updates_of(&x2))
+        .unwrap()
+        .wait()
+        .unwrap();
+    client
+        .submit_ingest_batch_ns(3, &updates_of(&x3))
+        .unwrap()
+        .wait()
+        .unwrap();
 
     let mut laws = [
         LawTally::new(1, &x1, &L0Factory::default(), 2_400, 0.05),
@@ -200,7 +213,13 @@ fn per_tenant_laws_hold_concurrently_through_one_server() {
             let take = law.remaining.min(400);
             law.remaining -= take;
             let ns = law.ns;
-            law.tally(client.sample_many_ns(ns, take).unwrap());
+            law.tally(
+                client
+                    .submit_sample_many_ns(ns, take)
+                    .unwrap()
+                    .wait()
+                    .unwrap(),
+            );
         }
         if !any {
             break;
@@ -217,12 +236,12 @@ fn per_tenant_laws_hold_concurrently_through_one_server() {
         (48, x2.iter_nonzero().count()),
         (24, x3.iter_nonzero().count()),
     ]) {
-        let stats = client.stats_ns(law.ns).unwrap();
+        let stats = client.submit_stats_ns(law.ns).unwrap().wait().unwrap();
         assert_eq!(stats.universe, n as u64, "tenant {} universe", law.ns);
         assert_eq!(stats.support, support as u64, "tenant {} support", law.ns);
     }
 
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
 
@@ -246,7 +265,7 @@ fn cross_tenant_isolation_is_draw_for_draw_against_controls() {
         })
         .collect();
     for &ns in &tenants {
-        client.create_namespace(ns).unwrap();
+        client.submit_create_namespace(ns).unwrap().wait().unwrap();
     }
 
     // Interleaved rounds: every round, each tenant ingests a fresh batch
@@ -258,11 +277,28 @@ fn cross_tenant_isolation_is_draw_for_draw_against_controls() {
             let n = universes[k];
             let x = zipf_vector(n, 1.0 + 0.1 * k as f64, 12, 100 * round + ns);
             let batch = updates_of(&x);
-            let accepted = client.ingest_batch_ns(ns, &batch).unwrap();
-            assert_eq!(accepted, controls[k].1.ingest_batch(&batch).unwrap());
+            let accepted = client
+                .submit_ingest_batch_ns(ns, &batch)
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(
+                accepted,
+                controls[k]
+                    .1
+                    .submit_ingest_batch_ns(DEFAULT_NAMESPACE, &batch)
+                    .unwrap()
+                    .wait()
+                    .unwrap()
+            );
 
-            let subject_draws = client.sample_many_ns(ns, 8).unwrap();
-            let control_draws = controls[k].1.sample_many(8).unwrap();
+            let subject_draws = client.submit_sample_many_ns(ns, 8).unwrap().wait().unwrap();
+            let control_draws = controls[k]
+                .1
+                .submit_sample_many_ns(DEFAULT_NAMESPACE, 8)
+                .unwrap()
+                .wait()
+                .unwrap();
             assert_eq!(
                 subject_draws, control_draws,
                 "tenant {ns} diverged from its control in round {round} — tenancy leaked"
@@ -272,21 +308,31 @@ fn cross_tenant_isolation_is_draw_for_draw_against_controls() {
 
     // Closing state is identical too: mass, counters, snapshot.
     for (k, &ns) in tenants.iter().enumerate() {
-        let subject = client.stats_ns(ns).unwrap();
-        let control = controls[k].1.stats().unwrap();
+        let subject = client.submit_stats_ns(ns).unwrap().wait().unwrap();
+        let control = controls[k]
+            .1
+            .submit_stats_ns(DEFAULT_NAMESPACE)
+            .unwrap()
+            .wait()
+            .unwrap();
         assert_eq!(subject.mass, control.mass, "tenant {ns} mass");
         assert_eq!(subject.updates, control.updates, "tenant {ns} updates");
         assert_eq!(subject.support, control.support, "tenant {ns} support");
         assert_eq!(
-            client.snapshot_ns(ns).unwrap(),
-            controls[k].1.snapshot().unwrap(),
+            client.submit_snapshot_ns(ns).unwrap().wait().unwrap(),
+            controls[k]
+                .1
+                .submit_snapshot_ns(DEFAULT_NAMESPACE)
+                .unwrap()
+                .wait()
+                .unwrap(),
             "tenant {ns} snapshot"
         );
     }
 
-    client.shutdown_server().unwrap();
+    client.submit_shutdown().unwrap().wait().unwrap();
     for (control, mut c) in controls {
-        c.shutdown_server().unwrap();
+        c.submit_shutdown().unwrap().wait().unwrap();
         control.join();
     }
     server.join();

@@ -695,42 +695,51 @@ impl Decode for Response {
     }
 }
 
-/// Writes one untraced request under `request_id`, addressed to
-/// `namespace`, as a framed `KIND_REQUEST` envelope:
-/// `varint request_id ‖ varint namespace ‖ 0 ‖ request body` (the lone
-/// `0` varint is the wire-version-5 *untraced* trace context).
-///
-/// `request_id` must be ≥ 1 (id 0 is reserved for unattributable server
-/// error responses — see the module docs); debug builds assert this.
-/// Single-tenant callers pass [`DEFAULT_NAMESPACE`]. Callers sampled
-/// into a distributed trace use [`write_request_traced`].
-pub fn write_request<W: Write>(
-    request_id: u64,
-    namespace: u64,
-    req: &Request,
-    sink: &mut W,
-) -> std::io::Result<()> {
-    write_request_traced(request_id, namespace, None, req, sink)
+/// The header every request payload carries ahead of its tag byte, in
+/// wire order: `varint id ‖ varint ns ‖ trace` (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestHeader {
+    /// The client-assigned request id its response echoes (≥ 1; id 0 is
+    /// reserved for unattributable server error responses).
+    pub id: u64,
+    /// The namespace (tenant) the request addresses; single-tenant
+    /// callers send [`DEFAULT_NAMESPACE`].
+    pub ns: u64,
+    /// The distributed trace the request was sampled into (`None` =
+    /// untraced, the lone `0` varint on the wire).
+    pub trace: Option<TraceContext>,
 }
 
-/// Writes one request carrying an explicit trace context:
-/// `varint request_id ‖ varint namespace ‖ trace ‖ request body`, where
-/// `trace` is a lone `0` varint for `None` or
-/// `varint trace_id ‖ varint parent_span_id` for `Some`. A
-/// [`TraceContext`] with trace id 0 would be indistinguishable from
-/// untraced; debug builds assert against it.
-pub fn write_request_traced<W: Write>(
-    request_id: u64,
-    namespace: u64,
-    trace: Option<TraceContext>,
+/// A request payload that failed to decode, and how far decoding got
+/// before it failed — which decides whom the server's error answers.
+#[derive(Debug)]
+pub struct RequestError {
+    /// The request's id once the leading id varint was read and found
+    /// nonzero: every later failure answers under it. `None` when the id
+    /// itself was unreadable or the reserved 0, so the error answers
+    /// under id 0.
+    pub id: Option<u64>,
+    /// What went wrong.
+    pub error: WireError,
+}
+
+/// Writes one request as a framed `KIND_REQUEST` envelope:
+/// `varint id ‖ varint ns ‖ trace ‖ request body`, where `trace` is a
+/// lone `0` varint for `None` or `varint trace_id ‖ varint
+/// parent_span_id` for `Some`.
+///
+/// `header.id` must be ≥ 1, and a [`TraceContext`] must carry a nonzero
+/// trace id (0 would read back as untraced); debug builds assert both.
+pub fn write_request<W: Write>(
+    header: &RequestHeader,
     req: &Request,
     sink: &mut W,
 ) -> std::io::Result<()> {
-    debug_assert!(request_id != 0, "request id 0 is reserved");
+    debug_assert!(header.id != 0, "request id 0 is reserved");
     let mut w = WireWriter::new();
-    w.put_u64(request_id);
-    w.put_u64(namespace);
-    match trace {
+    w.put_u64(header.id);
+    w.put_u64(header.ns);
+    match header.trace {
         None => w.put_u64(0),
         Some(ctx) => {
             debug_assert!(ctx.trace_id != 0, "trace id 0 means untraced");
@@ -742,84 +751,44 @@ pub fn write_request_traced<W: Write>(
     write_frame(KIND_REQUEST, w.as_bytes(), sink)
 }
 
-/// Reads one framed request; returns its id, namespace, and body, with
-/// the trace context (if any) discarded (strict: any malformation is an
-/// error; servers wanting to keep the connection should use
-/// [`read_frame_lenient`] and decode the payload themselves via
-/// [`split_request_id`] / [`split_namespace`] / [`split_trace`]).
-pub fn read_request<R: Read>(src: &mut R) -> Result<(u64, u64, Request), WireError> {
-    let (id, namespace, _, req) = read_request_traced(src)?;
-    Ok((id, namespace, req))
-}
-
-/// Reads one framed request like [`read_request`], but also hands back
-/// the trace context the request carried (`None` = untraced).
-pub fn read_request_traced<R: Read>(
-    src: &mut R,
-) -> Result<(u64, u64, Option<TraceContext>, Request), WireError> {
-    let payload = read_frame(KIND_REQUEST, src)?;
-    let (id, rest) = split_request_id(&payload)?;
-    let (namespace, rest) = split_namespace(rest)?;
-    let (trace, body) = split_trace(rest)?;
-    Ok((id, namespace, trace, Request::from_wire_bytes(body)?))
-}
-
-/// Splits a request payload into its leading varint `request_id` and
-/// everything after it (the namespace varint plus the tag'd body),
-/// enforcing the id ≥ 1 rule (a request carrying id 0 is malformed —
-/// id 0 is reserved for unattributable server error responses). This is
-/// the server's demux entry point: it peels the id *before* anything
-/// else, so every later failure — an unreadable namespace varint
-/// included — can still be answered under the request's own id.
-pub fn split_request_id(payload: &[u8]) -> Result<(u64, &[u8]), WireError> {
+/// Decodes one request payload (a frame's contents) into its header and
+/// body. The id is read first and kept, so every later failure — an
+/// unreadable namespace or trace field, a bad body — still reports the
+/// request's own id; this is the server's demux entry point.
+pub fn decode_request(payload: &[u8]) -> Result<(RequestHeader, Request), RequestError> {
     let mut r = WireReader::new(payload);
-    let id = r.get_u64()?;
-    if id == 0 {
-        return Err(WireError::Invalid("request id 0 is reserved"));
+    let id = match r.get_u64() {
+        Ok(0) => Err(WireError::Invalid("request id 0 is reserved")),
+        read => read,
     }
-    Ok((id, &payload[payload.len() - r.remaining()..]))
+    .map_err(|error| RequestError { id: None, error })?;
+    decode_after_id(id, &mut r).map_err(|error| RequestError {
+        id: Some(id),
+        error,
+    })
 }
 
-/// Splits the remainder handed back by [`split_request_id`] into the
-/// varint `namespace` and everything behind it (the trace context plus
-/// the tag'd request body). A truncated namespace varint errors here —
-/// an attributable `malformed`, since the request id was already read.
-pub fn split_namespace(rest: &[u8]) -> Result<(u64, &[u8]), WireError> {
-    let mut r = WireReader::new(rest);
-    let namespace = r.get_u64()?;
-    Ok((namespace, &rest[rest.len() - r.remaining()..]))
-}
-
-/// Splits the remainder handed back by [`split_namespace`] into the
-/// trace context (`None` = the untraced `0` varint) and the tag'd
-/// request body behind it. A truncated trace varint — or a nonzero
-/// trace id with no parent span id behind it — errors here, which is an
-/// attributable `malformed` exactly like a bad namespace: the request
-/// id was already peeled.
-pub fn split_trace(rest: &[u8]) -> Result<(Option<TraceContext>, &[u8]), WireError> {
-    let mut r = WireReader::new(rest);
-    let trace_id = r.get_u64()?;
-    let trace = if trace_id == 0 {
-        None
-    } else {
-        Some(TraceContext {
+/// The rest of [`decode_request`] once the id is known.
+fn decode_after_id(id: u64, r: &mut WireReader<'_>) -> Result<(RequestHeader, Request), WireError> {
+    let ns = r.get_u64()?;
+    let trace = match r.get_u64()? {
+        0 => None,
+        trace_id => Some(TraceContext {
             trace_id,
             parent_span_id: r.get_u64()?,
-        })
+        }),
     };
-    Ok((trace, &rest[rest.len() - r.remaining()..]))
+    let req = Request::decode(r)?;
+    r.finish()?;
+    Ok((RequestHeader { id, ns, trace }, req))
 }
 
-/// Splits a request payload into `(request_id, namespace, body)` in one
-/// step — the strict composition of [`split_request_id`],
-/// [`split_namespace`], and [`split_trace`] (the trace context is
-/// validated but discarded), for callers that do not need to attribute
-/// partial failures or follow traces.
-pub fn split_request_payload(payload: &[u8]) -> Result<(u64, u64, &[u8]), WireError> {
-    let (id, rest) = split_request_id(payload)?;
-    let (namespace, rest) = split_namespace(rest)?;
-    let (_, body) = split_trace(rest)?;
-    Ok((id, namespace, body))
+/// Reads one framed request (strict: any malformation is an error;
+/// servers wanting to keep the connection read with
+/// [`read_frame_lenient`] and attribute failures via [`decode_request`]).
+pub fn read_request<R: Read>(src: &mut R) -> Result<(RequestHeader, Request), WireError> {
+    let payload = read_frame(KIND_REQUEST, src)?;
+    decode_request(&payload).map_err(|e| e.error)
 }
 
 /// Writes one response as a framed `KIND_RESPONSE` envelope:
@@ -859,34 +828,34 @@ mod tests {
     use crate::wire::{WIRE_MAGIC, WIRE_VERSION};
 
     fn roundtrip_request(req: Request) {
-        // Ids and namespaces spanning 1, 2, and 10 varint bytes: both
-        // prefixes must frame and demux identically at every width
+        // Ids, namespaces and trace fields spanning 1, 2, and 10 varint
+        // bytes must frame and decode identically at every width
         // (namespace 0 is the default tenant, so it must roundtrip too).
+        let traces = [
+            None,
+            Some(TraceContext {
+                trace_id: 1,
+                parent_span_id: 0,
+            }),
+            Some(TraceContext {
+                trace_id: 300,
+                parent_span_id: 7,
+            }),
+            Some(TraceContext {
+                trace_id: u64::MAX,
+                parent_span_id: u64::MAX,
+            }),
+        ];
         for id in [1u64, 7, 300, u64::MAX] {
             for ns in [DEFAULT_NAMESPACE, 7, 300, u64::MAX] {
-                let mut buf = Vec::new();
-                write_request(id, ns, &req, &mut buf).unwrap();
-                let (back_id, back_ns, back) = read_request(&mut buf.as_slice()).unwrap();
-                assert_eq!((back_id, back_ns, back), (id, ns, req.clone()));
-                // The untraced write really carried the untraced marker.
-                let mut buf2 = buf.as_slice();
-                let (_, _, trace, _) = read_request_traced(&mut buf2).unwrap();
-                assert_eq!(trace, None);
+                for trace in traces {
+                    let header = RequestHeader { id, ns, trace };
+                    let mut buf = Vec::new();
+                    write_request(&header, &req, &mut buf).unwrap();
+                    let back = read_request(&mut buf.as_slice()).unwrap();
+                    assert_eq!(back, (header, req.clone()));
+                }
             }
-        }
-        // Trace contexts spanning 1, 2, and 10 varint bytes per field
-        // must roundtrip too, and the trace-blind read must still agree.
-        for (trace_id, parent) in [(1u64, 0u64), (300, 7), (u64::MAX, u64::MAX)] {
-            let ctx = TraceContext {
-                trace_id,
-                parent_span_id: parent,
-            };
-            let mut buf = Vec::new();
-            write_request_traced(9, 4, Some(ctx), &req, &mut buf).unwrap();
-            let (id, ns, trace, back) = read_request_traced(&mut buf.as_slice()).unwrap();
-            assert_eq!((id, ns, trace, back), (9, 4, Some(ctx), req.clone()));
-            let (id, ns, back) = read_request(&mut buf.as_slice()).unwrap();
-            assert_eq!((id, ns, back), (9, 4, req.clone()));
         }
     }
 
@@ -1059,21 +1028,47 @@ mod tests {
         }
     }
 
+    /// A maximal header (10-byte id, 10-byte namespace, 20-byte trace)
+    /// plus a Stats tag: 41 bytes, every field `u64::MAX`.
+    fn maximal_stats_payload() -> Vec<u8> {
+        let mut w = WireWriter::new();
+        for field in [u64::MAX; 4] {
+            w.put_u64(field);
+        }
+        Request::Stats.encode(&mut w).unwrap();
+        assert_eq!(w.len(), 41);
+        w.as_bytes().to_vec()
+    }
+
+    /// Every cut of the maximal payload in `cuts` fails to decode, and the
+    /// failure carries the request's id exactly when the cut falls after
+    /// the id field — that is what lets the server answer under the
+    /// request's own id.
+    fn assert_cuts_attribute(cuts: std::ops::Range<usize>) {
+        let payload = maximal_stats_payload();
+        for cut in cuts {
+            let err = decode_request(&payload[..cut]).expect_err("a cut header decoded");
+            let want = (cut >= 10).then_some(u64::MAX);
+            assert_eq!(err.id, want, "cut at {cut}: {:?}", err.error);
+        }
+    }
+
     #[test]
     fn request_id_zero_rejected_everywhere() {
-        // A request payload whose leading varint id is 0 must fail both
-        // the demux split and the strict framed read — whatever the
-        // namespace behind it says.
+        // Id 0 is reserved: unattributable however sound the rest is, and
+        // the strict framed reader refuses it too.
         let mut w = WireWriter::new();
         w.put_u64(0);
         w.put_u64(DEFAULT_NAMESPACE);
         w.put_u64(0); // untraced
         Request::Stats.encode(&mut w).unwrap();
         assert!(matches!(
-            split_request_id(w.as_bytes()),
-            Err(WireError::Invalid("request id 0 is reserved"))
+            decode_request(w.as_bytes()),
+            Err(RequestError {
+                id: None,
+                error: WireError::Invalid("request id 0 is reserved")
+            })
         ));
-        assert!(split_request_payload(w.as_bytes()).is_err());
         let mut frame = Vec::new();
         write_frame(KIND_REQUEST, w.as_bytes(), &mut frame).unwrap();
         assert!(read_request(&mut frame.as_slice()).is_err());
@@ -1090,274 +1085,193 @@ mod tests {
 
     #[test]
     fn split_request_payload_demuxes_id_and_namespace_from_body() {
-        // Multi-byte varint id, namespace, and trace fields: the staged
-        // split must hand back exactly the body bytes after every prefix.
+        // Multi-byte varint id, namespace and trace fields decode into the
+        // header, and exactly the body bytes after them into the request.
         let mut w = WireWriter::new();
         w.put_u64(300); // two varint bytes: 0xAC 0x02
         w.put_u64(777); // two varint bytes: 0x89 0x06
         w.put_u64(200); // trace id, two varint bytes: 0xC8 0x01
         w.put_u64(150); // parent span id, two varint bytes: 0x96 0x01
         w.put_u8(REQ_STATS);
-        let (id, rest) = split_request_id(w.as_bytes()).unwrap();
-        assert_eq!(id, 300);
-        let (ns, rest) = split_namespace(rest).unwrap();
-        assert_eq!(ns, 777);
-        let (trace, body) = split_trace(rest).unwrap();
-        assert_eq!(
-            trace,
-            Some(TraceContext {
+        let header = RequestHeader {
+            id: 300,
+            ns: 777,
+            trace: Some(TraceContext {
                 trace_id: 200,
-                parent_span_id: 150
-            })
-        );
-        assert_eq!(body, [REQ_STATS]);
-        assert_eq!(Request::from_wire_bytes(body).unwrap(), Request::Stats);
-        // The one-step composition agrees (trace validated, discarded).
+                parent_span_id: 150,
+            }),
+        };
         assert_eq!(
-            split_request_payload(w.as_bytes()).unwrap(),
-            (300, 777, &[REQ_STATS][..])
+            decode_request(w.as_bytes()).unwrap(),
+            (header, Request::Stats)
         );
-        // And the untraced marker splits to None without consuming body.
-        let untraced = [0x00, REQ_STATS];
-        let (trace, body) = split_trace(&untraced).unwrap();
-        assert_eq!(trace, None);
-        assert_eq!(body, [REQ_STATS]);
+        // The untraced marker decodes to None without consuming the body.
+        let untraced = [0x01, 0x00, 0x00, REQ_STATS];
+        let want = RequestHeader {
+            id: 1,
+            ns: DEFAULT_NAMESPACE,
+            trace: None,
+        };
+        assert_eq!(decode_request(&untraced).unwrap(), (want, Request::Stats));
+        // And the maximal header decodes whole.
+        let max = RequestHeader {
+            id: u64::MAX,
+            ns: u64::MAX,
+            trace: Some(TraceContext {
+                trace_id: u64::MAX,
+                parent_span_id: u64::MAX,
+            }),
+        };
+        assert_eq!(
+            decode_request(&maximal_stats_payload()).unwrap(),
+            (max, Request::Stats)
+        );
     }
 
     #[test]
     fn truncation_at_every_prefix_of_the_id_field_errors() {
-        // u64::MAX is a 10-byte varint: every proper prefix of the id
-        // field alone must fail the split (never panic, never misdecode),
-        // and so must the id with no namespace behind it.
-        let mut w = WireWriter::new();
-        w.put_u64(u64::MAX);
-        let id_bytes = w.as_bytes().to_vec();
-        assert_eq!(id_bytes.len(), 10);
-        for cut in 0..id_bytes.len() {
-            assert!(
-                split_request_id(&id_bytes[..cut]).is_err(),
-                "id cut at {cut} split"
-            );
-        }
-        // The full id with nothing behind it splits — the *namespace*
-        // split is what fails next (the demux layer answers the missing
-        // namespace under the request's id).
-        let (id, rest) = split_request_id(&id_bytes).unwrap();
-        assert_eq!(id, u64::MAX);
-        assert!(rest.is_empty());
-        assert!(split_namespace(rest).is_err());
+        // u64::MAX is a 10-byte varint: every cut inside the id field
+        // fails, unattributably (never panics, never misdecodes).
+        assert_cuts_attribute(0..10);
     }
 
     #[test]
     fn truncation_at_every_prefix_of_the_namespace_field_errors() {
-        // Same sweep one field later: a readable id followed by every
-        // proper prefix of a 10-byte namespace varint must fail the
-        // namespace split (attributable — the id was already peeled),
-        // and the full namespace with nothing behind it must fail the
-        // *trace* split, not the namespace split.
-        let mut w = WireWriter::new();
-        w.put_u64(u64::MAX);
-        let ns_bytes = w.as_bytes().to_vec();
-        assert_eq!(ns_bytes.len(), 10);
-        for cut in 0..ns_bytes.len() {
-            assert!(
-                split_namespace(&ns_bytes[..cut]).is_err(),
-                "namespace cut at {cut} split"
-            );
-        }
-        let (ns, rest) = split_namespace(&ns_bytes).unwrap();
-        assert_eq!(ns, u64::MAX);
-        assert!(rest.is_empty());
-        assert!(split_trace(rest).is_err());
+        // Same sweep one field later: the id was already read, so every
+        // cut inside the namespace answers under it.
+        assert_cuts_attribute(10..20);
     }
 
     #[test]
     fn truncation_at_every_prefix_of_the_trace_field_errors() {
-        // Same sweep one field later again: every proper prefix of a
-        // maximal 20-byte trace context (10-byte trace id ‖ 10-byte
-        // parent span id) must fail the trace split — a cut inside the
-        // trace id is a truncated varint, a cut at or after the full
-        // trace id is a nonzero trace id with a missing/truncated parent
-        // span id. Attribution is the namespace rule: the request id was
-        // already peeled, so the failure answers under it.
-        let mut w = WireWriter::new();
-        w.put_u64(u64::MAX);
-        w.put_u64(u64::MAX);
-        let trace_bytes = w.as_bytes().to_vec();
-        assert_eq!(trace_bytes.len(), 20);
-        for cut in 0..trace_bytes.len() {
-            assert!(
-                split_trace(&trace_bytes[..cut]).is_err(),
-                "trace cut at {cut} split"
-            );
-        }
-        let (trace, body) = split_trace(&trace_bytes).unwrap();
-        assert_eq!(
-            trace,
-            Some(TraceContext {
-                trace_id: u64::MAX,
-                parent_span_id: u64::MAX
-            })
-        );
-        assert!(body.is_empty());
-        // The untraced marker is never truncatable: one byte, zero.
-        assert_eq!(split_trace(&[0x00]).unwrap(), (None, &[][..]));
-        assert!(split_trace(&[]).is_err());
+        // Every cut inside the 20-byte trace context (a truncated trace
+        // id, or a nonzero trace id with a missing/truncated parent span
+        // id), and the full header with no body behind it, fail under the
+        // request's id.
+        assert_cuts_attribute(20..41);
     }
 
-    /// The PROTOCOL.md §"Worked examples" hex bytes, pinned so the document
-    /// cannot drift from the implementation.
+    /// Every fenced block of `doc` whose lines lead with hex byte pairs,
+    /// as the bytes those pairs spell (the annotation after them on each
+    /// line is ignored).
+    fn hex_blocks(doc: &str) -> Vec<Vec<u8>> {
+        let mut blocks = Vec::new();
+        let mut block: Option<Vec<u8>> = None;
+        for line in doc.lines() {
+            if line.trim_start().starts_with("```") {
+                match block.take() {
+                    Some(bytes) if !bytes.is_empty() => blocks.push(bytes),
+                    Some(_) => {}
+                    None => block = Some(Vec::new()),
+                }
+            } else if let Some(bytes) = block.as_mut() {
+                bytes.extend(line.split_whitespace().map_while(|tok| {
+                    let pair = tok.len() == 2 && tok.bytes().all(|b| b.is_ascii_hexdigit());
+                    pair.then(|| u8::from_str_radix(tok, 16).ok()).flatten()
+                }));
+            }
+        }
+        blocks
+    }
+
+    /// PROTOCOL.md §6 is the single source of truth for the worked
+    /// examples' bytes: each must be exactly what the encoder writes for
+    /// the message its heading describes, and must decode back to it.
     #[test]
     fn protocol_md_worked_examples_are_exact() {
-        // Example 1: a Stats request under id 1, namespace 0 (the
-        // default tenant).
-        let mut stats = Vec::new();
-        write_request(1, DEFAULT_NAMESPACE, &Request::Stats, &mut stats).unwrap();
+        let blocks = hex_blocks(include_str!("../../../PROTOCOL.md"));
+        // §6.1–§6.4, in document order.
+        let untraced = |id, ns| RequestHeader {
+            id,
+            ns,
+            trace: None,
+        };
+        let requests = [
+            (untraced(1, DEFAULT_NAMESPACE), Request::Stats),
+            (
+                untraced(2, 7),
+                Request::IngestBatch(vec![(3, 5), (900, -2)]),
+            ),
+            (untraced(3, 7), Request::CreateNamespace),
+            (
+                RequestHeader {
+                    id: 4,
+                    ns: DEFAULT_NAMESPACE,
+                    trace: Some(TraceContext {
+                        trace_id: 9,
+                        parent_span_id: 1,
+                    }),
+                },
+                Request::Sample { count: 2 },
+            ),
+        ];
+        // §6.5–§6.7. The Stats report's local-view fields are nonzero on
+        // purpose: the document's bytes prove they never reach the wire.
+        let responses = [
+            (2, Response::Samples(vec![Some((3, 5.0)), None])),
+            (
+                5,
+                Response::Error(ServiceError::new(
+                    ErrorCode::Malformed,
+                    "unknown request tag",
+                )),
+            ),
+            (
+                1,
+                Response::Stats(ServiceStats {
+                    universe: 4096,
+                    updates: 1000,
+                    batches: 4,
+                    samples: 6,
+                    fails: 1,
+                    merges: 0,
+                    mass: 123.5,
+                    support: 9,
+                    requests_served: 77,
+                    uptime_secs: 3600,
+                }),
+            ),
+        ];
         assert_eq!(
-            stats,
-            [
-                0x50, 0x54, 0x53, 0x57, 0x05, 0x04, 0x04, 0x01, 0x00, 0x00, 0x04, 0x71, 0xF1, 0x57,
-                0xCF, 0xAD, 0x3C, 0xAB, 0x5B
-            ],
-            "Stats request frame drifted: {stats:02X?}"
+            blocks.len(),
+            requests.len() + responses.len(),
+            "PROTOCOL.md must hold exactly 7 hex worked examples"
         );
-        // Example 2: IngestBatch [(3, +5), (900, -2)] under id 2,
-        // addressed to namespace 7 (a created tenant).
-        let mut ingest = Vec::new();
-        write_request(
-            2,
-            7,
-            &Request::IngestBatch(vec![(3, 5), (900, -2)]),
-            &mut ingest,
-        )
-        .unwrap();
-        assert_eq!(
-            ingest,
-            [
-                0x50, 0x54, 0x53, 0x57, 0x05, 0x04, 0x0A, 0x02, 0x07, 0x00, 0x01, 0x02, 0x03, 0x0A,
-                0x84, 0x07, 0x03, 0x9F, 0x63, 0x62, 0xEE, 0x13, 0xD3, 0xC3, 0xAD
-            ],
-            "IngestBatch request frame drifted: {ingest:02X?}"
-        );
-        // Example 2b: CreateNamespace under id 3 — the header namespace
-        // (7) is the operand, the body is empty.
-        let mut create = Vec::new();
-        write_request(3, 7, &Request::CreateNamespace, &mut create).unwrap();
-        assert_eq!(
-            create,
-            [
-                0x50, 0x54, 0x53, 0x57, 0x05, 0x04, 0x04, 0x03, 0x07, 0x00, 0x08, 0xC6, 0x67, 0x0B,
-                0x6D, 0xBE, 0x1F, 0xA4, 0x81
-            ],
-            "CreateNamespace request frame drifted: {create:02X?}"
-        );
-        // Example 2c: a traced Sample request — id 4, namespace 0,
-        // sampled into trace 9 under parent span 1, asking for 2 draws.
-        let mut traced = Vec::new();
-        write_request_traced(
-            4,
-            DEFAULT_NAMESPACE,
-            Some(TraceContext {
-                trace_id: 9,
-                parent_span_id: 1,
-            }),
-            &Request::Sample { count: 2 },
-            &mut traced,
-        )
-        .unwrap();
-        assert_eq!(
-            traced,
-            [
-                0x50, 0x54, 0x53, 0x57, 0x05, 0x04, 0x06, 0x04, 0x00, 0x09, 0x01, 0x02, 0x02, 0x1A,
-                0x10, 0x90, 0x20, 0x28, 0x79, 0x47, 0x48
-            ],
-            "traced Sample request frame drifted: {traced:02X?}"
-        );
-        // Example 3: a Samples response carrying one draw of index 3,
-        // estimate 5.0, and one ⊥ — echoing request id 2.
-        let mut samples = Vec::new();
-        write_response(
-            2,
-            &Response::Samples(vec![Some((3, 5.0)), None]),
-            &mut samples,
-        )
-        .unwrap();
-        assert_eq!(
-            samples,
-            [
-                0x50, 0x54, 0x53, 0x57, 0x05, 0x05, 0x0E, 0x02, 0x02, 0x02, 0x01, 0x03, 0x00, 0x00,
-                0x00, 0x00, 0x00, 0x00, 0x14, 0x40, 0x00, 0xF5, 0x79, 0xB7, 0xAE, 0xE2, 0xB0, 0x0F,
-                0xFE
-            ],
-            "Samples response frame drifted: {samples:02X?}"
-        );
-        // Example 4: an error response (Malformed, "unknown request tag")
-        // echoing request id 5 — the body's tag was unreadable but its id
-        // was, so the error is attributable (id 0 is only for requests so
-        // damaged even the id couldn't be read).
-        let mut error = Vec::new();
-        write_response(
-            5,
-            &Response::Error(ServiceError::new(
-                ErrorCode::Malformed,
-                "unknown request tag",
-            )),
-            &mut error,
-        )
-        .unwrap();
-        assert_eq!(
-            error,
-            [
-                0x50, 0x54, 0x53, 0x57, 0x05, 0x05, 0x17, 0x05, 0x00, 0x01, 0x13, 0x75, 0x6E, 0x6B,
-                0x6E, 0x6F, 0x77, 0x6E, 0x20, 0x72, 0x65, 0x71, 0x75, 0x65, 0x73, 0x74, 0x20, 0x74,
-                0x61, 0x67, 0xCD, 0xBA, 0x7A, 0x5D, 0x39, 0xD3, 0xCC, 0x20
-            ],
-            "Error response frame drifted: {error:02X?}"
-        );
-        // Example 5: a Stats response echoing id 1 — universe 4096,
-        // 1000 updates over 4 batches, 6 samples, 1 fail, 0 merges, mass
-        // 123.5, support 9. The local-view fields are deliberately
-        // nonzero: the pinned bytes below prove they never reach the wire.
-        let mut report = Vec::new();
-        write_response(
-            1,
-            &Response::Stats(ServiceStats {
-                universe: 4096,
-                updates: 1000,
-                batches: 4,
-                samples: 6,
-                fails: 1,
-                merges: 0,
-                mass: 123.5,
-                support: 9,
-                requests_served: 77,
-                uptime_secs: 3600,
-            }),
-            &mut report,
-        )
-        .unwrap();
-        assert_eq!(
-            report,
-            [
-                0x50, 0x54, 0x53, 0x57, 0x05, 0x05, 0x13, 0x01, 0x04, 0x80, 0x20, 0xE8, 0x07, 0x04,
-                0x06, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x5E, 0x40, 0x09, 0x7D, 0x09,
-                0xFF, 0x9C, 0xFD, 0x31, 0xDC, 0xB7
-            ],
-            "Stats response frame drifted: {report:02X?}"
-        );
+        let (request_blocks, response_blocks) = blocks.split_at(requests.len());
+        for (block, (header, req)) in request_blocks.iter().zip(&requests) {
+            let mut frame = Vec::new();
+            write_request(header, req, &mut frame).unwrap();
+            assert_eq!(block, &frame, "{req:?} drifted: {frame:02X?}");
+            let back = read_request(&mut block.as_slice()).unwrap();
+            assert_eq!(back, (*header, req.clone()));
+        }
+        for (block, (id, resp)) in response_blocks.iter().zip(&responses) {
+            let mut frame = Vec::new();
+            write_response(*id, resp, &mut frame).unwrap();
+            assert_eq!(block, &frame, "{resp:?} drifted: {frame:02X?}");
+            // Decoded, then re-encoded: local-view stats fields decode
+            // as 0, so compare on the wire, where they do not exist.
+            let (back_id, back) = read_response(&mut block.as_slice()).unwrap();
+            let mut again = Vec::new();
+            write_response(back_id, &back, &mut again).unwrap();
+            assert_eq!((back_id, &again), (*id, block));
+        }
     }
 
     #[test]
     fn lenient_read_classifies_fatal_vs_recoverable() {
+        let header = RequestHeader {
+            id: 9,
+            ns: 4,
+            trace: None,
+        };
         let mut good = Vec::new();
-        write_request(9, 4, &Request::Stats, &mut good).unwrap();
+        write_request(&header, &Request::Stats, &mut good).unwrap();
 
         // Clean read.
         let payload = read_frame_lenient(KIND_REQUEST, MAX_FRAME_BYTES, &mut good.as_slice())
             .expect("well-formed frame reads");
-        let (id, ns, body) = split_request_payload(&payload).unwrap();
-        assert_eq!((id, ns), (9, 4));
-        assert_eq!(Request::from_wire_bytes(body).unwrap(), Request::Stats);
+        assert_eq!(decode_request(&payload).unwrap(), (header, Request::Stats));
 
         // Bad magic: fatal.
         let mut bad = good.clone();

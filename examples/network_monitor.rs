@@ -89,7 +89,10 @@ fn run_tenants(count: u64) {
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let mut controls: Vec<ShardedEngine<PerfectLpFactory>> = Vec::new();
     for t in &tenants {
-        client.create_namespace(t.ns).expect("create tenant");
+        client
+            .submit_create_namespace(t.ns)
+            .and_then(Pending::wait)
+            .expect("create tenant");
         controls.push(tenant_engine(t.ns));
     }
 
@@ -104,7 +107,10 @@ fn run_tenants(count: u64) {
         for (k, t) in tenants.iter().enumerate() {
             if let Some(batch) = chunk_iters[k].next() {
                 any = true;
-                client.ingest_batch_ns(t.ns, batch).expect("ingest");
+                client
+                    .submit_ingest_batch_ns(t.ns, batch)
+                    .and_then(Pending::wait)
+                    .expect("ingest");
                 controls[k].ingest_batch(batch);
             }
         }
@@ -122,7 +128,12 @@ fn run_tenants(count: u64) {
     let mut fails = vec![0u32; tenants.len()];
     for _ in 0..draws {
         for (k, t) in tenants.iter().enumerate() {
-            let shared = client.sample_ns(t.ns).expect("sample");
+            let shared = client
+                .submit_sample_many_ns(t.ns, 1)
+                .and_then(Pending::wait)
+                .expect("sample")
+                .pop()
+                .flatten();
             let isolated = controls[k].sample();
             assert_eq!(
                 shared, isolated,
@@ -165,7 +176,10 @@ fn run_tenants(count: u64) {
         2 * tenants.len()
     );
 
-    client.shutdown_server().expect("shutdown");
+    client
+        .submit_shutdown()
+        .and_then(Pending::wait)
+        .expect("shutdown");
     server.join();
 }
 

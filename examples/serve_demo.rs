@@ -55,10 +55,16 @@ fn main() {
     let x = pts_stream::gen::zipf_vector(universe, 1.1, 800, 7);
     let updates: Vec<Update> = x.iter_nonzero().map(|(i, v)| Update::new(i, v)).collect();
     for chunk in updates.chunks(256) {
-        client.ingest_batch(chunk).expect("ingest");
+        client
+            .submit_ingest_batch_ns(DEFAULT_NAMESPACE, chunk)
+            .and_then(Pending::wait)
+            .expect("ingest");
     }
 
-    let stats = client.stats().expect("stats");
+    let stats = client
+        .submit_stats_ns(DEFAULT_NAMESPACE)
+        .and_then(Pending::wait)
+        .expect("stats");
     println!(
         "ingested {} updates over {} batches; mass {:.1}, support {}",
         stats.updates, stats.batches, stats.mass, stats.support
@@ -66,7 +72,11 @@ fn main() {
 
     // Sample mid-stream, over the wire.
     print!("6 draws from the L2 law:");
-    for draw in client.sample_many(6).expect("sample") {
+    for draw in client
+        .submit_sample_many_ns(DEFAULT_NAMESPACE, 6)
+        .and_then(Pending::wait)
+        .expect("sample")
+    {
         match draw {
             Some(s) => print!("  {}:{}", s.index, s.estimate),
             None => print!("  ⊥"),
@@ -75,12 +85,21 @@ fn main() {
     println!();
 
     // ---- Act 2: checkpoint over the wire, kill, restore ---------------
-    let checkpoint = client.checkpoint().expect("checkpoint");
+    let checkpoint = client
+        .submit_checkpoint_ns(DEFAULT_NAMESPACE)
+        .and_then(Pending::wait)
+        .expect("checkpoint");
     println!("pulled a {}-byte engine checkpoint", checkpoint.len());
 
     // What would the service serve next? Record it, then kill the server.
-    let expected: Vec<Option<Sample>> = client.sample_many(8).expect("post-checkpoint draws");
-    client.shutdown_server().expect("shutdown");
+    let expected: Vec<Option<Sample>> = client
+        .submit_sample_many_ns(DEFAULT_NAMESPACE, 8)
+        .and_then(Pending::wait)
+        .expect("post-checkpoint draws");
+    client
+        .submit_shutdown()
+        .and_then(Pending::wait)
+        .expect("shutdown");
     server.join();
     println!("server A is gone (accept loop exited, handlers joined)");
 
@@ -89,13 +108,19 @@ fn main() {
     let stand_in = ShardedEngine::new(config.seed(999), factory);
     let server_b = serve("127.0.0.1:0", stand_in).expect("bind replacement");
     let mut client_b = Client::connect(server_b.local_addr()).expect("reconnect");
-    client_b.restore(&checkpoint).expect("restore");
+    client_b
+        .submit_restore_ns(DEFAULT_NAMESPACE, &checkpoint)
+        .and_then(Pending::wait)
+        .expect("restore");
     println!(
         "server B restored the checkpoint on {}",
         server_b.local_addr()
     );
 
-    let replayed = client_b.sample_many(8).expect("replayed draws");
+    let replayed = client_b
+        .submit_sample_many_ns(DEFAULT_NAMESPACE, 8)
+        .and_then(Pending::wait)
+        .expect("replayed draws");
     assert_eq!(
         replayed, expected,
         "restored service must serve identical draws"
@@ -109,7 +134,10 @@ fn main() {
     }
     println!();
 
-    client_b.shutdown_server().expect("shutdown B");
+    client_b
+        .submit_shutdown()
+        .and_then(Pending::wait)
+        .expect("shutdown B");
     server_b.join();
     println!("crash-recovered service verified: draw-for-draw identical ✔");
 

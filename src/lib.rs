@@ -48,10 +48,10 @@
 //!
 //! Behind a socket, [`pts_server`] serves the engine over a framed,
 //! request-id multiplexed TCP protocol (see `PROTOCOL.md`) with a
-//! matching client — blocking methods plus a pipelined
-//! `submit_*`/[`pts_server::Pending`] API — and `examples/serve_demo.rs`
-//! runs the full ingest → sample → checkpoint → kill → restore arc over
-//! loopback.
+//! matching client — one `submit_*` method per request verb, each
+//! returning a [`pts_server::Pending`] (block with `.wait()`) — and
+//! `examples/serve_demo.rs` runs the full ingest → sample → checkpoint →
+//! kill → restore arc over loopback.
 //!
 //! ## Crate map
 //!
@@ -92,6 +92,12 @@ pub use pts_sketch;
 pub use pts_stream;
 pub use pts_util;
 
+/// Compiles the README's Rust blocks as doctests, so a client API change
+/// cannot leave a quickstart behind.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 /// One-stop imports for applications.
 pub mod prelude {
     pub use pts_cluster::{ClusterConfig, ClusterError, ClusterStats, Coordinator, NodeHealth};
@@ -114,6 +120,6 @@ pub mod prelude {
     };
     pub use pts_sketch::LinearSketch;
     pub use pts_stream::{FrequencyVector, Stream, StreamStyle, Update};
-    pub use pts_util::protocol::{ErrorCode, ServiceError, ServiceStats};
+    pub use pts_util::protocol::{ErrorCode, ServiceError, ServiceStats, DEFAULT_NAMESPACE};
     pub use pts_util::wire::{Decode, Encode, WireError};
 }
