@@ -16,7 +16,6 @@ pub mod cluster;
 pub mod distribution;
 pub mod lower_bound;
 pub mod multiplex;
-pub mod obs;
 pub mod service;
 pub mod space;
 pub mod table1;
@@ -30,7 +29,7 @@ use pts_util::Table;
 
 /// A runnable experiment.
 pub struct Experiment {
-    /// Identifier (`tab1`, `e1`, …, `s1`, `w1`, `n1`, `c1`, `m1`, `mt1`, `o1`, `tr1`, `a3`).
+    /// Identifier (`tab1`, `e1`, …, `s1`, `w1`, `n1`, `c1`, `m1`, `mt1`, `tr1`, `a3`).
     pub id: &'static str,
     /// What it reproduces.
     pub title: &'static str,
@@ -137,13 +136,8 @@ pub fn registry() -> Vec<Experiment> {
             run: tenants::mt1_tenants,
         },
         Experiment {
-            id: "o1",
-            title: "O1 — observability overhead: instrumented vs obs-off builds (pts-obs)",
-            run: obs::o1_obs_overhead,
-        },
-        Experiment {
             id: "tr1",
-            title: "TR1 — tracing overhead: traced 1/256 vs untraced vs obs-off (wire v5)",
+            title: "TR1 — tracing overhead: traced 1/256 vs untraced (wire v5)",
             run: trace::tr1_trace_overhead,
         },
         Experiment {

@@ -38,7 +38,7 @@ const NODE_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// A small served engine — the request path, not the sampler, is the
 /// thing under test.
-fn small_engine(seed: u64) -> ShardedEngine<L0Factory> {
+pub(crate) fn small_engine(seed: u64) -> ShardedEngine<L0Factory> {
     ShardedEngine::new(
         EngineConfig::new(1 << 10).shards(2).pool_size(1).seed(seed),
         L0Factory::default(),
@@ -47,7 +47,7 @@ fn small_engine(seed: u64) -> ShardedEngine<L0Factory> {
 
 /// Drives `total` Stats requests through a window of `depth` in-flight
 /// handles; returns elapsed seconds.
-fn depth_run(client: &mut Client, total: u64, depth: usize) -> f64 {
+pub(crate) fn depth_run(client: &mut Client, total: u64, depth: usize) -> f64 {
     let started = Instant::now();
     let mut window = VecDeque::with_capacity(depth);
     for _ in 0..total {

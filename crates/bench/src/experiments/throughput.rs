@@ -75,10 +75,7 @@ pub fn s1_engine_throughput(quick: bool) -> Table {
 
 /// The fixed S1 workload: one churny zipfian stream, repeated until the
 /// target update count is reached. Returns `(stream, reps, universe)`.
-///
-/// Public because the `obs_overhead` helper binary (experiment `o1`) must
-/// drive byte-identical work in both feature builds it compares.
-pub fn workload(quick: bool) -> (Stream, usize, usize) {
+fn workload(quick: bool) -> (Stream, usize, usize) {
     let n = 1 << 12;
     let target_updates = if quick { 60_000 } else { 600_000 };
     let x = zipf_vector(n, 1.0, 500, 4242);

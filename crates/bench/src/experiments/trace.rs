@@ -1,128 +1,69 @@
-//! TR1: wire v5 tracing overhead — traced at 1/256 vs untraced vs obs-off.
+//! TR1: wire v5 tracing overhead — traced at 1/256 vs untraced.
 //!
 //! The tracing contract (DESIGN.md §14) is "a no-op `Span` handle when a
 //! request is untraced, and ≤5% request-rate overhead at 1-in-256
 //! sampling when it isn't"; `tr1` is the experiment that holds the
-//! implementation to it. Like `o1`, one process cannot measure every
-//! side (obs is a compile-time feature), so `tr1` shells out to `cargo
-//! run` and executes the `trace_overhead` helper binary three times over
-//! the m1 depth-16 pipelined `Stats` workload:
+//! implementation to it. Trace sampling is a per-connection run-time
+//! setting ([`ClientConfig::trace_sampling`]), so both sides run in this
+//! process against one loopback server, over the m1 depth-16 pipelined
+//! `Stats` workload:
 //!
-//! * **obs off** — `--no-default-features`: spans compiled out entirely,
-//!   the floor the instrumented build is compared against;
-//! * **untraced** — the instrumented build with trace sampling disabled:
-//!   every request pays exactly one no-op `Span` decision;
-//! * **traced 1/256** — the instrumented build sampling one request in
-//!   256 into the global `TraceRing`.
+//! * **untraced** — a client with trace sampling disabled: every request
+//!   pays exactly one no-op `Span` decision;
+//! * **traced 1/256** — a client sampling one request in 256 into the
+//!   global `TraceRing`.
 //!
-//! The helper self-reports `obs=on|off` and `traced=on|off`, and `tr1`
-//! cross-checks both against the flags it passed — a feature-wiring or
-//! config-plumbing regression fails the experiment rather than silently
-//! comparing identical runs. The ≤5% gate (traced vs untraced, best of
-//! N) is recorded in the table's `gate` column.
+//! Each side gets one discarded warmup pass, then trials alternate
+//! between the two clients so machine drift hits both alike. The ≤5% gate
+//! (traced vs untraced, best of N) is recorded in the table's `gate`
+//! column.
 
-use crate::experiments::obs::parse_obs;
+use crate::experiments::multiplex::{depth_run, small_engine};
+use pts_server::{serve, Client, ClientConfig};
 use pts_util::table::fmt_sig;
 use pts_util::Table;
-use std::process::Command;
 
+/// The m1 sweet spot: deep enough to amortize round trips, small enough
+/// that the server's dispatch path, not the demux table, is what's timed.
+const DEPTH: usize = 16;
+/// 1-in-N request sampling for the traced side — the rate the ≤5%
+/// overhead gate is defined at.
+const TRACE_EVERY: u64 = 256;
 /// The overhead budget: traced at 1/256 may cost at most this fraction
 /// of the untraced request rate.
 const GATE_FRACTION: f64 = 0.05;
 
-/// Workspace root: this crate sits at `crates/bench`.
-fn workspace_root() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root resolves")
-}
-
-/// Runs the `trace_overhead` helper in one configuration and returns the
-/// best d16 request rate in requests/sec.
-fn run_side(obs_on: bool, traced: bool, quick: bool) -> f64 {
-    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-    let mut cmd = Command::new(cargo);
-    cmd.current_dir(workspace_root()).args([
-        "run",
-        "--release",
-        "--quiet",
-        "-p",
-        "pts-bench",
-        "--bin",
-        "trace_overhead",
-    ]);
-    if !obs_on {
-        cmd.arg("--no-default-features");
-    }
-    if traced || !quick {
-        cmd.arg("--");
-        if traced {
-            cmd.arg("--traced");
-        }
-        if !quick {
-            cmd.arg("--full");
-        }
-    }
-    let output = cmd
-        .output()
-        .expect("tr1: cannot spawn cargo for trace_overhead");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    if !output.status.success() {
-        panic!(
-            "tr1: trace_overhead (obs {}, traced {}) failed: {}\n{}",
-            if obs_on { "on" } else { "off" },
-            if traced { "on" } else { "off" },
-            output.status,
-            String::from_utf8_lossy(&output.stderr)
-        );
-    }
-    let built_obs = parse_obs(&stdout).expect("tr1: helper printed no obs= line");
-    assert_eq!(
-        built_obs, obs_on,
-        "tr1: feature wiring regression — asked for obs {obs_on} but the helper was built obs {built_obs}"
-    );
-    let built_traced = parse_traced(&stdout).expect("tr1: helper printed no traced= line");
-    assert_eq!(
-        built_traced, traced,
-        "tr1: config plumbing regression — asked for traced {traced} but the helper ran traced {built_traced}"
-    );
-    parse_best_rate(&stdout).expect("tr1: helper printed no best line")
-}
-
-/// Extracts the helper's `traced=on|off` self-report.
-pub(crate) fn parse_traced(stdout: &str) -> Option<bool> {
-    stdout.lines().find_map(|l| match l.trim() {
-        "traced=on" => Some(true),
-        "traced=off" => Some(false),
-        _ => None,
-    })
-}
-
-/// Extracts the `best workload=d16 requests_per_sec=<rate>` line.
-pub(crate) fn parse_best_rate(stdout: &str) -> Option<f64> {
-    stdout.lines().find_map(|l| {
-        l.trim()
-            .strip_prefix("best workload=d16 requests_per_sec=")?
-            .trim()
-            .parse()
-            .ok()
-    })
-}
-
 /// TR1 runner.
 pub fn tr1_trace_overhead(quick: bool) -> Table {
     let trials = if quick { 5 } else { 7 };
-    println!("  building + running trace_overhead in three configurations (best of {trials})");
-    let off = run_side(false, false, quick);
-    println!("  obs off:       {} req/s", fmt_sig(off, 3));
-    let untraced = run_side(true, false, quick);
+    let total: u64 = if quick { 4_000 } else { 20_000 };
+    let server = serve("127.0.0.1:0", small_engine(4242)).expect("bind loopback server");
+    let mut clients = [
+        ClientConfig::new(),
+        ClientConfig::new().trace_sampling(TRACE_EVERY),
+    ]
+    .map(|config| {
+        Client::connect_with(server.local_addr(), &config.max_in_flight(DEPTH)).expect("connect")
+    });
+    println!("  {total} requests per trial at depth {DEPTH}, best of {trials} per side");
+    // One discarded warmup pass per side: cold caches and CPU frequency
+    // ramp are not what best-of-N should see.
+    for client in &mut clients {
+        depth_run(client, total, DEPTH);
+    }
+    let mut best = [0.0f64; 2];
+    for _ in 0..trials {
+        for (client, best) in clients.iter_mut().zip(&mut best) {
+            *best = best.max(total as f64 / depth_run(client, total, DEPTH));
+        }
+    }
+    drop(clients);
+    server.join();
+    let [untraced, traced] = best;
     println!("  untraced:      {} req/s", fmt_sig(untraced, 3));
-    let traced = run_side(true, true, quick);
     println!("  traced 1/256:  {} req/s", fmt_sig(traced, 3));
 
-    let overhead = |base: f64, side: f64| (base / side - 1.0) * 100.0;
-    let trace_cost = overhead(untraced, traced);
+    let trace_cost = (untraced / traced - 1.0) * 100.0;
     let gate = if trace_cost <= GATE_FRACTION * 100.0 {
         "pass".to_string()
     } else {
@@ -134,13 +75,6 @@ pub fn tr1_trace_overhead(quick: bool) -> Table {
     );
 
     let mut table = Table::new(["config", "trials", "best req/sec", "overhead", "gate ≤5%"]);
-    table.push_row([
-        "obs off".into(),
-        trials.to_string(),
-        fmt_sig(off, 3),
-        format!("{:+.1}%", overhead(untraced, off)),
-        "-".into(),
-    ]);
     table.push_row([
         "untraced".into(),
         trials.to_string(),
@@ -156,35 +90,4 @@ pub fn tr1_trace_overhead(quick: bool) -> Table {
         gate,
     ]);
     table
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // The full runner shells out to cargo (a release build per side), so
-    // unit tests pin the output contract instead of running it.
-
-    #[test]
-    fn parses_the_helper_output_contract() {
-        let stdout = "obs=on\n\
-                      traced=on\n\
-                      trial workload=d16 i=0 requests=4000 seconds=0.021 rate=190000\n\
-                      best workload=d16 requests_per_sec=195000\n";
-        assert_eq!(parse_traced(stdout), Some(true));
-        assert_eq!(parse_best_rate(stdout), Some(195000.0));
-    }
-
-    #[test]
-    fn ignores_unrelated_lines() {
-        assert_eq!(parse_traced("warning: something\nobs=off\n"), None);
-        assert_eq!(
-            parse_best_rate("best workload=d16 requests_per_sec=oops\n"),
-            None
-        );
-        assert_eq!(
-            parse_best_rate("best workload=seq updates_per_sec=100\n"),
-            None
-        );
-    }
 }

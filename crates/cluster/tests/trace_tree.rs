@@ -33,9 +33,6 @@ fn spawn_nodes() -> Vec<Server> {
 
 #[test]
 fn traced_sample_many_builds_one_tree_across_three_nodes() {
-    if !pts_obs::enabled() {
-        return; // obs-off: tracing is compiled out, nothing to pin.
-    }
     let servers = spawn_nodes();
     let mut config = ClusterConfig::new(UNIVERSE).seed(7).client(
         ClientConfig::new()

@@ -3,9 +3,7 @@
 //! One struct of `Copy` handles, registered once behind a `OnceLock`, so
 //! the hot paths (per-batch ingest, per-draw sampling, per-respawn
 //! replay) pay one `&'static` deref plus a relaxed atomic — never a
-//! registry lookup. In the obs-off build every handle is a unit struct
-//! and every call disappears. Metric names are inventoried in
-//! DESIGN.md §11.
+//! registry lookup. Metric names are inventoried in DESIGN.md §11.
 
 use pts_obs::{registry, Counter, Histogram};
 use std::sync::OnceLock;

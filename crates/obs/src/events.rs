@@ -9,12 +9,10 @@
 //!
 //! Recording takes a short mutex (events are rare — per-connection, not
 //! per-update — so this is deliberately *not* on the lock-free budget of
-//! the metrics hot path). In the obs-off build recording is a no-op and
-//! draining returns nothing.
+//! the metrics hot path).
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
-#[cfg(feature = "on")]
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// One recorded event.
@@ -31,7 +29,6 @@ pub struct Event {
 }
 
 #[derive(Debug, Default)]
-#[cfg_attr(not(feature = "on"), allow(dead_code))]
 struct RingState {
     events: VecDeque<Event>,
     next_seq: u64,
@@ -42,7 +39,6 @@ struct RingState {
 /// A bounded ring of [`Event`]s. See the module docs for semantics.
 #[derive(Debug)]
 pub struct EventRing {
-    #[cfg_attr(not(feature = "on"), allow(dead_code))]
     capacity: usize,
     state: Mutex<RingState>,
 }
@@ -61,35 +57,27 @@ impl EventRing {
 
     /// Records an event, evicting the oldest if the ring is full.
     pub fn record(&self, kind: &'static str, detail: impl Into<String>) {
-        #[cfg(not(feature = "on"))]
-        {
-            let _ = (kind, detail.into());
+        let unix_ms = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
+            .unwrap_or(0);
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let seq = state.next_seq;
+        state.next_seq += 1;
+        state.recorded += 1;
+        if state.events.len() == self.capacity {
+            state.events.pop_front();
+            state.dropped += 1;
+            // The same sequence-gap accounting, surfaced on the scrape
+            // endpoint: silent event loss is itself an observable.
+            dropped_counter().inc();
         }
-        #[cfg(feature = "on")]
-        {
-            let unix_ms = SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-                .unwrap_or(0);
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            state.recorded += 1;
-            if state.events.len() == self.capacity {
-                state.events.pop_front();
-                state.dropped += 1;
-                // The same sequence-gap accounting, surfaced on the
-                // scrape endpoint: silent event loss is itself an
-                // observable.
-                dropped_counter().inc();
-            }
-            state.events.push_back(Event {
-                seq,
-                unix_ms,
-                kind,
-                detail: detail.into(),
-            });
-        }
+        state.events.push_back(Event {
+            seq,
+            unix_ms,
+            kind,
+            detail: detail.into(),
+        });
     }
 
     /// Removes and returns every pending event, oldest first.
@@ -121,7 +109,6 @@ impl EventRing {
 
 /// The `obs.events.dropped` counter handle, cached once: every ring
 /// eviction (any [`EventRing`], not just the global one) bumps it.
-#[cfg(feature = "on")]
 fn dropped_counter() -> crate::Counter {
     static SITE: std::sync::OnceLock<crate::Counter> = std::sync::OnceLock::new();
     *SITE.get_or_init(|| crate::registry().counter("obs.events.dropped"))
@@ -148,7 +135,6 @@ pub fn drain_events() -> Vec<Event> {
 mod tests {
     use super::*;
 
-    #[cfg(feature = "on")]
     #[test]
     fn ring_bounds_and_counts_drops() {
         let ring = EventRing::new(3);
@@ -165,14 +151,5 @@ mod tests {
         );
         assert_eq!(drained[0].detail, "e2");
         assert!(ring.is_empty());
-    }
-
-    #[cfg(not(feature = "on"))]
-    #[test]
-    fn ring_is_quiet_when_off() {
-        let ring = EventRing::new(3);
-        ring.record("test.kind", "ignored");
-        assert!(ring.is_empty());
-        assert_eq!(ring.totals(), (0, 0));
     }
 }

@@ -19,11 +19,10 @@
 //!   short `Mutex`. Registration happens once per call site — macros
 //!   cache the handle in a per-site `OnceLock`, and the instrumented
 //!   crates pre-register handle structs at first use.
-//! * **Off** (`--no-default-features`): every type is a unit struct and
-//!   every method an empty `#[inline]` body, including
-//!   [`Stopwatch::start`] — so timing syscalls vanish, not just atomic
-//!   writes. The `o1` bench experiment measures the difference between
-//!   the two builds and records it in `EXPERIMENTS.md`.
+//! * **One build**: instrumentation cannot be compiled out — compiling
+//!   it out saved less than measurement noise (`EXPERIMENTS.md`, `o1`).
+//!   Tracing is the one run-time switch: an untraced request gets a
+//!   [`Span::noop`].
 //!
 //! ## Quickstart
 //!
@@ -35,9 +34,7 @@
 //!
 //! // In-process consumers:
 //! let text = registry().render_prometheus();
-//! # if pts_obs::enabled() {
 //! assert!(text.contains("pts_demo_requests 1"));
-//! # }
 //!
 //! // Network consumers — curl http://<addr>/metrics:
 //! let server = MetricsServer::bind("127.0.0.1:0").unwrap();
@@ -54,9 +51,6 @@
 
 mod events;
 mod io;
-#[cfg(not(feature = "on"))]
-mod off;
-#[cfg(feature = "on")]
 mod on;
 mod scrape;
 mod trace;
@@ -64,36 +58,33 @@ mod types;
 
 pub use events::{drain_events, event, events, Event, EventRing, GLOBAL_RING_CAPACITY};
 pub use io::{CountingReader, CountingWriter};
-#[cfg(not(feature = "on"))]
-pub use off::{registry, Counter, Gauge, Histogram, MetricsRegistry, Stopwatch};
-#[cfg(feature = "on")]
 pub use on::{registry, Counter, Gauge, Histogram, MetricsRegistry, Stopwatch};
 pub use scrape::{MetricsServer, MetricsServerConfig};
 pub use trace::{
-    render_trace_spans, render_traces, set_slow_span_threshold, traces, Span, SpanRecord,
-    TraceRing, TraceServer, Tracer, DEFAULT_SLOW_SPAN_THRESHOLD, TRACE_RING_CAPACITY,
+    render_trace_spans, render_traces, traces, Span, SpanRecord, TraceRing, TraceServer, Tracer,
+    SLOW_SPAN_THRESHOLD, TRACE_RING_CAPACITY,
 };
 pub use types::{
     bucket_bound, bucket_index, escape_label_value, prometheus_name, HistogramSnapshot,
     MetricPoint, MetricValue, MetricsSnapshot, HISTOGRAM_BUCKETS,
 };
 
-/// Whether this build carries the real registry (`feature = "on"`). The
-/// obs-off build returns `false`; call sites rarely need to check — the
-/// no-op API makes unconditional instrumentation free.
+/// Always `true`: observability is always compiled in. Kept because the
+/// benchmark harness (`perfbench/harness/src/main.rs`) writes it into
+/// every benchmark stamp; nothing in the workspace needs to check it.
 pub const fn enabled() -> bool {
-    cfg!(feature = "on")
+    true
 }
 
 /// Renders the process-global registry in Prometheus text format (what
-/// the scrape endpoint serves; empty in the obs-off build).
+/// the scrape endpoint serves).
 pub fn render_prometheus() -> String {
     registry().render_prometheus()
 }
 
 /// Bumps a counter on the process-global registry, caching the handle in
 /// a per-call-site `OnceLock` so steady-state cost is one relaxed
-/// `fetch_add` (a no-op in the obs-off build).
+/// `fetch_add`.
 ///
 /// Forms: `counter!("name")` (+1), `counter!("name", n)` (+n),
 /// `counter!("name", key = "value")` (+1 on the labeled series),
@@ -144,12 +135,6 @@ macro_rules! histogram {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn enabled_matches_feature() {
-        assert_eq!(super::enabled(), cfg!(feature = "on"));
-    }
-
-    #[cfg(feature = "on")]
-    #[test]
     fn macros_register_on_the_global_registry() {
         super::counter!("lib.test.macro");
         super::counter!("lib.test.macro", 4);
@@ -164,14 +149,5 @@ mod tests {
         );
         assert!(text.contains("pts_lib_test_gauge -3"), "{text}");
         assert!(text.contains("pts_lib_test_hist_count 1"), "{text}");
-    }
-
-    #[cfg(not(feature = "on"))]
-    #[test]
-    fn macros_are_noops_when_off() {
-        super::counter!("lib.test.macro.off");
-        super::gauge!("lib.test.gauge.off", 1);
-        super::histogram!("lib.test.hist.off", 1);
-        assert!(super::render_prometheus().is_empty());
     }
 }

@@ -1,4 +1,4 @@
-//! The real registry — compiled when `feature = "on"` (the default).
+//! The metrics registry: counters, gauges, histograms and stopwatches.
 //!
 //! Layout: registration is the slow path (a `Mutex` over the series list,
 //! hit once per call site thanks to `OnceLock` caching in the macros and
@@ -129,9 +129,6 @@ impl Histogram {
 }
 
 /// A started wall-clock timer; pair with [`Histogram::observe_elapsed`].
-/// In the `obs-off` build this type is a unit struct and both methods are
-/// empty, so the `Instant::now()` syscalls vanish too — not just the
-/// atomic writes.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     started: Instant,

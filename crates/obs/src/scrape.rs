@@ -15,10 +15,6 @@
 //! The listener/handler machinery is [`TextServer`], shared with the
 //! traces endpoint ([`crate::TraceServer`]) — one render-a-string
 //! contract, two expositions.
-//!
-//! The server compiles in both obs modes so `--metrics-addr` keeps
-//! working under `--no-default-features` — the obs-off exposition is
-//! simply empty.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -209,7 +205,9 @@ fn serve_text(mut stream: TcpStream, config: MetricsServerConfig, render: &dyn F
 }
 
 /// Drains the request until a blank line ends an HTTP header block, EOF,
-/// the deadline, or the byte cap — whichever comes first. Errors are
+/// the deadline, or the byte cap — whichever comes first. The blank line
+/// is looked for after every byte, so bytes that follow it in the same
+/// read (a pipelined request, a stray body) cannot hide it. Errors are
 /// treated like EOF: the caller answers regardless.
 fn drain_request(stream: &mut TcpStream, config: MetricsServerConfig) {
     // Short poll timeout so the hard deadline is honored even against a
@@ -227,9 +225,9 @@ fn drain_request(stream: &mut TcpStream, config: MetricsServerConfig) {
                 for &b in &buf[..n] {
                     tail.rotate_left(1);
                     tail[3] = b;
-                }
-                if &tail == b"\r\n\r\n" || &tail[2..] == b"\n\n" {
-                    break; // end of an HTTP header block
+                    if &tail == b"\r\n\r\n" || &tail[2..] == b"\n\n" {
+                        return; // end of an HTTP header block
+                    }
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
@@ -240,7 +238,7 @@ fn drain_request(stream: &mut TcpStream, config: MetricsServerConfig) {
     }
 }
 
-/// Self-instrumentation handles (no-ops in the obs-off build).
+/// Self-instrumentation handles.
 struct ScrapeObs {
     scrapes: crate::Counter,
     bytes_out: crate::Counter,

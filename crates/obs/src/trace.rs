@@ -7,17 +7,15 @@
 //! and the finished spans land in the process-global [`TraceRing`]
 //! (bounded, oldest evicted and counted — same discipline as the event
 //! ring). Untraced requests cost one branch: [`Span::noop`] handles do
-//! not allocate, do not read the clock, and record nothing, and in the
-//! obs-off build *every* span is that no-op.
+//! not allocate, do not read the clock, and record nothing.
 //!
 //! Surfacing is threefold:
 //!
 //! * the [`TraceRing`], rendered as deterministic text by
 //!   [`render_traces`] and served by [`TraceServer`] (the scrape
 //!   endpoint's "never parse, always answer" contract, second listener);
-//! * slow spans — duration at or over the
-//!   [`set_slow_span_threshold`] threshold — are promoted into the
-//!   structured event ring as `trace.slow` events;
+//! * slow spans — duration at or over [`SLOW_SPAN_THRESHOLD`] — are
+//!   promoted into the structured event ring as `trace.slow` events;
 //! * drop accounting (`obs.trace.spans` / `obs.trace.dropped` counters)
 //!   keeps silent span loss visible on the metrics endpoint.
 //!
@@ -27,77 +25,49 @@
 //! its shard of the tree and trace ids stitch them together.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
-#[cfg(feature = "on")]
 use std::sync::{
     atomic::{AtomicU64, Ordering},
-    OnceLock,
+    Mutex, OnceLock,
 };
-use std::time::Duration;
-#[cfg(feature = "on")]
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Capacity of the process-global ring returned by [`traces`].
 pub const TRACE_RING_CAPACITY: usize = 4096;
 
-/// Default slow-span threshold (100 ms): spans at or over it are
-/// promoted into the event ring as `trace.slow` events. Configurable via
-/// [`set_slow_span_threshold`].
-pub const DEFAULT_SLOW_SPAN_THRESHOLD: Duration = Duration::from_millis(100);
-
-#[cfg(feature = "on")]
-static SLOW_SPAN_THRESHOLD_NS: AtomicU64 = AtomicU64::new(100_000_000);
-
-/// Sets the process-wide slow-span threshold: any span finishing with a
-/// duration at or over it is promoted into the event ring as a
-/// `trace.slow` event. `Duration::MAX`-like values effectively disable
-/// promotion. A no-op in the obs-off build.
-pub fn set_slow_span_threshold(threshold: Duration) {
-    #[cfg(not(feature = "on"))]
-    let _ = threshold;
-    #[cfg(feature = "on")]
-    SLOW_SPAN_THRESHOLD_NS.store(
-        u64::try_from(threshold.as_nanos()).unwrap_or(u64::MAX),
-        Ordering::Relaxed,
-    );
-}
+/// Slow-span threshold (100 ms): spans at or over it are promoted into
+/// the event ring as `trace.slow` events.
+pub const SLOW_SPAN_THRESHOLD: Duration = Duration::from_millis(100);
 
 /// The process epoch every span timestamp is measured from — fixed at
 /// first use, so `start_ns`/`end_ns` are comparable across threads.
-#[cfg(feature = "on")]
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
-#[cfg(feature = "on")]
 fn now_ns() -> u64 {
     u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Allocates a fresh process-unique nonzero trace id.
-#[cfg(feature = "on")]
 fn next_trace_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Allocates a fresh process-unique nonzero span id.
-#[cfg(feature = "on")]
 fn next_span_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Self-instrumentation handles (no-ops in the obs-off build).
-#[cfg(feature = "on")]
+/// Self-instrumentation handles.
 struct TraceObs {
     spans: crate::Counter,
     dropped: crate::Counter,
     scrapes: crate::Counter,
 }
 
-#[cfg(feature = "on")]
 fn trace_obs() -> &'static TraceObs {
     static OBS: OnceLock<TraceObs> = OnceLock::new();
     OBS.get_or_init(|| TraceObs {
@@ -121,25 +91,15 @@ fn trace_obs() -> &'static TraceObs {
 /// deterministic.
 #[derive(Debug)]
 pub struct Tracer {
-    #[cfg(feature = "on")]
     every: u64,
-    #[cfg(feature = "on")]
     offset: u64,
-    #[cfg(feature = "on")]
     seen: AtomicU64,
 }
 
 impl Tracer {
     /// A tracer sampling 1 in `every` requests, phase-shifted by `seed`
-    /// (`every = 0` never samples). In the obs-off build every tracer is
-    /// disabled regardless of `every`.
+    /// (`every = 0` never samples).
     pub fn new(seed: u64, every: u64) -> Self {
-        #[cfg(not(feature = "on"))]
-        {
-            let _ = (seed, every);
-            Tracer {}
-        }
-        #[cfg(feature = "on")]
         Tracer {
             every,
             offset: if every == 0 { 0 } else { seed % every },
@@ -155,18 +115,11 @@ impl Tracer {
     /// Counts one request; returns `Some(trace_id)` (fresh, nonzero) if
     /// this request is sampled into a new trace, `None` otherwise.
     pub fn sample(&self) -> Option<u64> {
-        #[cfg(not(feature = "on"))]
-        {
-            None
+        if self.every == 0 {
+            return None;
         }
-        #[cfg(feature = "on")]
-        {
-            if self.every == 0 {
-                return None;
-            }
-            let k = self.seen.fetch_add(1, Ordering::Relaxed);
-            (k % self.every == self.offset).then(next_trace_id)
-        }
+        let k = self.seen.fetch_add(1, Ordering::Relaxed);
+        (k % self.every == self.offset).then(next_trace_id)
     }
 }
 
@@ -198,7 +151,6 @@ impl SpanRecord {
     }
 }
 
-#[cfg(feature = "on")]
 #[derive(Debug)]
 struct SpanInner {
     trace_id: u64,
@@ -214,12 +166,10 @@ struct SpanInner {
 /// (or [`Span::finish`] is called, which is the explicit spelling of the
 /// same thing) — so error paths close their spans for free.
 ///
-/// A no-op handle ([`Span::noop`], or any span started with trace id 0,
-/// or *any* span in the obs-off build) costs one branch and records
-/// nothing.
+/// A no-op handle ([`Span::noop`], or any span started with trace id 0)
+/// costs one branch and records nothing.
 #[derive(Debug, Default)]
 pub struct Span {
-    #[cfg(feature = "on")]
     inner: Option<SpanInner>,
 }
 
@@ -234,36 +184,23 @@ impl Span {
     /// yields a no-op handle, so call sites can start spans
     /// unconditionally.
     pub fn start(trace_id: u64, parent_span_id: u64, name: &'static str) -> Span {
-        #[cfg(not(feature = "on"))]
-        {
-            let _ = (trace_id, parent_span_id, name);
-            Span::default()
+        if trace_id == 0 {
+            return Span::default();
         }
-        #[cfg(feature = "on")]
-        {
-            if trace_id == 0 {
-                return Span::default();
-            }
-            Span {
-                inner: Some(SpanInner {
-                    trace_id,
-                    span_id: next_span_id(),
-                    parent_span_id,
-                    name,
-                    detail: String::new(),
-                    start_ns: now_ns(),
-                }),
-            }
+        Span {
+            inner: Some(SpanInner {
+                trace_id,
+                span_id: next_span_id(),
+                parent_span_id,
+                name,
+                detail: String::new(),
+                start_ns: now_ns(),
+            }),
         }
     }
 
     /// Whether this handle actually records (false for no-ops).
     pub fn is_recording(&self) -> bool {
-        #[cfg(not(feature = "on"))]
-        {
-            false
-        }
-        #[cfg(feature = "on")]
         self.inner.is_some()
     }
 
@@ -271,21 +208,11 @@ impl Span {
     /// spans of a no-op started with that 0 parent in a real trace
     /// simply become roots).
     pub fn id(&self) -> u64 {
-        #[cfg(not(feature = "on"))]
-        {
-            0
-        }
-        #[cfg(feature = "on")]
         self.inner.as_ref().map_or(0, |s| s.span_id)
     }
 
     /// The trace this span records into (0 for no-ops).
     pub fn trace_id(&self) -> u64 {
-        #[cfg(not(feature = "on"))]
-        {
-            0
-        }
-        #[cfg(feature = "on")]
         self.inner.as_ref().map_or(0, |s| s.trace_id)
     }
 
@@ -293,11 +220,6 @@ impl Span {
     /// ns=7`). A no-op on no-op handles — the `impl Into<String>` is
     /// only materialized when recording.
     pub fn tag(&mut self, detail: impl Into<String>) {
-        #[cfg(not(feature = "on"))]
-        {
-            let _ = &detail;
-        }
-        #[cfg(feature = "on")]
         if let Some(inner) = self.inner.as_mut() {
             inner.detail = detail.into();
         }
@@ -308,7 +230,6 @@ impl Span {
     pub fn finish(self) {}
 }
 
-#[cfg(feature = "on")]
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(inner) = self.inner.take() else {
@@ -325,7 +246,7 @@ impl Drop for Span {
             end_ns,
         };
         let duration_ns = record.duration_ns();
-        if duration_ns >= SLOW_SPAN_THRESHOLD_NS.load(Ordering::Relaxed) {
+        if Duration::from_nanos(duration_ns) >= SLOW_SPAN_THRESHOLD {
             crate::event(
                 "trace.slow",
                 format!(
@@ -343,7 +264,6 @@ impl Drop for Span {
 }
 
 #[derive(Debug, Default)]
-#[cfg_attr(not(feature = "on"), allow(dead_code))]
 struct TraceRingState {
     spans: VecDeque<SpanRecord>,
     recorded: u64,
@@ -357,7 +277,6 @@ struct TraceRingState {
 /// requests can never grow memory unboundedly or hide its own loss.
 #[derive(Debug)]
 pub struct TraceRing {
-    #[cfg_attr(not(feature = "on"), allow(dead_code))]
     capacity: usize,
     state: Mutex<TraceRingState>,
 }
@@ -373,25 +292,18 @@ impl TraceRing {
 
     /// Records a completed span, evicting the oldest if the ring is
     /// full. (Span handles call this on drop; tests may call it
-    /// directly.) A no-op in the obs-off build.
+    /// directly.)
     pub fn record(&self, span: SpanRecord) {
-        #[cfg(not(feature = "on"))]
-        {
-            let _ = span;
+        let obs = trace_obs();
+        obs.spans.inc();
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.recorded += 1;
+        if state.spans.len() == self.capacity {
+            state.spans.pop_front();
+            state.dropped += 1;
+            obs.dropped.inc();
         }
-        #[cfg(feature = "on")]
-        {
-            let obs = trace_obs();
-            obs.spans.inc();
-            let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.recorded += 1;
-            if state.spans.len() == self.capacity {
-                state.spans.pop_front();
-                state.dropped += 1;
-                obs.dropped.inc();
-            }
-            state.spans.push_back(span);
-        }
+        state.spans.push_back(span);
     }
 
     /// Removes and returns every pending span, oldest first.
@@ -439,7 +351,7 @@ pub fn traces() -> &'static TraceRing {
 /// parents, siblings ordered by `(start_ns, span_id)`. A span whose
 /// parent is absent from the ring (still open, evicted, or recorded on
 /// another node) renders at the trace's top level. Empty (one header
-/// line) when nothing is pending or in the obs-off build.
+/// line) when nothing is pending.
 pub fn render_traces() -> String {
     render_trace_spans(&traces().snapshot())
 }
@@ -503,9 +415,6 @@ pub fn render_trace_spans(spans: &[SpanRecord]) -> String {
 /// exposition under the identical "never parse, always answer" contract
 /// (and the same teardown discipline — drop or
 /// [`TraceServer::join`] shuts down and joins every handler).
-///
-/// Compiles in both obs modes; the obs-off rendering is the empty
-/// `traces 0` header.
 #[derive(Debug)]
 pub struct TraceServer {
     inner: crate::scrape::TextServer,
@@ -526,7 +435,6 @@ impl TraceServer {
     ) -> std::io::Result<TraceServer> {
         Ok(TraceServer {
             inner: crate::scrape::TextServer::bind_with(addr, config, || {
-                #[cfg(feature = "on")]
                 trace_obs().scrapes.inc();
                 render_traces()
             })?,
@@ -553,6 +461,16 @@ impl TraceServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serializes every test that records into, drains or counts the
+    /// process-global [`traces`] ring: the harness runs tests on parallel
+    /// threads, and one test's `drain` would otherwise steal another's
+    /// spans (or its recording would move another's `totals`).
+    static GLOBAL_RING: Mutex<()> = Mutex::new(());
+
+    fn global_ring() -> std::sync::MutexGuard<'static, ()> {
+        GLOBAL_RING.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn rec(trace: u64, span: u64, parent: u64, name: &'static str, t0: u64, t1: u64) -> SpanRecord {
         SpanRecord {
@@ -600,7 +518,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "on")]
     #[test]
     fn tracer_samples_deterministically_one_in_n() {
         let tracer = Tracer::new(3, 4); // offset 3 % 4 = 3
@@ -619,15 +536,9 @@ mod tests {
         assert!(Tracer::disabled().sample().is_none());
     }
 
-    #[cfg(not(feature = "on"))]
-    #[test]
-    fn tracer_never_samples_when_off() {
-        assert!(Tracer::new(0, 1).sample().is_none());
-    }
-
-    #[cfg(feature = "on")]
     #[test]
     fn spans_record_into_the_global_ring_on_drop() {
+        let _ring = global_ring();
         let before = traces().totals().0;
         let mut root = Span::start(next_trace_id(), 0, "test.root");
         root.tag("kind=test");
@@ -656,6 +567,7 @@ mod tests {
 
     #[test]
     fn noop_spans_record_nothing() {
+        let _ring = global_ring();
         let before = traces().totals().0;
         let mut span = Span::noop();
         assert!(!span.is_recording());
@@ -666,7 +578,6 @@ mod tests {
         assert_eq!(traces().totals().0, before);
     }
 
-    #[cfg(feature = "on")]
     #[test]
     fn ring_bounds_and_counts_drops() {
         let ring = TraceRing::new(2);
@@ -685,19 +596,19 @@ mod tests {
         assert!(ring.is_empty());
     }
 
-    #[cfg(feature = "on")]
     #[test]
     fn slow_spans_promote_into_the_event_ring() {
-        // A zero threshold promotes everything; restore the default after.
-        set_slow_span_threshold(Duration::ZERO);
+        let _ring = global_ring();
         let trace_id = next_trace_id();
         let mut span = Span::start(trace_id, 0, "test.slow");
         span.tag("kind=stats ns=0");
+        std::thread::sleep(SLOW_SPAN_THRESHOLD);
         span.finish();
-        set_slow_span_threshold(DEFAULT_SLOW_SPAN_THRESHOLD);
         let slow: Vec<_> = crate::drain_events()
             .into_iter()
-            .filter(|e| e.kind == "trace.slow" && e.detail.contains(&format!("trace={trace_id}")))
+            .filter(|e| {
+                e.kind == "trace.slow" && e.detail.starts_with(&format!("trace={trace_id} "))
+            })
             .collect();
         assert_eq!(slow.len(), 1, "exactly one promotion per span");
         assert!(slow[0].detail.contains("name=test.slow"));

@@ -1,9 +1,9 @@
-//! Mode-independent snapshot types and the Prometheus text renderer.
+//! Snapshot types and the Prometheus text renderer.
 //!
-//! Both the real registry (`feature = "on"`) and the no-op stub produce a
-//! [`MetricsSnapshot`]; everything downstream of the atomics — ordering,
-//! name mangling, label escaping, bucket cumulativity — lives here, so the
-//! exposition format is identical (and identically tested) in both builds.
+//! The registry produces a [`MetricsSnapshot`]; everything downstream of
+//! the atomics — ordering, name mangling, label escaping, bucket
+//! cumulativity — lives here, so the exposition format can be pinned
+//! byte for byte on handcrafted snapshots.
 
 use std::fmt::Write as _;
 

@@ -3,9 +3,9 @@
 //! A scraper config written against one release must parse every later
 //! release, so the rendered grammar — `# TYPE` placement, name mangling,
 //! label syntax, histogram expansion, ordering — is a compatibility
-//! surface like the wire format. The snapshot types are mode-independent,
-//! so the exact-string pin holds in both feature builds; the registry
-//! round-trip half runs only when obs is compiled on.
+//! surface like the wire format. The exact-string pin covers the
+//! snapshot renderer; the registry round-trip checks that the live
+//! registry renders through the same grammar.
 
 use pts_obs::{HistogramSnapshot, MetricPoint, MetricValue, MetricsSnapshot};
 
@@ -60,7 +60,6 @@ pts_server_requests{kind=\"weird \\\"k\\\"\\n\\\\end\"} 1
 
 /// The live registry renders through the same pinned grammar: real
 /// handles, real atomics, deterministic byte-identical repeat renders.
-#[cfg(feature = "on")]
 #[test]
 fn registry_round_trip_matches_pinned_grammar() {
     let r = pts_obs::registry();
@@ -97,15 +96,4 @@ fn registry_round_trip_matches_pinned_grammar() {
         pts_obs::render_prometheus(),
         "unchanged state must render byte-identically"
     );
-}
-
-/// The obs-off build renders an empty exposition — same grammar, no
-/// series — so a scraper pointed at an uninstrumented build sees a valid
-/// (vacuous) page rather than an error.
-#[cfg(not(feature = "on"))]
-#[test]
-fn off_build_renders_empty() {
-    let r = pts_obs::registry();
-    r.counter("pin.requests").add(3);
-    assert_eq!(pts_obs::render_prometheus(), "");
 }

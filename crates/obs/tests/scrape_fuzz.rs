@@ -64,20 +64,45 @@ fn assert_valid_scrape_response(response: &[u8]) {
 
 #[test]
 fn honest_get_gets_a_valid_exposition() {
-    // Ensure at least one series exists in the instrumented build so the
-    // body-validating loop has lines to chew on.
+    // Ensure at least one series exists so the body-validating loop has
+    // lines to chew on.
     pts_obs::registry().counter("fuzz.priming").add(42);
     let server = MetricsServer::bind("127.0.0.1:0").expect("bind");
     let response = exchange(&server, b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
     assert_valid_scrape_response(&response);
-    if pts_obs::enabled() {
-        assert!(
-            std::str::from_utf8(&response)
-                .unwrap()
-                .contains("pts_fuzz_priming 42"),
-            "primed counter missing from exposition"
-        );
-    }
+    assert!(
+        std::str::from_utf8(&response)
+            .unwrap()
+            .contains("pts_fuzz_priming 42"),
+        "primed counter missing from exposition"
+    );
+    server.join();
+}
+
+#[test]
+fn bytes_after_the_blank_line_do_not_delay_the_answer() {
+    // The default 2 s deadline is the stall this pins: the blank line must
+    // be seen even when more bytes (a pipelined request, a stray body)
+    // arrive in the same segment.
+    let server = MetricsServer::bind("127.0.0.1:0").expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let started = Instant::now();
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\nEXTRA")
+        .expect("request written");
+    // The socket stays open: only the blank line can end the drain.
+    let mut first = [0u8; 17];
+    stream.read_exact(&mut first).expect("response starts");
+    let waited = started.elapsed();
+    assert_eq!(&first, b"HTTP/1.0 200 OK\r\n");
+    assert!(
+        waited < Duration::from_millis(500),
+        "answer waited for the deadline: {waited:?}"
+    );
+    drop(stream);
     server.join();
 }
 

@@ -111,8 +111,7 @@ pub struct ClientConfig {
     pub max_in_flight: usize,
     /// Trace sampling rate (wire v5): a `submit_*` call with no explicit
     /// parent trace starts a fresh distributed trace on every
-    /// `trace_every`-th request. 0 (the default) disables sampling; in
-    /// the obs-off build nothing is ever sampled regardless.
+    /// `trace_every`-th request. 0 (the default) disables sampling.
     pub trace_every: u64,
 }
 
@@ -518,7 +517,7 @@ pub struct Client {
     max_in_flight: usize,
     /// Starts a fresh trace on every [`ClientConfig::trace_every`]-th
     /// submit that carries no explicit parent context (disabled by
-    /// default — and always in the obs-off build).
+    /// default).
     tracer: Tracer,
 }
 

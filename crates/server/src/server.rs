@@ -623,8 +623,8 @@ struct DispatchJob {
 }
 
 /// Opens one server-side stage span of a traced request, tagged
-/// `kind=… ns=…`. Untraced requests (and every request in the obs-off
-/// build) get a free no-op handle — the tag string is never even built.
+/// `kind=… ns=…`. Untraced requests get a free no-op handle — the tag
+/// string is never even built.
 fn stage_span(
     trace: Option<TraceContext>,
     name: &'static str,

@@ -122,19 +122,15 @@ fn law_holds_while_a_concurrent_scraper_polls() {
 
     // The exposition must reflect the traffic the law run generated.
     let body = scrape(metrics_addr);
-    if pts_obs::enabled() {
-        for series in [
-            "pts_server_requests{kind=\"sample\"}",
-            "pts_server_requests{kind=\"ingest\"}",
-            "pts_server_conn_opened",
-            "pts_engine_ingest_updates",
-            "pts_engine_draw_ns_count",
-            "pts_obs_scrapes",
-        ] {
-            assert!(body.contains(series), "missing {series} in:\n{body}");
-        }
-    } else {
-        assert!(body.is_empty(), "obs-off exposition must be empty: {body}");
+    for series in [
+        "pts_server_requests{kind=\"sample\"}",
+        "pts_server_requests{kind=\"ingest\"}",
+        "pts_server_conn_opened",
+        "pts_engine_ingest_updates",
+        "pts_engine_draw_ns_count",
+        "pts_obs_scrapes",
+    ] {
+        assert!(body.contains(series), "missing {series} in:\n{body}");
     }
 
     client.submit_shutdown().unwrap().wait().unwrap();

@@ -56,8 +56,7 @@
 //! ## Crate map
 //!
 //! * [`pts_obs`] — zero-dependency metrics + event tracing with a
-//!   Prometheus-text scrape endpoint (start at [`pts_obs::MetricsServer`];
-//!   compiled out entirely under `--no-default-features`).
+//!   Prometheus-text scrape endpoint (start at [`pts_obs::MetricsServer`]).
 //! * [`pts_cluster`] — the multi-node coordinator: N servers, one
 //!   logical sampler (start at [`pts_cluster::Coordinator`]).
 //! * [`pts_server`] — the TCP sampling service + client (start at
