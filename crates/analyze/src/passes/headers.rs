@@ -13,9 +13,9 @@
 //!   when output *is* the product (the bench progress reporter).
 //! * `#![warn(missing_docs)]` — public API stays documented.
 //!
-//! Shim crates (`shims/*`) mirror external crates' APIs and only need
-//! `#![forbid(unsafe_code)]`: their print behavior imitates the real
-//! crate (criterion prints measurement lines by design).
+//! Shim crates (`shims/*`) mirror an external crate's API and only need
+//! `#![forbid(unsafe_code)]`: their surface follows the real crate, not
+//! this workspace's library rules.
 
 use crate::diag::Finding;
 use crate::workspace::Workspace;

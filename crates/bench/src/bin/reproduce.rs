@@ -5,13 +5,14 @@
 //! reproduce e1 e4 a1           # run a subset
 //! reproduce --full             # full trial counts (the EXPERIMENTS.md record)
 //! reproduce --list             # list experiment ids
-//! reproduce --json <dir> s1 w1 # also write machine-readable BENCH_<id>.json
+//! reproduce --json <dir> e1 w1 # also write machine-readable BENCH_<id>.json
 //!                              # files into <dir> (created if missing) —
-//!                              # what CI uploads as the per-commit perf
-//!                              # artifact
+//!                              # what the nightly CI job uploads
 //! ```
+//!
+//! An id the registry does not know exits 2 before anything runs.
 
-use pts_bench::{json, registry};
+use pts_bench::{json, registry, select};
 use pts_util::table::{arm_witness, disarm_witness};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,13 +53,18 @@ fn main() {
             .collect()
     };
 
-    let experiments = registry();
     if list {
-        for e in &experiments {
+        for e in &registry() {
             println!("{:>4}  {}", e.id, e.title);
         }
         return;
     }
+    let experiments = select(&wanted).unwrap_or_else(|unknown| {
+        let valid: Vec<&str> = registry().iter().map(|e| e.id).collect();
+        eprintln!("unknown experiment id(s): {}", unknown.join(", "));
+        eprintln!("valid ids: {}", valid.join(" "));
+        std::process::exit(2);
+    });
     if let Some(dir) = &json_dir {
         if let Err(err) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create --json directory {}: {err}", dir.display());
@@ -91,9 +97,6 @@ fn main() {
     let _ = writeln!(stdout, "# reproduce — mode: {mode}\n");
     let mut panicked: Vec<&str> = Vec::new();
     for e in &experiments {
-        if !wanted.is_empty() && !wanted.contains(&e.id) {
-            continue;
-        }
         let _ = writeln!(stdout, "## {} — {}\n", e.id, e.title);
         let _ = stdout.flush();
         // The witness mirrors completed rows so a mid-experiment panic

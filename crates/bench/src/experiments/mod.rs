@@ -12,24 +12,18 @@
 
 pub mod ablations;
 pub mod accuracy;
-pub mod cluster;
 pub mod distribution;
 pub mod lower_bound;
-pub mod multiplex;
-pub mod service;
 pub mod space;
 pub mod table1;
-pub mod tenants;
-pub mod throughput;
 pub mod timing;
-pub mod trace;
 pub mod wire;
 
 use pts_util::Table;
 
 /// A runnable experiment.
 pub struct Experiment {
-    /// Identifier (`tab1`, `e1`, …, `s1`, `w1`, `n1`, `c1`, `m1`, `mt1`, `tr1`, `a3`).
+    /// Identifier (`tab1`, `e1`, …, `e12`, `w1`, `a1`, …, `a3`).
     pub id: &'static str,
     /// What it reproduces.
     pub title: &'static str,
@@ -106,39 +100,9 @@ pub fn registry() -> Vec<Experiment> {
             run: distribution::e12_m_estimators,
         },
         Experiment {
-            id: "s1",
-            title: "S1 — engine ingest throughput vs shard count (pts-engine)",
-            run: throughput::s1_engine_throughput,
-        },
-        Experiment {
             id: "w1",
             title: "W1 — durable snapshot/checkpoint bytes vs n, p, shards (wire format)",
             run: wire::w1_snapshot_size,
-        },
-        Experiment {
-            id: "n1",
-            title: "N1 — service requests/sec over loopback vs batch size (pts-server)",
-            run: service::n1_service_throughput,
-        },
-        Experiment {
-            id: "c1",
-            title: "C1 — cluster throughput + sample latency vs node count (pts-cluster)",
-            run: cluster::c1_cluster_scaling,
-        },
-        Experiment {
-            id: "m1",
-            title: "M1 — pipelined requests/sec vs in-flight depth + scatter vs N (wire v3)",
-            run: multiplex::m1_multiplexing,
-        },
-        Experiment {
-            id: "mt1",
-            title: "MT1 — multi-tenant serving: req/sec + bytes/tenant vs tenant count (wire v4)",
-            run: tenants::mt1_tenants,
-        },
-        Experiment {
-            id: "tr1",
-            title: "TR1 — tracing overhead: traced 1/256 vs untraced (wire v5)",
-            run: trace::tr1_trace_overhead,
         },
         Experiment {
             id: "a1",
@@ -156,4 +120,56 @@ pub fn registry() -> Vec<Experiment> {
             run: ablations::a3_estimator_reps,
         },
     ]
+}
+
+/// The registry entries named by `ids`, in registry order; the whole
+/// registry when `ids` is empty. An id the registry does not know is an
+/// error carrying every such id, so a typo or a retired id fails instead
+/// of running nothing.
+pub fn select(ids: &[&str]) -> Result<Vec<Experiment>, Vec<String>> {
+    let all = registry();
+    let unknown: Vec<String> = ids
+        .iter()
+        .filter(|id| !all.iter().any(|e| e.id == **id))
+        .map(|id| id.to_string())
+        .collect();
+    if !unknown.is_empty() {
+        return Err(unknown);
+    }
+    Ok(all
+        .into_iter()
+        .filter(|e| ids.is_empty() || ids.contains(&e.id))
+        .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(experiments: &[Experiment]) -> Vec<&'static str> {
+        experiments.iter().map(|e| e.id).collect()
+    }
+
+    #[test]
+    fn select_rejects_unknown_ids_and_keeps_registry_order() {
+        assert_eq!(select(&["s1", "e1"]).err(), Some(vec!["s1".to_string()]));
+        assert_eq!(ids(&select(&["w1", "e1"]).unwrap()), ["e1", "w1"]);
+        assert_eq!(ids(&select(&[]).unwrap()), ids(&registry()));
+    }
+
+    /// EXPERIMENTS.md's `| id | reproduces |` table lists exactly the
+    /// registry, in registry order: adding an experiment without a row,
+    /// or leaving a row behind for a removed one, fails here.
+    #[test]
+    fn experiments_md_table_matches_the_registry() {
+        let doc = include_str!("../../../../EXPERIMENTS.md");
+        let table: Vec<&str> = doc
+            .lines()
+            .skip_while(|line| !line.starts_with("| id | reproduces |"))
+            .skip(2) // header and separator
+            .take_while(|line| line.starts_with('|'))
+            .map(|row| row.split('|').nth(1).unwrap_or("").trim())
+            .collect();
+        assert_eq!(table, ids(&registry()));
+    }
 }

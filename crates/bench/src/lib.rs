@@ -3,7 +3,8 @@
 //! The experiment harness regenerating every table and figure of the paper
 //! (DESIGN.md §5 / EXPERIMENTS.md): parallel trial runners, the experiment
 //! registry, and the `reproduce` binary that prints each experiment as a
-//! markdown table. Criterion micro-benchmarks live in `benches/`.
+//! markdown table. The served stack's benchmark is `perfbench/`, not this
+//! crate.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -13,4 +14,4 @@ pub mod experiments;
 pub mod json;
 pub mod runner;
 
-pub use experiments::{registry, Experiment};
+pub use experiments::{registry, select, Experiment};
