@@ -641,11 +641,11 @@ impl Coordinator {
     ///
     /// The scatter is **pipelined**: every owner's `Stats` is submitted
     /// before any answer is awaited, so wall-clock cost is ~one round
-    /// trip regardless of owner count (the `m1` bench's scatter row
-    /// measures exactly this path). When `trace` is set the scatter gets
-    /// a `cluster.scatter` span and every per-node `Stats` submit carries
-    /// that span's context, so each node's stage spans parent to the
-    /// scatter in the burst's tree.
+    /// trip regardless of owner count (`perfbench`'s `draw` workload
+    /// reports this path as its `cluster.scatter_us` row). When `trace` is
+    /// set the scatter gets a `cluster.scatter` span and every per-node
+    /// `Stats` submit carries that span's context, so each node's stage
+    /// spans parent to the scatter in the burst's tree.
     fn scatter_masses(
         &mut self,
         ns: u64,

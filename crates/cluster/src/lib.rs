@@ -74,8 +74,9 @@
 //!
 //! See `examples/cluster_demo.rs` for the full arc — 3 nodes → ingest →
 //! sample → kill one → restore from checkpoint → identical draws — and
-//! experiment `c1` (`reproduce -- c1`) for cluster throughput and sample
-//! latency vs node count.
+//! `perfbench`'s `draw` workload (a coordinator over two loopback nodes;
+//! `python3 perfbench/run.py --workload draw`) for cluster draw latency
+//! and throughput (`draw_p50_ms`, `draws_per_s`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

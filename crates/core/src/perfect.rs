@@ -24,6 +24,19 @@
 //!   the anchor `y = ` the sampler's own estimate (Algorithm 2 /
 //!   Lemma 2.7), with independent estimate groups supplying the
 //!   `(x̂^{(a)} − y)` factors.
+//!
+//! ## The lazy driver
+//!
+//! [`PerfectLpSampler::draw_from`] returns the draw of a sampler built from
+//! a seed and caught up from a net vector without building all `N`
+//! attempts: the moment estimators are built and replayed once, then
+//! attempt `t` is built, replayed and tried only when the loop reaches it.
+//! Attempt `t` is seeded by `derive_seed(seed, t)` and its accept coin is
+//! `keyed_unit(accept_seed, t)`, so nothing about attempt `t` depends on
+//! the attempts after it; since the loop stops at the first accept, the
+//! lazy draw is bit-identical to the eager `sample()`. Both drivers share
+//! the seed helpers and the per-candidate accept step below. A respawned
+//! engine draw (`PerfectLpFactory::draw_from`) takes this path.
 
 use pts_samplers::{LpLe2Params, PerfectLpLe2Sampler, Sample, TurnstileSampler};
 use pts_sketch::{AmsF2, FpTaylor, FpTaylorParams, LinearSketch};
@@ -225,37 +238,50 @@ impl PerfectLpSampler {
     /// Panics on inconsistent parameters (`p ≤ 2`, no attempts, integer
     /// estimator with fractional `p`).
     pub fn new(n: usize, params: PerfectLpParams, seed: u64) -> Self {
-        assert!(params.p > 2.0, "p must exceed 2");
-        assert!(params.attempts >= 1, "need at least one attempt");
-        if params.estimator == PowerEstimator::IntegerProduct {
-            assert!(
-                (params.p - params.p.round()).abs() < 1e-9 && params.p.round() >= 3.0,
-                "IntegerProduct requires integer p >= 3"
-            );
-        }
-        assert_eq!(
-            params.l2.extra_estimators,
-            params.groups() * params.reps_per_group,
-            "inner L2 sampler must carry groups×reps estimator replicas"
-        );
+        check_params(&params);
         let attempts = (0..params.attempts)
-            .map(|t| PerfectLpLe2Sampler::new(n, params.l2, derive_seed(seed, t as u64)))
+            .map(|t| attempt(n, &params, seed, t))
             .collect();
-        let f2_est = AmsF2::for_2_approx(n, derive_seed(seed, 0xF2E5));
-        let fp_est = FpTaylor::new(
-            n,
-            FpTaylorParams::for_universe(n, params.p),
-            derive_seed(seed, 0xF9E5),
-        );
+        let (f2_est, fp_est) = moment_estimators(n, &params, seed);
         Self {
             params,
             universe: n,
             attempts,
             f2_est,
             fp_est,
-            accept_seed: derive_seed(seed, 0xACC3),
+            accept_seed: accept_seed(seed),
             stats: RejectionStats::default(),
         }
+    }
+
+    /// The draw that `new(n, params, seed)`, fed `net` one update per
+    /// entry, would return from `sample()` — computed lazily: the moment
+    /// estimators are built and caught up once, and attempt `t` is built
+    /// and replayed only when the rejection loop reaches it.
+    ///
+    /// The answer is bit-identical to the eager sampler's (module docs,
+    /// "The lazy driver"). `net` is iterated once for the estimators and
+    /// once per attempt built.
+    ///
+    /// # Panics
+    /// Panics on the same inconsistent parameters as [`PerfectLpSampler::new`].
+    pub fn draw_from<I>(n: usize, params: PerfectLpParams, seed: u64, net: I) -> Option<Sample>
+    where
+        I: IntoIterator<Item = (u64, i64)> + Clone,
+    {
+        check_params(&params);
+        let (mut f2_est, mut fp_est) = moment_estimators(n, &params, seed);
+        for (i, v) in net.clone() {
+            update_moments(&mut f2_est, &mut fp_est, Update::new(i, v));
+        }
+        let base = correction_base(&params, n, &f2_est, &fp_est)?;
+        let accept_seed = accept_seed(seed);
+        let mut stats = RejectionStats::default();
+        (0..params.attempts).find_map(|t| {
+            let mut inner = attempt(n, &params, seed, t);
+            inner.ingest_entries(net.clone());
+            try_attempt(&params, base, accept_seed, t, &mut inner, &mut stats)
+        })
     }
 
     /// Diagnostics of the most recent `sample()` call.
@@ -300,39 +326,139 @@ impl PerfectLpSampler {
         }
         total
     }
+}
 
-    /// The `|x̂_j|^{p−2}` estimate from the winning attempt's replicas.
-    fn power_estimate(&self, attempt: usize, j: u64, anchor: f64) -> f64 {
-        let inner = &self.attempts[attempt];
-        let reps = self.params.reps_per_group;
-        let group_mean = |g: usize| inner.mean_estimate(g * reps, (g + 1) * reps, j);
-        match self.params.estimator {
-            PowerEstimator::IntegerProduct => {
-                // Π over p−2 independent group means: unbiased for x^{p−2}.
-                let groups = self.params.groups();
-                let mut prod = 1.0;
-                for g in 0..groups {
-                    prod *= group_mean(g);
-                }
-                prod.abs()
+// The eager sampler and the lazy `draw_from` share every seed and the
+// accept step below, which is what makes their draws bit-identical.
+
+/// Asserts the parameter invariants both drivers rely on.
+fn check_params(params: &PerfectLpParams) {
+    assert!(params.p > 2.0, "p must exceed 2");
+    assert!(params.attempts >= 1, "need at least one attempt");
+    if params.estimator == PowerEstimator::IntegerProduct {
+        assert!(
+            (params.p - params.p.round()).abs() < 1e-9 && params.p.round() >= 3.0,
+            "IntegerProduct requires integer p >= 3"
+        );
+    }
+    assert_eq!(
+        params.l2.extra_estimators,
+        params.groups() * params.reps_per_group,
+        "inner L2 sampler must carry groups×reps estimator replicas"
+    );
+}
+
+/// Inner perfect-L₂ attempt `t`, seeded by `(seed, t)` alone.
+fn attempt(n: usize, params: &PerfectLpParams, seed: u64, t: usize) -> PerfectLpLe2Sampler {
+    PerfectLpLe2Sampler::new(n, params.l2, derive_seed(seed, t as u64))
+}
+
+/// The `F̂₂` and `F̂_p` estimators of a sampler built from `seed`.
+fn moment_estimators(n: usize, params: &PerfectLpParams, seed: u64) -> (AmsF2, FpTaylor) {
+    let f2_est = AmsF2::for_2_approx(n, derive_seed(seed, 0xF2E5));
+    let fp_est = FpTaylor::new(
+        n,
+        FpTaylorParams::for_universe(n, params.p),
+        derive_seed(seed, 0xF9E5),
+    );
+    (f2_est, fp_est)
+}
+
+/// The key of the accept coins of a sampler built from `seed`.
+fn accept_seed(seed: u64) -> u64 {
+    derive_seed(seed, 0xACC3)
+}
+
+/// Feeds one update to the moment estimators (zero deltas are skipped,
+/// as `process` skips them).
+fn update_moments(f2_est: &mut AmsF2, fp_est: &mut FpTaylor, u: Update) {
+    if u.delta == 0 {
+        return;
+    }
+    f2_est.update(u.index, u.delta as f64);
+    fp_est.update(u.index, u.delta as f64);
+}
+
+/// The shared correction base `F̂₂ / (slack · n^{1−2/p} · F̂_p)`, or `None`
+/// (⊥) when either moment estimate is not positive. Being shared across
+/// attempts, its error cancels in the output law.
+fn correction_base(
+    params: &PerfectLpParams,
+    n: usize,
+    f2_est: &AmsF2,
+    fp_est: &FpTaylor,
+) -> Option<f64> {
+    let f2_hat = f2_est.estimate().max(0.0);
+    let fp_hat = fp_est.estimate();
+    if fp_hat <= 0.0 || f2_hat <= 0.0 {
+        return None;
+    }
+    Some(f2_hat / (params.slack * (n as f64).powf(1.0 - 2.0 / params.p) * fp_hat))
+}
+
+/// One step of the rejection loop: attempt `t`'s candidate, if any, is
+/// accepted with probability `min(1, base · |x̂_j|^{p−2})` against the coin
+/// keyed by `(accept_seed, t)`. Updates `stats` as `sample()` reports them.
+fn try_attempt(
+    params: &PerfectLpParams,
+    base: f64,
+    accept_seed: u64,
+    t: usize,
+    inner: &mut PerfectLpLe2Sampler,
+    stats: &mut RejectionStats,
+) -> Option<Sample> {
+    let candidate = inner.sample()?;
+    stats.candidates += 1;
+    let r = base * power_estimate(params, inner, candidate.index, candidate.estimate);
+    let r_clamped = if r > 1.0 {
+        stats.clamps += 1;
+        1.0
+    } else {
+        r
+    };
+    if keyed_unit(accept_seed, t as u64) < r_clamped {
+        stats.accepted_at = Some(t);
+        Some(candidate)
+    } else {
+        None
+    }
+}
+
+/// The `|x̂_j|^{p−2}` estimate from the winning attempt's replicas.
+fn power_estimate(
+    params: &PerfectLpParams,
+    inner: &PerfectLpLe2Sampler,
+    j: u64,
+    anchor: f64,
+) -> f64 {
+    let reps = params.reps_per_group;
+    let group_mean = |g: usize| inner.mean_estimate(g * reps, (g + 1) * reps, j);
+    match params.estimator {
+        PowerEstimator::IntegerProduct => {
+            // Π over p−2 independent group means: unbiased for x^{p−2}.
+            let groups = params.groups();
+            let mut prod = 1.0;
+            for g in 0..groups {
+                prod *= group_mean(g);
             }
-            PowerEstimator::Taylor { terms } => {
-                // Truncated Taylor expansion of |x|^{p−2} around |anchor|,
-                // with independent estimates supplying each (x̂ − y) factor
-                // (Algorithm 2 line 13). Signs are pinned to the anchor so
-                // the expansion runs on magnitudes.
-                let a = self.params.p - 2.0;
-                let sign = if anchor < 0.0 { -1.0 } else { 1.0 };
-                let y = anchor.abs().max(f64::MIN_POSITIVE);
-                let mut total = y.powf(a); // q = 0 term
-                let mut factor_prod = 1.0;
-                for q in 1..=terms {
-                    let est = sign * group_mean(q - 1); // ≈ |x_j|
-                    factor_prod *= est - y;
-                    total += Self::gen_binom(a, q) * y.powf(a - q as f64) * factor_prod;
-                }
-                total.abs()
+            prod.abs()
+        }
+        PowerEstimator::Taylor { terms } => {
+            // Truncated Taylor expansion of |x|^{p−2} around |anchor|,
+            // with independent estimates supplying each (x̂ − y) factor
+            // (Algorithm 2 line 13). Signs are pinned to the anchor so
+            // the expansion runs on magnitudes.
+            let a = params.p - 2.0;
+            let sign = if anchor < 0.0 { -1.0 } else { 1.0 };
+            let y = anchor.abs().max(f64::MIN_POSITIVE);
+            let mut total = y.powf(a); // q = 0 term
+            let mut factor_prod = 1.0;
+            for q in 1..=terms {
+                let est = sign * group_mean(q - 1); // ≈ |x_j|
+                factor_prod *= est - y;
+                total += PerfectLpSampler::gen_binom(a, q) * y.powf(a - q as f64) * factor_prod;
             }
+            total.abs()
         }
     }
 }
@@ -345,40 +471,17 @@ impl TurnstileSampler for PerfectLpSampler {
         for inner in &mut self.attempts {
             inner.process(u);
         }
-        self.f2_est.update(u.index, u.delta as f64);
-        self.fp_est.update(u.index, u.delta as f64);
+        update_moments(&mut self.f2_est, &mut self.fp_est, u);
     }
 
     fn sample(&mut self) -> Option<Sample> {
         self.stats = RejectionStats::default();
-        let f2_hat = self.f2_est.estimate().max(0.0);
-        let fp_hat = self.fp_est.estimate();
-        if fp_hat <= 0.0 || f2_hat <= 0.0 {
-            return None;
-        }
-        // The shared correction base: F̂₂ / (slack · n^{1−2/p} · F̂_p).
-        // Being shared across attempts, its error cancels in the output law.
-        let base = f2_hat
-            / (self.params.slack * (self.universe as f64).powf(1.0 - 2.0 / self.params.p) * fp_hat);
-        for t in 0..self.attempts.len() {
-            let Some(candidate) = self.attempts[t].sample() else {
-                continue;
-            };
-            self.stats.candidates += 1;
-            let power = self.power_estimate(t, candidate.index, candidate.estimate);
-            let r = base * power;
-            let r_clamped = if r > 1.0 {
-                self.stats.clamps += 1;
-                1.0
-            } else {
-                r
-            };
-            if keyed_unit(self.accept_seed, t as u64) < r_clamped {
-                self.stats.accepted_at = Some(t);
-                return Some(candidate);
-            }
-        }
-        None
+        let base = correction_base(&self.params, self.universe, &self.f2_est, &self.fp_est)?;
+        let (params, accept_seed, stats) = (&self.params, self.accept_seed, &mut self.stats);
+        self.attempts
+            .iter_mut()
+            .enumerate()
+            .find_map(|(t, inner)| try_attempt(params, base, accept_seed, t, inner, stats))
     }
 
     fn space_bits(&self) -> usize {
@@ -652,6 +755,54 @@ mod tests {
             (Some(sa), Some(sb)) => assert_eq!(sa.index, sb.index),
             (sa, sb) => panic!("merge diverged: {sa:?} vs {sb:?}"),
         }
+    }
+
+    /// Lazy vs eager over `seeds`: the same outcome, index and estimate
+    /// bits on every seed. Returns how many seeds drew a sample.
+    fn lazy_matches_eager(x: &FrequencyVector, params: PerfectLpParams, seeds: u64) -> usize {
+        let n = x.n();
+        let net: Vec<(u64, i64)> = x.iter_nonzero().collect();
+        let mut drawn = 0;
+        for seed in 0..seeds {
+            let mut eager = PerfectLpSampler::new(n, params, 4_000 + seed);
+            eager.ingest_vector(x);
+            let want = eager.sample();
+            let got = PerfectLpSampler::draw_from(n, params, 4_000 + seed, net.iter().copied());
+            let bits = |s: Option<Sample>| s.map(|s| (s.index, s.estimate.to_bits()));
+            assert_eq!(bits(got), bits(want), "p = {} seed {seed}", params.p);
+            drawn += usize::from(want.is_some());
+        }
+        drawn
+    }
+
+    #[test]
+    fn lazy_draws_equal_eager_draws() {
+        for (n, p) in [(32, 3.0), (24, 4.0), (24, 2.5)] {
+            let x = zipf_vector(n, 1.1, 60, 17);
+            let params = PerfectLpParams::for_universe(n, p);
+            let drawn = lazy_matches_eager(&x, params, 64);
+            assert!(drawn >= 32, "p = {p}: only {drawn}/64 seeds drew");
+        }
+    }
+
+    #[test]
+    fn lazy_draws_equal_eager_on_zero_vector_and_all_fail() {
+        let params = PerfectLpParams::for_universe(24, 3.0);
+        let zero = FrequencyVector::from_values(vec![0; 24]);
+        assert_eq!(lazy_matches_eager(&zero, params, 64), 0);
+        // A gap test no candidate can clear: every attempt is ⊥.
+        let mut never = params;
+        never.l2.test_factor = 1e12;
+        let x = zipf_vector(24, 1.1, 60, 17);
+        assert_eq!(lazy_matches_eager(&x, never, 64), 0);
+        let mut eager = PerfectLpSampler::new(24, never, 1);
+        eager.ingest_vector(&x);
+        assert!(eager.sample().is_none());
+        assert_eq!(
+            eager.stats().candidates,
+            0,
+            "an attempt produced a candidate"
+        );
     }
 
     #[test]

@@ -350,10 +350,10 @@ impl<F: SamplerFactory> ShardedEngine<F> {
         })
     }
 
-    /// Eagerly respawns every consumed pool slot in every shard (the same
-    /// catch-up a lazy respawn performs at the next draw, done now so a
-    /// query burst finds live instances). Returns the number of slots
-    /// refilled.
+    /// Eagerly respawns every consumed pool slot in every shard as a full
+    /// instance, so a query burst finds live instances. Returns the number
+    /// of slots refilled. It pays off only for factories on the default
+    /// [`SamplerFactory::draw_from`]; see [`Shard::prime`].
     pub fn prime(&mut self) -> usize {
         self.shards.iter_mut().map(Shard::prime).sum()
     }

@@ -10,8 +10,9 @@
 //! sampler's own law for the two-stage draw to compose into the global law.
 
 use pts_core::{PerfectLpParams, PerfectLpSampler, RejectionGSampler};
-use pts_samplers::{L0Params, LpLe2Batch, LpLe2Params, PerfectL0Sampler, TurnstileSampler};
+use pts_samplers::{L0Params, LpLe2Batch, LpLe2Params, PerfectL0Sampler, Sample, TurnstileSampler};
 use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
+use std::collections::BTreeMap;
 
 /// A recipe for spawning independent sampler instances over `[0, n)`.
 ///
@@ -28,9 +29,27 @@ pub trait SamplerFactory: Clone {
     /// seed must be identical (the merge contract).
     fn build(&self, universe: usize, seed: u64) -> Self::Sampler;
 
+    /// The draw of a fresh instance built from `seed` and caught up from
+    /// the sparse net vector `net`: exactly `build`, replay every entry,
+    /// `sample()`. Factories whose sampler is a rejection loop over
+    /// independently seeded attempts override this to build and replay
+    /// only the attempts the loop reaches; an override must return the
+    /// same draw, bit for bit.
+    fn draw_from(&self, universe: usize, seed: u64, net: &BTreeMap<u64, i64>) -> Option<Sample> {
+        let mut s = self.build(universe, seed);
+        s.ingest_entries(entries(net));
+        s.sample()
+    }
+
     /// The measurement function `G` evaluated at an exact coordinate value —
     /// the unnormalized weight of a coordinate under the target law.
     fn weight(&self, value: i64) -> f64;
+}
+
+/// The net vector as the `(index, value)` pairs a sampler replays to catch
+/// up (exact, by linearity).
+pub(crate) fn entries(net: &BTreeMap<u64, i64>) -> impl Iterator<Item = (u64, i64)> + Clone + '_ {
+    net.iter().map(|(&i, &v)| (i, v))
 }
 
 /// Perfect L₀ sampling: uniform over the support, exact values (JST11).
@@ -83,6 +102,10 @@ impl SamplerFactory for LpLe2Factory {
         LpLe2Batch::new(universe, self.params, self.batch, seed)
     }
 
+    fn draw_from(&self, universe: usize, seed: u64, net: &BTreeMap<u64, i64>) -> Option<Sample> {
+        LpLe2Batch::draw_from(universe, self.params, self.batch, seed, entries(net))
+    }
+
     fn weight(&self, value: i64) -> f64 {
         (value.abs() as f64).powf(self.params.p)
     }
@@ -109,6 +132,10 @@ impl SamplerFactory for PerfectLpFactory {
 
     fn build(&self, universe: usize, seed: u64) -> PerfectLpSampler {
         PerfectLpSampler::new(universe, self.params, seed)
+    }
+
+    fn draw_from(&self, universe: usize, seed: u64, net: &BTreeMap<u64, i64>) -> Option<Sample> {
+        PerfectLpSampler::draw_from(universe, self.params, seed, entries(net))
     }
 
     fn weight(&self, value: i64) -> f64 {

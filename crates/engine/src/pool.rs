@@ -11,8 +11,20 @@
 //! Linearity makes catch-up exact: ingesting the net vector reproduces
 //! precisely the state the instance would have had streaming from the
 //! start. FAIL (⊥) is absorbed by retrying across the pool within one draw.
+//!
+//! A consumed slot's draw never materializes the instance: it hands the
+//! slot's fresh seed and the net vector to [`SamplerFactory::draw_from`].
+//! For the rejection-loop samplers (perfect L_p for `p > 2`, the
+//! success-boosted L_p batch) that builds and replays only the attempts
+//! the loop reaches — ~23 of 134 on average for the paper's
+//! `p = 3` sampler at `n = 64` on a zipf vector. The draw is
+//! bit-identical to build + replay + `sample()`: each attempt's seed and
+//! accept coin depend on the instance seed and the attempt index alone,
+//! and the loop stops at the first accept. The seed sequence and the
+//! counters are the same either way, so engine draws and checkpoint bytes
+//! do not depend on the path.
 
-use crate::factory::SamplerFactory;
+use crate::factory::{entries, SamplerFactory};
 use pts_samplers::{Sample, TurnstileSampler};
 use pts_stream::Update;
 use pts_util::derive_seed;
@@ -85,11 +97,14 @@ impl<S: TurnstileSampler> SamplerPool<S> {
     }
 
     /// Eagerly respawns every consumed slot from the current `net` state,
-    /// returning how many slots were refilled. Semantically this is the same
-    /// catch-up a lazy respawn performs at the next draw — done now, off the
-    /// query path, so the refills count toward [`SamplerPool::respawns`]
-    /// and a query burst finds live instances instead of paying the
-    /// replay-the-whole-net-vector respawn on the request path.
+    /// returning how many slots were refilled. Each refill builds a full
+    /// instance and replays the whole net vector into it; the refills count
+    /// toward [`SamplerPool::respawns`]. This moves work off the query path
+    /// only for factories that draw through the default
+    /// [`SamplerFactory::draw_from`] (e.g. L₀). For the rejection-loop
+    /// factories a refill builds every attempt, while a consumed-slot draw
+    /// builds only the attempts its loop reaches, so refilling costs more
+    /// than the draw it replaces.
     pub fn refill<F>(&mut self, factory: &F, universe: usize, net: &BTreeMap<u64, i64>) -> usize
     where
         F: SamplerFactory<Sampler = S>,
@@ -107,18 +122,21 @@ impl<S: TurnstileSampler> SamplerPool<S> {
         refilled
     }
 
+    /// The next never-reused instance seed.
+    fn next_seed(&mut self) -> u64 {
+        let instance_seed = derive_seed(self.seed, self.spawned);
+        self.spawned += 1;
+        instance_seed
+    }
+
     /// Builds a fresh instance with a never-reused seed and catches it up
     /// from the compact net state (exact, by linearity).
     fn spawn<F>(&mut self, factory: &F, universe: usize, net: &BTreeMap<u64, i64>) -> S
     where
         F: SamplerFactory<Sampler = S>,
     {
-        let instance_seed = derive_seed(self.seed, self.spawned);
-        self.spawned += 1;
-        let mut s = factory.build(universe, instance_seed);
-        for (&i, &v) in net {
-            s.process(Update::new(i, v));
-        }
+        let mut s = factory.build(universe, self.next_seed());
+        s.ingest_entries(entries(net));
         s
     }
 
@@ -147,18 +165,18 @@ impl<S: TurnstileSampler> SamplerPool<S> {
         for _ in 0..self.slots.len() {
             let j = self.cursor;
             self.cursor = (self.cursor + 1) % self.slots.len();
-            let mut instance = match self.slots[j].take() {
-                Some(live) => live,
+            let drawn = match self.slots[j].take() {
+                Some(mut live) => live.sample(),
                 None => {
                     self.respawns += 1;
                     let o = crate::obs::obs();
                     o.pool_respawns.inc();
                     o.pool_replayed.observe(net.len() as u64);
-                    self.spawn(factory, universe, net)
+                    factory.draw_from(universe, self.next_seed(), net)
                 }
             };
-            if let Some(sample) = instance.sample() {
-                return Some(sample);
+            if drawn.is_some() {
+                return drawn;
             }
         }
         None
@@ -277,6 +295,64 @@ mod tests {
         assert_eq!(pool.refill(&f, 16, &net), 2);
         assert_eq!(pool.live(), 3);
         assert_eq!(pool.respawns(), 2, "eager refills count as respawns");
+    }
+
+    /// The consumed-slot draw as it was before factories drew lazily:
+    /// build, replay every net entry, `sample()`.
+    fn eager_draw<F: SamplerFactory>(
+        f: &F,
+        n: usize,
+        seed: u64,
+        net: &BTreeMap<u64, i64>,
+    ) -> Option<Sample> {
+        let mut s = f.build(n, seed);
+        for (&i, &v) in net {
+            s.process(Update::new(i, v));
+        }
+        s.sample()
+    }
+
+    /// Consumed-slot draws equal the eager build-replay-sample draws from
+    /// the same seed sequence, bit for bit, with the same counters.
+    fn respawn_draws_match_eager<F: SamplerFactory>(f: F, net: &BTreeMap<u64, i64>) {
+        let (n, k, seed) = (24, 2, 31);
+        let mut pool: SamplerPool<F::Sampler> = SamplerPool::new(k, seed);
+        let mut spawned = 0;
+        let bits = |s: Option<Sample>| s.map(|s| (s.index, s.estimate.to_bits()));
+        for draw in 0..12 {
+            // ⊥ moves on to the next slot, which respawns from the next seed.
+            let want = (0..k).find_map(|_| {
+                spawned += 1;
+                eager_draw(&f, n, derive_seed(seed, spawned - 1), net)
+            });
+            assert_eq!(bits(pool.draw(&f, n, net)), bits(want), "draw {draw}");
+            assert_eq!((pool.spawned, pool.respawns()), (spawned, spawned));
+        }
+    }
+
+    #[test]
+    fn respawn_draws_equal_eager_draws_for_every_factory() {
+        use crate::factory::{LogGFactory, LpLe2Factory, PerfectLpFactory};
+        let net = net_of(&[
+            (1, 4),
+            (5, -9),
+            (6, 2),
+            (11, 15),
+            (17, -3),
+            (20, 7),
+            (23, 1),
+        ]);
+        for net in [net, BTreeMap::new()] {
+            respawn_draws_match_eager(L0Factory::default(), &net);
+            respawn_draws_match_eager(LpLe2Factory::for_universe(24, 2.0), &net);
+            respawn_draws_match_eager(PerfectLpFactory::for_universe(24, 3.0), &net);
+            respawn_draws_match_eager(
+                LogGFactory {
+                    stream_bound_m: 100,
+                },
+                &net,
+            );
+        }
     }
 
     #[test]

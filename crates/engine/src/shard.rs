@@ -117,10 +117,12 @@ impl<F: SamplerFactory> Shard<F> {
         self.pool.draw(&self.factory, self.universe, &self.net)
     }
 
-    /// Eagerly respawns every consumed pool slot by replaying the net
-    /// vector (the same catch-up a lazy respawn would do at the next draw,
-    /// done now so draws find live instances). Returns the number of slots
-    /// refilled.
+    /// Eagerly respawns every consumed pool slot as a full instance
+    /// caught up from the net vector, so draws find live instances.
+    /// Returns the number of slots refilled. This pays off only for
+    /// factories on the default [`SamplerFactory::draw_from`] path; for the
+    /// rejection-loop factories it is slower than the lazy draw it
+    /// replaces (see [`SamplerPool::refill`]).
     pub fn prime(&mut self) -> usize {
         self.pool.refill(&self.factory, self.universe, &self.net)
     }
@@ -176,6 +178,13 @@ where
             return Err(WireError::Invalid("shard universe"));
         }
         let mass = r.get_f64()?;
+        // A NaN mass would read as zero (`mass()` clamps with `max`) and
+        // an infinite one breaks the engine's mass-weighted shard pick.
+        // Small negative residue is legitimate: incremental updates can
+        // leave it once the true mass returns to zero.
+        if !mass.is_finite() {
+            return Err(WireError::Invalid("shard mass"));
+        }
         let support = r.get_len(2)?;
         let mut net = BTreeMap::new();
         let mut prev = 0u64;

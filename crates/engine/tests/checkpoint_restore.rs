@@ -220,6 +220,42 @@ fn shard_decode_rejects_out_of_universe_net_entries() {
 }
 
 #[test]
+fn shard_decode_rejects_non_finite_mass() {
+    use pts_engine::{SamplerPool, Shard};
+    use pts_samplers::PerfectL0Sampler;
+    use pts_util::wire::WireWriter;
+
+    // A shard payload with one net entry and the given raw mass bits.
+    let payload = |mass: f64| {
+        let mut w = WireWriter::new();
+        L0Factory::default().encode(&mut w).unwrap();
+        w.put_u64(4); // universe
+        w.put_f64(mass);
+        w.put_u64(1); // one net entry
+        w.put_u64(2);
+        w.put_i64(5);
+        SamplerPool::<PerfectL0Sampler>::new(1, 7)
+            .encode(&mut w)
+            .unwrap();
+        w.as_bytes().to_vec()
+    };
+    for mass in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let res = <Shard<L0Factory> as Decode>::from_wire_bytes(&payload(mass));
+        assert!(
+            matches!(res, Err(WireError::Invalid("shard mass"))),
+            "mass {mass}: got {res:?}"
+        );
+    }
+    // Ulp-scale negative residue is what a valid checkpoint can carry once
+    // a slice's true mass returns to zero; it still decodes.
+    for mass in [1.0, 0.0, -1e-15] {
+        let shard = <Shard<L0Factory> as Decode>::from_wire_bytes(&payload(mass))
+            .unwrap_or_else(|e| panic!("mass {mass}: {e:?}"));
+        assert_eq!(shard.support(), 1);
+    }
+}
+
+#[test]
 fn malformed_checkpoints_error_never_panic() {
     let mut e = ShardedEngine::new(
         EngineConfig::new(64).shards(2).pool_size(2).seed(9),

@@ -392,6 +392,12 @@ impl Decode for LpLe2Batch {
     }
 }
 
+/// Batch instance `j`, seeded by `(seed, j)` alone — shared by
+/// [`LpLe2Batch::new`] and [`LpLe2Batch::draw_from`].
+fn batch_instance(n: usize, params: LpLe2Params, seed: u64, j: usize) -> PerfectLpLe2Sampler {
+    PerfectLpLe2Sampler::new(n, params, derive_seed(seed, j as u64))
+}
+
 /// A success-boosted perfect L_p (p ≤ 2) sample: `k` independent sampler
 /// instances, first non-FAIL wins. Failure probability decays as
 /// `δ^k` (Theorem 1.10's `log(1/δ₁)` factor).
@@ -407,10 +413,36 @@ impl LpLe2Batch {
     /// Panics if `k == 0`.
     pub fn new(n: usize, params: LpLe2Params, k: usize, seed: u64) -> Self {
         assert!(k >= 1, "batch needs at least one instance");
-        let instances = (0..k)
-            .map(|j| PerfectLpLe2Sampler::new(n, params, derive_seed(seed, j as u64)))
-            .collect();
+        let instances = (0..k).map(|j| batch_instance(n, params, seed, j)).collect();
         Self { instances }
+    }
+
+    /// The draw that `new(n, params, k, seed)`, fed `net` one update per
+    /// entry, would return from `sample()` — computed lazily: instance `j`
+    /// is built and replayed only when every instance before it FAILed.
+    ///
+    /// The answer is bit-identical to the eager batch's: instance `j`'s seed
+    /// depends on `(seed, j)` alone, and the first non-⊥ instance wins.
+    /// `net` is iterated once per instance built.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub fn draw_from<I>(
+        n: usize,
+        params: LpLe2Params,
+        k: usize,
+        seed: u64,
+        net: I,
+    ) -> Option<Sample>
+    where
+        I: IntoIterator<Item = (u64, i64)> + Clone,
+    {
+        assert!(k >= 1, "batch needs at least one instance");
+        (0..k).find_map(|j| {
+            let mut inst = batch_instance(n, params, seed, j);
+            inst.ingest_entries(net.clone());
+            inst.sample()
+        })
     }
 
     /// Immutable access to the instance that produced a sample, for
@@ -641,6 +673,34 @@ mod tests {
         let mut a = PerfectLpLe2Sampler::new(16, params, 1);
         let b = PerfectLpLe2Sampler::new(16, params, 2);
         a.merge(&b);
+    }
+
+    #[test]
+    fn lazy_batch_draws_equal_eager_draws() {
+        let x = zipf_vector(32, 1.1, 60, 5);
+        let zero = FrequencyVector::from_values(vec![0; 32]);
+        let params = LpLe2Params::for_universe(32, 2.0);
+        // A gap test no candidate can clear: every instance is ⊥.
+        let mut never = params;
+        never.test_factor = 1e12;
+        for (x, params, expect_drawn) in [
+            (&x, params, 56..=64),
+            (&zero, params, 0..=0),
+            (&x, never, 0..=0),
+        ] {
+            let net: Vec<(u64, i64)> = x.iter_nonzero().collect();
+            let mut drawn = 0;
+            for seed in 0..64u64 {
+                let mut eager = LpLe2Batch::new(32, params, 4, 300 + seed);
+                eager.ingest_vector(x);
+                let want = eager.sample();
+                let got = LpLe2Batch::draw_from(32, params, 4, 300 + seed, net.iter().copied());
+                let bits = |s: Option<Sample>| s.map(|s| (s.index, s.estimate.to_bits()));
+                assert_eq!(bits(got), bits(want), "seed {seed}");
+                drawn += usize::from(want.is_some());
+            }
+            assert!(expect_drawn.contains(&drawn), "{drawn}/64 seeds drew");
+        }
     }
 
     #[test]

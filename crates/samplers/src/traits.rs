@@ -58,6 +58,16 @@ pub trait TurnstileSampler {
         }
     }
 
+    /// Feeds sparse `(index, value)` entries, one bulk update each.
+    fn ingest_entries(&mut self, entries: impl IntoIterator<Item = (u64, i64)>)
+    where
+        Self: Sized,
+    {
+        for (i, v) in entries {
+            self.process(Update::new(i, v));
+        }
+    }
+
     /// Replays a stream update-by-update.
     fn ingest_stream(&mut self, s: &Stream) {
         for u in s.iter() {

@@ -57,7 +57,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Default [`ClientConfig::max_in_flight`]: deep enough to saturate a
-/// loopback connection (the `m1` experiment sweeps D ∈ {1, 4, 16, 64}).
+/// loopback connection (`perfbench`'s `ingest` and `tenants` workloads
+/// pipeline at depth 16; their `requests_per_s` and `client.wait_us`
+/// rows measure this path).
 pub const DEFAULT_MAX_IN_FLIGHT: usize = 64;
 
 /// How many responses to ids nobody is waiting on (duplicate ids, ids
