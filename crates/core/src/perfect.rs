@@ -37,6 +37,18 @@
 //! lazy draw is bit-identical to the eager `sample()`. Both drivers share
 //! the seed helpers and the per-candidate accept step below. A respawned
 //! engine draw (`PerfectLpFactory::draw_from`) takes this path.
+//!
+//! The lazy driver builds each attempt without its estimator replicas.
+//! They are read only at a candidate `j`, and only through the power
+//! estimate, so it point-queries them from the net vector
+//! ([`PerfectLpLe2Sampler::net_mean_estimate`]). That is bit-identical to
+//! the materialized replicas:
+//! * leaving the replicas out moves nothing else, because the main sketch,
+//!   `μ` and the scales have seeds of their own;
+//! * replica `k`'s seed comes from the same rule in both cases;
+//! * per row, the point query sums the signed, scaled deltas of the entries
+//!   that share `j`'s bucket, in net order and from `0.0`. That is the
+//!   float sequence the materialized cell receives.
 
 use pts_samplers::{LpLe2Params, PerfectLpLe2Sampler, Sample, TurnstileSampler};
 use pts_sketch::{AmsF2, FpTaylor, FpTaylorParams, LinearSketch};
@@ -240,7 +252,7 @@ impl PerfectLpSampler {
     pub fn new(n: usize, params: PerfectLpParams, seed: u64) -> Self {
         check_params(&params);
         let attempts = (0..params.attempts)
-            .map(|t| attempt(n, &params, seed, t))
+            .map(|t| PerfectLpLe2Sampler::new(n, params.l2, attempt_seed(seed, t)))
             .collect();
         let (f2_est, fp_est) = moment_estimators(n, &params, seed);
         Self {
@@ -256,12 +268,14 @@ impl PerfectLpSampler {
 
     /// The draw that `new(n, params, seed)`, fed `net` one update per
     /// entry, would return from `sample()` — computed lazily: the moment
-    /// estimators are built and caught up once, and attempt `t` is built
-    /// and replayed only when the rejection loop reaches it.
+    /// estimators are built and caught up once, attempt `t` is built
+    /// (without its estimator replicas) and replayed only when the
+    /// rejection loop reaches it, and a candidate's replica estimates are
+    /// point-queried from `net`.
     ///
     /// The answer is bit-identical to the eager sampler's (module docs,
-    /// "The lazy driver"). `net` is iterated once for the estimators and
-    /// once per attempt built.
+    /// "The lazy driver"). `net` is iterated once for the estimators, once
+    /// per attempt built and once per replica queried.
     ///
     /// # Panics
     /// Panics on the same inconsistent parameters as [`PerfectLpSampler::new`].
@@ -277,10 +291,24 @@ impl PerfectLpSampler {
         let base = correction_base(&params, n, &f2_est, &fp_est)?;
         let accept_seed = accept_seed(seed);
         let mut stats = RejectionStats::default();
+        // Replicas are read only at a candidate, so the attempts skip them.
+        let lean = params.l2.with_extra_estimators(0);
         (0..params.attempts).find_map(|t| {
-            let mut inner = attempt(n, &params, seed, t);
+            let inner_seed = attempt_seed(seed, t);
+            let mut inner = PerfectLpLe2Sampler::new(n, lean, inner_seed);
             inner.ingest_entries(net.clone());
-            try_attempt(&params, base, accept_seed, t, &mut inner, &mut stats)
+            let candidate = inner.sample();
+            let replica_mean =
+                |from, to, j| inner.net_mean_estimate(inner_seed, from, to, net.clone(), j);
+            try_attempt(
+                &params,
+                base,
+                accept_seed,
+                t,
+                candidate,
+                replica_mean,
+                &mut stats,
+            )
         })
     }
 
@@ -348,9 +376,9 @@ fn check_params(params: &PerfectLpParams) {
     );
 }
 
-/// Inner perfect-L₂ attempt `t`, seeded by `(seed, t)` alone.
-fn attempt(n: usize, params: &PerfectLpParams, seed: u64, t: usize) -> PerfectLpLe2Sampler {
-    PerfectLpLe2Sampler::new(n, params.l2, derive_seed(seed, t as u64))
+/// The seed of inner perfect-L₂ attempt `t`: `(seed, t)` alone.
+fn attempt_seed(seed: u64, t: usize) -> u64 {
+    derive_seed(seed, t as u64)
 }
 
 /// The `F̂₂` and `F̂_p` estimators of a sampler built from `seed`.
@@ -398,18 +426,23 @@ fn correction_base(
 
 /// One step of the rejection loop: attempt `t`'s candidate, if any, is
 /// accepted with probability `min(1, base · |x̂_j|^{p−2})` against the coin
-/// keyed by `(accept_seed, t)`. Updates `stats` as `sample()` reports them.
+/// keyed by `(accept_seed, t)`. `replica_mean(from, to, j)` is the
+/// attempt's mean estimate of `x_j` over replicas `[from, to)`. Updates
+/// `stats` as `sample()` reports them.
 fn try_attempt(
     params: &PerfectLpParams,
     base: f64,
     accept_seed: u64,
     t: usize,
-    inner: &mut PerfectLpLe2Sampler,
+    candidate: Option<Sample>,
+    replica_mean: impl Fn(usize, usize, u64) -> f64,
     stats: &mut RejectionStats,
 ) -> Option<Sample> {
-    let candidate = inner.sample()?;
+    let candidate = candidate?;
     stats.candidates += 1;
-    let r = base * power_estimate(params, inner, candidate.index, candidate.estimate);
+    let reps = params.reps_per_group;
+    let group_mean = |g: usize| replica_mean(g * reps, (g + 1) * reps, candidate.index);
+    let r = base * power_estimate(params, group_mean, candidate.estimate);
     let r_clamped = if r > 1.0 {
         stats.clamps += 1;
         1.0
@@ -424,15 +457,9 @@ fn try_attempt(
     }
 }
 
-/// The `|x̂_j|^{p−2}` estimate from the winning attempt's replicas.
-fn power_estimate(
-    params: &PerfectLpParams,
-    inner: &PerfectLpLe2Sampler,
-    j: u64,
-    anchor: f64,
-) -> f64 {
-    let reps = params.reps_per_group;
-    let group_mean = |g: usize| inner.mean_estimate(g * reps, (g + 1) * reps, j);
+/// The `|x̂_j|^{p−2}` estimate from the winning attempt's replicas, given
+/// as `group_mean(g)`: the mean estimate of `x_j` over group `g`.
+fn power_estimate(params: &PerfectLpParams, group_mean: impl Fn(usize) -> f64, anchor: f64) -> f64 {
     match params.estimator {
         PowerEstimator::IntegerProduct => {
             // Π over p−2 independent group means: unbiased for x^{p−2}.
@@ -478,10 +505,11 @@ impl TurnstileSampler for PerfectLpSampler {
         self.stats = RejectionStats::default();
         let base = correction_base(&self.params, self.universe, &self.f2_est, &self.fp_est)?;
         let (params, accept_seed, stats) = (&self.params, self.accept_seed, &mut self.stats);
-        self.attempts
-            .iter_mut()
-            .enumerate()
-            .find_map(|(t, inner)| try_attempt(params, base, accept_seed, t, inner, stats))
+        self.attempts.iter_mut().enumerate().find_map(|(t, inner)| {
+            let candidate = inner.sample();
+            let replica_mean = |from, to, j| inner.mean_estimate(from, to, j);
+            try_attempt(params, base, accept_seed, t, candidate, replica_mean, stats)
+        })
     }
 
     fn space_bits(&self) -> usize {

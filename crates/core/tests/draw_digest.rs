@@ -1,0 +1,60 @@
+//! Golden digest of respawn draws.
+//!
+//! The lazy-vs-eager and pool identity tests compare two drivers that share
+//! every sketch kernel, so a kernel change that moves a bit moves both sides
+//! and passes them. This test pins the draws themselves: fnv1a64 over
+//! `(index, estimate.to_bits())` of seeded `PerfectLpSampler::draw_from`
+//! (p = 3 and p = 2.5, n = 64) and `LpLe2Batch::draw_from` (n = 4096) draws.
+//! A kernel change must leave the digest where it is.
+
+use pts_core::{PerfectLpParams, PerfectLpSampler};
+use pts_samplers::{LpLe2Batch, LpLe2Params, Sample};
+use pts_stream::gen::zipf_vector;
+use pts_util::wire::fnv1a64;
+
+/// Appends one draw to the digest input: a tag byte, then the index and the
+/// estimate's bits (little-endian) for a sample.
+fn push_draw(bytes: &mut Vec<u8>, draw: Option<Sample>) {
+    match draw {
+        Some(s) => {
+            bytes.push(1);
+            bytes.extend_from_slice(&s.index.to_le_bytes());
+            bytes.extend_from_slice(&s.estimate.to_bits().to_le_bytes());
+        }
+        None => bytes.push(0),
+    }
+}
+
+#[test]
+fn respawn_draws_match_pinned_digest() {
+    let mut bytes = Vec::new();
+    let mut drawn = 0;
+
+    let n = 64;
+    let x = zipf_vector(n, 1.1, 60, 0xD16E);
+    let net: Vec<(u64, i64)> = x.iter_nonzero().collect();
+    for p in [3.0, 2.5] {
+        let params = PerfectLpParams::for_universe(n, p);
+        for seed in 0..128u64 {
+            let draw = PerfectLpSampler::draw_from(n, params, 0x5EED + seed, net.iter().copied());
+            drawn += usize::from(draw.is_some());
+            push_draw(&mut bytes, draw);
+        }
+    }
+
+    let n = 4096;
+    let x = zipf_vector(n, 1.0, 500, 0xD16F);
+    let net: Vec<(u64, i64)> = x.iter_nonzero().collect();
+    let params = LpLe2Params::for_universe(n, 2.0);
+    for seed in 0..32u64 {
+        let draw = LpLe2Batch::draw_from(n, params, 8, 0xBA7C + seed, net.iter().copied());
+        drawn += usize::from(draw.is_some());
+        push_draw(&mut bytes, draw);
+    }
+
+    // Most draws succeed, so the digest covers estimates, not just ⊥ tags.
+    assert!(drawn >= 200, "only {drawn}/288 draws succeeded");
+    // Recorded at the commit before the point-queried estimator replicas,
+    // shared-power AMS signs and allocation-free CountSketch estimates.
+    assert_eq!(fnv1a64(&bytes), 0x8235_c6dd_4730_19c7, "draw digest moved");
+}

@@ -29,6 +29,7 @@
 //! measures the residual conditional-failure dependence as `dup_c` varies.
 
 use crate::traits::{Sample, TurnstileSampler};
+use pts_sketch::countsketch::MAX_ROWS;
 use pts_sketch::{CountSketch, CountSketchParams, LinearSketch};
 use pts_stream::Update;
 use pts_util::variates::keyed_exponential;
@@ -108,13 +109,10 @@ impl PerfectLpLe2Sampler {
         );
         assert!(params.dup_c >= 0.0, "duplication exponent must be >= 0");
         assert!(n >= 2, "universe too small");
-        let cs_params = CountSketchParams {
-            rows: params.rows,
-            buckets: params.buckets,
-        };
+        let cs_params = sketch_params(&params);
         let main = CountSketch::new(cs_params, derive_seed(seed, 1));
         let extra = (0..params.extra_estimators)
-            .map(|k| CountSketch::new(cs_params, derive_seed(seed, 100 + k as u64)))
+            .map(|k| CountSketch::new(cs_params, replica_seed(seed, k)))
             .collect();
         let mu = 0.5 + (keyed_u64(seed, 0x3B5) as f64 / u64::MAX as f64);
         let dup_factor = (n as f64).powf(params.dup_c / params.p);
@@ -122,7 +120,7 @@ impl PerfectLpLe2Sampler {
             params,
             universe: n,
             dup_factor,
-            scale_seed: derive_seed(seed, 0xE4B),
+            scale_seed: scale_seed(seed),
             second_copy_seed: derive_seed(seed, 0x2ED),
             main,
             extra,
@@ -161,6 +159,38 @@ impl PerfectLpLe2Sampler {
         assert!(from < to && to <= self.extra.len(), "bad estimator range");
         let scale = self.scale(i);
         let sum: f64 = self.extra[from..to].iter().map(|cs| cs.estimate(i)).sum();
+        sum / ((to - from) as f64 * scale)
+    }
+
+    /// The [`mean_estimate`](Self::mean_estimate) that the sampler
+    /// `new(n, params, seed)` with at least `to` replicas would give after
+    /// replaying `net`, read off the net vector by point queries
+    /// ([`CountSketch::point_estimate`]) instead of materialized replicas.
+    ///
+    /// `self` is that sampler built with any replica count (typically 0),
+    /// so it shares the scale. The answer is bit-identical to the
+    /// materialized one: the replicas' seeds come from the same rule, the
+    /// point query reproduces each cell's float sequence, and zero entries
+    /// are skipped as `process` skips them.
+    ///
+    /// # Panics
+    /// Panics if the range is empty or `seed` is not the seed `self` was
+    /// built with.
+    pub fn net_mean_estimate<I>(&self, seed: u64, from: usize, to: usize, net: I, i: u64) -> f64
+    where
+        I: IntoIterator<Item = (u64, i64)> + Clone,
+    {
+        assert!(from < to, "bad estimator range");
+        assert_eq!(scale_seed(seed), self.scale_seed, "seed mismatch");
+        let cs_params = sketch_params(&self.params);
+        let scale = self.scale(i);
+        let sum: f64 = (from..to)
+            .map(|k| {
+                let entries = net.clone().into_iter().filter(|&(_, v)| v != 0);
+                let value = |idx: u64, v: i64| v as f64 * self.scale(idx);
+                CountSketch::point_estimate(cs_params, replica_seed(seed, k), entries, i, value)
+            })
+            .sum();
         sum / ((to - from) as f64 * scale)
     }
 
@@ -309,7 +339,7 @@ impl Decode for LpLe2Params {
         if !p_ok || !dup_ok || !test_factor.is_finite() {
             return Err(WireError::Invalid("lp-le2 parameters"));
         }
-        if !(1..=1024).contains(&rows) || buckets == 0 || extra_estimators > 1 << 16 {
+        if !(1..=MAX_ROWS).contains(&rows) || buckets == 0 || extra_estimators > 1 << 16 {
             return Err(WireError::Invalid("lp-le2 shape"));
         }
         Ok(Self {
@@ -390,6 +420,26 @@ impl Decode for LpLe2Batch {
         }
         Ok(Self { instances })
     }
+}
+
+/// The CountSketch shape of the main sketch and of every replica.
+fn sketch_params(params: &LpLe2Params) -> CountSketchParams {
+    CountSketchParams {
+        rows: params.rows,
+        buckets: params.buckets,
+    }
+}
+
+/// The key of the per-index scales of a sampler built from `seed`.
+fn scale_seed(seed: u64) -> u64 {
+    derive_seed(seed, 0xE4B)
+}
+
+/// The seed of estimator replica `k` of a sampler built from `seed` —
+/// shared by [`PerfectLpLe2Sampler::new`] and the point-queried
+/// [`PerfectLpLe2Sampler::net_mean_estimate`].
+fn replica_seed(seed: u64, k: usize) -> u64 {
+    derive_seed(seed, 100 + k as u64)
 }
 
 /// Batch instance `j`, seeded by `(seed, j)` alone — shared by
@@ -577,6 +627,40 @@ mod tests {
             (mean - truth).abs() / truth.abs() < 0.1,
             "mean {mean} vs {truth}"
         );
+    }
+
+    #[test]
+    fn net_mean_estimate_equals_materialized_replicas() {
+        let x = zipf_vector(64, 1.1, 60, 12);
+        // A zero entry is skipped, as `process` skips it.
+        let mut net: Vec<(u64, i64)> = x.iter_nonzero().collect();
+        net.insert(3, (63, 0));
+        let params = LpLe2Params::for_universe(64, 2.0).with_extra_estimators(6);
+        let lean = params.with_extra_estimators(0);
+        for seed in 0..24u64 {
+            let mut full = PerfectLpLe2Sampler::new(64, params, 40_000 + seed);
+            full.ingest_entries(net.iter().copied());
+            let point = PerfectLpLe2Sampler::new(64, lean, 40_000 + seed);
+            for (from, to) in [(0, 1), (0, 4), (2, 6)] {
+                for i in [0u64, 5, 31, 63] {
+                    let want = full.mean_estimate(from, to, i);
+                    let got =
+                        point.net_mean_estimate(40_000 + seed, from, to, net.iter().copied(), i);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "seed {seed} [{from},{to}) i {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "seed mismatch")]
+    fn net_mean_estimate_rejects_a_foreign_seed() {
+        let s = PerfectLpLe2Sampler::new(16, LpLe2Params::for_universe(16, 2.0), 1);
+        let _ = s.net_mean_estimate(2, 0, 1, [(3u64, 5i64)], 3);
     }
 
     #[test]

@@ -4,6 +4,10 @@
 //! holds `Σ σ_i x_i` for 4-wise independent signs; squaring is unbiased for
 //! `F₂` with variance `2F₂²`, means over columns shrink the variance,
 //! medians over rows boost confidence. Algorithm 1 uses it for `F̂₂`.
+//! Each sign is the low bit of a degree-3 polynomial over `2^61 − 1`
+//! ([`KWiseHash`]'s family); an update maps its index to `x, x², x³` once
+//! and evaluates every counter's polynomial from those shared powers, which
+//! reaches the same residue as Horner's rule.
 //!
 //! `GaussianL2` is the 2-stable variant of §3 (line 14 of Algorithm 4):
 //! each counter holds `Σ φ_i x_i` with i.i.d. Gaussians, so each counter is
@@ -14,7 +18,7 @@ use crate::countsketch::median_in_place;
 use crate::traits::LinearSketch;
 use pts_util::variates::keyed_gaussian;
 use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
-use pts_util::{derive_seed, KWiseHash, Xoshiro256pp};
+use pts_util::{cubic_powers, derive_seed, eval_cubic, KWiseHash, Xoshiro256pp};
 
 /// Median of `|N(0,1)|`, i.e. `Φ^{-1}(3/4)` — the normalizer for
 /// median-based Gaussian norm estimation.
@@ -26,7 +30,8 @@ pub struct AmsF2 {
     rows: usize,
     cols: usize,
     counters: Vec<f64>,
-    signs: Vec<KWiseHash>,
+    /// Per-counter sign polynomial coefficients, constant term last.
+    signs: Vec<[u64; 4]>,
 }
 
 impl AmsF2 {
@@ -39,7 +44,7 @@ impl AmsF2 {
         assert!(rows > 0 && cols > 0, "degenerate AMS configuration");
         let mut rng = Xoshiro256pp::new(derive_seed(seed, 0xA352));
         let signs = (0..rows * cols)
-            .map(|_| KWiseHash::new(4, &mut rng))
+            .map(|_| KWiseHash::draw_4wise(&mut rng))
             .collect();
         Self {
             rows,
@@ -76,8 +81,14 @@ impl AmsF2 {
 impl LinearSketch for AmsF2 {
     #[inline]
     fn update(&mut self, index: u64, delta: f64) {
+        let powers = cubic_powers(index);
         for (c, h) in self.counters.iter_mut().zip(&self.signs) {
-            *c += h.sign(index) as f64 * delta;
+            let sign = if eval_cubic(h, &powers) & 1 == 0 {
+                1.0
+            } else {
+                -1.0
+            };
+            *c += sign * delta;
         }
     }
 
@@ -95,7 +106,8 @@ impl LinearSketch for AmsF2 {
     }
 
     fn space_bits(&self) -> usize {
-        self.counters.len() * 64 + self.signs.iter().map(KWiseHash::space_bits).sum::<usize>()
+        // Each sign hash stores 4 coefficients of 61 bits.
+        self.counters.len() * 64 + self.signs.len() * 4 * 61
     }
 }
 
@@ -105,8 +117,10 @@ impl Encode for AmsF2 {
         w.put_usize(self.cols);
         w.put_f64s(&self.counters);
         w.put_usize(self.signs.len());
+        // Each sign hash in `KWiseHash`'s layout (a length-prefixed
+        // coefficient array).
         for h in &self.signs {
-            h.encode(w)?;
+            w.put_u64s(h);
         }
         Ok(())
     }
@@ -126,13 +140,21 @@ impl Decode for AmsF2 {
         if counters.len() != cells {
             return Err(WireError::Invalid("ams counter length"));
         }
+        if !counters.iter().all(|c| c.is_finite()) {
+            return Err(WireError::Invalid("ams counter not finite"));
+        }
         let sign_count = r.get_len(2)?;
         if sign_count != cells {
             return Err(WireError::Invalid("ams sign-hash length"));
         }
         let mut signs = Vec::with_capacity(sign_count);
         for _ in 0..sign_count {
-            signs.push(KWiseHash::decode(r)?);
+            let h = KWiseHash::decode(r)?;
+            let coeffs = h
+                .coefficients()
+                .try_into()
+                .map_err(|_| WireError::Invalid("ams sign-hash degree"))?;
+            signs.push(coeffs);
         }
         Ok(Self {
             rows,
@@ -292,6 +314,36 @@ mod tests {
         let mut sxy = AmsF2::new(5, 8, 9);
         sxy.ingest_vector(&x.add(&y));
         assert!((sx.estimate() - sxy.estimate()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn shared_power_signs_equal_horner_signs() {
+        // Edge indices around the field modulus, then random ones.
+        let mut indices = vec![
+            0,
+            1,
+            (1u64 << 61) - 2,
+            (1u64 << 61) - 1,
+            1u64 << 61,
+            u64::MAX,
+        ];
+        let mut rng = Xoshiro256pp::new(0x5167);
+        indices.extend((0..10_000).map(|_| rng.next_u64()));
+        let ams = AmsF2::new(3, 5, 77);
+        let horner: Vec<KWiseHash> = ams
+            .signs
+            .iter()
+            .map(|c| KWiseHash::from_coefficients(c.to_vec()))
+            .collect();
+        for &x in &indices {
+            let powers = cubic_powers(x);
+            for (c, h) in ams.signs.iter().zip(&horner) {
+                let shared = eval_cubic(c, &powers);
+                assert_eq!(shared, h.hash(x), "index {x}");
+                let sign = if shared & 1 == 0 { 1 } else { -1 };
+                assert_eq!(sign, h.sign(x), "index {x}");
+            }
+        }
     }
 
     #[test]

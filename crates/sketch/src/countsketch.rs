@@ -20,6 +20,11 @@ use crate::traits::LinearSketch;
 use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
 use pts_util::{derive_seed, keyed_u64};
 
+/// The most rows a [`CountSketch`] may have: [`CountSketch::estimate`] takes
+/// its row median in a stack buffer of this size. Every in-repo
+/// configuration has at most 9 rows.
+pub const MAX_ROWS: usize = 16;
+
 /// Configuration for a [`CountSketch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CountSketchParams {
@@ -52,30 +57,66 @@ impl CountSketch {
     /// Creates an empty sketch with the given parameters and seed.
     ///
     /// # Panics
-    /// Panics if `rows == 0` or `buckets == 0`.
+    /// Panics if `rows == 0`, `rows > MAX_ROWS` or `buckets == 0`.
     pub fn new(params: CountSketchParams, seed: u64) -> Self {
-        assert!(params.rows > 0 && params.buckets > 0, "degenerate table");
-        let base = derive_seed(seed, 0x6353);
-        let row_seeds = (0..params.rows)
-            .map(|r| derive_seed(base, r as u64))
-            .collect();
+        check_shape(params);
         Self {
             rows: params.rows,
             buckets: params.buckets,
             table: vec![0.0; params.rows * params.buckets],
-            row_seeds,
+            row_seeds: row_seeds(seed).take(params.rows).collect(),
             seed,
         }
     }
 
-    /// The (bucket, sign) pair of index `i` in row `r`: one keyed-hash
-    /// evaluation supplies 63 bits for the bucket and 1 bit for the sign.
-    #[inline]
-    fn slot(&self, r: usize, i: u64) -> (usize, f64) {
-        let h = keyed_u64(self.row_seeds[r], i);
-        let bucket = (((h >> 1) as u128 * self.buckets as u128) >> 63) as usize;
-        let sign = if h & 1 == 0 { 1.0 } else { -1.0 };
-        (bucket, sign)
+    /// The point estimate `new(params, seed)` would give at `i` after
+    /// `update(k, value(k, v))` for each entry `(k, v)` in order, computed
+    /// from the entries without materializing the table.
+    ///
+    /// Bit-identical to the materialized [`CountSketch::estimate`]: each
+    /// row's cell of `i` is rebuilt by summing, in entry order and from
+    /// `0.0`, the signed deltas of the entries that land in it — the same
+    /// float sequence the table cell receives. `value` is called once per
+    /// entry that shares a bucket with `i` in some row, and never for the
+    /// others.
+    ///
+    /// # Panics
+    /// Panics on the shapes [`CountSketch::new`] rejects.
+    pub fn point_estimate<I, V>(
+        params: CountSketchParams,
+        seed: u64,
+        entries: I,
+        i: u64,
+        mut value: V,
+    ) -> f64
+    where
+        I: IntoIterator<Item = (u64, i64)>,
+        V: FnMut(u64, i64) -> f64,
+    {
+        check_shape(params);
+        let rows = params.rows;
+        let mut seeds = [0u64; MAX_ROWS];
+        let mut own = [(0usize, 0.0f64); MAX_ROWS];
+        for (r, row_seed) in row_seeds(seed).take(rows).enumerate() {
+            seeds[r] = row_seed;
+            own[r] = slot(row_seed, params.buckets, i);
+        }
+        let mut cells = [0.0f64; MAX_ROWS];
+        for (k, v) in entries {
+            let mut delta = None;
+            for r in 0..rows {
+                let (b, s) = slot(seeds[r], params.buckets, k);
+                if b == own[r].0 {
+                    let d = *delta.get_or_insert_with(|| value(k, v));
+                    cells[r] += s * d;
+                }
+            }
+        }
+        let mut vals = [0.0f64; MAX_ROWS];
+        for r in 0..rows {
+            vals[r] = own[r].1 * cells[r];
+        }
+        median_in_place(&mut vals[..rows])
     }
 
     /// Number of rows.
@@ -103,13 +144,12 @@ impl CountSketch {
 
     /// Point estimate `x̂_i`: median over rows of `sign · bucket`.
     pub fn estimate(&self, i: u64) -> f64 {
-        let mut vals: Vec<f64> = (0..self.rows)
-            .map(|r| {
-                let (b, s) = self.slot(r, i);
-                s * self.table[self.cell(r, b)]
-            })
-            .collect();
-        median_in_place(&mut vals)
+        let mut vals = [0.0f64; MAX_ROWS];
+        for (r, v) in vals[..self.rows].iter_mut().enumerate() {
+            let (b, s) = slot(self.row_seeds[r], self.buckets, i);
+            *v = s * self.table[self.cell(r, b)];
+        }
+        median_in_place(&mut vals[..self.rows])
     }
 
     /// Decodes estimates for the whole universe `[0, n)`.
@@ -144,7 +184,7 @@ impl LinearSketch for CountSketch {
     #[inline]
     fn update(&mut self, index: u64, delta: f64) {
         for r in 0..self.rows {
-            let (b, s) = self.slot(r, index);
+            let (b, s) = slot(self.row_seeds[r], self.buckets, index);
             let cell = self.cell(r, b);
             self.table[cell] += s * delta;
         }
@@ -180,7 +220,7 @@ impl Decode for CountSketch {
         let rows = r.get_usize()?;
         let buckets = r.get_usize()?;
         let seed = r.get_u64()?;
-        if !(1..=1024).contains(&rows) || buckets == 0 {
+        if !(1..=MAX_ROWS).contains(&rows) || buckets == 0 {
             return Err(WireError::Invalid("countsketch shape"));
         }
         let cells = rows
@@ -190,17 +230,45 @@ impl Decode for CountSketch {
         if table.len() != cells {
             return Err(WireError::Invalid("countsketch table length"));
         }
+        if !table.iter().all(|c| c.is_finite()) {
+            return Err(WireError::Invalid("countsketch cell not finite"));
+        }
         // Row seeds are pure functions of the seed — recomputed, not shipped.
-        let base = derive_seed(seed, 0x6353);
-        let row_seeds = (0..rows).map(|row| derive_seed(base, row as u64)).collect();
         Ok(Self {
             rows,
             buckets,
             table,
-            row_seeds,
+            row_seeds: row_seeds(seed).take(rows).collect(),
             seed,
         })
     }
+}
+
+/// Asserts the shape invariants every sketch and point query relies on.
+fn check_shape(params: CountSketchParams) {
+    assert!(params.rows > 0 && params.buckets > 0, "degenerate table");
+    assert!(
+        params.rows <= MAX_ROWS,
+        "{} rows exceed MAX_ROWS = {MAX_ROWS}",
+        params.rows
+    );
+}
+
+/// The hash keys of rows `0, 1, …` of a sketch seeded by `seed`.
+fn row_seeds(seed: u64) -> impl Iterator<Item = u64> {
+    let base = derive_seed(seed, 0x6353);
+    (0u64..).map(move |r| derive_seed(base, r))
+}
+
+/// The (bucket, sign) pair of index `i` in the row keyed by `row_seed`: one
+/// keyed-hash evaluation supplies 63 bits for the bucket and 1 bit for the
+/// sign.
+#[inline]
+fn slot(row_seed: u64, buckets: usize, i: u64) -> (usize, f64) {
+    let h = keyed_u64(row_seed, i);
+    let bucket = (((h >> 1) as u128 * buckets as u128) >> 63) as usize;
+    let sign = if h & 1 == 0 { 1.0 } else { -1.0 };
+    (bucket, sign)
 }
 
 /// Median of a mutable slice (averages the middle pair on even length).
@@ -371,6 +439,65 @@ mod tests {
         assert_eq!(median_in_place(&mut odd), 2.0);
         let mut even = [4.0, 1.0, 3.0, 2.0];
         assert_eq!(median_in_place(&mut even), 2.5);
+    }
+
+    #[test]
+    fn point_estimate_equals_materialized_estimate_bit_for_bit() {
+        // Even row counts take the two-value median; 4 buckets force
+        // collisions, so most cells sum several entries in a fixed order.
+        let mut rng = pts_util::Xoshiro256pp::new(0xC0FFEE);
+        for rows in [1usize, 2, 7, 9] {
+            for buckets in [4usize, 13, 576] {
+                for seed in 0..6u64 {
+                    let params = CountSketchParams { rows, buckets };
+                    let entries: Vec<(u64, i64)> = (0..40)
+                        .map(|_| {
+                            let i = rng.next_below(96);
+                            let magnitude = 1 + rng.next_below(1000) as i64;
+                            (i, rng.next_sign() * magnitude)
+                        })
+                        .collect();
+                    // A non-trivial per-entry value, as a scaled replica sees.
+                    let value = |i: u64, v: i64| v as f64 * (1.0 + (i as f64).sqrt() / 7.0);
+                    let mut cs = CountSketch::new(params, seed);
+                    for &(i, v) in &entries {
+                        cs.update(i, value(i, v));
+                    }
+                    for i in 0..96u64 {
+                        let point = CountSketch::point_estimate(
+                            params,
+                            seed,
+                            entries.iter().copied(),
+                            i,
+                            value,
+                        );
+                        assert_eq!(
+                            point.to_bits(),
+                            cs.estimate(i).to_bits(),
+                            "rows {rows} buckets {buckets} seed {seed} index {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn point_estimate_values_only_colliding_entries() {
+        let params = CountSketchParams {
+            rows: 3,
+            buckets: 1 << 20,
+        };
+        let entries = [(5u64, 2i64), (9, 3), (5, -1)];
+        let mut seen = Vec::new();
+        let est = CountSketch::point_estimate(params, 3, entries, 5, |i, v| {
+            seen.push(i);
+            v as f64
+        });
+        assert_eq!(est, 1.0);
+        // Index 9 shares none of 5's buckets among 2^20; index 5 is valued
+        // once per entry, not once per row.
+        assert_eq!(seen, [5, 5]);
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! `WireError` or a differently-valued object, but never panic.
 
 use proptest::prelude::*;
+use pts_sketch::countsketch::MAX_ROWS;
 use pts_sketch::{
     AmsF2, CountSketch, CountSketchParams, DyadicHeavyHitters, FpMaxStab, FpMaxStabParams,
     FpTaylor, FpTaylorParams, LinearSketch, ModCountSketch, SparseRecovery,
 };
-use pts_util::wire::{Decode, Encode, WireReader};
+use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
+use pts_util::KWiseHash;
 
 /// Round-trips `x` and asserts byte-identical state via re-encode; then
 /// fuzzes the encoding: every truncation must fail cleanly, and a byte flip
@@ -147,4 +149,101 @@ fn decode_rejects_byte_soup_without_panicking() {
             let _ = DyadicHeavyHitters::from_wire_bytes(&soup);
         }
     }
+}
+
+/// A `CountSketch` encoding with the given shape and table.
+fn countsketch_bytes(rows: usize, buckets: usize, table: &[f64]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_usize(rows);
+    w.put_usize(buckets);
+    w.put_u64(7);
+    w.put_f64s(table);
+    w.into_bytes()
+}
+
+/// An `AmsF2` encoding with the given counters and sign-hash coefficients.
+fn ams_bytes(rows: usize, cols: usize, counters: &[f64], signs: &[Vec<u64>]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.put_usize(rows);
+    w.put_usize(cols);
+    w.put_f64s(counters);
+    w.put_usize(signs.len());
+    for coeffs in signs {
+        w.put_u64s(coeffs);
+    }
+    w.into_bytes()
+}
+
+fn is_invalid<T>(decoded: Result<T, WireError>) -> bool {
+    matches!(decoded, Err(WireError::Invalid(_)))
+}
+
+#[test]
+fn countsketch_decode_bounds_rows_by_max_rows() {
+    let ok = countsketch_bytes(MAX_ROWS, 2, &vec![1.0; MAX_ROWS * 2]);
+    let cs = CountSketch::from_wire_bytes(&ok).expect("MAX_ROWS rows decode");
+    assert_eq!(cs.rows(), MAX_ROWS);
+    let over = countsketch_bytes(MAX_ROWS + 1, 2, &vec![1.0; (MAX_ROWS + 1) * 2]);
+    assert!(is_invalid(CountSketch::from_wire_bytes(&over)));
+}
+
+#[test]
+#[should_panic(expected = "exceed MAX_ROWS")]
+fn countsketch_new_rejects_rows_above_max_rows() {
+    let _ = CountSketch::new(
+        CountSketchParams {
+            rows: MAX_ROWS + 1,
+            buckets: 4,
+        },
+        1,
+    );
+}
+
+#[test]
+fn decoders_reject_non_finite_cells() {
+    // A NaN or ±inf cell would reach a live sampler's estimates.
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut table = vec![0.5; 3 * 4];
+        table[5] = bad;
+        let cs = countsketch_bytes(3, 4, &table);
+        assert!(is_invalid(CountSketch::from_wire_bytes(&cs)), "cell {bad}");
+
+        let signs = vec![vec![1, 2, 3, 4]; 2];
+        let ams = ams_bytes(1, 2, &[1.0, bad], &signs);
+        assert!(is_invalid(AmsF2::from_wire_bytes(&ams)), "counter {bad}");
+    }
+    // The same encodings with finite cells decode.
+    assert!(CountSketch::from_wire_bytes(&countsketch_bytes(3, 4, &[0.5; 12])).is_ok());
+    let signs = vec![vec![1, 2, 3, 4]; 2];
+    assert!(AmsF2::from_wire_bytes(&ams_bytes(1, 2, &[1.0, -2.0], &signs)).is_ok());
+}
+
+#[test]
+fn ams_decode_rejects_sign_hash_of_other_degree() {
+    for coeffs in [vec![1, 2, 3], vec![1, 2, 3, 4, 5], vec![9]] {
+        let signs = vec![vec![1, 2, 3, 4], coeffs.clone()];
+        let bytes = ams_bytes(1, 2, &[0.0, 0.0], &signs);
+        assert!(
+            is_invalid(AmsF2::from_wire_bytes(&bytes)),
+            "{} coefficients",
+            coeffs.len()
+        );
+    }
+}
+
+#[test]
+fn ams_encoding_keeps_the_kwise_hash_layout() {
+    // Each sign hash is encoded exactly as the `KWiseHash` it stands for,
+    // so checkpoints written before the flat coefficient store still read.
+    let ams = AmsF2::new(2, 3, 41);
+    let mut rng = pts_util::Xoshiro256pp::new(pts_util::derive_seed(41, 0xA352));
+    let mut w = WireWriter::new();
+    w.put_usize(2);
+    w.put_usize(3);
+    w.put_f64s(&[0.0; 6]);
+    w.put_usize(6);
+    for _ in 0..6 {
+        KWiseHash::new(4, &mut rng).encode(&mut w).unwrap();
+    }
+    assert_eq!(ams.to_wire_bytes().unwrap(), w.into_bytes());
 }

@@ -47,19 +47,17 @@ impl KWiseHash {
     /// Panics if `k == 0`.
     pub fn new(k: usize, rng: &mut Xoshiro256pp) -> Self {
         assert!(k >= 1, "independence parameter k must be >= 1");
-        let mut coeffs = Vec::with_capacity(k);
-        for i in 0..k {
-            // Leading coefficient non-zero keeps the polynomial degree exact;
-            // for the others any residue is fine.
-            let c = loop {
-                let c = rng.next_below(MERSENNE_P);
-                if i != 0 || c != 0 || k == 1 {
-                    break c;
-                }
-            };
-            coeffs.push(c);
-        }
+        let coeffs = (0..k)
+            .map(|i| draw_coefficient(rng, i == 0 && k > 1))
+            .collect();
         Self { coeffs }
+    }
+
+    /// Draws the coefficients of a fresh 4-wise independent function
+    /// (constant term last) without allocating: the same draws
+    /// `new(4, rng)` makes. Evaluate them with [`eval_cubic`].
+    pub fn draw_4wise(rng: &mut Xoshiro256pp) -> [u64; 4] {
+        std::array::from_fn(|i| draw_coefficient(rng, i == 0))
     }
 
     /// Convenience: a fresh function seeded deterministically.
@@ -143,6 +141,47 @@ impl KWiseHash {
     }
 }
 
+/// One coefficient draw. A leading coefficient is redrawn until non-zero,
+/// which keeps the polynomial degree exact; any other residue is fine.
+fn draw_coefficient(rng: &mut Xoshiro256pp, leading: bool) -> u64 {
+    loop {
+        let c = rng.next_below(MERSENNE_P);
+        if !leading || c != 0 {
+            break c;
+        }
+    }
+}
+
+/// The powers `[x³, x², x]` of `x` mapped into the field as
+/// [`KWiseHash::hash`] maps it. Computed once per index, they are shared by
+/// every degree-3 polynomial evaluated there ([`eval_cubic`]).
+#[inline]
+pub fn cubic_powers(x: u64) -> [u64; 3] {
+    let x1 = mod_mersenne(x as u128);
+    let x2 = mul_mod(x1, x1);
+    [mul_mod(x2, x1), x2, x1]
+}
+
+/// `c₀x³ + c₁x² + c₂x + c₃ mod 2^61 − 1` from shared [`cubic_powers`]:
+/// the canonical residue, so it equals [`KWiseHash::hash`] (Horner's rule)
+/// with the same coefficients bit for bit. Coefficients must lie in the
+/// field, as every drawn or decoded `KWiseHash` coefficient does.
+#[inline]
+pub fn eval_cubic(c: &[u64; 4], powers: &[u64; 3]) -> u64 {
+    // Three products below 2^122 plus c₃ stay below 2^124.
+    let sum = c[0] as u128 * powers[0] as u128
+        + c[1] as u128 * powers[1] as u128
+        + c[2] as u128 * powers[2] as u128
+        + c[3] as u128;
+    // Fold twice (2^124 → below 2^64 → at most p + 7), then subtract once.
+    let once = (sum & MERSENNE_P as u128) as u64 + (sum >> 61) as u64;
+    let mut s = (once & MERSENNE_P) + (once >> 61);
+    if s >= MERSENNE_P {
+        s -= MERSENNE_P;
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,6 +198,32 @@ mod tests {
         ];
         for &x in &cases {
             assert_eq!(mod_mersenne(x) as u128, x % (MERSENNE_P as u128), "x={x}");
+        }
+    }
+
+    #[test]
+    fn eval_cubic_matches_horner_at_field_extremes() {
+        // Largest residues everywhere maximize every intermediate sum.
+        let top = MERSENNE_P - 1;
+        let mut rng = Xoshiro256pp::new(9);
+        let mut coeff_sets = vec![[top; 4], [0, 0, 0, top], [top, 0, top, 0], [1, 0, 0, 0]];
+        coeff_sets.extend((0..50).map(|_| KWiseHash::draw_4wise(&mut rng)));
+        let xs = [0, 1, top, MERSENNE_P, MERSENNE_P + 1, u64::MAX, 1 << 63];
+        for c in &coeff_sets {
+            let h = KWiseHash::from_coefficients(c.to_vec());
+            for x in xs.into_iter().chain((0..200).map(|_| rng.next_u64())) {
+                assert_eq!(eval_cubic(c, &cubic_powers(x)), h.hash(x), "{c:?} at {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn draw_4wise_makes_the_draws_of_new() {
+        let mut a = Xoshiro256pp::new(5);
+        let mut b = Xoshiro256pp::new(5);
+        for _ in 0..100 {
+            let h = KWiseHash::new(4, &mut a);
+            assert_eq!(h.coefficients(), KWiseHash::draw_4wise(&mut b));
         }
     }
 

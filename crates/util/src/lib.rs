@@ -27,7 +27,7 @@ pub mod variates;
 pub mod wire;
 
 pub use discretize::EtaGrid;
-pub use hashing::KWiseHash;
+pub use hashing::{cubic_powers, eval_cubic, KWiseHash};
 pub use protocol::{ErrorCode, Request, Response, ServiceError, ServiceStats};
 pub use rng::{derive_seed, keyed_u64, mix64, SplitMix64, Xoshiro256pp};
 pub use table::Table;
