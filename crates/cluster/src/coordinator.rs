@@ -25,19 +25,20 @@
 //!
 //! ## Consistency
 //!
-//! All coordinator methods take `&mut self`, and since wire v3 the
-//! per-node conversations are **pipelined**, not lockstep: a scatter
-//! submits every node's request before awaiting any answer (`N · RTT`
-//! becomes `~1 · RTT`), and every answer is awaited before the method
-//! returns. The serialization story is unchanged: the server processes
-//! one connection's requests in submission order and answers a `Stats`
-//! only after applying that connection's prior requests, and
-//! cross-connection consistency is the server's engine mutex — so the
-//! mass scatter of a draw still observes every previously acknowledged
-//! ingest. What a cluster does **not** provide is cluster-wide ingest
-//! atomicity: each per-node batch applies atomically on its node, but
-//! because a pipelined scatter has every sub-batch in flight at once, an
-//! ingest that returns an error may leave *any subset of the other
+//! All coordinator methods take `&mut self`, and every multi-node
+//! operation — ingest, the mass scatter, the draw gather, namespace
+//! create and drop — goes through **one fan-out**: it submits every
+//! node's request before awaiting any answer (`N · RTT` becomes
+//! `~1 · RTT`), stops submitting at the first submit failure, and awaits
+//! every request it did submit before the method returns, error or not.
+//! The server processes one connection's requests in submission order
+//! and answers a `Stats` only after applying that connection's prior
+//! requests, and cross-connection consistency is the server's engine
+//! mutex — so the mass scatter of a draw observes every previously
+//! acknowledged ingest. What a cluster does **not** provide is
+//! cluster-wide atomicity: each per-node request applies atomically on
+//! its node, but because a fan-out has every request in flight at once,
+//! an operation that returns an error may leave *any subset of the other
 //! nodes* written — the typed [`ClusterError`] tells the caller which
 //! node broke so it can rejoin-and-retry (updates are deltas; replaying
 //! an *unacknowledged* batch is the caller's idempotence decision).
@@ -66,20 +67,19 @@
 //! ## Tenancy (wire v4)
 //!
 //! Since wire v4 every node hosts a *tenant map*, and the coordinator
-//! extends the slice partition per tenant: a namespace created through
-//! [`Coordinator::create_namespace`] exists on every slice owner, each
-//! node holding that tenant's sub-vector over its slice, so the two-stage
-//! law above holds per namespace with complete cross-tenant isolation
-//! (disjoint engines end to end). Routing is namespace-aware — each
-//! tenant starts with the default slice→node assignment and
-//! [`Coordinator::migrate_tenant`] (the tenant-granular
-//! [`Coordinator::rebalance`]) re-points *one tenant's* slices at a
-//! different node by streaming only that tenant's checkpoint, leaving
-//! every other namespace where it was. [`Coordinator::checkpoint_tenant`]
-//! / [`Coordinator::restore_tenant`] are the matching per-tenant halves
-//! of [`Coordinator::checkpoint_node`] / [`Coordinator::rejoin`], so an
-//! individual tenant can be shed, persisted, and revived on a different
-//! node draw-for-draw identically (pinned by `tests/cluster_law.rs`).
+//! keeps **one ownership table**, namespace → slice owners, whose
+//! namespace-0 row is the default assignment. A tenant created through
+//! [`Coordinator::create_namespace`] starts from that row on every slice
+//! owner, so the two-stage law above holds per namespace with complete
+//! cross-tenant isolation (disjoint engines end to end).
+//! [`Coordinator::rebalance`] and [`Coordinator::migrate_tenant`] are one
+//! move — checkpoint on one node, restore on another, re-point that
+//! namespace's row — leaving every other namespace where it was.
+//! [`Coordinator::checkpoint_tenant`] / [`Coordinator::restore_tenant`]
+//! are the per-tenant halves of [`Coordinator::checkpoint_node`] /
+//! [`Coordinator::rejoin`] and share their restore step, so a tenant can
+//! be shed, persisted, and revived on a different node draw-for-draw
+//! identically (pinned by `tests/cluster_law.rs`).
 
 use crate::config::ClusterConfig;
 use crate::obs::obs;
@@ -289,21 +289,18 @@ pub struct Coordinator {
     universe: usize,
     /// Slice boundaries: slice `s` covers `[cuts[s], cuts[s+1])`.
     cuts: Vec<u64>,
-    /// Which node owns each slice (the default namespace's assignment,
-    /// and the starting assignment of every created tenant).
-    slice_owner: Vec<usize>,
-    /// Per-tenant slice→node overrides for namespaces whose ownership
-    /// has diverged from `slice_owner` (created by
-    /// [`Coordinator::create_namespace`], re-pointed by
-    /// [`Coordinator::migrate_tenant`]).
-    tenant_owner: HashMap<u64, Vec<usize>>,
+    /// The ownership table: namespace → the node owning each slice. The
+    /// namespace-0 row is the default assignment, the template
+    /// [`Coordinator::create_namespace`] copies, and the routing of any
+    /// namespace the table does not hold. A move's target owns none of
+    /// the moved namespace's slices, so no node appears twice in a row:
+    /// a row is also the namespace's fan-out list, in canonical order.
+    owners: HashMap<u64, Vec<usize>>,
     nodes: Vec<Node>,
     client_config: ClientConfig,
     /// Drives the node pick at query time — the cluster analogue of the
     /// engine's shard-selection RNG.
     rng: Xoshiro256pp,
-    /// Reusable per-slice scatter buffers for batched ingest.
-    plan: Vec<Vec<Update>>,
     /// Samples whole `sample_many` bursts into distributed traces
     /// (disabled until [`Coordinator::set_trace_sampling`]).
     tracer: Tracer,
@@ -339,8 +336,7 @@ impl Coordinator {
         let mut coordinator = Self {
             universe: config.universe,
             cuts,
-            slice_owner,
-            tenant_owner: HashMap::new(),
+            owners: HashMap::from([(DEFAULT_NAMESPACE, slice_owner)]),
             nodes: config
                 .nodes
                 .iter()
@@ -351,7 +347,6 @@ impl Coordinator {
                 .collect(),
             client_config: config.client,
             rng: Xoshiro256pp::from_seed_stream(config.seed, NODE_PICK_STREAM),
-            plan: (0..active).map(|_| Vec::new()).collect(),
             tracer: Tracer::disabled(),
             trace_seed: config.seed,
             samples: 0,
@@ -394,18 +389,6 @@ impl Coordinator {
         (self.cuts[s], self.cuts[s + 1])
     }
 
-    /// The node currently owning the slice that contains `index`.
-    ///
-    /// # Panics
-    /// Panics if `index` is outside the universe.
-    pub fn owner_of(&self, index: u64) -> usize {
-        assert!(
-            (index as u128) < self.universe as u128,
-            "index outside universe"
-        );
-        self.slice_owner[self.slice_of(index)]
-    }
-
     /// The address a node slot currently points at.
     ///
     /// # Panics
@@ -426,12 +409,15 @@ impl Coordinator {
         }
     }
 
-    /// The slice a node currently owns (`None` = standby or drained).
+    /// The slice a node currently owns in the default namespace (`None` =
+    /// standby or drained).
     ///
     /// # Panics
     /// Panics if `node` is not a node index.
     pub fn node_slice(&self, node: usize) -> Option<usize> {
-        self.slice_owner.iter().position(|&owner| owner == node)
+        self.slice_owners(DEFAULT_NAMESPACE)
+            .iter()
+            .position(|&owner| owner == node)
     }
 
     fn slice_of(&self, index: u64) -> usize {
@@ -459,17 +445,25 @@ impl Coordinator {
             addr: addr.clone(),
             source,
         })?;
-        if stats.universe != self.universe as u64 {
-            return Err(ClusterError::UniverseMismatch {
-                node,
-                got: stats.universe,
-                want: self.universe as u64,
-            });
-        }
+        self.check_universe(node, stats.universe)?;
         self.nodes[node].client = Some(client);
         obs().node_up.inc();
         event("cluster.node.up", format!("node {node} ({addr})"));
         Ok(())
+    }
+
+    /// Rejects a node whose engine (as its `Stats` report describes it)
+    /// spans a universe other than the cluster's.
+    fn check_universe(&self, node: usize, got: u64) -> Result<(), ClusterError> {
+        if got == self.universe as u64 {
+            Ok(())
+        } else {
+            Err(ClusterError::UniverseMismatch {
+                node,
+                got,
+                want: self.universe as u64,
+            })
+        }
     }
 
     /// Converts a client failure on `node` into a [`ClusterError::Node`],
@@ -477,11 +471,10 @@ impl Coordinator {
     /// decision: a recoverable failure (in-band server error) leaves the
     /// node up, anything else (I/O, torn frame — the connection's demux
     /// is dead) marks it down for [`Coordinator::reconnect`] /
-    /// [`Coordinator::rejoin`].
+    /// [`Coordinator::rejoin`] — once, however many requests it had.
     fn fail_node(&mut self, node: usize, source: ClientError) -> ClusterError {
         let addr = self.nodes[node].addr.clone();
-        if !source.is_recoverable() {
-            self.nodes[node].client = None;
+        if !source.is_recoverable() && self.nodes[node].client.take().is_some() {
             obs().node_down.inc();
             event(
                 "cluster.node.down",
@@ -491,77 +484,79 @@ impl Coordinator {
         ClusterError::Node { node, addr, source }
     }
 
-    /// The error for an operation that needed `node` while it is marked
-    /// down.
-    fn node_down(&self, node: usize) -> ClusterError {
-        ClusterError::NodeDown {
-            node,
-            addr: self.nodes[node].addr.clone(),
-        }
-    }
-
-    /// Runs one blocking exchange against a node's client: submits with
-    /// `op`, then waits for the answer; failures go through
-    /// [`Coordinator::fail_node`].
+    /// Runs one blocking exchange against a node's client: a fan-out of
+    /// one request, submitted with `op`.
     fn with_node<T>(
         &mut self,
         node: usize,
         op: impl FnOnce(&mut Client) -> Result<Pending<T>, ClientError>,
     ) -> Result<T, ClusterError> {
-        let Some(client) = self.nodes[node].client.as_mut() else {
-            return Err(self.node_down(node));
-        };
-        match op(client).and_then(Pending::wait) {
-            Ok(v) => Ok(v),
-            Err(source) => Err(self.fail_node(node, source)),
-        }
+        let mut answers = self.fan_out([(node, op)], |client, op| op(client))?;
+        Ok(answers.pop().expect("one request, one answer"))
     }
 
-    /// The slice→node assignment of namespace `ns`: the default
-    /// assignment unless a migration re-pointed this tenant.
-    fn ns_slice_owner(&self, ns: u64) -> &[usize] {
-        self.tenant_owner
-            .get(&ns)
-            .map(Vec::as_slice)
-            .unwrap_or(&self.slice_owner)
-    }
-
-    /// The distinct nodes owning `ns`'s slices, in slice order
-    /// (deterministic — the draw-for-draw contracts depend on a canonical
-    /// scatter order).
-    fn owner_nodes(&self, ns: u64) -> Vec<usize> {
-        let assignment = self.ns_slice_owner(ns);
-        let mut owners: Vec<usize> = Vec::with_capacity(assignment.len());
-        for &node in assignment {
-            if !owners.contains(&node) {
-                owners.push(node);
+    /// The one fan-out every multi-node operation goes through: submits
+    /// one request per `(node, arg)` before awaiting any (~one round trip
+    /// for any node count), stopping at the first submit failure, then
+    /// awaits every request it did submit, error or not, so no response
+    /// outlives the call. Returns the answers in request order, or the
+    /// first error: a submit failure, else the earliest failed wait.
+    fn fan_out<A, T>(
+        &mut self,
+        requests: impl IntoIterator<Item = (usize, A)>,
+        mut submit: impl FnMut(&mut Client, A) -> Result<Pending<T>, ClientError>,
+    ) -> Result<Vec<T>, ClusterError> {
+        let mut sent: Vec<(usize, Pending<T>)> = Vec::new();
+        let mut first_err: Option<ClusterError> = None;
+        for (node, arg) in requests {
+            let Some(client) = self.nodes[node].client.as_mut() else {
+                let addr = self.nodes[node].addr.clone();
+                first_err = Some(ClusterError::NodeDown { node, addr });
+                break;
+            };
+            match submit(client, arg) {
+                Ok(pending) => sent.push((node, pending)),
+                Err(source) => {
+                    first_err = Some(self.fail_node(node, source));
+                    break;
+                }
             }
         }
-        owners
+        let answers: Vec<Result<T, ClusterError>> = sent
+            .into_iter()
+            .map(|(node, pending)| pending.wait().map_err(|s| self.fail_node(node, s)))
+            .collect();
+        match first_err {
+            Some(err) => Err(err),
+            None => answers.into_iter().collect(),
+        }
+    }
+
+    /// The slice→node assignment of namespace `ns`: its row of the
+    /// ownership table, or the namespace-0 row for a namespace the table
+    /// does not hold.
+    fn slice_owners(&self, ns: u64) -> &[usize] {
+        self.owners
+            .get(&ns)
+            .unwrap_or_else(|| &self.owners[&DEFAULT_NAMESPACE])
     }
 
     /// Routes a batch of turnstile updates to their owning nodes (one
-    /// `IngestBatch` per touched node, preserving in-batch order) and
-    /// returns the accepted update count.
-    ///
-    /// The per-node sub-batches are **pipelined**: every touched node's
-    /// `IngestBatch` is submitted before any acknowledgement is awaited,
-    /// so the scatter costs ~one round trip instead of one per node. All
-    /// acknowledgements are awaited before returning — `Ok(n)` still
-    /// means every sub-batch is applied.
+    /// `IngestBatch` per touched node, preserving in-batch order, all in
+    /// one fan-out) and returns the accepted update count — `Ok(n)` means
+    /// every sub-batch is applied.
     ///
     /// Cluster-level validation is atomic — an out-of-universe index
     /// rejects the whole batch before anything is sent. Cluster-level
-    /// *application* is per-node atomic only, and pipelining widens the
-    /// mid-scatter failure window: because every sub-batch is in flight
-    /// at once, an error return means any subset of the *other* touched
-    /// nodes may have applied theirs (see the module docs).
+    /// *application* is per-node atomic only: an error return means any
+    /// subset of the *other* touched nodes may have applied theirs (see
+    /// the module docs).
     pub fn ingest_batch(&mut self, batch: &[Update]) -> Result<u64, ClusterError> {
         self.ingest_batch_ns(DEFAULT_NAMESPACE, batch)
     }
 
     /// [`Coordinator::ingest_batch`] addressed to namespace `ns` — same
-    /// routing and pipelining, against that tenant's slice owners.
+    /// routing and fan-out, against that tenant's slice owners.
     pub fn ingest_batch_ns(&mut self, ns: u64, batch: &[Update]) -> Result<u64, ClusterError> {
         if let Some(u) = batch
             .iter()
@@ -569,57 +564,21 @@ impl Coordinator {
         {
             return Err(ClusterError::OutOfUniverse { index: u.index });
         }
-        for run in &mut self.plan {
-            run.clear();
-        }
+        let mut plan: Vec<Vec<Update>> = vec![Vec::new(); self.slices()];
         for &u in batch {
-            let slice = self.slice_of(u.index);
-            self.plan[slice].push(u);
+            plan[self.slice_of(u.index)].push(u);
         }
-        let owner_of_slice = self.ns_slice_owner(ns).to_vec();
-        // Submit every touched node's sub-batch before awaiting any ack.
-        let mut sent: Vec<(usize, Pending<u64>)> = Vec::new();
-        let mut first_err: Option<ClusterError> = None;
-        for (slice, &node) in owner_of_slice.iter().enumerate() {
-            if self.plan[slice].is_empty() {
-                continue;
-            }
-            let run = std::mem::take(&mut self.plan[slice]);
-            // Two-step match: the submit result must outlive the client
-            // borrow before `fail_node` can re-borrow `self`.
-            let submitted = self.nodes[node]
-                .client
-                .as_mut()
-                .map(|client| client.submit_ingest_batch_ns(ns, &run));
-            self.plan[slice] = run;
-            match submitted {
-                None => {
-                    first_err = Some(self.node_down(node));
-                    break;
-                }
-                Some(Err(source)) => {
-                    first_err = Some(self.fail_node(node, source));
-                    break;
-                }
-                Some(Ok(pending)) => sent.push((node, pending)),
-            }
-        }
-        // Await every submitted ack even when a later submit failed: an
-        // `Err` return must not leave un-reaped responses racing the next
-        // operation's accounting.
-        let mut accepted = 0u64;
-        for (node, pending) in sent {
-            match pending.wait() {
-                Ok(n) => accepted += n,
-                Err(source) => {
-                    let err = self.fail_node(node, source);
-                    first_err.get_or_insert(err);
-                }
-            }
-        }
-        if let Some(err) = first_err {
-            return Err(err);
-        }
+        let runs: Vec<(usize, &[Update])> = self
+            .slice_owners(ns)
+            .iter()
+            .zip(&plan)
+            .filter(|(_, run)| !run.is_empty())
+            .map(|(&node, run)| (node, run.as_slice()))
+            .collect();
+        let accepted = self
+            .fan_out(runs, |client, run| client.submit_ingest_batch_ns(ns, run))?
+            .into_iter()
+            .sum();
         obs().ingest_accepted.add(accepted);
         Ok(accepted)
     }
@@ -636,16 +595,13 @@ impl Coordinator {
         Ok(self.scatter_masses(ns, None)?.2)
     }
 
-    /// Scatters a `Stats` query to every slice owner; returns the owners,
-    /// their exact masses (owner order), and the total.
-    ///
-    /// The scatter is **pipelined**: every owner's `Stats` is submitted
-    /// before any answer is awaited, so wall-clock cost is ~one round
-    /// trip regardless of owner count (`perfbench`'s `draw` workload
-    /// reports this path as its `cluster.scatter_us` row). When `trace` is
-    /// set the scatter gets a `cluster.scatter` span and every per-node
-    /// `Stats` submit carries that span's context, so each node's stage
-    /// spans parent to the scatter in the burst's tree.
+    /// Fans a `Stats` query out to every slice owner; returns the owners,
+    /// their exact masses (owner order), and the total (`perfbench`'s
+    /// `draw` workload reports this path as its `cluster.scatter_us`
+    /// row). When `trace` is set the scatter gets a `cluster.scatter`
+    /// span and every per-node `Stats` submit carries that span's
+    /// context, so each node's stage spans parent to the scatter in the
+    /// burst's tree.
     fn scatter_masses(
         &mut self,
         ns: u64,
@@ -654,26 +610,15 @@ impl Coordinator {
         let sw = Stopwatch::start();
         let scatter_span = child_span(trace, "cluster.scatter");
         let ctx = span_ctx(&scatter_span);
-        let owners = self.owner_nodes(ns);
-        let mut pend: Vec<Pending<ServiceStats>> = Vec::with_capacity(owners.len());
-        for &node in &owners {
-            let submitted = self.nodes[node]
-                .client
-                .as_mut()
-                .map(|client| client.submit_stats_ns_traced(ns, ctx));
-            match submitted {
-                None => return Err(self.node_down(node)),
-                Some(Err(source)) => return Err(self.fail_node(node, source)),
-                Some(Ok(pending)) => pend.push(pending),
-            }
-        }
-        let mut masses = Vec::with_capacity(owners.len());
-        let mut total = 0.0;
-        for (&node, pending) in owners.iter().zip(pend) {
-            let stats = pending.wait().map_err(|s| self.fail_node(node, s))?;
-            masses.push(stats.mass);
-            total += stats.mass;
-        }
+        let owners = self.slice_owners(ns).to_vec();
+        let masses: Vec<f64> = self
+            .fan_out(owners.iter().map(|&node| (node, ())), |client, ()| {
+                client.submit_stats_ns_traced(ns, ctx)
+            })?
+            .iter()
+            .map(|stats| stats.mass)
+            .collect();
+        let total = masses.iter().sum();
         drop(scatter_span);
         obs().scatter_ns.observe_elapsed(sw);
         Ok((owners, masses, total))
@@ -755,62 +700,35 @@ impl Coordinator {
         let sw = Stopwatch::start();
         let gather_span = child_span(trace, "cluster.gather");
         let gather_ctx = span_ctx(&gather_span);
-        // Submit every node's fetch — chunked into MAX_SAMPLE_COUNT-sized
+        // One fetch per picked owner, chunked into MAX_SAMPLE_COUNT-sized
         // requests, since a coordinator burst may exceed what one Sample
-        // request is allowed to carry — before awaiting any draw, so the
-        // gather costs ~one round trip regardless of how many nodes were
-        // picked. The server answers one connection's requests in
-        // submission order, so a node's chunks come back in chunk order.
-        let mut in_flight: Vec<Vec<Pending<Vec<Option<Sample>>>>> =
-            Vec::with_capacity(owners.len());
-        let mut fetch_err: Option<ClusterError> = None;
-        'submit: for (o, &node) in owners.iter().enumerate() {
-            let mut chunks = Vec::new();
-            let mut remaining = per_owner[o];
+        // request is allowed to carry. The server answers one
+        // connection's requests in submission order, so an owner's chunks
+        // come back in chunk order.
+        let mut chunks: Vec<(usize, u64)> = Vec::with_capacity(owners.len());
+        for (o, &share) in per_owner.iter().enumerate() {
+            let mut remaining = share;
             while remaining > 0 {
                 let take = remaining.min(MAX_SAMPLE_COUNT);
-                let submitted = self.nodes[node]
-                    .client
-                    .as_mut()
-                    .map(|client| client.submit_sample_many_ns_traced(ns, take, gather_ctx));
-                match submitted {
-                    None => {
-                        fetch_err = Some(self.node_down(node));
-                        break 'submit;
-                    }
-                    Some(Err(source)) => {
-                        fetch_err = Some(self.fail_node(node, source));
-                        break 'submit;
-                    }
-                    Some(Ok(pending)) => chunks.push(pending),
-                }
+                chunks.push((o, take));
                 remaining -= take;
             }
-            in_flight.push(chunks);
         }
-        let mut fetched: Vec<VecDeque<Option<Sample>>> = Vec::with_capacity(owners.len());
-        if fetch_err.is_none() {
-            'wait: for (&node, chunks) in owners.iter().zip(in_flight) {
-                let mut draws = VecDeque::new();
-                for pending in chunks {
-                    match pending.wait() {
-                        Ok(batch) => draws.extend(batch),
-                        Err(source) => {
-                            fetch_err = Some(self.fail_node(node, source));
-                            break 'wait;
-                        }
-                    }
-                }
-                fetched.push(draws);
-            }
-        }
-        if let Some(err) = fetch_err {
-            // Un-consume the burst's picks (see the doc comment); draws
-            // already fetched from other nodes are discarded — an error
-            // burst delivers nothing. Unawaited chunks resolve into the
-            // demux's stray buffer and are dropped there.
-            self.rng = Xoshiro256pp::from_state(rng_before);
-            return Err(err);
+        let gathered = self
+            .fan_out(
+                chunks.iter().map(|&(o, take)| (owners[o], take)),
+                |client, take| client.submit_sample_many_ns_traced(ns, take, gather_ctx),
+            )
+            .inspect_err(|_| {
+                // Un-consume the burst's picks (see the doc comment);
+                // draws already fetched from other nodes are discarded —
+                // an error burst delivers nothing.
+                self.rng = Xoshiro256pp::from_state(rng_before);
+            })?;
+        let mut fetched: Vec<VecDeque<Option<Sample>>> =
+            (0..owners.len()).map(|_| VecDeque::new()).collect();
+        for (&(o, _), batch) in chunks.iter().zip(gathered) {
+            fetched[o].extend(batch);
         }
         // Picks are counted only for delivered bursts: a rolled-back burst
         // repeats its picks on retry, and double counting would skew the
@@ -881,88 +799,55 @@ impl Coordinator {
     /// bytes an operator persists so a crashed node can
     /// [`Coordinator::rejoin`] identically.
     pub fn checkpoint_node(&mut self, node: usize) -> Result<Vec<u8>, ClusterError> {
-        self.check_node_index(node)?;
-        self.with_node(node, |c| c.submit_checkpoint_ns(DEFAULT_NAMESPACE))
+        self.checkpoint_tenant(node, DEFAULT_NAMESPACE)
     }
 
-    /// Creates namespace `ns` on every slice owner (pipelined scatter),
-    /// so the tenant exists cluster-wide with the default slice→node
+    /// Creates namespace `ns` on every slice owner (one fan-out), so the
+    /// tenant exists cluster-wide with the default slice→node
     /// assignment. Every node builds the tenant's engine through its own
     /// spawner — the nodes must be serving with one
-    /// ([`pts_server::serve_with_spawner`]).
+    /// ([`pts_server::serve_with_spawner`]). A namespace the ownership
+    /// table already holds (namespace 0 always; a created or migrated
+    /// tenant until it is dropped) is rejected before any node is
+    /// contacted.
     ///
     /// On error, the subset of owners that already acknowledged keeps the
-    /// namespace (each node's create is atomic, the scatter is not); the
-    /// error names the node that broke so the caller can repair and
-    /// retry or [`Coordinator::drop_namespace`] the partial tenant.
+    /// namespace (each node's create is atomic, the fan-out is not) and
+    /// the table does not record it; the error names the node that broke
+    /// so the caller can repair and retry or
+    /// [`Coordinator::drop_namespace`] the partial tenant.
     pub fn create_namespace(&mut self, ns: u64) -> Result<(), ClusterError> {
-        if ns == DEFAULT_NAMESPACE {
-            return Err(ClusterError::Topology("namespace 0 always exists"));
+        if self.owners.contains_key(&ns) {
+            return Err(ClusterError::Topology(
+                "namespace already exists (namespace 0 always does)",
+            ));
         }
-        let owners = self.owner_nodes(DEFAULT_NAMESPACE);
-        let mut pend: Vec<Pending<()>> = Vec::with_capacity(owners.len());
-        for &node in &owners {
-            let submitted = self.nodes[node]
-                .client
-                .as_mut()
-                .map(|client| client.submit_create_namespace(ns));
-            match submitted {
-                None => return Err(self.node_down(node)),
-                Some(Err(source)) => return Err(self.fail_node(node, source)),
-                Some(Ok(pending)) => pend.push(pending),
-            }
-        }
-        let mut first_err: Option<ClusterError> = None;
-        for (&node, pending) in owners.iter().zip(pend) {
-            if let Err(source) = pending.wait() {
-                let err = self.fail_node(node, source);
-                first_err.get_or_insert(err);
-            }
-        }
-        if let Some(err) = first_err {
-            return Err(err);
-        }
-        self.tenant_owner.insert(ns, self.slice_owner.clone());
+        let owners = self.slice_owners(DEFAULT_NAMESPACE).to_vec();
+        self.fan_out(owners.iter().map(|&node| (node, ())), |client, ()| {
+            client.submit_create_namespace(ns)
+        })?;
         event(
             "cluster.tenant.create",
             format!("namespace {ns} on {} owner(s)", owners.len()),
         );
+        self.owners.insert(ns, owners);
         Ok(())
     }
 
-    /// Drops namespace `ns` from every node currently hosting it
-    /// (pipelined scatter), releasing the tenant's engines cluster-wide.
-    /// Like [`Coordinator::create_namespace`], the scatter is per-node
-    /// atomic only: on error some nodes may have dropped their share
-    /// while others kept theirs — retry after repairing the named node.
+    /// Drops namespace `ns` from every node currently hosting it (one
+    /// fan-out), releasing the tenant's engines cluster-wide. Like
+    /// [`Coordinator::create_namespace`], the fan-out is per-node atomic
+    /// only: on error some nodes may have dropped their share while
+    /// others kept theirs — retry after repairing the named node.
     pub fn drop_namespace(&mut self, ns: u64) -> Result<(), ClusterError> {
         if ns == DEFAULT_NAMESPACE {
             return Err(ClusterError::Topology("namespace 0 cannot be dropped"));
         }
-        let owners = self.owner_nodes(ns);
-        let mut pend: Vec<Pending<()>> = Vec::with_capacity(owners.len());
-        for &node in &owners {
-            let submitted = self.nodes[node]
-                .client
-                .as_mut()
-                .map(|client| client.submit_drop_namespace(ns));
-            match submitted {
-                None => return Err(self.node_down(node)),
-                Some(Err(source)) => return Err(self.fail_node(node, source)),
-                Some(Ok(pending)) => pend.push(pending),
-            }
-        }
-        let mut first_err: Option<ClusterError> = None;
-        for (&node, pending) in owners.iter().zip(pend) {
-            if let Err(source) = pending.wait() {
-                let err = self.fail_node(node, source);
-                first_err.get_or_insert(err);
-            }
-        }
-        if let Some(err) = first_err {
-            return Err(err);
-        }
-        self.tenant_owner.remove(&ns);
+        let owners = self.slice_owners(ns).to_vec();
+        self.fan_out(owners.iter().map(|&node| (node, ())), |client, ()| {
+            client.submit_drop_namespace(ns)
+        })?;
+        self.owners.remove(&ns);
         event("cluster.tenant.drop", format!("namespace {ns}"));
         Ok(())
     }
@@ -978,11 +863,12 @@ impl Coordinator {
 
     /// Revives namespace `ns`'s `from`-owned slices on node `to` from a
     /// checkpoint previously pulled via [`Coordinator::checkpoint_tenant`]
-    /// — the per-tenant half of [`Coordinator::rejoin`]: `from` itself is
-    /// never contacted (it may be dead; that is the point), only `ns`'s
-    /// ownership is re-pointed, so every other namespace stays where it
-    /// was. The tenant continues draw-for-draw identical on its new node
-    /// (S29 bit-exactness, per tenant, through the wire).
+    /// — the per-tenant half of [`Coordinator::rejoin`], sharing its
+    /// restore step: `from` itself is never contacted (it may be dead;
+    /// that is the point), only `ns`'s ownership is re-pointed, so every
+    /// other namespace stays where it was. The tenant continues
+    /// draw-for-draw identical on its new node (S29 bit-exactness, per
+    /// tenant, through the wire).
     pub fn restore_tenant(
         &mut self,
         ns: u64,
@@ -995,50 +881,8 @@ impl Coordinator {
                 "restore the default tenant via rejoin",
             ));
         }
-        self.check_node_index(from)?;
-        self.check_node_index(to)?;
-        if from == to {
-            return Err(ClusterError::Topology("restore onto the same node"));
-        }
-        if !self.ns_slice_owner(ns).contains(&from) {
-            return Err(ClusterError::Topology(
-                "restore source owns none of this tenant's slices",
-            ));
-        }
-        if self.ns_slice_owner(ns).contains(&to) {
-            return Err(ClusterError::Topology(
-                "restore target already hosts this tenant",
-            ));
-        }
-        self.with_node(to, |c| c.submit_create_namespace(ns))?;
-        let restored = self.with_node(to, |c| c.submit_restore_ns(ns, checkpoint));
-        if restored.is_err() {
-            // A tenant that accepted the create but not the checkpoint is
-            // blank — letting it own slices would corrupt the law. Shed
-            // it (best-effort: the node may just have died).
-            let _ = self.with_node(to, |c| c.submit_drop_namespace(ns));
-            return restored;
-        }
-        // Universe re-validation, exactly like rejoin: the restore
-        // replaced the tenant's engine wholesale.
-        let stats = self.with_node(to, |c| c.submit_stats_ns(ns))?;
-        if stats.universe != self.universe as u64 {
-            let _ = self.with_node(to, |c| c.submit_drop_namespace(ns));
-            return Err(ClusterError::UniverseMismatch {
-                node: to,
-                got: stats.universe,
-                want: self.universe as u64,
-            });
-        }
-        let assignment = self
-            .tenant_owner
-            .entry(ns)
-            .or_insert_with(|| self.slice_owner.clone());
-        for owner in assignment.iter_mut() {
-            if *owner == from {
-                *owner = to;
-            }
-        }
+        self.check_move(ns, from, to)?;
+        self.restore_on(ns, from, to, checkpoint)?;
         event(
             "cluster.tenant.restore",
             format!(
@@ -1050,35 +894,23 @@ impl Coordinator {
     }
 
     /// Migrates one tenant's `from`-owned slices to node `to` — the
-    /// tenant-granular [`Coordinator::rebalance`]: checkpoint `ns` on
-    /// `from`, create-and-restore it on `to`, drop `from`'s now-stale
-    /// copy, and flip only `ns`'s ownership. `from` keeps serving every
-    /// other namespace; `to` may be a standby or an active owner of other
-    /// tenants — it just must not host `ns` yet. The tenant's law is
-    /// preserved exactly (pinned by `tests/cluster_law.rs`).
+    /// tenant-granular [`Coordinator::rebalance`], through the same move:
+    /// checkpoint `ns` on `from`, create-and-restore it on `to`, flip only
+    /// `ns`'s ownership, then drop `from`'s now-stale copy. `from` keeps
+    /// serving every other namespace; `to` may be a standby or an active
+    /// owner of other tenants — it just must not host `ns` yet. The
+    /// tenant's law is preserved exactly (pinned by
+    /// `tests/cluster_law.rs`).
     pub fn migrate_tenant(&mut self, ns: u64, from: usize, to: usize) -> Result<(), ClusterError> {
         if ns == DEFAULT_NAMESPACE {
             return Err(ClusterError::Topology(
                 "migrate the default tenant with rebalance",
             ));
         }
-        let sw = Stopwatch::start();
-        let checkpoint = self.checkpoint_tenant(from, ns)?;
-        self.restore_tenant(ns, from, to, &checkpoint)?;
-        // Shed the stale copy. A failure here leaves `from` hosting a
-        // no-longer-routed copy of `ns` — harmless to the law (nothing
-        // routes there), retryable once the node is repaired.
-        self.with_node(from, |c| c.submit_drop_namespace(ns))?;
-        self.rebalances += 1;
-        let o = obs();
-        o.rebalance_bytes.add(checkpoint.len() as u64);
-        o.rebalance_ns.observe_elapsed(sw);
+        let bytes = self.move_ns(ns, from, to)?;
         event(
             "cluster.tenant.migrate",
-            format!(
-                "namespace {ns} slices {from} -> {to}, {} checkpoint bytes",
-                checkpoint.len()
-            ),
+            format!("namespace {ns} slices {from} -> {to}, {bytes} checkpoint bytes"),
         );
         Ok(())
     }
@@ -1092,38 +924,96 @@ impl Coordinator {
     /// rebalance-mid-stream test).
     ///
     /// `from` keeps its (now stale) state but leaves the scatter set; it
-    /// becomes a standby eligible to receive a future rebalance.
+    /// becomes a standby eligible to receive a future rebalance. If the
+    /// restore or its universe re-check fails, ownership stays put and
+    /// `to` is marked down, as a failed [`Coordinator::rejoin`] would
+    /// leave it ([`Coordinator::reconnect`] it before reuse).
     pub fn rebalance(&mut self, from: usize, to: usize) -> Result<(), ClusterError> {
+        let bytes = self.move_ns(DEFAULT_NAMESPACE, from, to)?;
+        event(
+            "cluster.rebalance",
+            format!("slice owner {from} -> {to}, {bytes} checkpoint bytes"),
+        );
+        Ok(())
+    }
+
+    /// The guard rails of every move, checked before any node is
+    /// contacted: both nodes exist and differ, `from` owns some of `ns`'s
+    /// slices, and `to` owns none (for namespace 0: `to` is a standby).
+    fn check_move(&self, ns: u64, from: usize, to: usize) -> Result<(), ClusterError> {
         self.check_node_index(from)?;
         self.check_node_index(to)?;
+        let owners = self.slice_owners(ns);
         if from == to {
-            return Err(ClusterError::Topology("rebalance onto the same node"));
+            Err(ClusterError::Topology("move onto the same node"))
+        } else if !owners.contains(&from) {
+            Err(ClusterError::Topology("move source owns no slice"))
+        } else if owners.contains(&to) {
+            Err(ClusterError::Topology("move target already owns slices"))
+        } else {
+            Ok(())
         }
-        if self.node_slice(from).is_none() {
-            return Err(ClusterError::Topology("rebalance source owns no slice"));
-        }
-        if self.node_slice(to).is_some() {
-            return Err(ClusterError::Topology("rebalance target is not standby"));
-        }
+    }
+
+    /// The one move under [`Coordinator::rebalance`] and
+    /// [`Coordinator::migrate_tenant`]: check the guard rails, checkpoint
+    /// `ns` on `from`, restore it on `to` (`restore_on`), drop `from`'s
+    /// stale copy of a tenant, and count a rebalance. Returns the
+    /// checkpoint size.
+    fn move_ns(&mut self, ns: u64, from: usize, to: usize) -> Result<usize, ClusterError> {
+        self.check_move(ns, from, to)?;
         let sw = Stopwatch::start();
-        let checkpoint = self.with_node(from, |c| c.submit_checkpoint_ns(DEFAULT_NAMESPACE))?;
-        self.with_node(to, |c| c.submit_restore_ns(DEFAULT_NAMESPACE, &checkpoint))?;
-        for owner in &mut self.slice_owner {
-            if *owner == from {
-                *owner = to;
-            }
+        let checkpoint = self.with_node(from, |c| c.submit_checkpoint_ns(ns))?;
+        self.restore_on(ns, from, to, &checkpoint)?;
+        if ns != DEFAULT_NAMESPACE {
+            // A failure here leaves `from` hosting a no-longer-routed copy
+            // of `ns` — harmless to the law (nothing routes there).
+            self.with_node(from, |c| c.submit_drop_namespace(ns))?;
         }
         self.rebalances += 1;
         let o = obs();
         o.rebalance_bytes.add(checkpoint.len() as u64);
         o.rebalance_ns.observe_elapsed(sw);
-        event(
-            "cluster.rebalance",
-            format!(
-                "slice owner {from} -> {to}, {} checkpoint bytes",
-                checkpoint.len()
-            ),
-        );
+        Ok(checkpoint.len())
+    }
+
+    /// The restore step of [`Coordinator::rejoin`],
+    /// [`Coordinator::restore_tenant`] and every move: creates a tenant
+    /// `ns` on `to`, restores `checkpoint` into it, re-checks the universe
+    /// (the restore replaced the engine wholesale), and points `ns`'s
+    /// `from`-owned slices at `to` (`from == to` restores in place). A
+    /// failed restore or re-check sheds the target, since a blank or
+    /// foreign engine owning slices would corrupt the law: namespace 0
+    /// marks the node down, a tenant is dropped there (best-effort).
+    fn restore_on(
+        &mut self,
+        ns: u64,
+        from: usize,
+        to: usize,
+        checkpoint: &[u8],
+    ) -> Result<(), ClusterError> {
+        if ns != DEFAULT_NAMESPACE {
+            self.with_node(to, |c| c.submit_create_namespace(ns))?;
+        }
+        let restored = self
+            .with_node(to, |c| c.submit_restore_ns(ns, checkpoint))
+            .and_then(|()| self.with_node(to, |c| c.submit_stats_ns(ns)))
+            .and_then(|stats| self.check_universe(to, stats.universe));
+        if let Err(err) = restored {
+            if ns == DEFAULT_NAMESPACE {
+                self.nodes[to].client = None;
+            } else {
+                let _ = self.with_node(to, |c| c.submit_drop_namespace(ns));
+            }
+            return Err(err);
+        }
+        let mut assignment = self.slice_owners(ns).to_vec();
+        for owner in &mut assignment {
+            if *owner == from {
+                *owner = to;
+            }
+        }
+        self.owners.insert(ns, assignment);
         Ok(())
     }
 
@@ -1152,8 +1042,9 @@ impl Coordinator {
     /// rotation with its slice ownership unchanged. With the node's last
     /// pre-failure checkpoint, the cluster continues **draw-for-draw
     /// identical** to one that never lost the node (S29 bit-exactness,
-    /// measured through the socket). For a node whose server is still
-    /// alive (the connection merely broke), use
+    /// measured through the socket). A checkpoint that fails to restore
+    /// or spans another universe leaves the node down. For a node whose
+    /// server is still alive (the connection merely broke), use
     /// [`Coordinator::reconnect`] instead — it loses nothing.
     pub fn rejoin(
         &mut self,
@@ -1163,26 +1054,7 @@ impl Coordinator {
     ) -> Result<(), ClusterError> {
         self.check_node_index(node)?;
         self.attach(node, Some(addr.into()))?;
-        let restored = self.with_node(node, |c| c.submit_restore_ns(DEFAULT_NAMESPACE, checkpoint));
-        if restored.is_err() {
-            // A node that accepted the connection but not the checkpoint
-            // is blank — letting it own a slice would corrupt the law.
-            self.nodes[node].client = None;
-            return restored;
-        }
-        // The restore replaced the engine wholesale — universe included —
-        // so the attach-time validation no longer speaks for it: a
-        // checkpoint from a different cluster must not sneak a wrong
-        // coordinate space into the scatter set.
-        let stats = self.with_node(node, |c| c.submit_stats_ns(DEFAULT_NAMESPACE))?;
-        if stats.universe != self.universe as u64 {
-            self.nodes[node].client = None;
-            return Err(ClusterError::UniverseMismatch {
-                node,
-                got: stats.universe,
-                want: self.universe as u64,
-            });
-        }
+        self.restore_on(DEFAULT_NAMESPACE, node, node, checkpoint)?;
         event(
             "cluster.node.rejoin",
             format!(

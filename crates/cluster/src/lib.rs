@@ -25,8 +25,8 @@
 //! derivation, DESIGN.md §10 for the full story).
 //!
 //! Operational flows exercise every layer below: **rebalance** streams a
-//! PR-3 checkpoint from a slice owner into a standby through two
-//! lockstep connections, and **failover** marks a dead node down (typed
+//! PR-3 checkpoint from a slice owner into a standby through the
+//! coordinator, and **failover** marks a dead node down (typed
 //! [`ClusterError`]s, per-node health in [`ClusterStats`]) until a
 //! restarted server [`Coordinator::rejoin`]s from its last checkpoint —
 //! bit-exact, so the recovered cluster serves draw-for-draw the same

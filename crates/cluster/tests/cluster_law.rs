@@ -675,3 +675,103 @@ fn tenant_checkpoint_restore_on_another_node_is_draw_for_draw_identical() {
         server.join();
     }
 }
+
+/// The namespaces `node` hosts, asked over a direct connection.
+fn hosted(cluster: &Coordinator, node: usize) -> Vec<u64> {
+    let mut direct = pts_server::Client::connect(cluster.node_addr(node)).unwrap();
+    direct.submit_list_namespaces().unwrap().wait().unwrap()
+}
+
+/// Re-creating a tenant the coordinator already routes — here one that
+/// was migrated off its default owner — is typed misuse rejected before
+/// any node is contacted: the node that no longer owns the tenant must
+/// not get a blank copy, and the tenant can still migrate back.
+#[test]
+fn create_namespace_after_migration_leaves_no_orphan() {
+    let n = 48;
+    let servers = spawn_tenant_nodes(n, 3, L0Factory::default());
+    // Nodes 0 and 1 active, node 2 standby.
+    let config = ClusterConfig::new(n)
+        .seed(3)
+        .client(ClientConfig::new().read_timeout(Duration::from_secs(10)))
+        .node(servers[0].local_addr().to_string())
+        .node(servers[1].local_addr().to_string())
+        .standby(servers[2].local_addr().to_string());
+    let mut cluster = Coordinator::connect(config).expect("connect");
+
+    cluster.create_namespace(9).unwrap();
+    cluster.ingest_batch_ns(9, &[Update::new(40, 3)]).unwrap();
+    cluster.migrate_tenant(9, 1, 2).unwrap();
+    assert_eq!(hosted(&cluster, 1), vec![0]);
+
+    match cluster.create_namespace(9) {
+        Err(ClusterError::Topology(_)) => {}
+        other => panic!("re-creating a routed tenant must be typed misuse, got {other:?}"),
+    }
+    assert_eq!(hosted(&cluster, 0), vec![0, 9]);
+    assert_eq!(hosted(&cluster, 1), vec![0], "orphan tenant on node 1");
+    assert_eq!(hosted(&cluster, 2), vec![0, 9]);
+
+    // The tenant still moves back, its state intact.
+    cluster.migrate_tenant(9, 2, 1).unwrap();
+    assert_eq!(hosted(&cluster, 1), vec![0, 9]);
+    assert_eq!(hosted(&cluster, 2), vec![0]);
+    assert_eq!(
+        cluster.mass_ns(9).unwrap(),
+        1.0,
+        "the migrated-back tenant lost its state"
+    );
+
+    drop(cluster);
+    for server in servers {
+        server.join();
+    }
+}
+
+/// Tenant lifecycle with a dead slice owner: `create_namespace` and
+/// `drop_namespace` fail typed, naming the dead node, and a failed
+/// create leaves no trace in the ownership table — once the node is back,
+/// the same namespace is created normally.
+#[test]
+fn namespace_lifecycle_with_a_down_owner_fails_typed() {
+    let n = 64;
+    let factory = L0Factory::default();
+    let mut servers = spawn_tenant_nodes(n, 2, factory);
+    let mut cluster = Coordinator::connect(cluster_over(n, &servers, 12)).expect("connect");
+    let names_node_1 = |err: &ClusterError| {
+        matches!(
+            err,
+            ClusterError::Node { node: 1, .. } | ClusterError::NodeDown { node: 1, .. }
+        )
+    };
+
+    let checkpoint = cluster.checkpoint_node(1).unwrap();
+    servers.remove(1).join();
+
+    let err = cluster.create_namespace(5).unwrap_err();
+    assert!(names_node_1(&err), "create blamed the wrong node: {err}");
+    assert_eq!(cluster.node_health(1), NodeHealth::Down);
+    // Node 0 acknowledged its share of the partial tenant; the drop
+    // sheds it there and fails typed on the dead owner.
+    assert_eq!(hosted(&cluster, 0), vec![0, 5]);
+    let err = cluster.drop_namespace(5).unwrap_err();
+    assert!(names_node_1(&err), "drop blamed the wrong node: {err}");
+    assert_eq!(hosted(&cluster, 0), vec![0]);
+
+    // Revive node 1; the failed create recorded nothing, so the
+    // namespace is created cluster-wide like any new tenant.
+    let replacement = spawn_tenant_nodes(n, 1, factory);
+    cluster
+        .rejoin(1, replacement[0].local_addr().to_string(), &checkpoint)
+        .unwrap();
+    cluster
+        .create_namespace(5)
+        .expect("failed create left no trace");
+    assert_eq!(hosted(&cluster, 0), vec![0, 5]);
+    assert_eq!(hosted(&cluster, 1), vec![0, 5]);
+
+    drop(cluster);
+    for server in servers.into_iter().chain(replacement) {
+        server.join();
+    }
+}

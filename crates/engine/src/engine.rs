@@ -211,11 +211,6 @@ impl<F: SamplerFactory> ShardedEngine<F> {
         self.shards.iter().map(Shard::mass).sum()
     }
 
-    /// Per-shard masses (diagnostics; order matches shard ids).
-    pub fn shard_masses(&self) -> Vec<f64> {
-        self.shards.iter().map(Shard::mass).collect()
-    }
-
     /// Number of non-zero coordinates across all shards.
     pub fn support(&self) -> usize {
         self.shards.iter().map(Shard::support).sum()

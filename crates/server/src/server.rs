@@ -371,11 +371,6 @@ impl Server {
         self.addr
     }
 
-    /// Whether a shutdown (request-driven or programmatic) has begun.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Initiates shutdown without a client: sets the flag and wakes the
     /// accept loop. Returns immediately; use [`Server::join`] to wait.
     pub fn shutdown(&self) {
