@@ -36,9 +36,10 @@ where
     for chunk in updates.chunks(512) {
         engine.ingest_batch(chunk);
     }
-    // Exercise the pool, then refill it: the measured checkpoint carries
-    // fully live pools (the worst case — consumed slots would serialize as
-    // one bit each and respawn from the net vector after restore).
+    // Exercise the pool, then fill it: the measured checkpoint carries
+    // fully live pools (the worst case — an engine's slots are born empty,
+    // and empty slots serialize as one bit each and respawn from the net
+    // vector after restore).
     let _ = engine.sample();
     engine.prime();
 

@@ -4,11 +4,13 @@
 //! every sketch kernel, so a kernel change that moves a bit moves both sides
 //! and passes them. This test pins the draws themselves: fnv1a64 over
 //! `(index, estimate.to_bits())` of seeded `PerfectLpSampler::draw_from`
-//! (p = 3 and p = 2.5, n = 64) and `LpLe2Batch::draw_from` (n = 4096) draws.
-//! A kernel change must leave the digest where it is.
+//! (p = 3 and p = 2.5, n = 64) and `LpLe2Batch::draw_from` (n = 4096) draws,
+//! and over the build-replay-sample draws of `PerfectL0Sampler`, the
+//! default respawn path every L₀ engine draw takes. A kernel change must
+//! leave the digests where they are.
 
 use pts_core::{PerfectLpParams, PerfectLpSampler};
-use pts_samplers::{LpLe2Batch, LpLe2Params, Sample};
+use pts_samplers::{L0Params, LpLe2Batch, LpLe2Params, PerfectL0Sampler, Sample, TurnstileSampler};
 use pts_stream::gen::zipf_vector;
 use pts_util::wire::fnv1a64;
 
@@ -57,4 +59,33 @@ fn respawn_draws_match_pinned_digest() {
     // Recorded at the commit before the point-queried estimator replicas,
     // shared-power AMS signs and allocation-free CountSketch estimates.
     assert_eq!(fnv1a64(&bytes), 0x8235_c6dd_4730_19c7, "draw digest moved");
+}
+
+#[test]
+fn l0_respawn_draws_match_pinned_digest() {
+    let mut bytes = Vec::new();
+    let mut drawn = 0;
+    let n = 64;
+    // Support 32 and 64 of n = 64: the sparse-recovery levels that decode
+    // see many colliding entries, as on the `tenants` benchmark shape.
+    for (support, vseed) in [(32, 0x10D1), (64, 0x10D2)] {
+        let x = zipf_vector(n, 1.1, 60, vseed);
+        let net: Vec<(u64, i64)> = x.iter_nonzero().step_by(n / support).collect();
+        assert_eq!(net.len(), support);
+        for seed in 0..96u64 {
+            let mut s = PerfectL0Sampler::new(n, L0Params::default(), 0x1005 + seed);
+            s.ingest_entries(net.iter().copied());
+            let draw = s.sample();
+            drawn += usize::from(draw.is_some());
+            push_draw(&mut bytes, draw);
+        }
+    }
+    assert!(drawn >= 150, "only {drawn}/192 draws succeeded");
+    // Recorded at the commit before `SparseRecovery::update_int` shared one
+    // modular power across its rows.
+    assert_eq!(
+        fnv1a64(&bytes),
+        0x1c63_4b40_74c4_bf7f,
+        "L0 draw digest moved"
+    );
 }

@@ -117,8 +117,10 @@ pub struct ShardedEngine<F: SamplerFactory> {
 }
 
 impl<F: SamplerFactory> ShardedEngine<F> {
-    /// Builds an engine: `S` shards, each with a primed pool of `k`
-    /// samplers over the full universe `[0, n)`.
+    /// Builds an engine: `S` shards over the full universe `[0, n)`, each
+    /// with a pool of `k` empty slots. No sampler instance exists until a
+    /// draw needs one, so the first `k` draws respawn like every later
+    /// one (see [`ShardedEngine::prime`] to build instances eagerly).
     ///
     /// # Panics
     /// Panics on a degenerate configuration.
@@ -164,8 +166,9 @@ impl<F: SamplerFactory> ShardedEngine<F> {
     }
 
     /// Ingests a batch of turnstile updates: routed to shards, reordered
-    /// and coalesced per shard, then applied to compact state and live
-    /// pool instances. This is the engine's hot path.
+    /// and coalesced per shard, then applied to compact state (and to live
+    /// pool instances, which exist only after [`ShardedEngine::prime`]).
+    /// This is the engine's hot path.
     ///
     /// # Panics
     /// Panics if any update addresses a coordinate outside the universe.
@@ -220,7 +223,7 @@ impl<F: SamplerFactory> ShardedEngine<F> {
     /// point of the stream, as many times as desired.
     ///
     /// Two-stage: shard ∝ exact mass, then the shard's pool draws (⊥
-    /// retried across the pool; consumed instances respawn lazily). Returns
+    /// retried across the pool; empty slots respawn lazily). Returns
     /// `None` on the zero vector or when the chosen shard's entire pool
     /// FAILs (bounded probability, part of the samplers' contract; see the
     /// module docs for the `δ_s^k` conditional-law caveat this implies).
@@ -277,9 +280,10 @@ impl<F: SamplerFactory> ShardedEngine<F> {
     }
 
     /// Serializes the engine's **complete** state — config, factory, query
-    /// RNG, stats, and every shard's net vector, mass, and pool (live
-    /// sampler instances included, bit-for-bit) — as one framed,
-    /// checksummed wire payload.
+    /// RNG, stats, and every shard's net vector, mass, and pool (one bit
+    /// per empty slot; live sampler instances, which exist only after
+    /// [`ShardedEngine::prime`], bit-for-bit) — as one framed, checksummed
+    /// wire payload.
     ///
     /// The restored engine ([`ShardedEngine::restore`]) is bit-identical
     /// going forward: the same subsequent call sequence produces the same
@@ -319,8 +323,9 @@ impl<F: SamplerFactory> ShardedEngine<F> {
         let factory = F::decode(&mut r)?;
         let rng = Xoshiro256pp::decode(&mut r)?;
         let stats = EngineStats::decode(&mut r)?;
+        let router = ShardRouter::new(config.shards, derive_seed(config.seed, 0x5A4D));
         let mut shards = Vec::with_capacity(config.shards);
-        for _ in 0..config.shards {
+        for s in 0..config.shards {
             let shard: Shard<F> = Shard::decode(&mut r)?;
             if shard.universe() != config.universe {
                 return Err(WireError::Invalid("shard universe mismatch"));
@@ -328,11 +333,16 @@ impl<F: SamplerFactory> ShardedEngine<F> {
             if shard.pool_len() != config.pool_size {
                 return Err(WireError::Invalid("shard pool-size mismatch"));
             }
+            // An entry on a shard the router does not send its index to
+            // could never be cancelled by a later update, and it would
+            // break the snapshot's sorted, duplicate-free entry order.
+            if shard.entries().any(|(i, _)| router.shard_of(i) != s) {
+                return Err(WireError::Invalid("net entry on the wrong shard"));
+            }
             shards.push(shard);
         }
         r.finish()?;
         obs().restore_bytes.add(counted.count());
-        let router = ShardRouter::new(config.shards, derive_seed(config.seed, 0x5A4D));
         let plan = (0..config.shards).map(|_| Vec::new()).collect();
         Ok(Self {
             config,
@@ -345,7 +355,7 @@ impl<F: SamplerFactory> ShardedEngine<F> {
         })
     }
 
-    /// Eagerly respawns every consumed pool slot in every shard as a full
+    /// Eagerly respawns every empty pool slot in every shard as a full
     /// instance, so a query burst finds live instances. Returns the number
     /// of slots refilled. It pays off only for factories on the default
     /// [`SamplerFactory::draw_from`]; see [`Shard::prime`].
@@ -454,6 +464,44 @@ mod tests {
             v
         });
         assert_eq!(fresh.snapshot().to_vector(), want);
+    }
+
+    /// A born-empty engine hands out the same seeds in the same cursor
+    /// order as one primed at birth, and L₀ state is exact integers, so a
+    /// respawn that replays the net vector draws what a live instance that
+    /// streamed every update would have drawn, bit for bit.
+    #[test]
+    fn born_empty_l0_draws_equal_primed() {
+        let x = pts_stream::gen::zipf_vector(48, 1.1, 30, 5);
+        let mut rng = Xoshiro256pp::new(6);
+        let stream = Stream::from_target(
+            &x,
+            pts_stream::StreamStyle::Turnstile { churn: 0.8 },
+            &mut rng,
+        );
+        for k in [1, 3] {
+            for shards in [1, 4] {
+                let config = EngineConfig::new(48)
+                    .shards(shards)
+                    .pool_size(k)
+                    .seed(k as u64);
+                let mut empty = ShardedEngine::new(config, L0Factory::default());
+                let mut primed = ShardedEngine::new(config, L0Factory::default());
+                assert_eq!(primed.prime(), shards * k);
+                let bits = |s: Option<Sample>| s.map(|s| (s.index, s.estimate.to_bits()));
+                for (round, chunk) in stream.updates().chunks(17).enumerate() {
+                    empty.ingest_batch(chunk);
+                    primed.ingest_batch(chunk);
+                    for d in 0..round % 3 {
+                        assert_eq!(
+                            bits(empty.sample()),
+                            bits(primed.sample()),
+                            "k {k} S {shards}: round {round} draw {d}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

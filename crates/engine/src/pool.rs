@@ -4,15 +4,22 @@
 //! The paper's samplers are one-shot objects — construct, ingest, query
 //! *once* (re-querying the same instance replays the same randomness and
 //! returns a correlated answer). A [`SamplerPool`] turns them into a
-//! repeatedly-queryable resource: it holds `k` independently seeded
-//! instances, a draw *consumes* the instance it touches, and consumed slots
-//! respawn **lazily** — a fresh instance with a fresh seed catches up from
-//! the shard's compact vector state the next time the slot is needed.
+//! repeatedly-queryable resource: it has `k` slots with independently
+//! seeded instances, a draw *consumes* the instance it touches, and empty
+//! slots respawn **lazily** — a fresh instance with a fresh seed catches up
+//! from the shard's compact vector state the next time the slot is needed.
 //! Linearity makes catch-up exact: ingesting the net vector reproduces
 //! precisely the state the instance would have had streaming from the
 //! start. FAIL (⊥) is absorbed by retrying across the pool within one draw.
 //!
-//! A consumed slot's draw never materializes the instance: it hands the
+//! A pool is born with every slot empty, so no instance exists until a
+//! draw needs one, and a fresh engine's first `k` draws respawn like every
+//! later one. Live instances exist only after an explicit
+//! [`SamplerPool::prime`] or [`SamplerPool::refill`]; they then advance
+//! with every update ([`SamplerPool::process_live`]) until a draw
+//! consumes them.
+//!
+//! An empty slot's draw never materializes the instance: it hands the
 //! slot's fresh seed and the net vector to [`SamplerFactory::draw_from`].
 //! For the rejection-loop samplers (perfect L_p for `p > 2`, the
 //! success-boosted L_p batch) that builds and replays only the attempts
@@ -34,7 +41,8 @@ use std::collections::BTreeMap;
 /// A pool of `k` independently seeded one-shot sampler instances.
 #[derive(Debug, Clone)]
 pub struct SamplerPool<S> {
-    /// `None` marks a consumed slot awaiting lazy respawn.
+    /// `None` marks an empty slot (never filled, or consumed) awaiting
+    /// lazy respawn.
     slots: Vec<Option<S>>,
     /// Base seed of this pool's seed stream.
     seed: u64,
@@ -47,8 +55,8 @@ pub struct SamplerPool<S> {
 }
 
 impl<S: TurnstileSampler> SamplerPool<S> {
-    /// An empty pool of `k` slots; instances are spawned eagerly by
-    /// [`SamplerPool::prime`] or lazily at first draw.
+    /// A pool of `k` empty slots: no instance exists until a draw spawns
+    /// one lazily, or [`SamplerPool::prime`] spawns them all eagerly.
     ///
     /// # Panics
     /// Panics if `k == 0`.
@@ -83,8 +91,8 @@ impl<S: TurnstileSampler> SamplerPool<S> {
         self.respawns
     }
 
-    /// Spawns every empty slot from the current `net` state (called at
-    /// construction so first draws are cheap).
+    /// Spawns every empty slot from the current `net` state, without
+    /// counting respawns.
     pub fn prime<F>(&mut self, factory: &F, universe: usize, net: &BTreeMap<u64, i64>)
     where
         F: SamplerFactory<Sampler = S>,
@@ -96,7 +104,7 @@ impl<S: TurnstileSampler> SamplerPool<S> {
         }
     }
 
-    /// Eagerly respawns every consumed slot from the current `net` state,
+    /// Eagerly respawns every empty slot from the current `net` state,
     /// returning how many slots were refilled. Each refill builds a full
     /// instance and replays the whole net vector into it; the refills count
     /// toward [`SamplerPool::respawns`]. This moves work off the query path
@@ -140,7 +148,7 @@ impl<S: TurnstileSampler> SamplerPool<S> {
         s
     }
 
-    /// Feeds one update to every live instance (consumed slots are skipped —
+    /// Feeds one update to every live instance (empty slots are skipped —
     /// they will catch up from the net state when respawned).
     #[inline]
     pub fn process_live(&mut self, u: Update) {

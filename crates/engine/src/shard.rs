@@ -17,15 +17,21 @@
 //!
 //! A shard **owns everything it needs to evolve**: its factory copy, its
 //! universe bound, its pool, and its net state. Nothing outside the shard
-//! may mutate the net vector or the live instances — every mutation goes
-//! through [`Shard::apply_run`] (which advances compact state, mass, and
-//! live instances *in lockstep*) or [`Shard::draw`]/[`Shard::prime`] (which
-//! only consume/respawn pool instances and never touch the net state), so
-//! the lockstep invariant cannot be violated from outside.
+//! may mutate the net vector or the pool — every mutation goes through
+//! [`Shard::apply_run`] (compact state and mass, plus any live instances)
+//! or [`Shard::draw`]/[`Shard::prime`] (which only consume/respawn pool
+//! instances and never touch the net state).
+//!
+//! A shard is born with an empty pool: no sampler instance exists, and
+//! `apply_run` touches only the net vector and the mass, until a draw
+//! respawns from the net vector. Live instances exist only after an
+//! explicit [`Shard::prime`]; from then until a draw consumes them they
+//! advance *in lockstep* with the net state inside `apply_run`, so the
+//! lockstep invariant cannot be violated from outside.
 //!
 //! Space accounting: the sparse net state is `O(nnz)` for the shard's
 //! slice — this is the price of always-queryable respawn, paid once per
-//! shard regardless of pool size, and it is the engine's only non-sketch
+//! shard regardless of pool size. Without a prime it is the shard's whole
 //! state.
 
 use crate::factory::SamplerFactory;
@@ -48,23 +54,22 @@ pub struct Shard<F: SamplerFactory> {
 }
 
 impl<F: SamplerFactory> Shard<F> {
-    /// A shard with a primed pool of `pool_size` instances, owning its copy
-    /// of the factory.
+    /// An empty shard owning its copy of the factory, with `pool_size`
+    /// empty slots: no sampler instance exists until a draw (or an
+    /// explicit [`Shard::prime`]) needs one.
     pub fn new(factory: F, universe: usize, pool_size: usize, seed: u64) -> Self {
-        let mut pool = SamplerPool::new(pool_size, seed);
-        let net = BTreeMap::new();
-        pool.prime(&factory, universe, &net);
         Self {
             factory,
             universe,
-            pool,
-            net,
+            pool: SamplerPool::new(pool_size, seed),
+            net: BTreeMap::new(),
             mass: 0.0,
         }
     }
 
     /// Applies a coalesced run of updates: compact state, mass, and every
-    /// live pool instance advance together.
+    /// live pool instance (there are none unless the shard was primed)
+    /// advance together.
     pub fn apply_run(&mut self, run: &[Update]) {
         for &u in run {
             debug_assert!(u.delta != 0, "router must drop zero deltas");
@@ -101,7 +106,7 @@ impl<F: SamplerFactory> Shard<F> {
         self.universe
     }
 
-    /// Number of pool slots (live or consumed).
+    /// Number of pool slots (live or empty).
     pub fn pool_len(&self) -> usize {
         self.pool.len()
     }
@@ -112,12 +117,12 @@ impl<F: SamplerFactory> Shard<F> {
     }
 
     /// Draws one sample from this shard's slice (⊥ retried across the
-    /// pool; consumed instances respawn lazily from the compact state).
+    /// pool; empty slots respawn lazily from the compact state).
     pub fn draw(&mut self) -> Option<Sample> {
         self.pool.draw(&self.factory, self.universe, &self.net)
     }
 
-    /// Eagerly respawns every consumed pool slot as a full instance
+    /// Eagerly respawns every empty pool slot as a full instance
     /// caught up from the net vector, so draws find live instances.
     /// Returns the number of slots refilled. This pays off only for
     /// factories on the default [`SamplerFactory::draw_from`] path; for the
@@ -266,15 +271,20 @@ mod tests {
     fn prime_refills_consumed_slots() {
         let f = L0Factory::default();
         let mut shard = Shard::new(f, 32, 2, 6);
-        shard.apply_run(&[Update::new(4, 9)]);
-        assert_eq!(shard.live(), 2);
-        let _ = shard.draw();
-        let _ = shard.draw();
+        // Born empty: no instance exists until a draw or a prime needs one.
         assert_eq!(shard.live(), 0);
-        // Eager catch-up: both slots respawn from the net state now.
+        shard.apply_run(&[Update::new(4, 9)]);
+        assert_eq!(shard.live(), 0);
         assert_eq!(shard.prime(), 2);
         assert_eq!(shard.live(), 2);
         assert_eq!(shard.respawns(), 2);
+        let _ = shard.draw();
+        let _ = shard.draw();
+        assert_eq!(shard.live(), 0);
+        // Eager catch-up: both slots respawn from the net state again.
+        assert_eq!(shard.prime(), 2);
+        assert_eq!(shard.live(), 2);
+        assert_eq!(shard.respawns(), 4);
         // The refilled instances reflect the net vector exactly.
         let s = shard.draw().expect("primed instance samples");
         assert_eq!(s.index, 4);

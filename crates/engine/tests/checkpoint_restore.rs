@@ -133,10 +133,58 @@ fn sharded_restore_is_bit_identical_log_g() {
     );
 }
 
+/// Engines are born with empty pool slots, so only an explicit `prime()`
+/// puts live sampler instances into a checkpoint. Those instances saw the
+/// tail of the stream live; the restored engine must still continue draw
+/// for draw, through the live slots and past them into lazy respawns.
+#[test]
+fn checkpoint_with_live_slots_continues_draw_for_draw() {
+    fn primed_roundtrip<F>(config: EngineConfig, factory: F, seed: u64)
+    where
+        F: SamplerFactory + Encode + Decode,
+        F::Sampler: Encode + Decode,
+    {
+        let (first, second) = workload(config.universe, seed);
+        let (early, late) = first.split_at(first.len() / 2);
+        let mut engine = ShardedEngine::new(config, factory.clone());
+        engine.ingest_batch(early);
+        assert_eq!(engine.prime(), config.shards * config.pool_size);
+        // Live instances advance with every update after the prime.
+        for chunk in late.chunks(31) {
+            engine.ingest_batch(chunk);
+        }
+        let _ = engine.sample();
+
+        let mut unprimed = ShardedEngine::new(config, factory);
+        unprimed.ingest_batch(&first);
+        let (mut bytes, mut empty_slots) = (Vec::new(), Vec::new());
+        engine.checkpoint(&mut bytes).unwrap();
+        unprimed.checkpoint(&mut empty_slots).unwrap();
+        assert!(
+            bytes.len() > empty_slots.len(),
+            "live slots must ride in the checkpoint"
+        );
+
+        let mut restored: ShardedEngine<F> = ShardedEngine::restore(&mut bytes.as_slice()).unwrap();
+        assert_eq!(restored.stats(), engine.stats());
+        assert_eq!(restored.snapshot(), engine.snapshot());
+        drive_identically(&mut engine, &mut restored, &second);
+        assert_eq!(restored.respawns(), engine.respawns());
+    }
+    for shards in [1usize, 4] {
+        let config = EngineConfig::new(96).shards(shards).pool_size(3).seed(700);
+        primed_roundtrip(config, L0Factory::default(), 70);
+        let config = EngineConfig::new(64).shards(shards).pool_size(2).seed(701);
+        primed_roundtrip(config, LpLe2Factory::for_universe(64, 2.0), 71);
+    }
+}
+
 /// Golden pin on the checkpoint bytes themselves: a tiny fixed engine must
 /// serialize to exactly this length and FNV-1a digest. Any change to the
 /// payload layout — field order, shard framing, pool encoding — moves one
-/// of the two and must come with a `WIRE_VERSION` bump.
+/// of the two and must come with a `WIRE_VERSION` bump. The engine's pools
+/// are born empty, so this checkpoint carries no sampler instance: its one
+/// draw respawned, and its slots encode as empty.
 #[test]
 fn checkpoint_bytes_are_pinned() {
     let mut e = ShardedEngine::new(
@@ -156,7 +204,7 @@ fn checkpoint_bytes_are_pinned() {
     let digest = pts_util::wire::fnv1a64(&bytes);
     assert_eq!(
         (bytes.len(), digest),
-        (19_679, 0xfa83_5c6d_725b_d299),
+        (129, 0x94ac_1152_96d5_0e77),
         "checkpoint bytes moved: len {} digest {digest:#018x}",
         bytes.len()
     );
@@ -293,4 +341,59 @@ fn malformed_checkpoints_error_never_panic() {
         ShardedEngine::<LpLe2Factory>::restore(&mut bytes.as_slice()),
         Err(WireError::Invalid(_))
     ));
+}
+
+/// A checksum-valid checkpoint whose net entry sits on a shard the router
+/// does not send its index to must not restore: no later update could
+/// cancel the entry, and the snapshot would list the index twice.
+#[test]
+fn restore_rejects_misrouted_net_entry() {
+    use pts_engine::{EngineStats, Shard};
+    use pts_util::wire::{write_frame, WireWriter, KIND_ENGINE};
+
+    let config = EngineConfig::new(16).shards(2).pool_size(1).seed(4);
+    // A two-shard checkpoint whose shards hold the given net entries.
+    let checkpoint = |placement: [&[Update]; 2]| {
+        let mut w = WireWriter::new();
+        config.encode(&mut w).unwrap();
+        L0Factory::default().encode(&mut w).unwrap();
+        Xoshiro256pp::new(1).encode(&mut w).unwrap();
+        EngineStats::default().encode(&mut w).unwrap();
+        for (s, run) in placement.into_iter().enumerate() {
+            let mut shard = Shard::new(L0Factory::default(), 16, 1, s as u64);
+            shard.apply_run(run);
+            shard.encode(&mut w).unwrap();
+        }
+        let mut bytes = Vec::new();
+        write_frame(KIND_ENGINE, w.as_bytes(), &mut bytes).unwrap();
+        bytes
+    };
+    let restore = |bytes: Vec<u8>| ShardedEngine::<L0Factory>::restore(&mut bytes.as_slice());
+
+    // Index 2 on exactly one shard: the router's shard restores, the other
+    // one is refused.
+    let entry = [Update::new(2, 3)];
+    let on_shard = |s: usize| {
+        let mut placement: [&[Update]; 2] = [&[], &[]];
+        placement[s] = &entry;
+        restore(checkpoint(placement))
+    };
+    let (on_0, on_1) = (on_shard(0), on_shard(1));
+    assert!(
+        on_0.is_ok() != on_1.is_ok(),
+        "exactly one shard owns index 2: {:?} / {:?}",
+        on_0.as_ref().err(),
+        on_1.as_ref().err()
+    );
+    let owned = on_0.or(on_1).unwrap();
+    assert_eq!(owned.snapshot().entries(), &[(2, 3)]);
+
+    // Index 2 on both shards: whichever shard the router picks, the other
+    // copy is misrouted.
+    let res = restore(checkpoint([&[Update::new(2, 5)], &entry]));
+    assert!(
+        matches!(res, Err(WireError::Invalid("net entry on the wrong shard"))),
+        "got {:?}",
+        res.map(|e| e.snapshot())
+    );
 }

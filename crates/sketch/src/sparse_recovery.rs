@@ -30,10 +30,11 @@ fn pow_mod(mut base: u64, mut exp: u64) -> u64 {
     acc as u64
 }
 
-/// Adds `delta·r^index` to a fingerprint accumulator (mod P, delta signed).
-fn fp_add(fp: u64, r: u64, index: u64, delta: i64) -> u64 {
-    let term = (pow_mod(r, index) as u128 * (delta.unsigned_abs() as u128 % MERSENNE_P as u128))
-        % MERSENNE_P as u128;
+/// Adds `delta·r^index` to a fingerprint accumulator (mod P, delta signed),
+/// given `power = r^index mod P`.
+fn fp_add(fp: u64, power: u64, delta: i64) -> u64 {
+    let term =
+        (power as u128 * (delta.unsigned_abs() as u128 % MERSENNE_P as u128)) % MERSENNE_P as u128;
     let term = term as u64;
     if delta >= 0 {
         ((fp as u128 + term as u128) % MERSENNE_P as u128) as u64
@@ -54,10 +55,19 @@ struct OneSparseCell {
 }
 
 impl OneSparseCell {
+    /// Adds `delta` at `index` for fingerprint base `r` (the single-cell
+    /// form the unit tests drive; the grid goes through `add`).
+    #[cfg(test)]
     fn update(&mut self, index: u64, delta: i64, r: u64) {
+        self.add(index, delta, pow_mod(r, index));
+    }
+
+    /// [`OneSparseCell::update`] given `power = r^index mod P`, which is
+    /// the same for every row's cell.
+    fn add(&mut self, index: u64, delta: i64, power: u64) {
         self.weight += delta as i128;
         self.index_weighted += delta as i128 * index as i128;
-        self.fingerprint = fp_add(self.fingerprint, r, index, delta);
+        self.fingerprint = fp_add(self.fingerprint, power, delta);
     }
 
     /// Pointwise add of another cell over the same hash position (linearity:
@@ -91,7 +101,7 @@ impl OneSparseCell {
             return None;
         }
         // Verify against the fingerprint.
-        let expect = fp_add(0, r, idx, val as i64);
+        let expect = fp_add(0, pow_mod(r, idx), val as i64);
         (expect == self.fingerprint).then_some((idx, val as i64))
     }
 }
@@ -131,11 +141,13 @@ impl SparseRecovery {
         }
     }
 
-    /// Applies an integer turnstile update.
+    /// Applies an integer turnstile update. Every row shares the base and
+    /// the index, so the fingerprint power is computed once per update.
     pub fn update_int(&mut self, index: u64, delta: i64) {
+        let power = pow_mod(self.fingerprint_base, index);
         for r in 0..self.rows {
             let b = self.hashes[r].bucket(index, self.buckets);
-            self.cells[r * self.buckets + b].update(index, delta, self.fingerprint_base);
+            self.cells[r * self.buckets + b].add(index, delta, power);
         }
     }
 
