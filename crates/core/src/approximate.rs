@@ -37,7 +37,6 @@ use pts_sketch::ams::GAUSSIAN_ABS_MEDIAN;
 use pts_sketch::{FpMaxStab, FpMaxStabParams, LinearSketch, ModCountSketch};
 use pts_stream::Update;
 use pts_util::variates::{binomial, keyed_gaussian, keyed_sign};
-use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
 use pts_util::{derive_seed, keyed_u64, EtaGrid, Xoshiro256pp};
 use std::collections::{BTreeSet, HashMap};
 
@@ -179,11 +178,6 @@ impl ApproxLpSampler {
             consts_cache: HashMap::new(),
             touched: BTreeSet::new(),
         }
-    }
-
-    /// The simulated duplication count `M = n^c`.
-    pub fn copies(&self) -> f64 {
-        self.copies_m
     }
 
     /// The discretization grid in use.
@@ -433,138 +427,6 @@ impl TurnstileSampler for ApproxLpSampler {
         }
         self.fp_est.merge(&other.fp_est);
         self.touched.extend(&other.touched);
-    }
-}
-
-impl Encode for ApproxLpParams {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        w.put_f64(self.p);
-        w.put_f64(self.epsilon);
-        w.put_f64(self.dup_c);
-        w.put_usize(self.rows);
-        w.put_usize(self.cs1_buckets);
-        w.put_usize(self.kept_buckets);
-        w.put_usize(self.gauss_reps);
-        w.put_f64(self.threshold_factor);
-        w.put_f64(self.b_threshold_div);
-        w.put_f64(self.width_const);
-        Ok(())
-    }
-}
-
-impl Decode for ApproxLpParams {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let p = r.get_f64()?;
-        let epsilon = r.get_f64()?;
-        let dup_c = r.get_f64()?;
-        let rows = r.get_usize()?;
-        let cs1_buckets = r.get_usize()?;
-        let kept_buckets = r.get_usize()?;
-        let gauss_reps = r.get_usize()?;
-        let threshold_factor = r.get_f64()?;
-        let b_threshold_div = r.get_f64()?;
-        let width_const = r.get_f64()?;
-        let p_ok = p.is_finite() && p > 2.0;
-        let eps_ok = epsilon.is_finite() && epsilon > 0.0 && epsilon < 1.0;
-        let dup_ok = dup_c.is_finite() && (0.0..=8.0).contains(&dup_c);
-        let floats_ok =
-            threshold_factor.is_finite() && b_threshold_div.is_finite() && width_const.is_finite();
-        if !p_ok || !eps_ok || !dup_ok || !floats_ok {
-            return Err(WireError::Invalid("approx-lp parameters"));
-        }
-        let shape_ok = (1..=1024).contains(&rows)
-            && (1..=1 << 24).contains(&cs1_buckets)
-            && (1..=1 << 16).contains(&kept_buckets)
-            && (1..=1 << 16).contains(&gauss_reps);
-        if !shape_ok || width_const <= 0.0 {
-            return Err(WireError::Invalid("approx-lp shape"));
-        }
-        Ok(Self {
-            p,
-            epsilon,
-            dup_c,
-            rows,
-            cs1_buckets,
-            kept_buckets,
-            gauss_reps,
-            threshold_factor,
-            b_threshold_div,
-            width_const,
-        })
-    }
-}
-
-impl Encode for ApproxLpSampler {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        self.params.encode(w)?;
-        w.put_usize(self.universe);
-        w.put_u64(self.seed);
-        w.put_f64(self.mu);
-        self.cs1.encode(w)?;
-        w.put_f64s(&self.cs2);
-        w.put_f64s(&self.gauss_counters);
-        self.fp_est.encode(w)?;
-        // Touched coordinates, gap-encoded over the sorted set.
-        w.put_usize(self.touched.len());
-        let mut prev = 0u64;
-        for (k, &i) in self.touched.iter().enumerate() {
-            w.put_u64(if k == 0 { i } else { i - prev - 1 });
-            prev = i;
-        }
-        Ok(())
-    }
-}
-
-impl Decode for ApproxLpSampler {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let params = ApproxLpParams::decode(r)?;
-        let universe = r.get_usize()?;
-        if !(2..=1 << 40).contains(&universe) {
-            return Err(WireError::Invalid("approx-lp universe"));
-        }
-        let seed = r.get_u64()?;
-        let mu = r.get_f64()?;
-        let cs1 = ModCountSketch::decode(r)?;
-        if cs1.rows() != params.rows || cs1.buckets() != params.cs1_buckets {
-            return Err(WireError::Invalid("approx-lp stage-1 shape"));
-        }
-        let cs2 = r.get_f64s()?;
-        if cs2.len() != params.rows * params.kept_buckets {
-            return Err(WireError::Invalid("approx-lp stage-2 length"));
-        }
-        let gauss_counters = r.get_f64s()?;
-        if gauss_counters.len() != params.gauss_reps {
-            return Err(WireError::Invalid("approx-lp gaussian length"));
-        }
-        let fp_est = FpMaxStab::decode(r)?;
-        let touched_len = r.get_len(1)?;
-        let mut touched = BTreeSet::new();
-        let mut prev = 0u64;
-        for k in 0..touched_len {
-            let gap = r.get_u64()?;
-            let i = if k == 0 {
-                gap
-            } else {
-                prev.checked_add(gap)
-                    .and_then(|v| v.checked_add(1))
-                    .ok_or(WireError::Invalid("touched-set gap overflow"))?
-            };
-            touched.insert(i);
-            prev = i;
-        }
-        // The grid, duplication count, and virtual width are pure functions
-        // of (params, universe); rebuild them through the constructor and
-        // then overwrite the accumulated state.
-        let mut s = Self::new(universe, params, seed);
-        s.mu = mu;
-        s.cs1 = cs1;
-        s.cs2 = cs2;
-        s.gauss_counters = gauss_counters;
-        s.fp_est = fp_est;
-        s.touched = touched;
-        // `consts_cache` stays empty: it is a pure-function memo, refilled
-        // deterministically on demand.
-        Ok(s)
     }
 }
 

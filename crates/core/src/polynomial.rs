@@ -19,7 +19,6 @@ use pts_samplers::{LpLe2Batch, LpLe2Params, Sample, TurnstileSampler};
 use pts_stream::Update;
 use pts_util::derive_seed;
 use pts_util::variates::keyed_unit;
-use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
 
 /// A sampling polynomial `G(z) = Σ_d α_d |z|^{p_d}`.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,93 +217,6 @@ impl TurnstileSampler for PolynomialSampler {
 
     fn space_bits(&self) -> usize {
         self.inners.iter().map(InnerLp::space_bits).sum::<usize>() + 64
-    }
-}
-
-impl Encode for Polynomial {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        w.put_usize(self.terms.len());
-        for &(alpha, power) in &self.terms {
-            w.put_f64(alpha);
-            w.put_f64(power);
-        }
-        Ok(())
-    }
-}
-
-impl Decode for Polynomial {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let len = r.get_len(16)?;
-        if !(1..=64).contains(&len) {
-            return Err(WireError::Invalid("polynomial term count"));
-        }
-        let mut terms = Vec::with_capacity(len);
-        let mut prev = 0.0;
-        for _ in 0..len {
-            let alpha = r.get_f64()?;
-            let power = r.get_f64()?;
-            // The constructor's panicking invariants, as decode errors.
-            if !(alpha.is_finite() && alpha > 0.0 && power.is_finite() && power > prev) {
-                return Err(WireError::Invalid("polynomial terms"));
-            }
-            prev = power;
-            terms.push((alpha, power));
-        }
-        Ok(Self { terms })
-    }
-}
-
-impl Encode for PolynomialSampler {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        self.params.poly.encode(w)?;
-        w.put_f64(self.params.slack);
-        w.put_u64(self.accept_seed);
-        w.put_usize(self.inners.len());
-        for inner in &self.inners {
-            match inner {
-                InnerLp::High(s) => {
-                    w.put_u8(0);
-                    s.encode(w)?;
-                }
-                InnerLp::Low(s) => {
-                    w.put_u8(1);
-                    s.encode(w)?;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Decode for PolynomialSampler {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let poly = Polynomial::decode(r)?;
-        let slack = r.get_f64()?;
-        if !(slack.is_finite() && slack >= 1.0) {
-            return Err(WireError::Invalid("polynomial slack"));
-        }
-        let accept_seed = r.get_u64()?;
-        let samples = r.get_len(32)?;
-        if !(1..=4096).contains(&samples) {
-            return Err(WireError::Invalid("polynomial inner count"));
-        }
-        let mut inners = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            inners.push(match r.get_u8()? {
-                0 => InnerLp::High(Box::new(PerfectLpSampler::decode(r)?)),
-                1 => InnerLp::Low(LpLe2Batch::decode(r)?),
-                _ => return Err(WireError::Invalid("inner sampler tag")),
-            });
-        }
-        Ok(Self {
-            params: PolynomialParams {
-                poly,
-                samples,
-                slack,
-            },
-            inners,
-            accept_seed,
-        })
     }
 }
 

@@ -21,7 +21,7 @@
 use crate::config::EngineConfig;
 use crate::factory::SamplerFactory;
 use crate::obs::obs;
-use crate::router::ShardRouter;
+use crate::router::{first_overflow, ShardRouter, ValueOverflow};
 use crate::shard::Shard;
 use crate::snapshot::EngineSnapshot;
 use pts_samplers::Sample;
@@ -171,7 +171,9 @@ impl<F: SamplerFactory> ShardedEngine<F> {
     /// This is the engine's hot path.
     ///
     /// # Panics
-    /// Panics if any update addresses a coordinate outside the universe.
+    /// Panics if any update addresses a coordinate outside the universe, or
+    /// if the batch fails [`ShardedEngine::check_values`]; either way before
+    /// any shard changes.
     pub fn ingest_batch(&mut self, batch: &[Update]) {
         self.apply_batch(batch);
         self.stats.updates += batch.len() as u64;
@@ -190,10 +192,37 @@ impl<F: SamplerFactory> ShardedEngine<F> {
                 .all(|u| (u.index as usize) < self.config.universe),
             "update outside universe"
         );
+        if let Err(overflow) = self.check_values(batch) {
+            panic!("{overflow}");
+        }
         self.router.plan_batch(batch, &mut self.plan);
         for (shard, run) in self.shards.iter_mut().zip(&self.plan) {
             shard.apply_run(run);
         }
+    }
+
+    /// Checks that `batch` keeps every net value inside `i64` and off
+    /// `i64::MIN`: no coalesced delta and no new net value may leave the
+    /// range `(-2^63, 2^63)`.
+    ///
+    /// An ordinary batch costs one pass over its deltas: no net value can
+    /// move by more than the batch's total `|delta|`, so if that plus the
+    /// shards' running bound on `|value|` stays below `2^63`, the batch is
+    /// clear. Only otherwise are the touched net values read.
+    pub fn check_values(&self, batch: &[Update]) -> Result<(), ValueOverflow> {
+        let load = batch
+            .iter()
+            .fold(0u64, |acc, u| acc.saturating_add(u.delta.unsigned_abs()));
+        let bound = self
+            .shards
+            .iter()
+            .map(Shard::value_bound)
+            .max()
+            .unwrap_or(0);
+        if bound.saturating_add(load) <= i64::MAX as u64 {
+            return Ok(());
+        }
+        first_overflow(batch, |i| self.shards[self.router.shard_of(i)].value(i))
     }
 
     /// Ingests a single update (a one-element batch; prefer
@@ -262,16 +291,20 @@ impl<F: SamplerFactory> ShardedEngine<F> {
     /// [`EngineStats::merges`], not in the ingest counters.
     ///
     /// # Panics
-    /// Panics on universe mismatch.
+    /// Panics on universe mismatch, or if the merged net values fail
+    /// [`ShardedEngine::check_values`]; either way before any shard changes.
     pub fn merge(&mut self, snapshot: &EngineSnapshot) {
         assert_eq!(
             self.config.universe,
             snapshot.universe(),
             "universe mismatch"
         );
+        let updates = snapshot.to_updates();
+        if let Err(overflow) = self.check_values(&updates) {
+            panic!("{overflow}");
+        }
         // Bounded batches keep the scatter buffers' peak size independent
         // of snapshot support.
-        let updates = snapshot.to_updates();
         for chunk in updates.chunks(4096) {
             self.apply_batch(chunk);
         }

@@ -76,7 +76,7 @@ pub use config::EngineConfig;
 pub use engine::{pick_by_mass, EngineStats, ShardedEngine};
 pub use factory::{L0Factory, LogGFactory, LpLe2Factory, PerfectLpFactory, SamplerFactory};
 pub use pool::SamplerPool;
-pub use router::ShardRouter;
+pub use router::{ShardRouter, ValueOverflow};
 pub use service::SamplingService;
 pub use shard::Shard;
 pub use snapshot::EngineSnapshot;

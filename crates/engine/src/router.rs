@@ -11,6 +11,7 @@
 
 use pts_stream::Update;
 use pts_util::keyed_u64;
+use std::collections::BTreeMap;
 
 /// Hash-partitions `[0, n)` across `S` shards.
 #[derive(Debug, Clone, Copy)]
@@ -47,7 +48,8 @@ impl ShardRouter {
     /// cleared first; `plan` must have one entry per shard.
     ///
     /// # Panics
-    /// Panics if `plan.len() != self.shards()`.
+    /// Panics if `plan.len() != self.shards()`, or if a coalesced delta
+    /// leaves the `i64` range.
     pub fn plan_batch(&self, batch: &[Update], plan: &mut [Vec<Update>]) {
         assert_eq!(plan.len(), self.shards, "plan arity mismatch");
         for run in plan.iter_mut() {
@@ -66,22 +68,65 @@ impl ShardRouter {
 }
 
 /// Merges adjacent same-index updates in a sorted run, dropping zero nets.
+/// The sum runs in `i128`, so only the coalesced delta itself must fit an
+/// `i64`, whatever order the sort left the run's deltas in.
 fn coalesce_sorted(run: &mut Vec<Update>) {
     let mut write = 0usize;
     let mut read = 0usize;
     while read < run.len() {
         let index = run[read].index;
-        let mut delta = 0i64;
+        let mut sum = 0i128;
         while read < run.len() && run[read].index == index {
-            delta += run[read].delta;
+            sum += i128::from(run[read].delta);
             read += 1;
         }
+        let delta = i64::try_from(sum).expect("coalesced delta overflows i64");
         if delta != 0 {
             run[write] = Update::new(index, delta);
             write += 1;
         }
     }
     run.truncate(write);
+}
+
+/// A batch that would carry some net value out of the `i64` range, or onto
+/// `i64::MIN` (whose `abs` wraps, giving every factory's weight a NaN).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ValueOverflow {
+    /// The first index (ascending) whose coalesced delta or new net value
+    /// does not fit.
+    pub index: u64,
+}
+
+impl std::fmt::Display for ValueOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "net value of index {} would leave the range (-2^63, 2^63)",
+            self.index
+        )
+    }
+}
+
+/// The exact value check behind [`crate::ShardedEngine::check_values`]:
+/// coalesces `batch` in `i128` and tests each index's coalesced delta and
+/// new net value (`value` reads the current one).
+pub(crate) fn first_overflow(
+    batch: &[Update],
+    value: impl Fn(u64) -> i64,
+) -> Result<(), ValueOverflow> {
+    let mut sums: BTreeMap<u64, i128> = BTreeMap::new();
+    for u in batch {
+        *sums.entry(u.index).or_default() += i128::from(u.delta);
+    }
+    let net_range = i128::from(i64::MIN) + 1..=i128::from(i64::MAX);
+    for (index, sum) in sums {
+        let new = i128::from(value(index)) + sum;
+        if i64::try_from(sum).is_err() || !net_range.contains(&new) {
+            return Err(ValueOverflow { index });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@
 //!   `Restore` request without tearing down its accept loop.
 
 use crate::engine::EngineStats;
+use crate::router::{first_overflow, ValueOverflow};
 use crate::snapshot::EngineSnapshot;
 use pts_samplers::Sample;
 use pts_stream::Update;
@@ -40,9 +41,29 @@ pub trait SamplingService {
     /// Applies a batch of turnstile updates.
     ///
     /// # Panics
-    /// Panics if an update addresses a coordinate outside the universe —
-    /// callers validate against [`SamplingService::universe`] first.
+    /// Panics if an update addresses a coordinate outside the universe or
+    /// a net value would overflow — callers validate against
+    /// [`SamplingService::universe`] and [`SamplingService::check_values`]
+    /// first.
     fn ingest_batch(&mut self, batch: &[Update]);
+
+    /// Checks that `batch` keeps every net value inside `i64` and off
+    /// `i64::MIN` (see [`crate::ShardedEngine::check_values`]). Servers
+    /// call it after the universe check, so an overflowing batch becomes
+    /// an in-band error instead of an engine panic.
+    ///
+    /// The default reads the current values off
+    /// [`SamplingService::snapshot`]; the engine overrides it with a bound
+    /// test that clears an ordinary batch in one pass over its deltas.
+    fn check_values(&self, batch: &[Update]) -> Result<(), ValueOverflow> {
+        let snapshot = self.snapshot();
+        let entries = snapshot.entries();
+        first_overflow(batch, |i| {
+            entries
+                .binary_search_by_key(&i, |&(j, _)| j)
+                .map_or(0, |k| entries[k].1)
+        })
+    }
 
     /// Draws one sample from the global law `G(x_i)/Σ_j G(x_j)`; `None` is
     /// the paper's ⊥ (an honest bounded-probability outcome, not an
@@ -111,6 +132,10 @@ mod impls {
 
         fn ingest_batch(&mut self, batch: &[Update]) {
             ShardedEngine::ingest_batch(self, batch);
+        }
+
+        fn check_values(&self, batch: &[Update]) -> Result<(), ValueOverflow> {
+            ShardedEngine::check_values(self, batch)
         }
 
         fn sample(&mut self) -> Option<Sample> {

@@ -51,6 +51,10 @@ pub struct Shard<F: SamplerFactory> {
     net: BTreeMap<u64, i64>,
     /// Incrementally maintained `Σ_i G(x_i)` over the slice.
     mass: f64,
+    /// The largest `|value|` ever stored in `net` (deletions do not lower
+    /// it): an upper bound that lets the engine clear an ordinary batch of
+    /// overflow without reading the net vector.
+    value_bound: u64,
 }
 
 impl<F: SamplerFactory> Shard<F> {
@@ -64,17 +68,27 @@ impl<F: SamplerFactory> Shard<F> {
             pool: SamplerPool::new(pool_size, seed),
             net: BTreeMap::new(),
             mass: 0.0,
+            value_bound: 0,
         }
     }
 
     /// Applies a coalesced run of updates: compact state, mass, and every
     /// live pool instance (there are none unless the shard was primed)
     /// advance together.
+    ///
+    /// # Panics
+    /// Panics if a net value would leave the `i64` range or become
+    /// `i64::MIN` ([`crate::ShardedEngine::check_values`] tests a batch
+    /// for this before any shard changes).
     pub fn apply_run(&mut self, run: &[Update]) {
         for &u in run {
             debug_assert!(u.delta != 0, "router must drop zero deltas");
-            let old = self.net.get(&u.index).copied().unwrap_or(0);
-            let new = old + u.delta;
+            let old = self.value(u.index);
+            let new = old
+                .checked_add(u.delta)
+                .filter(|&v| v != i64::MIN)
+                .expect("net value overflows i64");
+            self.value_bound = self.value_bound.max(new.unsigned_abs());
             self.mass += self.factory.weight(new) - self.factory.weight(old);
             if new == 0 {
                 self.net.remove(&u.index);
@@ -94,6 +108,16 @@ impl<F: SamplerFactory> Shard<F> {
         } else {
             self.mass.max(0.0)
         }
+    }
+
+    /// The net value of `index` (zero off the support).
+    pub(crate) fn value(&self, index: u64) -> i64 {
+        self.net.get(&index).copied().unwrap_or(0)
+    }
+
+    /// An upper bound on every `|value|` in the slice.
+    pub(crate) fn value_bound(&self) -> u64 {
+        self.value_bound
     }
 
     /// Number of non-zero coordinates in the slice.
@@ -206,6 +230,10 @@ where
             if v == 0 {
                 return Err(WireError::Invalid("zero entry in net vector"));
             }
+            // `i64::MIN` has no `abs`: every factory's weight would be NaN.
+            if v == i64::MIN {
+                return Err(WireError::Invalid("net value i64::MIN"));
+            }
             // Out-of-universe entries would panic later in dense
             // materialization (`snapshot().to_vector()`); the never-panic
             // decode contract requires rejecting them here.
@@ -216,12 +244,14 @@ where
             prev = i;
         }
         let pool = SamplerPool::decode(r)?;
+        let value_bound = net.values().map(|v| v.unsigned_abs()).max().unwrap_or(0);
         Ok(Self {
             factory,
             universe,
             pool,
             net,
             mass,
+            value_bound,
         })
     }
 }
@@ -230,6 +260,25 @@ where
 mod tests {
     use super::*;
     use crate::factory::{L0Factory, LpLe2Factory};
+
+    #[test]
+    fn decode_rejects_a_net_value_of_i64_min() {
+        let bytes = |v: i64| {
+            let mut w = WireWriter::new();
+            L0Factory::default().encode(&mut w).unwrap();
+            w.put_usize(32);
+            w.put_f64(1.0);
+            w.put_usize(1);
+            w.put_u64(3);
+            w.put_i64(v);
+            let pool = SamplerPool::<<L0Factory as SamplerFactory>::Sampler>::new(1, 7);
+            pool.encode(&mut w).unwrap();
+            w.into_bytes()
+        };
+        assert!(Shard::<L0Factory>::from_wire_bytes(&bytes(-i64::MAX)).is_ok());
+        let min = Shard::<L0Factory>::from_wire_bytes(&bytes(i64::MIN));
+        assert!(matches!(min, Err(WireError::Invalid(_))));
+    }
 
     #[test]
     fn mass_tracks_updates_incrementally() {

@@ -10,11 +10,11 @@
 //! `n^c` virtual copies of `i` is `x_i (n^c/e_i)^{1/p}` in distribution.
 //!
 //! The sketch part: one CountSketch over `z` recovers the argmax (the max is
-//! an L₂ heavy hitter of `z` by Lemma 1.17) and doubles as an `F₂(z)`
-//! estimator (row sums of squared cells are unbiased for `‖z‖₂²` — the
-//! signs make cross terms vanish), which calibrates the anti-concentration
-//! gap test: FAIL unless `|ẑ_(1)| − |ẑ_(2)| > τ·μ·‖z‖₂/√buckets`, with
-//! `μ ~ U[½, 3/2]` smoothing the threshold exactly as Algorithm 4 does.
+//! an L₂ heavy hitter of `z` by Lemma 1.17), and the anti-concentration gap
+//! test FAILs unless `|ẑ_(1)| − |ẑ_(2)| > τ·μ·|ẑ_(1)|/√buckets`, with
+//! `μ ~ U[½, 3/2]` smoothing the threshold exactly as Algorithm 4 does. The
+//! noise scale is `|ẑ_(1)|`, not an `F₂(z)` estimate, because its law does
+//! not depend on the winner's identity (see `sample`).
 //!
 //! Duplication in the gap test. The paper's reason for duplicating is that
 //! `Pr[FAIL | D(1) = i]` must not depend on `i` (§3's `(100n, 1, …, 1)`
@@ -135,21 +135,6 @@ impl PerfectLpLe2Sampler {
         self.dup_factor / keyed_exponential(self.scale_seed, i).powf(1.0 / self.params.p)
     }
 
-    /// Number of extra estimator instances.
-    pub fn extra_count(&self) -> usize {
-        self.extra.len()
-    }
-
-    /// Near-unbiased estimate of `x_i` from extra instance `k`
-    /// (CountSketch estimates are unbiased; dividing by the known scale
-    /// keeps them so).
-    ///
-    /// # Panics
-    /// Panics if `k` is out of range.
-    pub fn unbiased_estimate(&self, k: usize, i: u64) -> f64 {
-        self.extra[k].estimate(i) / self.scale(i)
-    }
-
     /// Mean of extra instances `[from, to)` — the "mean of polylog(n)
     /// CountSketch instances" of Algorithm 1 line 9 / Algorithm 2 line 12.
     ///
@@ -192,26 +177,6 @@ impl PerfectLpLe2Sampler {
             })
             .sum();
         sum / ((to - from) as f64 * scale)
-    }
-
-    /// `F₂(z)` estimate read off the main table: median over rows of
-    /// `Σ_b A_{r,b}²` (unbiased per row, cross terms cancel in expectation).
-    /// Not used by the gap test (see `sample` for why); exposed for
-    /// diagnostics and the threshold-calibration ablation.
-    pub fn scaled_f2_estimate(&self) -> f64 {
-        let rows = self.params.rows;
-        let buckets = self.params.buckets;
-        let table = self.main.table();
-        let mut row_sums: Vec<f64> = (0..rows)
-            .map(|r| {
-                table[r * buckets..(r + 1) * buckets]
-                    .iter()
-                    .map(|c| c * c)
-                    .sum()
-            })
-            .collect();
-        row_sums.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        row_sums[rows / 2]
     }
 
     /// The decoded top-two magnitudes of the scaled vector.
@@ -271,7 +236,6 @@ impl TurnstileSampler for PerfectLpLe2Sampler {
         // alone: its law is identity-independent (Lemma 1.16), and by the
         // heavy-hitter property (Lemma 1.17) it dominates the true decode
         // noise `‖z_tail‖/√buckets` up to the log factors absorbed in τ.
-        // `scaled_f2_estimate` stays available for diagnostics/ablations.
         let noise = z_hat.abs() / (self.params.buckets as f64).sqrt();
         let gap = z_hat.abs() - second;
         // Anti-concentration test: the decoded argmax is trustworthy only
@@ -494,23 +458,6 @@ impl LpLe2Batch {
             inst.sample()
         })
     }
-
-    /// Immutable access to the instance that produced a sample, for
-    /// follow-up estimate queries.
-    pub fn instance(&self, j: usize) -> &PerfectLpLe2Sampler {
-        &self.instances[j]
-    }
-
-    /// Draws the first successful sample, returning the winning instance's
-    /// index alongside it.
-    pub fn sample_with_instance(&mut self) -> Option<(usize, Sample)> {
-        for j in 0..self.instances.len() {
-            if let Some(s) = self.instances[j].sample() {
-                return Some((j, s));
-            }
-        }
-        None
-    }
 }
 
 impl TurnstileSampler for LpLe2Batch {
@@ -521,7 +468,7 @@ impl TurnstileSampler for LpLe2Batch {
     }
 
     fn sample(&mut self) -> Option<Sample> {
-        self.sample_with_instance().map(|(_, s)| s)
+        self.instances.iter_mut().find_map(TurnstileSampler::sample)
     }
 
     fn space_bits(&self) -> usize {

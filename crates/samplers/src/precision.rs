@@ -15,7 +15,6 @@ use pts_sketch::{CountSketch, CountSketchParams, FpMaxStab, FpMaxStabParams, Lin
 use pts_stream::Update;
 use pts_util::derive_seed;
 use pts_util::variates::keyed_unit;
-use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
 
 /// Parameters for [`PrecisionSampler`].
 #[derive(Debug, Clone, Copy)]
@@ -146,60 +145,6 @@ impl TurnstileSampler for PrecisionSampler {
             a.cs.merge(&b.cs);
         }
         self.norm_est.merge(&other.norm_est);
-    }
-}
-
-impl Encode for PrecisionSampler {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        w.put_f64(self.params.p);
-        w.put_f64(self.params.epsilon);
-        w.put_usize(self.params.rows);
-        w.put_usize(self.params.buckets);
-        w.put_usize(self.universe);
-        w.put_usize(self.reps.len());
-        for rep in &self.reps {
-            rep.cs.encode(w)?;
-            w.put_u64(rep.scale_seed);
-        }
-        self.norm_est.encode(w)
-    }
-}
-
-impl Decode for PrecisionSampler {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let p = r.get_f64()?;
-        let epsilon = r.get_f64()?;
-        let rows = r.get_usize()?;
-        let buckets = r.get_usize()?;
-        let universe = r.get_usize()?;
-        let p_ok = p.is_finite() && p > 0.0 && p <= 2.0;
-        let eps_ok = epsilon.is_finite() && epsilon > 0.0 && epsilon < 1.0;
-        if !p_ok || !eps_ok || universe < 2 {
-            return Err(WireError::Invalid("precision parameters"));
-        }
-        let params = PrecisionParams {
-            p,
-            epsilon,
-            rows,
-            buckets,
-        };
-        let rep_count = r.get_len(16)?;
-        if !(1..=1 << 16).contains(&rep_count) {
-            return Err(WireError::Invalid("precision repetition count"));
-        }
-        let mut reps = Vec::with_capacity(rep_count);
-        for _ in 0..rep_count {
-            let cs = CountSketch::decode(r)?;
-            let scale_seed = r.get_u64()?;
-            reps.push(Repetition { cs, scale_seed });
-        }
-        let norm_est = FpMaxStab::decode(r)?;
-        Ok(Self {
-            params,
-            universe,
-            reps,
-            norm_est,
-        })
     }
 }
 

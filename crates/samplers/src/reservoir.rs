@@ -7,7 +7,6 @@
 
 use crate::traits::{Sample, TurnstileSampler};
 use pts_stream::Update;
-use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
 use pts_util::Xoshiro256pp;
 
 /// Single-item weighted reservoir sampler (perfect L₁ law over increments).
@@ -67,38 +66,6 @@ impl TurnstileSampler for ReservoirSampler {
     fn space_bits(&self) -> usize {
         // index + weight counter + RNG state.
         64 + 64 + 256
-    }
-}
-
-impl Encode for ReservoirSampler {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        self.rng.encode(w)?;
-        w.put_u64(self.total_weight);
-        match self.current {
-            Some(i) => {
-                w.put_bool(true);
-                w.put_u64(i);
-            }
-            None => w.put_bool(false),
-        }
-        Ok(())
-    }
-}
-
-impl Decode for ReservoirSampler {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let rng = Xoshiro256pp::decode(r)?;
-        let total_weight = r.get_u64()?;
-        let current = if r.get_bool()? {
-            Some(r.get_u64()?)
-        } else {
-            None
-        };
-        Ok(Self {
-            rng,
-            total_weight,
-            current,
-        })
     }
 }
 

@@ -954,8 +954,9 @@ fn dispatch<E: SamplingService>(
         )),
         Request::IngestBatch(pairs) => {
             // Validate before touching the engine: an out-of-universe
-            // index must become an in-band error, not an engine panic,
-            // and a rejected batch must not be partially applied.
+            // index or an overflowing net value must become an in-band
+            // error, not an engine panic, and a rejected batch must not be
+            // partially applied.
             let universe = engine.universe() as u64;
             match pairs.iter().find(|&&(index, _)| index >= universe) {
                 Some(&(index, _)) => Response::Error(ServiceError::new(
@@ -967,9 +968,18 @@ fn dispatch<E: SamplingService>(
                         .iter()
                         .map(|&(index, delta)| Update::new(index, delta))
                         .collect();
-                    engine.ingest_batch(&batch);
-                    Response::Ingested {
-                        accepted: batch.len() as u64,
+                    // No code of its own until the next wire-version bump.
+                    match engine.check_values(&batch) {
+                        Err(overflow) => Response::Error(ServiceError::new(
+                            ErrorCode::Unsupported,
+                            overflow.to_string(),
+                        )),
+                        Ok(()) => {
+                            engine.ingest_batch(&batch);
+                            Response::Ingested {
+                                accepted: batch.len() as u64,
+                            }
+                        }
                     }
                 }
             }

@@ -790,3 +790,53 @@ fn drop_then_use_is_unknown_namespace_and_race_stays_in_band() {
     client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }
+
+/// A batch that would carry a net value out of `(-2^63, 2^63)` is refused
+/// whole and in-band (`Unsupported` until a wire-version bump gives it a
+/// code of its own): `i64::MAX` then `2`, `i64::MIN` alone, and a pair
+/// that overflows while it is coalesced. The tenant's state is untouched
+/// and the connection keeps working.
+#[test]
+fn overflowing_net_values_are_rejected_whole_and_in_band() {
+    fn ingest(client: &mut Client, pairs: &[(u64, i64)]) -> Result<u64, ClientError> {
+        let batch: Vec<Update> = pairs.iter().map(|&(i, d)| Update::new(i, d)).collect();
+        client
+            .submit_ingest_batch_ns(DEFAULT_NAMESPACE, &batch)
+            .and_then(Pending::wait)
+    }
+    fn entries(client: &mut Client) -> Vec<(u64, i64)> {
+        let snapshot = client.submit_snapshot_ns(DEFAULT_NAMESPACE);
+        snapshot.and_then(Pending::wait).unwrap().entries().to_vec()
+    }
+    let (server, mut client) = live_server();
+    type Pairs = &'static [(u64, i64)];
+    let cases: [(&str, Pairs, Pairs); 3] = [
+        ("i64::MAX then 2", &[(0, i64::MAX)], &[(9, 5), (0, 2)]),
+        ("i64::MIN alone", &[], &[(1, i64::MIN)]),
+        (
+            "pair overflowing in coalesce",
+            &[],
+            &[(5, i64::MAX), (6, 1), (5, 1)],
+        ),
+    ];
+    for (context, prefix, bad) in cases {
+        if !prefix.is_empty() {
+            ingest(&mut client, prefix).unwrap_or_else(|e| panic!("{context}: {e}"));
+        }
+        let before = entries(&mut client);
+        match ingest(&mut client, bad) {
+            Err(ClientError::Server(e)) => {
+                assert_eq!(e.code, ErrorCode::Unsupported, "{context}");
+            }
+            other => panic!("{context}: wanted an in-band error, got {other:?}"),
+        }
+        assert_eq!(entries(&mut client), before, "{context}");
+        let stats = client
+            .submit_stats_ns(DEFAULT_NAMESPACE)
+            .and_then(Pending::wait)
+            .unwrap_or_else(|e| panic!("{context}: connection unusable: {e}"));
+        assert!(stats.mass.is_finite(), "{context}: mass {}", stats.mass);
+    }
+    client.submit_shutdown().unwrap().wait().unwrap();
+    server.join();
+}

@@ -1,4 +1,4 @@
-//! AMS F₂ estimation \[AMS99\] and the Gaussian (2-stable) L₂ estimator.
+//! AMS F₂ estimation \[AMS99\].
 //!
 //! `AmsF2` is the classic median-of-means tug-of-war sketch: each counter
 //! holds `Σ σ_i x_i` for 4-wise independent signs; squaring is unbiased for
@@ -8,20 +8,16 @@
 //! ([`KWiseHash`]'s family); an update maps its index to `x, x², x³` once
 //! and evaluates every counter's polynomial from those shared powers, which
 //! reaches the same residue as Horner's rule.
-//!
-//! `GaussianL2` is the 2-stable variant of §3 (line 14 of Algorithm 4):
-//! each counter holds `Σ φ_i x_i` with i.i.d. Gaussians, so each counter is
-//! distributed `N(0, ‖x‖₂²)` and `median_j |counter_j| / Φ^{-1}(3/4)` is a
-//! consistent estimate of `‖x‖₂`.
 
 use crate::countsketch::median_in_place;
 use crate::traits::LinearSketch;
-use pts_util::variates::keyed_gaussian;
 use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
 use pts_util::{cubic_powers, derive_seed, eval_cubic, KWiseHash, Xoshiro256pp};
 
 /// Median of `|N(0,1)|`, i.e. `Φ^{-1}(3/4)` — the normalizer for
-/// median-based Gaussian norm estimation.
+/// median-based Gaussian (2-stable) norm estimation: a counter holding
+/// `Σ φ_i x_i` with i.i.d. Gaussians is `N(0, ‖x‖₂²)`, so
+/// `median_j |counter_j| / Φ^{-1}(3/4)` estimates `‖x‖₂`.
 pub const GAUSSIAN_ABS_MEDIAN: f64 = 0.674_489_750_196_081_7;
 
 /// AMS tug-of-war sketch for `F₂ = ‖x‖₂²`.
@@ -70,11 +66,6 @@ impl AmsF2 {
             })
             .collect();
         median_in_place(&mut row_means)
-    }
-
-    /// `‖x‖₂` estimate.
-    pub fn l2_estimate(&self) -> f64 {
-        self.estimate().max(0.0).sqrt()
     }
 }
 
@@ -162,85 +153,6 @@ impl Decode for AmsF2 {
             counters,
             signs,
         })
-    }
-}
-
-/// Gaussian 2-stable L₂ estimator (`R` in Algorithm 4).
-#[derive(Debug, Clone)]
-pub struct GaussianL2 {
-    counters: Vec<f64>,
-    seed: u64,
-}
-
-impl GaussianL2 {
-    /// `reps` independent Gaussian projections.
-    ///
-    /// # Panics
-    /// Panics if `reps == 0`.
-    pub fn new(reps: usize, seed: u64) -> Self {
-        assert!(reps > 0, "need at least one repetition");
-        Self {
-            counters: vec![0.0; reps],
-            seed,
-        }
-    }
-
-    /// Number of independent projections.
-    pub fn reps(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// The consistent `‖x‖₂` estimate `median_j |counter_j| / Φ^{-1}(3/4)`.
-    pub fn estimate(&self) -> f64 {
-        let mut mags: Vec<f64> = self.counters.iter().map(|c| c.abs()).collect();
-        median_in_place(&mut mags) / GAUSSIAN_ABS_MEDIAN
-    }
-
-    /// The paper's convention: an over-estimate `R ∈ [‖x‖₂/2, 2‖x‖₂]`
-    /// obtained by inflating the median estimate by 5/4 (line 14, §3).
-    pub fn conservative_estimate(&self) -> f64 {
-        1.25 * self.estimate()
-    }
-}
-
-impl LinearSketch for GaussianL2 {
-    #[inline]
-    fn update(&mut self, index: u64, delta: f64) {
-        for (j, c) in self.counters.iter_mut().enumerate() {
-            *c += keyed_gaussian(derive_seed(self.seed, j as u64), index) * delta;
-        }
-    }
-
-    fn merge(&mut self, other: &Self) {
-        assert_eq!(self.seed, other.seed, "seed mismatch");
-        assert_eq!(self.counters.len(), other.counters.len(), "reps mismatch");
-        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
-            *a += b;
-        }
-    }
-
-    fn space_bits(&self) -> usize {
-        // Counters plus one 64-bit seed (Gaussians are keyed, not stored).
-        self.counters.len() * 64 + 64
-    }
-}
-
-impl Encode for GaussianL2 {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        w.put_u64(self.seed);
-        w.put_f64s(&self.counters);
-        Ok(())
-    }
-}
-
-impl Decode for GaussianL2 {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let seed = r.get_u64()?;
-        let counters = r.get_f64s()?;
-        if counters.is_empty() {
-            return Err(WireError::Invalid("gaussian-l2 needs a repetition"));
-        }
-        Ok(Self { counters, seed })
     }
 }
 
@@ -347,45 +259,8 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_l2_concentrates() {
-        let x = zipf_vector(256, 1.0, 100, 28);
-        let truth = x.f2().sqrt();
-        let mut g = GaussianL2::new(101, 3);
-        g.ingest_vector(&x);
-        let est = g.estimate();
-        assert!(
-            (est - truth).abs() / truth < 0.35,
-            "est {est} vs truth {truth}"
-        );
-        let cons = g.conservative_estimate();
-        assert!(cons >= truth * 0.5 && cons <= truth * 2.0, "cons {cons}");
-    }
-
-    #[test]
-    fn gaussian_l2_median_normalizer_is_calibrated() {
-        // Average many independent estimates: should land on ‖x‖₂.
-        let x = uniform_vector(64, 5, 29);
-        let truth = x.f2().sqrt();
-        let reps = 200;
-        let mean: f64 = (0..reps)
-            .map(|r| {
-                let mut g = GaussianL2::new(15, 9000 + r);
-                g.ingest_vector(&x);
-                g.estimate()
-            })
-            .sum::<f64>()
-            / reps as f64;
-        assert!(
-            (mean - truth).abs() / truth < 0.05,
-            "mean {mean} vs {truth}"
-        );
-    }
-
-    #[test]
     fn space_bits_accounting() {
         let a = AmsF2::new(2, 3, 1);
         assert_eq!(a.space_bits(), 6 * 64 + 6 * 4 * 61);
-        let g = GaussianL2::new(4, 1);
-        assert_eq!(g.space_bits(), 4 * 64 + 64);
     }
 }

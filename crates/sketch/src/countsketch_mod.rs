@@ -15,7 +15,6 @@
 use crate::countsketch::median_in_place;
 use crate::traits::LinearSketch;
 use pts_util::variates::{geometric, keyed_sign};
-use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
 use pts_util::{derive_seed, Xoshiro256pp};
 
 /// The modified CountSketch table.
@@ -40,16 +39,6 @@ impl ModCountSketch {
             table: vec![0.0; rows * buckets],
             seed,
         }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Buckets per row.
-    pub fn buckets(&self) -> usize {
-        self.buckets
     }
 
     /// The flattened cells `(row, bucket)` containing `item`, derived by
@@ -145,40 +134,6 @@ impl LinearSketch for ModCountSketch {
 
     fn space_bits(&self) -> usize {
         self.table.len() * 64 + 64
-    }
-}
-
-impl Encode for ModCountSketch {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        w.put_usize(self.rows);
-        w.put_usize(self.buckets);
-        w.put_u64(self.seed);
-        w.put_f64s(&self.table);
-        Ok(())
-    }
-}
-
-impl Decode for ModCountSketch {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let rows = r.get_usize()?;
-        let buckets = r.get_usize()?;
-        let seed = r.get_u64()?;
-        if !(1..=1024).contains(&rows) || buckets == 0 {
-            return Err(WireError::Invalid("mod-countsketch shape"));
-        }
-        let cells = rows
-            .checked_mul(buckets)
-            .ok_or(WireError::Invalid("mod-countsketch shape overflow"))?;
-        let table = r.get_f64s()?;
-        if table.len() != cells {
-            return Err(WireError::Invalid("mod-countsketch table length"));
-        }
-        Ok(Self {
-            rows,
-            buckets,
-            table,
-            seed,
-        })
     }
 }
 

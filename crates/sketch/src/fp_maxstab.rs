@@ -12,7 +12,6 @@ use crate::countsketch::{median_in_place, CountSketch, CountSketchParams};
 use crate::traits::LinearSketch;
 use pts_util::derive_seed;
 use pts_util::variates::keyed_exponential;
-use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
 
 /// Parameters for [`FpMaxStab`].
 #[derive(Debug, Clone, Copy)]
@@ -131,61 +130,6 @@ impl LinearSketch for FpMaxStab {
             .map(LinearSketch::space_bits)
             .sum::<usize>()
             + 64
-    }
-}
-
-impl Encode for FpMaxStab {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        w.put_f64(self.params.p);
-        w.put_usize(self.params.reps);
-        w.put_usize(self.params.buckets);
-        w.put_usize(self.params.rows);
-        w.put_usize(self.universe);
-        for cs in &self.sketches {
-            cs.encode(w)?;
-        }
-        w.put_u64s(&self.scale_seeds);
-        Ok(())
-    }
-}
-
-impl Decode for FpMaxStab {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let p = r.get_f64()?;
-        let reps = r.get_usize()?;
-        let buckets = r.get_usize()?;
-        let rows = r.get_usize()?;
-        let universe = r.get_usize()?;
-        if !(p.is_finite() && p > 0.0) {
-            return Err(WireError::Invalid("maxstab moment order"));
-        }
-        if !(1..=4096).contains(&reps) || universe < 2 {
-            return Err(WireError::Invalid("maxstab shape"));
-        }
-        let params = FpMaxStabParams {
-            p,
-            reps,
-            buckets,
-            rows,
-        };
-        let mut sketches = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let cs = CountSketch::decode(r)?;
-            if cs.rows() != rows || cs.buckets() != buckets {
-                return Err(WireError::Invalid("maxstab sketch shape"));
-            }
-            sketches.push(cs);
-        }
-        let scale_seeds = r.get_u64s()?;
-        if scale_seeds.len() != reps {
-            return Err(WireError::Invalid("maxstab scale-seed length"));
-        }
-        Ok(Self {
-            params,
-            universe,
-            sketches,
-            scale_seeds,
-        })
     }
 }
 

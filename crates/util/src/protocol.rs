@@ -412,7 +412,8 @@ pub enum ErrorCode {
     /// An update addressed a coordinate outside the engine's universe.
     OutOfUniverse = 2,
     /// A valid request the engine cannot serve (e.g. restoring bytes
-    /// written by a different factory type).
+    /// written by a different factory type, or an ingest batch that would
+    /// carry a net value out of `(-2^63, 2^63)`).
     Unsupported = 3,
     /// The request frame exceeded [`MAX_FRAME_BYTES`].
     TooLarge = 4,

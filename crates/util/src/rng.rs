@@ -193,12 +193,6 @@ impl Xoshiro256pp {
         }
     }
 
-    /// Bernoulli trial with success probability `p` (clamped to `[0,1]`).
-    #[inline]
-    pub fn next_bool(&mut self, p: f64) -> bool {
-        self.next_f64() < p
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {

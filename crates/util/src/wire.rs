@@ -252,12 +252,6 @@ impl WireWriter {
         self.buf.push(u8::from(v));
     }
 
-    /// Appends raw bytes verbatim (no length prefix) — for splicing an
-    /// already-encoded blob into a larger payload.
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// A `u64` slice with a length prefix.
     pub fn put_u64s(&mut self, vs: &[u64]) {
         self.put_usize(vs.len());
@@ -513,13 +507,6 @@ impl FrameError {
     /// and [`FrameError::TooLarge`] both destroy the stream position.
     pub fn is_recoverable(&self) -> bool {
         matches!(self, FrameError::Recoverable(_))
-    }
-
-    /// The underlying wire error, regardless of class.
-    pub fn wire_error(&self) -> &WireError {
-        match self {
-            FrameError::Recoverable(e) | FrameError::Fatal(e) | FrameError::TooLarge(e) => e,
-        }
     }
 
     /// Collapses the classification back into the plain wire error

@@ -68,7 +68,7 @@
 //! * [`pts_samplers`] — substrates: perfect L₀ (JST11), perfect L₂ (JW18),
 //!   precision-sampling and reservoir baselines.
 //! * [`pts_sketch`] — CountSketch (classic + JW18-modified), AMS, `F_p`
-//!   estimators, heavy hitters, sparse recovery.
+//!   estimators, sparse recovery.
 //! * [`pts_stream`] — the turnstile model, ground truth, workload
 //!   generators.
 //! * [`pts_util`] — seeded RNG streams, hash families, variates,
