@@ -1,47 +1,52 @@
-//! W1: durable-snapshot size — the paper's space story made operational.
+//! W1: durable-snapshot size next to the sampler state the paper bounds.
 //!
 //! Theorem 1.2's headline is that perfect L_p sampler state occupies
-//! `O(n^{1−2/p})` words (up to polylog factors); with the wire subsystem
-//! that quantity stops being an accounting fiction and becomes **the number
-//! of bytes a checkpoint writes to disk**. This experiment measures, per
-//! `(factory, p, n, S)` configuration:
+//! `O(n^{1−2/p})` words (up to polylog factors). The engine keeps no
+//! sampler instance — a draw respawns one from the net vector — so its
+//! checkpoint is compact state, and the theorem's quantity is the
+//! `space_bits` of the sampler a draw spawns. This experiment measures,
+//! per `(factory, p, n, S)` configuration:
 //!
 //! * the framed [`pts_engine::EngineSnapshot`] payload (gap+varint coded sparse net
 //!   vector — the merge-layer shipping unit, `O(support)` bytes);
-//! * the full engine checkpoint (config + RNG + stats + every shard's pool
-//!   with live sampler sketches — the crash-recovery unit, dominated by the
-//!   sampler state the theorems bound);
-//! * the ratio `checkpoint bytes / n^{1−2/p}`, which the space bound
-//!   predicts grows only polylogarithmically in `n` at fixed `p > 2`.
+//! * the full engine checkpoint (config + RNG + stats + every shard's net
+//!   vector and pool seed stream — the crash-recovery unit, also
+//!   `O(support)` bytes);
+//! * the `space_bits` of one spawned sampler, and the ratio
+//!   `sampler bits / n^{1−2/p}`, which the space bound predicts grows
+//!   only polylogarithmically in `n` at fixed `p > 2`.
 //!
-//! Every measured payload is also restored and cross-checked, so the
+//! Every measured checkpoint is also restored and cross-checked, so the
 //! recorded sizes are of *working* checkpoints, not write-only blobs.
 
 use pts_engine::{EngineConfig, LpLe2Factory, PerfectLpFactory, SamplerFactory, ShardedEngine};
+use pts_samplers::TurnstileSampler;
 use pts_stream::Update;
 use pts_util::table::{fmt_sig, Table};
 use pts_util::wire::{Decode, Encode};
 
+/// One measured configuration.
+struct Sizes {
+    support: usize,
+    snapshot_bytes: usize,
+    checkpoint_bytes: usize,
+    sampler_bits: usize,
+}
+
 /// Builds, loads, checkpoints, and measures one engine configuration.
-/// Returns `(support, snapshot_bytes, checkpoint_bytes)`.
-fn measure<F>(config: EngineConfig, factory: F, seed: u64) -> (usize, usize, usize)
+fn measure<F>(config: EngineConfig, factory: F, seed: u64) -> Sizes
 where
-    F: SamplerFactory + Encode + Decode + Send + 'static,
-    F::Sampler: Encode + Decode + Send + 'static,
+    F: SamplerFactory + Encode + Decode,
 {
     let n = config.universe;
     let x = pts_stream::gen::zipf_vector(n, 1.0, 4 * n as i64, seed);
     let updates: Vec<Update> = x.iter_nonzero().map(|(i, v)| Update::new(i, v)).collect();
+    let sampler_bits = factory.build(n, seed).space_bits();
     let mut engine = ShardedEngine::new(config, factory);
     for chunk in updates.chunks(512) {
         engine.ingest_batch(chunk);
     }
-    // Exercise the pool, then fill it: the measured checkpoint carries
-    // fully live pools (the worst case — an engine's slots are born empty,
-    // and empty slots serialize as one bit each and respawn from the net
-    // vector after restore).
     let _ = engine.sample();
-    engine.prime();
 
     let snapshot_bytes = engine.snapshot().to_bytes().len();
     let mut checkpoint = Vec::new();
@@ -51,7 +56,12 @@ where
         ShardedEngine::restore(&mut checkpoint.as_slice()).expect("restore");
     assert_eq!(restored.snapshot(), engine.snapshot());
 
-    (engine.support(), snapshot_bytes, checkpoint.len())
+    Sizes {
+        support: engine.support(),
+        snapshot_bytes,
+        checkpoint_bytes: checkpoint.len(),
+        sampler_bits,
+    }
 }
 
 /// W1 runner.
@@ -64,12 +74,13 @@ pub fn w1_snapshot_size(quick: bool) -> Table {
         "support",
         "snapshot B",
         "checkpoint B",
-        "ckpt B / n^(1-2/p)",
+        "sampler bits",
+        "bits / n^(1-2/p)",
     ]);
 
-    // The merge-layer story: snapshot bytes scale with support, and the
-    // checkpoint carries the (p ≤ 2) sampler pools. LpLe2 keeps the
-    // configurations cheap enough to sweep shard counts.
+    // The merge-layer story: snapshot and checkpoint bytes scale with
+    // support. LpLe2 keeps the configurations cheap enough to sweep shard
+    // counts.
     let l2_universes: &[usize] = if quick {
         &[1 << 10]
     } else {
@@ -78,51 +89,44 @@ pub fn w1_snapshot_size(quick: bool) -> Table {
     for &n in l2_universes {
         for shards in [1usize, 4] {
             let config = EngineConfig::new(n).shards(shards).pool_size(2).seed(11);
-            let (support, snap, ckpt) =
-                measure(config, LpLe2Factory::for_universe(n, 2.0), 21 + n as u64);
-            push_row(&mut table, "lp-le2", 2.0, n, shards, support, snap, ckpt);
+            let sizes = measure(config, LpLe2Factory::for_universe(n, 2.0), 21 + n as u64);
+            push_row(&mut table, "lp-le2", 2.0, n, shards, &sizes);
         }
     }
 
     // The paper's p > 2 space curve. Attempts scale as n^{1-2/p} ln n, so
-    // the checkpoint is the theorem's word count in the flesh; universes
-    // stay small because the *constant* in front (attempts × per-attempt
-    // CountSketch tables, tens of KB each) is laptop-hostile — a fully
-    // live pool at n = 64 already serializes to tens of megabytes.
+    // the spawned sampler is the theorem's word count in the flesh;
+    // universes stay small because the *constant* in front (attempts ×
+    // per-attempt CountSketch tables, tens of KB each) is laptop-hostile.
     let hi_p_universes: &[usize] = if quick { &[16, 32] } else { &[16, 32, 64] };
     for &p in &[3.0f64, 4.0] {
         for &n in hi_p_universes {
             let config = EngineConfig::new(n).shards(1).pool_size(1).seed(13);
-            let (support, snap, ckpt) =
-                measure(config, PerfectLpFactory::for_universe(n, p), 31 + n as u64);
-            push_row(&mut table, "perfect-lp", p, n, 1, support, snap, ckpt);
+            let sizes = measure(config, PerfectLpFactory::for_universe(n, p), 31 + n as u64);
+            push_row(&mut table, "perfect-lp", p, n, 1, &sizes);
         }
     }
     table
 }
 
-#[allow(clippy::too_many_arguments)]
-fn push_row(
-    table: &mut Table,
-    factory: &str,
-    p: f64,
-    n: usize,
-    shards: usize,
-    support: usize,
-    snap: usize,
-    ckpt: usize,
-) {
+fn push_row(table: &mut Table, factory: &str, p: f64, n: usize, shards: usize, sizes: &Sizes) {
+    let Sizes {
+        support,
+        snapshot_bytes: snap,
+        checkpoint_bytes: ckpt,
+        sampler_bits: bits,
+    } = *sizes;
     // The space-bound ratio only says something for p > 2 (at p = 2 the
     // exponent degenerates to n^0 and the column would just repeat the
     // absolute size).
     let ratio = if p > 2.0 {
-        fmt_sig(ckpt as f64 / (n as f64).powf(1.0 - 2.0 / p), 3)
+        fmt_sig(bits as f64 / (n as f64).powf(1.0 - 2.0 / p), 3)
     } else {
         "-".to_string()
     };
     println!(
         "  {factory} p={p} n={n} S={shards}: support {support}, snapshot {snap} B, \
-         checkpoint {ckpt} B (ratio {ratio})"
+         checkpoint {ckpt} B, sampler {bits} bits (ratio {ratio})"
     );
     table.push_row([
         factory.to_string(),
@@ -132,6 +136,7 @@ fn push_row(
         support.to_string(),
         snap.to_string(),
         ckpt.to_string(),
+        bits.to_string(),
         ratio,
     ]);
 }

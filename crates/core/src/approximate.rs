@@ -180,11 +180,6 @@ impl ApproxLpSampler {
         }
     }
 
-    /// The discretization grid in use.
-    pub fn grid(&self) -> &EtaGrid {
-        &self.grid
-    }
-
     /// Derives (or recalls) the per-index simulation constants.
     fn index_consts(&mut self, i: u64) -> IndexConsts {
         if let Some(&c) = self.consts_cache.get(&i) {

@@ -18,90 +18,10 @@ use pts_samplers::{L0Params, PerfectL0Sampler, Sample, TurnstileSampler};
 use pts_stream::Update;
 use pts_util::derive_seed;
 use pts_util::variates::keyed_unit;
-use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
+use std::sync::Arc;
 
 /// A non-negative measurement function `G` with `G(0) = 0`.
-pub type GFunction = std::sync::Arc<dyn Fn(f64) -> f64 + Send + Sync>;
-
-/// The wire identity of a G-function: enough to rebuild the closure of any
-/// *named* constructor. `G` itself is opaque — this is what makes a
-/// rejection sampler checkpointable at all. Samplers built from arbitrary
-/// user closures carry [`GSpec::Custom`] and refuse to encode.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GSpec {
-    /// `G(z) = log(1+|z|)` (Algorithm 6).
-    Log,
-    /// `G(z) = min(T, |z|^p)` (Algorithm 7).
-    Cap {
-        /// The cap threshold `T`.
-        threshold_t: f64,
-        /// The moment order `p`.
-        p: f64,
-    },
-    /// The Huber M-estimator with knee `τ`.
-    Huber {
-        /// The quadratic/linear crossover `τ`.
-        tau: f64,
-    },
-    /// The Fair M-estimator with scale `τ`.
-    Fair {
-        /// The scale parameter `τ`.
-        tau: f64,
-    },
-    /// The soft-cap `G(z) = 1 − e^{−τ|z|}`.
-    SoftCap {
-        /// The decay rate `τ`.
-        tau: f64,
-    },
-    /// The L1−L2 estimator `G(z) = 2(√(1+z²/2) − 1)`.
-    L1L2,
-    /// An arbitrary user closure — not wire-encodable.
-    Custom,
-}
-
-impl GSpec {
-    /// Rebuilds the measurement closure and display label this spec
-    /// describes; `None` for [`GSpec::Custom`].
-    fn instantiate(&self) -> Option<(GFunction, &'static str)> {
-        match *self {
-            GSpec::Log => Some((
-                std::sync::Arc::new(|z: f64| (1.0 + z.abs()).ln()),
-                "log(1+|z|)",
-            )),
-            GSpec::Cap { threshold_t, p } => Some((
-                std::sync::Arc::new(move |z: f64| z.abs().powf(p).min(threshold_t)),
-                "min(T,|z|^p)",
-            )),
-            GSpec::Huber { tau } => Some((
-                std::sync::Arc::new(move |z: f64| {
-                    let a = z.abs();
-                    if a <= tau {
-                        a * a / (2.0 * tau)
-                    } else {
-                        a - tau / 2.0
-                    }
-                }),
-                "huber",
-            )),
-            GSpec::Fair { tau } => Some((
-                std::sync::Arc::new(move |z: f64| {
-                    let a = z.abs();
-                    tau * a - tau * tau * (1.0 + a / tau).ln()
-                }),
-                "fair",
-            )),
-            GSpec::SoftCap { tau } => Some((
-                std::sync::Arc::new(move |z: f64| 1.0 - (-tau * z.abs()).exp()),
-                "soft-cap",
-            )),
-            GSpec::L1L2 => Some((
-                std::sync::Arc::new(|z: f64| 2.0 * ((1.0 + z * z / 2.0).sqrt() - 1.0)),
-                "l1-l2",
-            )),
-            GSpec::Custom => None,
-        }
-    }
-}
+pub type GFunction = Arc<dyn Fn(f64) -> f64 + Send + Sync>;
 
 /// The general rejection G-sampler (Algorithm 8).
 pub struct RejectionGSampler {
@@ -110,18 +30,16 @@ pub struct RejectionGSampler {
     l0_samples: Vec<PerfectL0Sampler>,
     accept_seed: u64,
     label: &'static str,
-    spec: GSpec,
 }
 
 impl Clone for RejectionGSampler {
     fn clone(&self) -> Self {
         Self {
-            g: std::sync::Arc::clone(&self.g),
+            g: Arc::clone(&self.g),
             upper_h: self.upper_h,
             l0_samples: self.l0_samples.clone(),
             accept_seed: self.accept_seed,
             label: self.label,
-            spec: self.spec,
         }
     }
 }
@@ -143,17 +61,16 @@ impl RejectionGSampler {
     /// # Panics
     /// Panics if `H ≤ 0` or `repetitions == 0`.
     pub fn new(n: usize, g: GFunction, upper_h: f64, repetitions: usize, seed: u64) -> Self {
-        Self::with_spec(n, g, upper_h, repetitions, seed, "custom", GSpec::Custom)
+        Self::labelled(n, g, upper_h, repetitions, seed, "custom")
     }
 
-    fn with_spec(
+    fn labelled(
         n: usize,
         g: GFunction,
         upper_h: f64,
         repetitions: usize,
         seed: u64,
         label: &'static str,
-        spec: GSpec,
     ) -> Self {
         assert!(upper_h > 0.0, "upper bound H must be positive");
         assert!(repetitions >= 1, "need at least one L0 repetition");
@@ -166,15 +83,7 @@ impl RejectionGSampler {
             l0_samples,
             accept_seed: derive_seed(seed, 0x6ACC),
             label,
-            spec,
         }
-    }
-
-    /// Builds the sampler from a wire-encodable [`GSpec`] (the closure and
-    /// label come from the spec, so the value round-trips byte-exactly).
-    fn from_spec(n: usize, spec: GSpec, upper_h: f64, repetitions: usize, seed: u64) -> Self {
-        let (g, label) = spec.instantiate().expect("named spec");
-        Self::with_spec(n, g, upper_h, repetitions, seed, label, spec)
     }
 
     /// Algorithm 6: the logarithmic sampler `G(z) = log(1+|z|)`.
@@ -186,7 +95,8 @@ impl RejectionGSampler {
         assert!(stream_bound_m >= 1);
         let h = (1.0 + stream_bound_m as f64).ln();
         let reps = ((4.0 * h / std::f64::consts::LN_2).ceil() as usize).max(8);
-        Self::from_spec(n, GSpec::Log, h, reps, seed)
+        let g: GFunction = Arc::new(|z: f64| (1.0 + z.abs()).ln());
+        Self::labelled(n, g, h, reps, seed, "log(1+|z|)")
     }
 
     /// Algorithm 7: the cap sampler `G(z) = min(T, |z|^p)`, `H = T`;
@@ -196,31 +106,40 @@ impl RejectionGSampler {
         assert!(threshold_t >= 1.0, "cap threshold must be >= 1");
         assert!(p > 0.0);
         let reps = ((4.0 * threshold_t).ceil() as usize).max(8);
-        Self::from_spec(n, GSpec::Cap { threshold_t, p }, threshold_t, reps, seed)
+        let g: GFunction = Arc::new(move |z: f64| z.abs().powf(p).min(threshold_t));
+        Self::labelled(n, g, threshold_t, reps, seed, "min(T,|z|^p)")
     }
 
     /// The Huber estimator `G(z) = z²/(2τ)` for `|z| ≤ τ`, else `|z| − τ/2`,
     /// bounded by its value at the stream bound `m`.
     pub fn huber_sampler(n: usize, tau: f64, stream_bound_m: u64, seed: u64) -> Self {
         assert!(tau > 0.0);
-        let spec = GSpec::Huber { tau };
-        let (g, _) = spec.instantiate().expect("named spec");
+        let g: GFunction = Arc::new(move |z: f64| {
+            let a = z.abs();
+            if a <= tau {
+                a * a / (2.0 * tau)
+            } else {
+                a - tau / 2.0
+            }
+        });
         let h = g(stream_bound_m as f64);
         let q = g(1.0); // minimum over non-zero integer values
         let reps = ((3.0 * h / q).ceil() as usize).clamp(8, 4096);
-        Self::from_spec(n, spec, h, reps, seed)
+        Self::labelled(n, g, h, reps, seed, "huber")
     }
 
     /// The Fair estimator `G(z) = τ|z| − τ² log(1 + |z|/τ)`.
     pub fn fair_sampler(n: usize, tau: f64, stream_bound_m: u64, seed: u64) -> Self {
         assert!(tau > 0.0);
-        let spec = GSpec::Fair { tau };
-        let (g, _) = spec.instantiate().expect("named spec");
+        let g: GFunction = Arc::new(move |z: f64| {
+            let a = z.abs();
+            tau * a - tau * tau * (1.0 + a / tau).ln()
+        });
         let h = g(stream_bound_m as f64);
         let q = g(1.0);
         assert!(q > 0.0, "fair estimator degenerate at this tau");
         let reps = ((3.0 * h / q).ceil() as usize).clamp(8, 4096);
-        Self::from_spec(n, spec, h, reps, seed)
+        Self::labelled(n, g, h, reps, seed, "fair")
     }
 
     /// The soft-cap function `G(z) = 1 − e^{−τ|z|}` (the \[PW25\] family's
@@ -231,24 +150,17 @@ impl RejectionGSampler {
         assert!(tau > 0.0);
         let q = 1.0 - (-tau).exp();
         let reps = ((3.0 / q).ceil() as usize).clamp(8, 4096);
-        Self::from_spec(n, GSpec::SoftCap { tau }, 1.0, reps, seed)
+        let g: GFunction = Arc::new(move |z: f64| 1.0 - (-tau * z.abs()).exp());
+        Self::labelled(n, g, 1.0, reps, seed, "soft-cap")
     }
 
     /// The L1−L2 estimator `G(z) = 2(√(1+z²/2) − 1)`.
     pub fn l1l2_sampler(n: usize, stream_bound_m: u64, seed: u64) -> Self {
-        let spec = GSpec::L1L2;
-        let (g, _) = spec.instantiate().expect("named spec");
+        let g: GFunction = Arc::new(|z: f64| 2.0 * ((1.0 + z * z / 2.0).sqrt() - 1.0));
         let h = g(stream_bound_m as f64);
         let q = g(1.0);
         let reps = ((3.0 * h / q).ceil() as usize).clamp(8, 4096);
-        Self::from_spec(n, spec, h, reps, seed)
-    }
-
-    /// The wire identity of this sampler's G-function ([`GSpec::Custom`]
-    /// for closures passed to [`RejectionGSampler::new`], which cannot be
-    /// checkpointed).
-    pub fn spec(&self) -> GSpec {
-        self.spec
+        Self::labelled(n, g, h, reps, seed, "l1-l2")
     }
 
     /// Number of L₀ repetitions held.
@@ -311,99 +223,6 @@ impl TurnstileSampler for RejectionGSampler {
         for (a, b) in self.l0_samples.iter_mut().zip(&other.l0_samples) {
             a.merge(b);
         }
-    }
-}
-
-impl Encode for GSpec {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        match *self {
-            GSpec::Log => w.put_u8(0),
-            GSpec::Cap { threshold_t, p } => {
-                w.put_u8(1);
-                w.put_f64(threshold_t);
-                w.put_f64(p);
-            }
-            GSpec::Huber { tau } => {
-                w.put_u8(2);
-                w.put_f64(tau);
-            }
-            GSpec::Fair { tau } => {
-                w.put_u8(3);
-                w.put_f64(tau);
-            }
-            GSpec::SoftCap { tau } => {
-                w.put_u8(4);
-                w.put_f64(tau);
-            }
-            GSpec::L1L2 => w.put_u8(5),
-            GSpec::Custom => {
-                return Err(WireError::Unsupported(
-                    "custom G-function closures cannot cross the wire",
-                ))
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Decode for GSpec {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let spec = match r.get_u8()? {
-            0 => GSpec::Log,
-            1 => GSpec::Cap {
-                threshold_t: r.get_f64()?,
-                p: r.get_f64()?,
-            },
-            2 => GSpec::Huber { tau: r.get_f64()? },
-            3 => GSpec::Fair { tau: r.get_f64()? },
-            4 => GSpec::SoftCap { tau: r.get_f64()? },
-            5 => GSpec::L1L2,
-            _ => return Err(WireError::Invalid("g-spec tag")),
-        };
-        Ok(spec)
-    }
-}
-
-impl Encode for RejectionGSampler {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        self.spec.encode(w)?; // fails here for Custom — nothing partial
-        w.put_f64(self.upper_h);
-        w.put_u64(self.accept_seed);
-        w.put_usize(self.l0_samples.len());
-        for l0 in &self.l0_samples {
-            l0.encode(w)?;
-        }
-        Ok(())
-    }
-}
-
-impl Decode for RejectionGSampler {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let spec = GSpec::decode(r)?;
-        let (g, label) = spec
-            .instantiate()
-            .ok_or(WireError::Invalid("custom g-spec on the wire"))?;
-        let upper_h = r.get_f64()?;
-        if !(upper_h.is_finite() && upper_h > 0.0) {
-            return Err(WireError::Invalid("g-sampler upper bound"));
-        }
-        let accept_seed = r.get_u64()?;
-        let reps = r.get_len(32)?;
-        if !(1..=1 << 16).contains(&reps) {
-            return Err(WireError::Invalid("g-sampler repetition count"));
-        }
-        let mut l0_samples = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            l0_samples.push(PerfectL0Sampler::decode(r)?);
-        }
-        Ok(Self {
-            g,
-            upper_h,
-            l0_samples,
-            accept_seed,
-            label,
-            spec,
-        })
     }
 }
 

@@ -29,7 +29,7 @@ pub mod polynomial;
 pub mod subset_norm;
 
 pub use approximate::{ApproxLpBatch, ApproxLpParams, ApproxLpSampler};
-pub use gsampler::{GSpec, RejectionGSampler};
+pub use gsampler::RejectionGSampler;
 pub use perfect::{PerfectLpParams, PerfectLpSampler, PowerEstimator};
 pub use polynomial::{Polynomial, PolynomialParams, PolynomialSampler};
 pub use subset_norm::{SubsetNormEstimator, SubsetNormParams};

@@ -14,8 +14,9 @@ pub struct EngineConfig {
     pub universe: usize,
     /// Number of shards `S` the universe is hash-partitioned across.
     pub shards: usize,
-    /// Independent sampler instances per shard (`k`): each query consumes
-    /// instances, which respawn lazily from the shard's compact state.
+    /// Pool slots per shard (`k`): a query tries up to `k` independently
+    /// seeded samplers, each respawned from the shard's compact state, so
+    /// ⊥ is retried `k` times.
     pub pool_size: usize,
     /// Master seed; all shard/instance seeds derive from it.
     pub seed: u64,

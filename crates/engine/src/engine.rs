@@ -3,7 +3,7 @@
 //!
 //! The two-stage draw is what makes sharding *correct* rather than merely
 //! fast. A query first picks a shard with probability proportional to the
-//! shard's exact `G`-mass, then draws within the shard from its pool:
+//! shard's `G`-mass, then draws within the shard from its pool:
 //!
 //! ```text
 //! Pr[i] = (mass_s / Σ_t mass_t) · G(x_i) / mass_s = G(x_i) / Σ_j G(x_j)
@@ -100,9 +100,9 @@ impl Decode for EngineStats {
 ///
 /// See the crate docs for the architecture; the short version:
 /// [`ShardRouter`] hash-partitions updates across [`Shard`]s, each shard
-/// holds a pool of independently seeded one-shot samplers plus the compact
-/// exact state that respawns them, and queries compose a mass-weighted
-/// shard pick with an in-shard draw.
+/// holds the exact net vector of its slice plus the seed stream of a pool
+/// of one-shot samplers respawned from it, and queries compose a
+/// mass-weighted shard pick with an in-shard draw.
 #[derive(Debug, Clone)]
 pub struct ShardedEngine<F: SamplerFactory> {
     config: EngineConfig,
@@ -118,9 +118,8 @@ pub struct ShardedEngine<F: SamplerFactory> {
 
 impl<F: SamplerFactory> ShardedEngine<F> {
     /// Builds an engine: `S` shards over the full universe `[0, n)`, each
-    /// with a pool of `k` empty slots. No sampler instance exists until a
-    /// draw needs one, so the first `k` draws respawn like every later
-    /// one (see [`ShardedEngine::prime`] to build instances eagerly).
+    /// with a pool of `k` slots. No sampler instance is kept: every draw
+    /// respawns one from the shard's net vector.
     ///
     /// # Panics
     /// Panics on a degenerate configuration.
@@ -166,8 +165,7 @@ impl<F: SamplerFactory> ShardedEngine<F> {
     }
 
     /// Ingests a batch of turnstile updates: routed to shards, reordered
-    /// and coalesced per shard, then applied to compact state (and to live
-    /// pool instances, which exist only after [`ShardedEngine::prime`]).
+    /// and coalesced per shard, then applied to the shards' net vectors.
     /// This is the engine's hot path.
     ///
     /// # Panics
@@ -238,7 +236,8 @@ impl<F: SamplerFactory> ShardedEngine<F> {
         }
     }
 
-    /// The exact global `G`-mass `Σ_j G(x_j)` of everything ingested.
+    /// The global `G`-mass `Σ_j G(x_j)` of everything ingested, summed
+    /// from the net vector.
     pub fn mass(&self) -> f64 {
         self.shards.iter().map(Shard::mass).sum()
     }
@@ -251,8 +250,8 @@ impl<F: SamplerFactory> ShardedEngine<F> {
     /// Draws one sample from the global law `G(x_i)/Σ_j G(x_j)` — at any
     /// point of the stream, as many times as desired.
     ///
-    /// Two-stage: shard ∝ exact mass, then the shard's pool draws (⊥
-    /// retried across the pool; empty slots respawn lazily). Returns
+    /// Two-stage: shard ∝ mass, then the shard's pool draws (⊥ retried
+    /// across the pool; every tried slot respawns). Returns
     /// `None` on the zero vector or when the chosen shard's entire pool
     /// FAILs (bounded probability, part of the samplers' contract; see the
     /// module docs for the `δ_s^k` conditional-law caveat this implies).
@@ -313,10 +312,9 @@ impl<F: SamplerFactory> ShardedEngine<F> {
     }
 
     /// Serializes the engine's **complete** state — config, factory, query
-    /// RNG, stats, and every shard's net vector, mass, and pool (one bit
-    /// per empty slot; live sampler instances, which exist only after
-    /// [`ShardedEngine::prime`], bit-for-bit) — as one framed, checksummed
-    /// wire payload.
+    /// RNG, stats, and every shard's net vector, mass, and pool seed
+    /// stream (one bit per slot) — as one framed, checksummed wire
+    /// payload.
     ///
     /// The restored engine ([`ShardedEngine::restore`]) is bit-identical
     /// going forward: the same subsequent call sequence produces the same
@@ -324,7 +322,6 @@ impl<F: SamplerFactory> ShardedEngine<F> {
     pub fn checkpoint<W: Write>(&self, sink: &mut W) -> std::io::Result<()>
     where
         F: Encode,
-        F::Sampler: Encode,
     {
         let mut payload = WireWriter::new();
         self.config.encode(&mut payload)?;
@@ -342,12 +339,12 @@ impl<F: SamplerFactory> ShardedEngine<F> {
 
     /// Rebuilds an engine from a [`ShardedEngine::checkpoint`] payload.
     /// Malformed input — truncation, corruption, a bumped format version,
-    /// a different factory type — returns a [`WireError`] and never
-    /// panics.
+    /// a different factory type, a set pool slot bit — returns a
+    /// [`WireError`] and never panics. Each shard's mass is recomputed
+    /// from its entries; the stored field is not read back.
     pub fn restore<R: Read>(src: &mut R) -> Result<Self, WireError>
     where
         F: Decode,
-        F::Sampler: Decode,
     {
         let mut counted = pts_obs::CountingReader::new(src);
         let payload = read_frame(KIND_ENGINE, &mut counted)?;
@@ -388,20 +385,12 @@ impl<F: SamplerFactory> ShardedEngine<F> {
         })
     }
 
-    /// Eagerly respawns every empty pool slot in every shard as a full
-    /// instance, so a query burst finds live instances. Returns the number
-    /// of slots refilled. It pays off only for factories on the default
-    /// [`SamplerFactory::draw_from`]; see [`Shard::prime`].
-    pub fn prime(&mut self) -> usize {
-        self.shards.iter_mut().map(Shard::prime).sum()
-    }
-
     /// Total lazy respawns across all shard pools.
     pub fn respawns(&self) -> u64 {
         self.shards.iter().map(Shard::respawns).sum()
     }
 
-    /// Engine state size in bits: live sampler sketches plus compact state.
+    /// Engine state size in bits: the compact state of every shard.
     pub fn space_bits(&self) -> usize {
         self.shards.iter().map(Shard::space_bits).sum()
     }
@@ -497,44 +486,6 @@ mod tests {
             v
         });
         assert_eq!(fresh.snapshot().to_vector(), want);
-    }
-
-    /// A born-empty engine hands out the same seeds in the same cursor
-    /// order as one primed at birth, and L₀ state is exact integers, so a
-    /// respawn that replays the net vector draws what a live instance that
-    /// streamed every update would have drawn, bit for bit.
-    #[test]
-    fn born_empty_l0_draws_equal_primed() {
-        let x = pts_stream::gen::zipf_vector(48, 1.1, 30, 5);
-        let mut rng = Xoshiro256pp::new(6);
-        let stream = Stream::from_target(
-            &x,
-            pts_stream::StreamStyle::Turnstile { churn: 0.8 },
-            &mut rng,
-        );
-        for k in [1, 3] {
-            for shards in [1, 4] {
-                let config = EngineConfig::new(48)
-                    .shards(shards)
-                    .pool_size(k)
-                    .seed(k as u64);
-                let mut empty = ShardedEngine::new(config, L0Factory::default());
-                let mut primed = ShardedEngine::new(config, L0Factory::default());
-                assert_eq!(primed.prime(), shards * k);
-                let bits = |s: Option<Sample>| s.map(|s| (s.index, s.estimate.to_bits()));
-                for (round, chunk) in stream.updates().chunks(17).enumerate() {
-                    empty.ingest_batch(chunk);
-                    primed.ingest_batch(chunk);
-                    for d in 0..round % 3 {
-                        assert_eq!(
-                            bits(empty.sample()),
-                            bits(primed.sample()),
-                            "k {k} S {shards}: round {round} draw {d}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

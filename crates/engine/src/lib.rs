@@ -29,8 +29,8 @@
 //!              [ ShardRouter ]        hash-partition + per-shard
 //!                /    │    \          reorder & coalesce
 //!            shard₀ shard₁ … shard_S
-//!            │ pool │ pool │ pool     k one-shot samplers each,
-//!            │ +net │ +net │ +net     lazily respawned from `net`
+//!            │ pool │ pool │ pool     k retry slots each; every draw
+//!            │ +net │ +net │ +net     respawns a sampler from `net`
 //!                     │
 //!         sample() ── mass-weighted shard pick, in-shard draw
 //!         snapshot()/merge() ── compact exact state, router-agnostic

@@ -12,12 +12,12 @@
 //! precisely the state the instance would have had streaming from the
 //! start. FAIL (⊥) is absorbed by retrying across the pool within one draw.
 //!
-//! A pool is born with every slot empty, so no instance exists until a
-//! draw needs one, and a fresh engine's first `k` draws respawn like every
-//! later one. Live instances exist only after an explicit
-//! [`SamplerPool::prime`] or [`SamplerPool::refill`]; they then advance
-//! with every update ([`SamplerPool::process_live`]) until a draw
-//! consumes them.
+//! A pool is born with every slot empty, and the engine never fills one:
+//! every engine draw respawns. Live instances exist only in a pool driven
+//! directly through [`SamplerPool::prime`] or [`SamplerPool::refill`];
+//! they then advance with every update ([`SamplerPool::process_live`])
+//! until a draw consumes them. The pool's codec carries the seed stream
+//! and one bit per slot, and refuses live slots.
 //!
 //! An empty slot's draw never materializes the instance: it hands the
 //! slot's fresh seed and the net vector to [`SamplerFactory::draw_from`].
@@ -189,38 +189,31 @@ impl<S: TurnstileSampler> SamplerPool<S> {
         }
         None
     }
-
-    /// Total sketch size of the live instances, in bits.
-    pub fn space_bits(&self) -> usize {
-        self.slots
-            .iter()
-            .flatten()
-            .map(TurnstileSampler::space_bits)
-            .sum()
-    }
 }
 
-impl<S: TurnstileSampler + Encode> Encode for SamplerPool<S> {
+/// The seed stream and one `false` bit per slot. A live instance has no
+/// codec on this path, so encoding one is an error.
+impl<S> Encode for SamplerPool<S> {
     fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
+        if self.slots.iter().any(Option::is_some) {
+            return Err(WireError::Unsupported("live pool slot"));
+        }
         w.put_u64(self.seed);
         w.put_u64(self.spawned);
         w.put_usize(self.cursor);
         w.put_u64(self.respawns);
         w.put_usize(self.slots.len());
-        for slot in &self.slots {
-            match slot {
-                Some(instance) => {
-                    w.put_bool(true);
-                    instance.encode(w)?;
-                }
-                None => w.put_bool(false),
-            }
+        for _ in &self.slots {
+            w.put_bool(false);
         }
         Ok(())
     }
 }
 
-impl<S: TurnstileSampler + Decode> Decode for SamplerPool<S> {
+/// Decodes the seed stream into a pool of empty slots. A set slot bit
+/// comes only from a pool that carried live instances, which no
+/// checkpoint path writes, so it is refused.
+impl<S> Decode for SamplerPool<S> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let seed = r.get_u64()?;
         let spawned = r.get_u64()?;
@@ -232,11 +225,10 @@ impl<S: TurnstileSampler + Decode> Decode for SamplerPool<S> {
         }
         let mut slots = Vec::with_capacity(k);
         for _ in 0..k {
-            slots.push(if r.get_bool()? {
-                Some(S::decode(r)?)
-            } else {
-                None
-            });
+            if r.get_bool()? {
+                return Err(WireError::Invalid("live pool slot"));
+            }
+            slots.push(None);
         }
         Ok(Self {
             slots,
@@ -252,6 +244,7 @@ impl<S: TurnstileSampler + Decode> Decode for SamplerPool<S> {
 mod tests {
     use super::*;
     use crate::factory::L0Factory;
+    use pts_samplers::PerfectL0Sampler;
 
     fn net_of(entries: &[(u64, i64)]) -> BTreeMap<u64, i64> {
         entries.iter().copied().collect()
@@ -361,6 +354,21 @@ mod tests {
                 &net,
             );
         }
+    }
+
+    #[test]
+    fn codec_writes_empty_slots_and_refuses_live_ones() {
+        let f = L0Factory::default();
+        let mut pool: SamplerPool<_> = SamplerPool::new(2, 3);
+        let _ = pool.draw(&f, 16, &net_of(&[(2, 3)]));
+        let bytes = pool.to_wire_bytes().unwrap();
+        let back = SamplerPool::<PerfectL0Sampler>::from_wire_bytes(&bytes).unwrap();
+        assert_eq!((back.spawned, back.cursor, back.live()), (1, 1, 0));
+        pool.prime(&f, 16, &net_of(&[(2, 3)]));
+        assert!(matches!(
+            pool.to_wire_bytes(),
+            Err(WireError::Unsupported("live pool slot"))
+        ));
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub trait SamplingService {
     /// The engine's running counters.
     fn stats(&self) -> EngineStats;
 
-    /// The exact global `G`-mass `Σ_j G(x_j)`.
+    /// The global `G`-mass `Σ_j G(x_j)`.
     fn mass(&self) -> f64;
 
     /// Number of non-zero coordinates.
@@ -113,8 +113,8 @@ pub trait SamplingService {
     fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), WireError>;
 }
 
-/// The engine implements the service surface by delegation; the bounds
-/// are exactly what checkpoint/restore require of the factory.
+/// The engine implements the service surface by delegation; the bound is
+/// exactly what checkpoint/restore require of the factory.
 mod impls {
     use super::*;
     use crate::engine::ShardedEngine;
@@ -124,7 +124,6 @@ mod impls {
     impl<F> SamplingService for ShardedEngine<F>
     where
         F: SamplerFactory + Encode + Decode,
-        F::Sampler: Encode + Decode,
     {
         fn universe(&self) -> usize {
             self.config().universe

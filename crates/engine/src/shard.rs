@@ -1,38 +1,35 @@
-//! One shard: a sampler pool plus the compact exact state that makes the
-//! pool respawnable and the shard's `G`-mass known.
+//! One shard: the sparse net vector of its slice of the universe, plus
+//! the pool seed stream that draws from it.
 //!
 //! The shard keeps the *net frequency vector of its own slice of the
 //! universe* as a sparse map. This single structure serves three roles:
 //!
-//! 1. **Replay buffer** for lazy respawn — a fresh sampler instance catches
-//!    up by ingesting the net vector, which by linearity is exactly the
+//! 1. **Replay buffer** for respawn — every draw catches a freshly seeded
+//!    sampler up from the net vector, which by linearity is exactly the
 //!    state it would have reached streaming from the start.
 //! 2. **Mass oracle** for the merge layer — the exact `Σ_i G(x_i)` over the
-//!    shard's slice, maintained incrementally per update, is the weight the
-//!    engine uses to pick a shard before sampling within it.
+//!    shard's slice, summed from the entries whenever it is read, is the
+//!    weight the engine uses to pick a shard before sampling within it.
 //! 3. **Snapshot payload** — the entries are what `snapshot()` ships to a
 //!    coordinator.
 //!
 //! ## Ownership model
 //!
 //! A shard **owns everything it needs to evolve**: its factory copy, its
-//! universe bound, its pool, and its net state. Nothing outside the shard
-//! may mutate the net vector or the pool — every mutation goes through
-//! [`Shard::apply_run`] (compact state and mass, plus any live instances)
-//! or [`Shard::draw`]/[`Shard::prime`] (which only consume/respawn pool
-//! instances and never touch the net state).
+//! universe bound, its pool's seed stream, and its net vector. Nothing
+//! outside the shard may mutate the net vector — every mutation goes
+//! through [`Shard::apply_run`]. [`Shard::draw`] only advances the pool's
+//! seed stream and never touches the net vector.
 //!
-//! A shard is born with an empty pool: no sampler instance exists, and
-//! `apply_run` touches only the net vector and the mass, until a draw
-//! respawns from the net vector. Live instances exist only after an
-//! explicit [`Shard::prime`]; from then until a draw consumes them they
-//! advance *in lockstep* with the net state inside `apply_run`, so the
-//! lockstep invariant cannot be violated from outside.
+//! No sampler instance lives in a shard: every draw respawns from the net
+//! vector, so the net vector is the shard's whole state. The mass is a
+//! pure function of it (a sum of non-negative weights in index order, with
+//! no subtraction a cancellation could destroy), the same after any
+//! update order, merge or restore.
 //!
 //! Space accounting: the sparse net state is `O(nnz)` for the shard's
-//! slice — this is the price of always-queryable respawn, paid once per
-//! shard regardless of pool size. Without a prime it is the shard's whole
-//! state.
+//! slice — the price of always-queryable respawn and a mass that no
+//! cancellation can corrupt.
 
 use crate::factory::SamplerFactory;
 use crate::pool::SamplerPool;
@@ -41,7 +38,7 @@ use pts_stream::Update;
 use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
 use std::collections::BTreeMap;
 
-/// A shard: factory + pool + compact state + incremental mass.
+/// A shard: factory + pool seed stream + sparse net vector.
 #[derive(Debug, Clone)]
 pub struct Shard<F: SamplerFactory> {
     factory: F,
@@ -49,8 +46,6 @@ pub struct Shard<F: SamplerFactory> {
     pool: SamplerPool<F::Sampler>,
     /// Sparse net values of this shard's slice (zero entries removed).
     net: BTreeMap<u64, i64>,
-    /// Incrementally maintained `Σ_i G(x_i)` over the slice.
-    mass: f64,
     /// The largest `|value|` ever stored in `net` (deletions do not lower
     /// it): an upper bound that lets the engine clear an ordinary batch of
     /// overflow without reading the net vector.
@@ -59,22 +54,18 @@ pub struct Shard<F: SamplerFactory> {
 
 impl<F: SamplerFactory> Shard<F> {
     /// An empty shard owning its copy of the factory, with `pool_size`
-    /// empty slots: no sampler instance exists until a draw (or an
-    /// explicit [`Shard::prime`]) needs one.
+    /// empty slots: every draw respawns a sampler from the net vector.
     pub fn new(factory: F, universe: usize, pool_size: usize, seed: u64) -> Self {
         Self {
             factory,
             universe,
             pool: SamplerPool::new(pool_size, seed),
             net: BTreeMap::new(),
-            mass: 0.0,
             value_bound: 0,
         }
     }
 
-    /// Applies a coalesced run of updates: compact state, mass, and every
-    /// live pool instance (there are none unless the shard was primed)
-    /// advance together.
+    /// Applies a coalesced run of updates to the net vector.
     ///
     /// # Panics
     /// Panics if a net value would leave the `i64` range or become
@@ -89,25 +80,23 @@ impl<F: SamplerFactory> Shard<F> {
                 .filter(|&v| v != i64::MIN)
                 .expect("net value overflows i64");
             self.value_bound = self.value_bound.max(new.unsigned_abs());
-            self.mass += self.factory.weight(new) - self.factory.weight(old);
             if new == 0 {
                 self.net.remove(&u.index);
             } else {
                 self.net.insert(u.index, new);
             }
-            self.pool.process_live(u);
         }
     }
 
-    /// The exact `G`-mass of this shard's slice. Incremental float updates
-    /// can leave ~ulp-scale residue once the true mass returns to zero, so
-    /// an empty slice reports exactly zero.
+    /// The `G`-mass of this shard's slice: `Σ_i G(x_i)` over the net
+    /// vector, summed in index order from `+0.0` (an empty slice weighs
+    /// `+0.0`, not the `-0.0` of `Sum`). Every term is non-negative, so no
+    /// cancellation can lose a survivor's weight, and the value depends on
+    /// the net vector alone.
     pub fn mass(&self) -> f64 {
-        if self.net.is_empty() {
-            0.0
-        } else {
-            self.mass.max(0.0)
-        }
+        self.net
+            .values()
+            .fold(0.0, |mass, &v| mass + self.factory.weight(v))
     }
 
     /// The net value of `index` (zero off the support).
@@ -130,7 +119,7 @@ impl<F: SamplerFactory> Shard<F> {
         self.universe
     }
 
-    /// Number of pool slots (live or empty).
+    /// Number of pool slots.
     pub fn pool_len(&self) -> usize {
         self.pool.len()
     }
@@ -141,19 +130,9 @@ impl<F: SamplerFactory> Shard<F> {
     }
 
     /// Draws one sample from this shard's slice (⊥ retried across the
-    /// pool; empty slots respawn lazily from the compact state).
+    /// pool; every tried slot respawns from the net vector).
     pub fn draw(&mut self) -> Option<Sample> {
         self.pool.draw(&self.factory, self.universe, &self.net)
-    }
-
-    /// Eagerly respawns every empty pool slot as a full instance
-    /// caught up from the net vector, so draws find live instances.
-    /// Returns the number of slots refilled. This pays off only for
-    /// factories on the default [`SamplerFactory::draw_from`] path; for the
-    /// rejection-loop factories it is slower than the lazy draw it
-    /// replaces (see [`SamplerPool::refill`]).
-    pub fn prime(&mut self) -> usize {
-        self.pool.refill(&self.factory, self.universe, &self.net)
     }
 
     /// Lazy respawns performed by this shard's pool.
@@ -161,29 +140,17 @@ impl<F: SamplerFactory> Shard<F> {
         self.pool.respawns()
     }
 
-    /// Live pool instances.
-    pub fn live(&self) -> usize {
-        self.pool.live()
-    }
-
-    /// Sketch bits of live instances plus compact-state bits (128 per
-    /// entry: index + value).
+    /// Compact-state bits: 128 per net entry (index + value).
     pub fn space_bits(&self) -> usize {
-        self.pool.space_bits() + self.net.len() * 128
+        self.net.len() * 128
     }
 }
 
-impl<F> Encode for Shard<F>
-where
-    F: SamplerFactory + Encode,
-    F::Sampler: Encode,
-{
+impl<F: SamplerFactory + Encode> Encode for Shard<F> {
     fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
         self.factory.encode(w)?;
         w.put_usize(self.universe);
-        // Raw bits: the incrementally maintained mass carries its exact
-        // float history, which recomputation from `net` would not.
-        w.put_f64(self.mass);
+        w.put_f64(self.mass());
         w.put_usize(self.net.len());
         let mut prev = 0u64;
         for (k, (&i, &v)) in self.net.iter().enumerate() {
@@ -195,25 +162,16 @@ where
     }
 }
 
-impl<F> Decode for Shard<F>
-where
-    F: SamplerFactory + Decode,
-    F::Sampler: Decode,
-{
+impl<F: SamplerFactory + Decode> Decode for Shard<F> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let factory = F::decode(r)?;
         let universe = r.get_usize()?;
         if universe < 2 {
             return Err(WireError::Invalid("shard universe"));
         }
-        let mass = r.get_f64()?;
-        // A NaN mass would read as zero (`mass()` clamps with `max`) and
-        // an infinite one breaks the engine's mass-weighted shard pick.
-        // Small negative residue is legitimate: incremental updates can
-        // leave it once the true mass returns to zero.
-        if !mass.is_finite() {
-            return Err(WireError::Invalid("shard mass"));
-        }
+        // The stored mass is read only to keep the layout: `mass()`
+        // recomputes it from the entries.
+        r.get_f64()?;
         let support = r.get_len(2)?;
         let mut net = BTreeMap::new();
         let mut prev = 0u64;
@@ -250,7 +208,6 @@ where
             universe,
             pool,
             net,
-            mass,
             value_bound,
         })
     }
@@ -314,29 +271,5 @@ mod tests {
             let want = if s.index == 3 { -4.0 } else { 6.0 };
             assert_eq!(s.estimate, want);
         }
-    }
-
-    #[test]
-    fn prime_refills_consumed_slots() {
-        let f = L0Factory::default();
-        let mut shard = Shard::new(f, 32, 2, 6);
-        // Born empty: no instance exists until a draw or a prime needs one.
-        assert_eq!(shard.live(), 0);
-        shard.apply_run(&[Update::new(4, 9)]);
-        assert_eq!(shard.live(), 0);
-        assert_eq!(shard.prime(), 2);
-        assert_eq!(shard.live(), 2);
-        assert_eq!(shard.respawns(), 2);
-        let _ = shard.draw();
-        let _ = shard.draw();
-        assert_eq!(shard.live(), 0);
-        // Eager catch-up: both slots respawn from the net state again.
-        assert_eq!(shard.prime(), 2);
-        assert_eq!(shard.live(), 2);
-        assert_eq!(shard.respawns(), 4);
-        // The refilled instances reflect the net vector exactly.
-        let s = shard.draw().expect("primed instance samples");
-        assert_eq!(s.index, 4);
-        assert_eq!(s.estimate, 9.0);
     }
 }

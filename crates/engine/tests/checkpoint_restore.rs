@@ -70,7 +70,6 @@ fn drive_identically<F>(
 fn sharded_roundtrip<F>(config: EngineConfig, factory: F, seed: u64)
 where
     F: SamplerFactory + Encode + Decode,
-    F::Sampler: Encode + Decode,
 {
     let (first, second) = workload(config.universe, seed);
     let mut engine = ShardedEngine::new(config, factory);
@@ -131,52 +130,6 @@ fn sharded_restore_is_bit_identical_log_g() {
         },
         60,
     );
-}
-
-/// Engines are born with empty pool slots, so only an explicit `prime()`
-/// puts live sampler instances into a checkpoint. Those instances saw the
-/// tail of the stream live; the restored engine must still continue draw
-/// for draw, through the live slots and past them into lazy respawns.
-#[test]
-fn checkpoint_with_live_slots_continues_draw_for_draw() {
-    fn primed_roundtrip<F>(config: EngineConfig, factory: F, seed: u64)
-    where
-        F: SamplerFactory + Encode + Decode,
-        F::Sampler: Encode + Decode,
-    {
-        let (first, second) = workload(config.universe, seed);
-        let (early, late) = first.split_at(first.len() / 2);
-        let mut engine = ShardedEngine::new(config, factory.clone());
-        engine.ingest_batch(early);
-        assert_eq!(engine.prime(), config.shards * config.pool_size);
-        // Live instances advance with every update after the prime.
-        for chunk in late.chunks(31) {
-            engine.ingest_batch(chunk);
-        }
-        let _ = engine.sample();
-
-        let mut unprimed = ShardedEngine::new(config, factory);
-        unprimed.ingest_batch(&first);
-        let (mut bytes, mut empty_slots) = (Vec::new(), Vec::new());
-        engine.checkpoint(&mut bytes).unwrap();
-        unprimed.checkpoint(&mut empty_slots).unwrap();
-        assert!(
-            bytes.len() > empty_slots.len(),
-            "live slots must ride in the checkpoint"
-        );
-
-        let mut restored: ShardedEngine<F> = ShardedEngine::restore(&mut bytes.as_slice()).unwrap();
-        assert_eq!(restored.stats(), engine.stats());
-        assert_eq!(restored.snapshot(), engine.snapshot());
-        drive_identically(&mut engine, &mut restored, &second);
-        assert_eq!(restored.respawns(), engine.respawns());
-    }
-    for shards in [1usize, 4] {
-        let config = EngineConfig::new(96).shards(shards).pool_size(3).seed(700);
-        primed_roundtrip(config, L0Factory::default(), 70);
-        let config = EngineConfig::new(64).shards(shards).pool_size(2).seed(701);
-        primed_roundtrip(config, LpLe2Factory::for_universe(64, 2.0), 71);
-    }
 }
 
 /// Golden pin on the checkpoint bytes themselves: a tiny fixed engine must
@@ -267,8 +220,10 @@ fn shard_decode_rejects_out_of_universe_net_entries() {
     );
 }
 
+/// The stored mass field is kept only for the layout: whatever it holds,
+/// the decoded shard's mass is recomputed from its entries.
 #[test]
-fn shard_decode_rejects_non_finite_mass() {
+fn shard_decode_recomputes_the_stored_mass() {
     use pts_engine::{SamplerPool, Shard};
     use pts_samplers::PerfectL0Sampler;
     use pts_util::wire::WireWriter;
@@ -287,20 +242,82 @@ fn shard_decode_rejects_non_finite_mass() {
             .unwrap();
         w.as_bytes().to_vec()
     };
-    for mass in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-        let res = <Shard<L0Factory> as Decode>::from_wire_bytes(&payload(mass));
-        assert!(
-            matches!(res, Err(WireError::Invalid("shard mass"))),
-            "mass {mass}: got {res:?}"
-        );
-    }
-    // Ulp-scale negative residue is what a valid checkpoint can carry once
-    // a slice's true mass returns to zero; it still decodes.
-    for mass in [1.0, 0.0, -1e-15] {
+    for mass in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-15, 0.0, 7.0] {
         let shard = <Shard<L0Factory> as Decode>::from_wire_bytes(&payload(mass))
             .unwrap_or_else(|e| panic!("mass {mass}: {e:?}"));
         assert_eq!(shard.support(), 1);
+        assert_eq!(shard.mass(), 1.0, "stored mass {mass}");
     }
+}
+
+/// The payload of an engine's checkpoint frame, and the frame around an
+/// edited payload.
+fn payload_of(bytes: &[u8]) -> Vec<u8> {
+    pts_util::wire::read_frame(pts_util::wire::KIND_ENGINE, &mut &bytes[..]).unwrap()
+}
+
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    pts_util::wire::write_frame(pts_util::wire::KIND_ENGINE, payload, &mut bytes).unwrap();
+    bytes
+}
+
+/// A checkpoint whose stored mass disagrees with its entries restores to
+/// the mass of the entries, and checkpoints back to the honest bytes.
+#[test]
+fn restore_recomputes_a_stored_mass_that_disagrees_with_the_entries() {
+    let config = EngineConfig::new(32).shards(1).pool_size(2).seed(5);
+    let mut engine = ShardedEngine::new(config, LpLe2Factory::for_universe(32, 2.0));
+    engine.ingest_batch(&[Update::new(3, 5), Update::new(9, -2), Update::new(20, 4)]);
+    assert_eq!(engine.mass(), 45.0);
+    let mut honest = Vec::new();
+    engine.checkpoint(&mut honest).unwrap();
+    let payload = payload_of(&honest);
+    let mass_bits = 45.0f64.to_bits().to_le_bytes();
+    let at: Vec<usize> = (0..payload.len() - 7)
+        .filter(|&i| payload[i..i + 8] == mass_bits)
+        .collect();
+    assert_eq!(at.len(), 1, "the stored mass appears once");
+    for stored in [0.0, 1.0, -45.0, 1e300, f64::NAN, f64::INFINITY] {
+        let mut forged = payload.clone();
+        forged[at[0]..at[0] + 8].copy_from_slice(&stored.to_bits().to_le_bytes());
+        let restored =
+            ShardedEngine::<LpLe2Factory>::restore(&mut frame(&forged).as_slice()).unwrap();
+        assert_eq!(restored.mass(), 45.0, "stored mass {stored}");
+        let mut again = Vec::new();
+        restored.checkpoint(&mut again).unwrap();
+        assert_eq!(again, honest, "stored mass {stored}");
+    }
+}
+
+/// A set slot bit marks a live sampler instance, which no checkpoint path
+/// writes any more: restore refuses it with a typed error, and a service
+/// asked to restore it keeps its state.
+#[test]
+fn restore_refuses_a_live_pool_slot() {
+    use pts_engine::SamplingService;
+
+    let config = EngineConfig::new(32).shards(2).pool_size(2).seed(6);
+    let mut engine = ShardedEngine::new(config, L0Factory::default());
+    engine.ingest_batch(&[Update::new(3, 5), Update::new(17, -2)]);
+    let _ = engine.sample();
+    let mut bytes = Vec::new();
+    engine.checkpoint(&mut bytes).unwrap();
+    // The payload ends with the last shard's last slot bit.
+    let mut payload = payload_of(&bytes);
+    assert_eq!(payload.last(), Some(&0));
+    *payload.last_mut().unwrap() = 1;
+    let live = frame(&payload);
+    assert!(matches!(
+        ShardedEngine::<L0Factory>::restore(&mut live.as_slice()),
+        Err(WireError::Invalid("live pool slot"))
+    ));
+
+    let mut service = engine.clone();
+    assert!(service.restore_bytes(&live).is_err());
+    assert_eq!(service.snapshot(), engine.snapshot());
+    assert_eq!(service.stats(), engine.stats());
+    assert_eq!(service.checkpoint_bytes().unwrap(), bytes);
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! Interleaved ingest→sample→ingest regression: the serving pattern the
 //! `sharding_law.rs` battery does not cover (it only queries after all
-//! ingest). Mid-stream draws consume pool instances, so the second ingest
-//! phase advances a *partially consumed* pool and later draws are served by
-//! lazy respawns that must catch up from the mid-stream net state — the
-//! chi-squared tests here pin both query phases to the exact law of the
-//! vector at that point of the stream, for S ∈ {1, 4}.
+//! ingest). Mid-stream draws advance each pool's seed stream and cursor,
+//! and the second ingest phase moves the net vector under them, so later
+//! draws respawn from a state that changed since the pool was last touched
+//! — the chi-squared tests here pin both query phases to the exact law of
+//! the vector at that point of the stream, for S ∈ {1, 4}.
 
 use pts_engine::{EngineConfig, L0Factory, SamplerFactory, ShardedEngine};
 use pts_stream::{FrequencyVector, Stream, StreamStyle, Update};
@@ -116,9 +116,9 @@ fn interleaved_ingest_sample_ingest_holds_the_law_both_times() {
 
 #[test]
 fn interleaved_prime_matches_the_final_law() {
-    // Same interleaving with an eager catch-up, S = 4: ingest, query burst
-    // (consuming pools mid-stream), prime, ingest the rest, then
-    // chi-squared on the final law.
+    // Same interleaving on the L2 factory, S = 4: ingest, query burst
+    // (advancing the pools' seed streams mid-stream), ingest the rest,
+    // then chi-squared on the final law.
     let x = FrequencyVector::from_values(vec![10, -20, 30, 5, 0, 15, -8, 12]);
     let factory = pts_engine::LpLe2Factory::for_universe(x.n(), 2.0);
     let probs = ideal_probs(&x, &factory);
@@ -135,7 +135,6 @@ fn interleaved_prime_matches_the_final_law() {
     for _ in 0..40 {
         let _ = engine.sample();
     }
-    engine.prime(); // eager catch-up from the mid-stream net state
     for chunk in second.chunks(32) {
         engine.ingest_batch(chunk);
     }
@@ -152,7 +151,7 @@ fn interleaved_prime_matches_the_final_law() {
     let chi = chi_square_test(&counts, &probs, 5.0);
     assert!(
         chi.p_value > 1e-4,
-        "primed interleave law broken, chi2 {:.2} p {:.6}",
+        "L2 interleave law broken, chi2 {:.2} p {:.6}",
         chi.statistic,
         chi.p_value
     );

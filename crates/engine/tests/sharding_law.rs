@@ -19,7 +19,7 @@ use pts_engine::{
     ShardedEngine,
 };
 use pts_samplers::{L0Params, PerfectL0Sampler, TurnstileSampler};
-use pts_stream::{FrequencyVector, Stream, StreamStyle};
+use pts_stream::{FrequencyVector, Stream, StreamStyle, Update};
 use pts_util::stats::chi_square_test;
 use pts_util::Xoshiro256pp;
 
@@ -142,6 +142,55 @@ fn log_g_law_matches_ideal_across_shard_counts() {
     };
     let trials = 2_000;
     assert_law_across_shards(&x, factory, &[1, 4], trials, 700, trials as u64 / 10);
+}
+
+/// Large magnitudes that cancel: every index carries a transient 2³⁰
+/// through the churny stream of a small vector, then loses it. Each
+/// shard's mass must still be the mass of its survivors, or the shard
+/// pick is biased (and at S = 1 a zero mass turns every draw into ⊥).
+#[test]
+fn l2_law_survives_cancelled_large_magnitudes() {
+    let x = FrequencyVector::from_values(vec![10, -20, 30, 5, 0, 15, -8, 12]);
+    let factory = LpLe2Factory::for_universe(x.n(), 2.0);
+    let probs = ideal_probs(&x, &factory);
+    let trials = 1_200;
+    let surge: Vec<Update> = (0..x.n() as u64).map(|i| Update::new(i, 1 << 30)).collect();
+    let ebb: Vec<Update> = surge
+        .iter()
+        .map(|u| Update::new(u.index, -u.delta))
+        .collect();
+    for shards in [1usize, 4] {
+        let seed = 900 + shards as u64;
+        let config = EngineConfig::new(x.n())
+            .shards(shards)
+            .pool_size(2)
+            .seed(seed);
+        let mut engine = ShardedEngine::new(config, factory);
+        let mut rng = Xoshiro256pp::new(seed ^ 0xFACE);
+        let stream = Stream::from_target(&x, StreamStyle::Turnstile { churn: 0.8 }, &mut rng);
+        engine.ingest_batch(&surge);
+        engine.ingest_stream(&stream, 64);
+        engine.ingest_batch(&ebb);
+        let mut counts = vec![0u64; x.n()];
+        let mut fails = 0u64;
+        for _ in 0..trials {
+            match engine.sample() {
+                Some(s) => counts[s.index as usize] += 1,
+                None => fails += 1,
+            }
+        }
+        assert!(
+            fails < trials as u64 / 4,
+            "S={shards}: fails {fails}/{trials}"
+        );
+        let chi = chi_square_test(&counts, &probs, 5.0);
+        assert!(
+            chi.p_value > 1e-4,
+            "S={shards}: chi2 stat {:.2} p {:.6}",
+            chi.statistic,
+            chi.p_value
+        );
+    }
 }
 
 proptest! {

@@ -25,12 +25,12 @@
 //!   connection with a reader thread that demuxes v4 request-id frames
 //!   into a bounded worker pool. Every request addresses a **namespace**
 //!   (tenant): the engine passed at bind is namespace 0, and
-//!   [`Server::bind_with_spawner`] / [`serve_with_spawner`] additionally
-//!   accept a factory closure so clients can create and drop further
-//!   tenants at runtime — each a fully isolated engine sharing the same
-//!   worker pool (no per-tenant threads). Every readable request frame —
-//!   malformed payloads included — gets exactly one response frame under
-//!   the id it carried (id 0 when the failure is unattributable);
+//!   [`serve_with_spawner`] additionally accepts a factory closure so
+//!   clients can create and drop further tenants at runtime — each a fully
+//!   isolated engine sharing the same worker pool (no per-tenant
+//!   threads). Every readable request frame — malformed payloads included
+//!   — gets exactly one response frame under the id it carried (id 0 when
+//!   the failure is unattributable);
 //!   protocol-recoverable errors (unknown namespaces included) keep the
 //!   connection, framing-fatal ones close it (see `pts_util::protocol`
 //!   for the normative classification).

@@ -29,7 +29,7 @@
 //! namespaces per node viable (the paper's samplers are tiny).
 //! Namespace 0 is the default tenant, created at bind from the engine
 //! passed in; `CreateNamespace` builds additional tenants through the
-//! spawner given to [`Server::bind_with_spawner`].
+//! spawner given to [`serve_with_spawner`].
 //!
 //! Panic containment: a worker runs each dispatch under `catch_unwind`,
 //! so an engine that panics costs one `Internal` error response — under
@@ -229,7 +229,7 @@ type Spawner<E> = Box<dyn Fn(u64) -> E + Send + Sync>;
 struct Shared<E> {
     tenants: TenantMap<E>,
     /// How `CreateNamespace` builds a tenant's engine; `None` (plain
-    /// [`Server::bind`]) means the tenant set is fixed at the default
+    /// [`serve`]) means the tenant set is fixed at the default
     /// namespace and creation requests are answered `unsupported`.
     spawner: Option<Spawner<E>>,
     shutdown: Arc<AtomicBool>,
@@ -280,19 +280,26 @@ pub struct Server {
     accept: Option<JoinHandle<()>>,
 }
 
-/// Binds `addr` and serves `engine` until shut down — the one-call entry
-/// point (`examples/serve_demo.rs` is the tour). Equivalent to
-/// [`Server::bind`].
+/// Binds `addr` (use port 0 for an ephemeral loopback port) and serves
+/// `engine` until shut down — the one-call entry point
+/// (`examples/serve_demo.rs` is the tour). The accept loop runs on a
+/// background thread. The engine moves into the server as the default
+/// namespace (0); clients observe and mutate it only through the
+/// protocol. Without a spawner the tenant set is fixed: `CreateNamespace`
+/// requests are answered `unsupported` (use [`serve_with_spawner`] for a
+/// dynamic tenant set).
 pub fn serve<E>(addr: impl ToSocketAddrs, engine: E) -> std::io::Result<Server>
 where
     E: SamplingService + Send + 'static,
 {
-    Server::bind(addr, engine)
+    Server::bind_inner(addr, engine, None)
 }
 
-/// Binds `addr` and serves a multi-tenant endpoint: `engine` becomes the
-/// default namespace (0) and `spawner` builds the engine for every
-/// namespace a client creates. Equivalent to [`Server::bind_with_spawner`].
+/// Binds `addr` and serves a multi-tenant endpoint: `engine` serves
+/// namespace 0 and `spawner(ns)` builds the engine behind every namespace
+/// a client creates — the namespace id is passed so deployments can vary
+/// universe, factory, or seed per tenant. Spawned engines share the
+/// existing worker pool; creating a tenant spawns no threads.
 pub fn serve_with_spawner<E, S>(
     addr: impl ToSocketAddrs,
     engine: E,
@@ -302,40 +309,10 @@ where
     E: SamplingService + Send + 'static,
     S: Fn(u64) -> E + Send + Sync + 'static,
 {
-    Server::bind_with_spawner(addr, engine, spawner)
+    Server::bind_inner(addr, engine, Some(Box::new(spawner)))
 }
 
 impl Server {
-    /// Binds `addr` (use port 0 for an ephemeral loopback port) and starts
-    /// the accept loop on a background thread. The engine moves into the
-    /// server as the default namespace (0); clients observe and mutate it
-    /// only through the protocol. Without a spawner the tenant set is
-    /// fixed: `CreateNamespace` requests are answered `unsupported` (use
-    /// [`Server::bind_with_spawner`] for a dynamic tenant set).
-    pub fn bind<E>(addr: impl ToSocketAddrs, engine: E) -> std::io::Result<Self>
-    where
-        E: SamplingService + Send + 'static,
-    {
-        Self::bind_inner(addr, engine, None)
-    }
-
-    /// Binds `addr` with a dynamic tenant set: `engine` serves namespace
-    /// 0 and `spawner(ns)` builds the engine behind every namespace a
-    /// client creates — the namespace id is passed so deployments can
-    /// vary universe, factory, or seed per tenant. Spawned engines share
-    /// the existing worker pool; creating a tenant spawns no threads.
-    pub fn bind_with_spawner<E, S>(
-        addr: impl ToSocketAddrs,
-        engine: E,
-        spawner: S,
-    ) -> std::io::Result<Self>
-    where
-        E: SamplingService + Send + 'static,
-        S: Fn(u64) -> E + Send + Sync + 'static,
-    {
-        Self::bind_inner(addr, engine, Some(Box::new(spawner)))
-    }
-
     fn bind_inner<E>(
         addr: impl ToSocketAddrs,
         engine: E,

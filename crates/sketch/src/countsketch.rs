@@ -152,14 +152,6 @@ impl CountSketch {
         median_in_place(&mut vals[..self.rows])
     }
 
-    /// Decodes estimates for the whole universe `[0, n)`.
-    ///
-    /// O(n·rows) *query* work — the space stays sublinear; see DESIGN.md §4
-    /// on recovery modes.
-    pub fn decode_all(&self, n: usize) -> Vec<f64> {
-        (0..n as u64).map(|i| self.estimate(i)).collect()
-    }
-
     /// The index with the largest estimated magnitude over `[0, n)`,
     /// together with its estimate.
     pub fn argmax(&self, n: usize) -> (u64, f64) {

@@ -81,13 +81,6 @@ impl ModCountSketch {
         Some(median_in_place(&mut vals))
     }
 
-    /// Estimates for `[0, n)`, treating cell-less items as zero.
-    pub fn decode_all(&self, n: usize) -> Vec<f64> {
-        (0..n as u64)
-            .map(|i| self.estimate(i).unwrap_or(0.0))
-            .collect()
-    }
-
     /// Direct cell write used by the fast-update simulation (Algorithm 4):
     /// the caller has already aggregated the signed mass for the cell.
     pub fn add_to_cell(&mut self, row: usize, bucket: usize, value: f64) {

@@ -99,11 +99,6 @@ impl FpMaxStab {
     pub fn fp_estimate(&self) -> f64 {
         self.lp_estimate().powf(self.params.p)
     }
-
-    /// The moment order.
-    pub fn p(&self) -> f64 {
-        self.params.p
-    }
 }
 
 impl LinearSketch for FpMaxStab {

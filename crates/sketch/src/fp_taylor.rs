@@ -98,11 +98,6 @@ impl FpTaylor {
         }
         total
     }
-
-    /// The moment order.
-    pub fn p(&self) -> f64 {
-        self.params.p
-    }
 }
 
 impl LinearSketch for FpTaylor {

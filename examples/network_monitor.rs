@@ -250,8 +250,8 @@ fn main() {
         }
     );
 
-    // CRASH. The monitor checkpoints its full state — net vectors, masses,
-    // live sampler sketches, RNG positions — and the process "dies"; a
+    // CRASH. The monitor checkpoints its full state — net vectors, pool
+    // seed streams, RNG positions — and the process "dies"; a
     // replacement restores from the bytes and keeps serving as if nothing
     // happened.
     let mut snapshot_bytes = Vec::new();
@@ -264,14 +264,11 @@ fn main() {
         snapshot_bytes.len()
     );
 
-    // Finish the stream, then catch the pools up *before* the query burst.
+    // Finish the stream.
     for batch in second_half.chunks(128) {
         engine.ingest_batch(batch);
         control.ingest_batch(batch);
     }
-    let refilled = engine.prime();
-    let _ = control.prime();
-    println!("pool catch-up before the burst: {refilled} slot(s) refilled");
 
     // Draw 16 L4 samples from the recovered engine — each checked against
     // the never-crashed control, draw for draw.

@@ -101,7 +101,7 @@ struct ReadmeDoctests;
 pub mod prelude {
     pub use pts_cluster::{ClusterConfig, ClusterError, ClusterStats, Coordinator, NodeHealth};
     pub use pts_core::{
-        ApproxLpBatch, ApproxLpParams, ApproxLpSampler, GSpec, PerfectLpParams, PerfectLpSampler,
+        ApproxLpBatch, ApproxLpParams, ApproxLpSampler, PerfectLpParams, PerfectLpSampler,
         Polynomial, PolynomialParams, PolynomialSampler, RejectionGSampler, SubsetNormEstimator,
         SubsetNormParams,
     };

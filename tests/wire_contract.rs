@@ -1,13 +1,11 @@
-//! Wire contract for the samplers a checkpoint can carry — the instances
-//! and configurations of the four engine factories: each compact state
-//! round-trips bit-exactly (`decode(encode(x))` re-encodes to the same
-//! bytes **and** produces the same draw), truncations and byte soup fail
-//! cleanly, and the one legitimately non-encodable value — a custom
-//! G-closure — reports `WireError::Unsupported` instead of shipping garbage.
+//! Wire contract for the engine factories' configurations and for the
+//! sampler instances of the L₀, L_p≤2 batch and perfect L_p factories:
+//! each compact state round-trips bit-exactly (`decode(encode(x))`
+//! re-encodes to the same bytes **and** produces the same draw), and
+//! truncations and byte soup fail cleanly.
 
 use perfect_sampling::prelude::*;
-use pts_core::GSpec;
-use pts_util::wire::{Decode, Encode, WireError};
+use pts_util::wire::{Decode, Encode};
 
 fn feed<S: TurnstileSampler>(s: &mut S, n: u64, updates: u64, seed: u64) {
     let mut rng = pts_util::Xoshiro256pp::new(seed);
@@ -64,68 +62,18 @@ fn perfect_lp_sampler_roundtrips_with_identical_draw() {
     assert_eq!(s.sample(), twin.sample());
 }
 
-#[test]
-fn named_g_samplers_roundtrip_with_identical_draw() {
-    type Builder = Box<dyn Fn(u64) -> RejectionGSampler>;
-    let builders: Vec<(&str, Builder)> = vec![
-        (
-            "log",
-            Box::new(|s| RejectionGSampler::log_sampler(32, 500, s)),
-        ),
-        (
-            "cap",
-            Box::new(|s| RejectionGSampler::cap_sampler(32, 8.0, 2.0, s)),
-        ),
-        (
-            "huber",
-            Box::new(|s| RejectionGSampler::huber_sampler(32, 3.0, 500, s)),
-        ),
-        (
-            "fair",
-            Box::new(|s| RejectionGSampler::fair_sampler(32, 3.0, 500, s)),
-        ),
-        (
-            "soft-cap",
-            Box::new(|s| RejectionGSampler::soft_cap_sampler(32, 0.5, s)),
-        ),
-        (
-            "l1l2",
-            Box::new(|s| RejectionGSampler::l1l2_sampler(32, 500, s)),
-        ),
-    ];
-    for (name, build) in builders {
-        let mut s = build(23);
-        feed(&mut s, 32, 30, 6);
-        let mut twin = roundtrip(&s);
-        assert_eq!(s.spec(), twin.spec(), "{name}: spec diverged");
-        assert_eq!(s.sample(), twin.sample(), "{name}: draw diverged");
-    }
-}
-
-#[test]
-fn custom_g_closure_refuses_to_encode() {
-    let custom = RejectionGSampler::new(16, std::sync::Arc::new(|z| z.abs().min(3.0)), 3.0, 4, 1);
-    assert_eq!(custom.spec(), GSpec::Custom);
-    match custom.to_wire_bytes() {
-        Err(WireError::Unsupported(_)) => {}
-        other => panic!("expected Unsupported, got {other:?}"),
-    }
-}
-
-/// Deterministic pseudo-random garbage of many lengths through every
-/// decoder `Restore` can reach: each must return a value or an error,
-/// never panic or hang.
+/// Deterministic pseudo-random garbage of many lengths through the
+/// factory decoders `Restore` reaches and the sampler decoders kept beside
+/// them: each must return a value or an error, never panic or hang.
 #[test]
 fn restore_reachable_decoders_survive_byte_soup() {
     fn soup_decode<T: Decode>(soup: &[u8]) {
         let _ = T::from_wire_bytes(soup);
     }
-    let decoders: [fn(&[u8]); 9] = [
+    let decoders: [fn(&[u8]); 7] = [
         soup_decode::<PerfectL0Sampler>,
         soup_decode::<LpLe2Batch>,
         soup_decode::<PerfectLpSampler>,
-        soup_decode::<RejectionGSampler>,
-        soup_decode::<GSpec>,
         soup_decode::<L0Factory>,
         soup_decode::<LpLe2Factory>,
         soup_decode::<PerfectLpFactory>,
