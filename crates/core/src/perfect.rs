@@ -33,10 +33,17 @@
 //! attempt `t` is built, replayed and tried only when the loop reaches it.
 //! Attempt `t` is seeded by `derive_seed(seed, t)` and its accept coin is
 //! `keyed_unit(accept_seed, t)`, so nothing about attempt `t` depends on
-//! the attempts after it; since the loop stops at the first accept, the
-//! lazy draw is bit-identical to the eager `sample()`. Both drivers share
-//! the seed helpers and the per-candidate accept step below. A respawned
-//! engine draw (`PerfectLpFactory::draw_from`) takes this path.
+//! the attempts after it, and the loop stops at the first accept. Both
+//! drivers share the seed helpers and the per-candidate accept step below.
+//! A respawned engine draw (`PerfectLpFactory::draw_from`) takes this path.
+//!
+//! The lazy driver holds the exact net vector, so each attempt decodes
+//! over its support ([`PerfectLpLe2Sampler::decide`]) where the eager
+//! `sample()` scans the universe. A zero coordinate can then neither be
+//! output nor set an attempt's runner-up through collision noise. When the
+//! support is the whole universe the two scans are the same, and the lazy
+//! draw is the eager `sample()`, bit for bit; on any support it never
+//! returns an index outside it.
 //!
 //! The lazy driver builds each attempt without its estimator replicas.
 //! They are read only at a candidate `j`, and only through the power
@@ -266,16 +273,18 @@ impl PerfectLpSampler {
         }
     }
 
-    /// The draw that `new(n, params, seed)`, fed `net` one update per
-    /// entry, would return from `sample()` — computed lazily: the moment
-    /// estimators are built and caught up once, attempt `t` is built
-    /// (without its estimator replicas) and replayed only when the
-    /// rejection loop reaches it, and a candidate's replica estimates are
-    /// point-queried from `net`.
+    /// The draw of `new(n, params, seed)` caught up from the net vector
+    /// `net` (each index at most once, in ascending order), computed
+    /// lazily: the moment estimators are built and caught up once, attempt
+    /// `t` is built (without its estimator replicas), replayed and decoded
+    /// over the support of `net` only when the rejection loop reaches it,
+    /// and a candidate's replica estimates are point-queried from `net`.
     ///
-    /// The answer is bit-identical to the eager sampler's (module docs,
-    /// "The lazy driver"). `net` is iterated once for the estimators, once
-    /// per attempt built and once per replica queried.
+    /// When the support is the whole universe the answer is the eager
+    /// sampler's, bit for bit; on any support it never returns an index
+    /// outside it (module docs, "The lazy driver"). `net` is iterated once
+    /// for the estimators and the support, once per attempt built and once
+    /// per replica queried.
     ///
     /// # Panics
     /// Panics on the same inconsistent parameters as [`PerfectLpSampler::new`].
@@ -285,8 +294,12 @@ impl PerfectLpSampler {
     {
         check_params(&params);
         let (mut f2_est, mut fp_est) = moment_estimators(n, &params, seed);
+        let mut support = Vec::new();
         for (i, v) in net.clone() {
             update_moments(&mut f2_est, &mut fp_est, Update::new(i, v));
+            if v != 0 {
+                support.push(i);
+            }
         }
         let base = correction_base(&params, n, &f2_est, &fp_est)?;
         let accept_seed = accept_seed(seed);
@@ -297,7 +310,7 @@ impl PerfectLpSampler {
             let inner_seed = attempt_seed(seed, t);
             let mut inner = PerfectLpLe2Sampler::new(n, lean, inner_seed);
             inner.ingest_entries(net.clone());
-            let candidate = inner.sample();
+            let candidate = inner.decide(support.iter().copied());
             let replica_mean =
                 |from, to, j| inner.net_mean_estimate(inner_seed, from, to, net.clone(), j);
             try_attempt(
@@ -357,7 +370,8 @@ impl PerfectLpSampler {
 }
 
 // The eager sampler and the lazy `draw_from` share every seed and the
-// accept step below, which is what makes their draws bit-identical.
+// accept step below, which is what makes their draws bit-identical on a
+// full support.
 
 /// Asserts the parameter invariants both drivers rely on.
 fn check_params(params: &PerfectLpParams) {

@@ -6,7 +6,9 @@
 //! `(index, estimate.to_bits())` of seeded `PerfectLpSampler::draw_from`
 //! (p = 3 and p = 2.5, n = 64) and `LpLe2Batch::draw_from` (n = 4096) draws,
 //! and over the build-replay-sample draws of `PerfectL0Sampler`, the
-//! default respawn path every L₀ engine draw takes. A kernel change must
+//! default respawn path every L₀ engine draw takes. A third digest pins
+//! draws on sparse supports, where the respawn decodes over the net
+//! vector's non-zero entries instead of the universe. A kernel change must
 //! leave the digests where they are.
 
 use pts_core::{PerfectLpParams, PerfectLpSampler};
@@ -59,6 +61,72 @@ fn respawn_draws_match_pinned_digest() {
     // Recorded at the commit before the point-queried estimator replicas,
     // shared-power AMS signs and allocation-free CountSketch estimates.
     assert_eq!(fnv1a64(&bytes), 0x8235_c6dd_4730_19c7, "draw digest moved");
+}
+
+/// `support` non-zero entries of a zipf vector over `[0, n)`, spread evenly.
+fn sparse_net(n: usize, support: usize, seed: u64) -> Vec<(u64, i64)> {
+    let x = zipf_vector(n, 1.0, 500, seed);
+    let net: Vec<(u64, i64)> = x
+        .iter_nonzero()
+        .step_by(n / support)
+        .take(support)
+        .collect();
+    assert_eq!(net.len(), support);
+    net
+}
+
+/// The digest above has full support, where the support decode and the
+/// universe decode are the same scan. This one pins draws whose net vector
+/// leaves most of the universe at zero, so it covers the support decode.
+#[test]
+fn sparse_support_draws_match_pinned_digest() {
+    let mut bytes = Vec::new();
+    let mut drawn = 0;
+    let mut record = |net: &[(u64, i64)], draw: Option<Sample>| {
+        if let Some(s) = draw {
+            assert!(
+                net.iter().any(|&(i, _)| i == s.index),
+                "{s:?} off the support"
+            );
+            drawn += 1;
+        }
+        push_draw(&mut bytes, draw);
+    };
+
+    // The `ingest` universe at support 200, with the default sketch and
+    // with a narrow 3 × 64 one, whose collision noise on the zero
+    // coordinates would move the universe decode's draws.
+    let n = 4096;
+    let net = sparse_net(n, 200, 0x5A01);
+    let wide = LpLe2Params::for_universe(n, 2.0);
+    let narrow = LpLe2Params {
+        rows: 3,
+        buckets: 64,
+        ..wide
+    };
+    for params in [wide, narrow] {
+        for seed in 0..64u64 {
+            let draw = LpLe2Batch::draw_from(n, params, 8, 0x5BA7 + seed, net.iter().copied());
+            record(&net, draw);
+        }
+    }
+
+    let n = 256;
+    let net = sparse_net(n, 24, 0x5A02);
+    let params = PerfectLpParams::for_universe(n, 3.0);
+    for seed in 0..64u64 {
+        let draw = PerfectLpSampler::draw_from(n, params, 0x55EE + seed, net.iter().copied());
+        record(&net, draw);
+    }
+
+    assert!(drawn >= 160, "only {drawn}/192 draws succeeded");
+    // Recorded with the support decode. The universe decode gives the same
+    // draws on the default sketches but not on the narrow one.
+    assert_eq!(
+        fnv1a64(&bytes),
+        0xd4f1_4f56_496b_4ad1,
+        "sparse draw digest moved"
+    );
 }
 
 #[test]

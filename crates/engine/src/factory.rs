@@ -30,11 +30,12 @@ pub trait SamplerFactory: Clone {
     fn build(&self, universe: usize, seed: u64) -> Self::Sampler;
 
     /// The draw of a fresh instance built from `seed` and caught up from
-    /// the sparse net vector `net`: exactly `build`, replay every entry,
-    /// `sample()`. Factories whose sampler is a rejection loop over
-    /// independently seeded attempts override this to build and replay
-    /// only the attempts the loop reaches; an override must return the
-    /// same draw, bit for bit.
+    /// the sparse net vector `net`. The default is exactly `build`, replay
+    /// every entry, `sample()`. The L_p samplers override it to build and
+    /// replay only the attempts their loop reaches, and to decode over the
+    /// support of `net` instead of the universe. An override must return
+    /// the default's draw, bit for bit, when the support is the whole
+    /// universe, and must never return an index outside the support.
     fn draw_from(&self, universe: usize, seed: u64, net: &BTreeMap<u64, i64>) -> Option<Sample> {
         let mut s = self.build(universe, seed);
         s.ingest_entries(entries(net));

@@ -24,11 +24,13 @@
 //! For the rejection-loop samplers (perfect L_p for `p > 2`, the
 //! success-boosted L_p batch) that builds and replays only the attempts
 //! the loop reaches — ~23 of 134 on average for the paper's
-//! `p = 3` sampler at `n = 64` on a zipf vector. The draw is
-//! bit-identical to build + replay + `sample()`: each attempt's seed and
-//! accept coin depend on the instance seed and the attempt index alone,
-//! and the loop stops at the first accept. The seed sequence and the
-//! counters are the same either way, so engine draws and checkpoint bytes
+//! `p = 3` sampler at `n = 64` on a zipf vector — and decodes each one
+//! over the net vector's support, not the universe. Each attempt's seed
+//! and accept coin depend on the instance seed and the attempt index
+//! alone, and the loop stops at the first accept, so when the support is
+//! the whole universe the draw is build + replay + `sample()`, bit for
+//! bit; on any support it never returns an index outside it. The seed
+//! sequence and the counters are the same either way, so checkpoint bytes
 //! do not depend on the path.
 
 use crate::factory::{entries, SamplerFactory};

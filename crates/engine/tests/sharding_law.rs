@@ -144,6 +144,70 @@ fn log_g_law_matches_ideal_across_shard_counts() {
     assert_law_across_shards(&x, factory, &[1, 4], trials, 700, trials as u64 / 10);
 }
 
+/// A sparse vector over a large universe: `support` indices spread over
+/// `[0, n)` by a stride coprime to `n`, magnitudes `1..=7` with mixed signs.
+fn sparse_vector(n: usize, support: usize) -> FrequencyVector {
+    let mut values = vec![0i64; n];
+    for k in 0..support {
+        let magnitude = (k % 7) as i64 + 1;
+        values[(k * 97 + 13) % n] = if k % 3 == 0 { -magnitude } else { magnitude };
+    }
+    FrequencyVector::from_values(values)
+}
+
+/// [`assert_law_across_shards`] for a vector with zeros, plus the support
+/// check the χ² pooling would hide: no draw returns an index whose value
+/// is zero.
+fn assert_sparse_law_across_shards<F: SamplerFactory + Copy>(
+    x: &FrequencyVector,
+    factory: F,
+    shard_counts: &[usize],
+    trials: usize,
+    seed0: u64,
+    max_fails: u64,
+) {
+    let probs = ideal_probs(x, &factory);
+    for &shards in shard_counts {
+        let (counts, fails) = engine_counts(x, shards, 2, factory, trials, seed0 + shards as u64);
+        for (i, &c) in counts.iter().enumerate() {
+            assert!(
+                c == 0 || x.value(i as u64) != 0,
+                "S={shards}: {c} draws of index {i}, outside the support"
+            );
+        }
+        assert!(fails < max_fails, "S={shards}: fails {fails}/{trials}");
+        let chi = chi_square_test(&counts, &probs, 5.0);
+        assert!(
+            chi.p_value > 1e-4,
+            "S={shards}: chi2 stat {:.2} p {:.6}",
+            chi.statistic,
+            chi.p_value
+        );
+    }
+}
+
+/// The `ingest` universe with a support of 40: every respawned draw
+/// decodes over its shard's non-zero entries, not the 4,096 indices.
+#[test]
+fn l2_law_holds_on_a_sparse_support_of_a_large_universe() {
+    let x = sparse_vector(4096, 40);
+    assert_eq!(x.iter_nonzero().count(), 40);
+    let factory = LpLe2Factory::for_universe(x.n(), 2.0);
+    let trials = 1_200;
+    assert_sparse_law_across_shards(&x, factory, &[1, 4], trials, 1_100, trials as u64 / 4);
+}
+
+/// The paper's `p = 3` sampler on a support of 24 of 256: every inner
+/// attempt decodes over the support.
+#[test]
+fn perfect_lp_law_holds_on_a_sparse_support() {
+    let x = sparse_vector(256, 24);
+    assert_eq!(x.iter_nonzero().count(), 24);
+    let factory = PerfectLpFactory::for_universe(x.n(), 3.0);
+    let trials = 1_200;
+    assert_sparse_law_across_shards(&x, factory, &[1, 4], trials, 1_300, trials as u64 / 4);
+}
+
 /// Large magnitudes that cancel: every index carries a transient 2³⁰
 /// through the churny stream of a small vector, then loses it. Each
 /// shard's mass must still be the mass of its survivors, or the shard

@@ -14,7 +14,7 @@
 //! test FAILs unless `|ẑ_(1)| − |ẑ_(2)| > τ·μ·|ẑ_(1)|/√buckets`, with
 //! `μ ~ U[½, 3/2]` smoothing the threshold exactly as Algorithm 4 does. The
 //! noise scale is `|ẑ_(1)|`, not an `F₂(z)` estimate, because its law does
-//! not depend on the winner's identity (see `sample`).
+//! not depend on the winner's identity (see `decide`).
 //!
 //! Duplication in the gap test. The paper's reason for duplicating is that
 //! `Pr[FAIL | D(1) = i]` must not depend on `i` (§3's `(100n, 1, …, 1)`
@@ -179,13 +179,17 @@ impl PerfectLpLe2Sampler {
         sum / ((to - from) as f64 * scale)
     }
 
-    /// The decoded top-two magnitudes of the scaled vector.
-    fn top_two(&self) -> ((u64, f64), f64) {
+    /// The decoded top-two magnitudes of the scaled vector, scanned over
+    /// `candidates` in the order given.
+    fn top_two(&self, candidates: impl IntoIterator<Item = u64>) -> ((u64, f64), f64) {
         let mut best_i = 0u64;
         let mut best = f64::NEG_INFINITY;
         let mut best_signed = 0.0;
         let mut second = f64::NEG_INFINITY;
-        for i in 0..self.universe as u64 {
+        let mut prev = None;
+        for i in candidates {
+            debug_assert!(prev < Some(i), "candidates must ascend");
+            prev = Some(i);
             let est = self.main.estimate(i);
             let mag = est.abs();
             if mag > best {
@@ -199,23 +203,18 @@ impl PerfectLpLe2Sampler {
         }
         ((best_i, best_signed), second.max(0.0))
     }
-}
 
-impl TurnstileSampler for PerfectLpLe2Sampler {
-    #[inline]
-    fn process(&mut self, u: Update) {
-        if u.delta == 0 {
-            return;
-        }
-        let scaled = u.delta as f64 * self.scale(u.index);
-        self.main.update(u.index, scaled);
-        for cs in &mut self.extra {
-            cs.update(u.index, scaled);
-        }
-    }
-
-    fn sample(&mut self) -> Option<Sample> {
-        let ((i_star, z_hat), second) = self.top_two();
+    /// The sampler's decision with the CountSketch decode scanning only
+    /// `candidates`, which must ascend so that ties go to the smaller index
+    /// as in the universe scan. `sample()` passes the whole universe, as the
+    /// paper's algorithm does, so `decide(0..n)` is `sample()` itself.
+    ///
+    /// A caller that holds the exact net vector passes its non-zero
+    /// indices. A zero coordinate could then neither win nor set the
+    /// runner-up through collision noise; everything else — the gap test,
+    /// the winner's own second copy and the estimate — is unchanged.
+    pub fn decide(&self, candidates: impl IntoIterator<Item = u64>) -> Option<Sample> {
+        let ((i_star, z_hat), second) = self.top_two(candidates);
         if z_hat == 0.0 {
             return None;
         }
@@ -247,6 +246,24 @@ impl TurnstileSampler for PerfectLpLe2Sampler {
             index: i_star,
             estimate: z_hat / self.scale(i_star),
         })
+    }
+}
+
+impl TurnstileSampler for PerfectLpLe2Sampler {
+    #[inline]
+    fn process(&mut self, u: Update) {
+        if u.delta == 0 {
+            return;
+        }
+        let scaled = u.delta as f64 * self.scale(u.index);
+        self.main.update(u.index, scaled);
+        for cs in &mut self.extra {
+            cs.update(u.index, scaled);
+        }
+    }
+
+    fn sample(&mut self) -> Option<Sample> {
+        self.decide(0..self.universe as u64)
     }
 
     fn space_bits(&self) -> usize {
@@ -431,13 +448,17 @@ impl LpLe2Batch {
         Self { instances }
     }
 
-    /// The draw that `new(n, params, k, seed)`, fed `net` one update per
-    /// entry, would return from `sample()` — computed lazily: instance `j`
-    /// is built and replayed only when every instance before it FAILed.
+    /// The draw of `new(n, params, k, seed)` caught up from the net vector
+    /// `net` (each index at most once, in ascending order), computed
+    /// lazily: instance `j` is built and replayed only when every instance
+    /// before it FAILed, and each instance decodes over the support of
+    /// `net` ([`PerfectLpLe2Sampler::decide`]) instead of the universe.
     ///
-    /// The answer is bit-identical to the eager batch's: instance `j`'s seed
-    /// depends on `(seed, j)` alone, and the first non-⊥ instance wins.
-    /// `net` is iterated once per instance built.
+    /// Instance `j`'s seed depends on `(seed, j)` alone and the first
+    /// non-⊥ instance wins, so when the support is the whole universe the
+    /// draw is the eager batch's `sample()`, bit for bit. On any support
+    /// it never returns an index outside it. `net` is iterated once for
+    /// the support and once per instance built.
     ///
     /// # Panics
     /// Panics if `k == 0`.
@@ -452,10 +473,16 @@ impl LpLe2Batch {
         I: IntoIterator<Item = (u64, i64)> + Clone,
     {
         assert!(k >= 1, "batch needs at least one instance");
+        let support: Vec<u64> = net
+            .clone()
+            .into_iter()
+            .filter(|&(_, v)| v != 0)
+            .map(|(i, _)| i)
+            .collect();
         (0..k).find_map(|j| {
             let mut inst = batch_instance(n, params, seed, j);
             inst.ingest_entries(net.clone());
-            inst.sample()
+            inst.decide(support.iter().copied())
         })
     }
 }
@@ -732,6 +759,35 @@ mod tests {
             }
             assert!(expect_drawn.contains(&drawn), "{drawn}/64 seeds drew");
         }
+    }
+
+    #[test]
+    fn support_decode_matches_eager_and_stays_on_the_support() {
+        let n = 256;
+        let params = LpLe2Params::for_universe(n, 2.0);
+        let full = zipf_vector(n, 1.0, 200, 21);
+        let net: Vec<(u64, i64)> = full.iter_nonzero().collect();
+        assert_eq!(net.len(), n);
+        // The same vector with all but every eighth coordinate zeroed.
+        let sparse: Vec<(u64, i64)> = net.iter().copied().step_by(8).collect();
+        let bits = |s: Option<Sample>| s.map(|s| (s.index, s.estimate.to_bits()));
+        let mut drawn = 0;
+        for seed in 0..128u64 {
+            let mut eager = LpLe2Batch::new(n, params, 4, 600 + seed);
+            eager.ingest_vector(&full);
+            let got = LpLe2Batch::draw_from(n, params, 4, 600 + seed, net.iter().copied());
+            assert_eq!(bits(got), bits(eager.sample()), "seed {seed}");
+            let got = LpLe2Batch::draw_from(n, params, 4, 600 + seed, sparse.iter().copied());
+            if let Some(s) = got {
+                assert!(
+                    s.index % 8 == 0,
+                    "seed {seed}: drew {} off the support",
+                    s.index
+                );
+                drawn += 1;
+            }
+        }
+        assert!(drawn >= 120, "{drawn}/128 sparse draws");
     }
 
     #[test]
