@@ -37,9 +37,13 @@
 //! drivers share the seed helpers and the per-candidate accept step below.
 //! A respawned engine draw (`PerfectLpFactory::draw_from`) takes this path.
 //!
-//! The lazy driver holds the exact net vector, so each attempt decodes
-//! over its support ([`PerfectLpLe2Sampler::decide`]) where the eager
-//! `sample()` scans the universe. A zero coordinate can then neither be
+//! The lazy driver holds the exact net vector. It collects the non-zero
+//! entries once per draw; they feed the moment estimators, and every
+//! attempt replays them and decodes over them
+//! ([`PerfectLpLe2Sampler::replay_and_decide`]) where the eager `sample()`
+//! scans the universe. The replay records each entry's cell in every row,
+//! in one buffer the attempts share, and the decode reads those cells, so
+//! an attempt hashes each entry once. A zero coordinate can neither be
 //! output nor set an attempt's runner-up through collision noise. When the
 //! support is the whole universe the two scans are the same, and the lazy
 //! draw is the eager `sample()`, bit for bit; on any support it never
@@ -278,41 +282,40 @@ impl PerfectLpSampler {
     /// lazily: the moment estimators are built and caught up once, attempt
     /// `t` is built (without its estimator replicas), replayed and decoded
     /// over the support of `net` only when the rejection loop reaches it,
-    /// and a candidate's replica estimates are point-queried from `net`.
+    /// and a candidate's replica estimates are point-queried from the net
+    /// entries.
     ///
     /// When the support is the whole universe the answer is the eager
     /// sampler's, bit for bit; on any support it never returns an index
-    /// outside it (module docs, "The lazy driver"). `net` is iterated once
-    /// for the estimators and the support, once per attempt built and once
-    /// per replica queried.
+    /// outside it (module docs, "The lazy driver"). `net` is iterated once,
+    /// into its non-zero entries, which feed the estimators, every attempt
+    /// built and every replica queried.
     ///
     /// # Panics
     /// Panics on the same inconsistent parameters as [`PerfectLpSampler::new`].
     pub fn draw_from<I>(n: usize, params: PerfectLpParams, seed: u64, net: I) -> Option<Sample>
     where
-        I: IntoIterator<Item = (u64, i64)> + Clone,
+        I: IntoIterator<Item = (u64, i64)>,
     {
         check_params(&params);
         let (mut f2_est, mut fp_est) = moment_estimators(n, &params, seed);
-        let mut support = Vec::new();
-        for (i, v) in net.clone() {
+        let entries: Vec<(u64, i64)> = net.into_iter().filter(|&(_, v)| v != 0).collect();
+        for &(i, v) in &entries {
             update_moments(&mut f2_est, &mut fp_est, Update::new(i, v));
-            if v != 0 {
-                support.push(i);
-            }
         }
         let base = correction_base(&params, n, &f2_est, &fp_est)?;
         let accept_seed = accept_seed(seed);
         let mut stats = RejectionStats::default();
         // Replicas are read only at a candidate, so the attempts skip them.
         let lean = params.l2.with_extra_estimators(0);
+        let mut cells = Vec::new();
         (0..params.attempts).find_map(|t| {
             let inner_seed = attempt_seed(seed, t);
             let mut inner = PerfectLpLe2Sampler::new(n, lean, inner_seed);
-            inner.ingest_entries(net.clone());
-            let candidate = inner.decide(support.iter().copied());
-            let replica_mean =
-                |from, to, j| inner.net_mean_estimate(inner_seed, from, to, net.clone(), j);
+            let candidate = inner.replay_and_decide(&entries, &mut cells);
+            let replica_mean = |from, to, j| {
+                inner.net_mean_estimate(inner_seed, from, to, entries.iter().copied(), j)
+            };
             try_attempt(
                 &params,
                 base,

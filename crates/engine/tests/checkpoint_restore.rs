@@ -320,6 +320,35 @@ fn restore_refuses_a_live_pool_slot() {
     assert_eq!(service.checkpoint_bytes().unwrap(), bytes);
 }
 
+/// A checkpoint whose L₂ sketch shape is too large to allocate is refused
+/// by `restore` itself, before a draw could build a sampler from it: the
+/// shape is capped at 2^24 table cells.
+#[test]
+fn restore_refuses_an_unallocatable_sketch_shape() {
+    let checkpoint = |buckets: usize| {
+        let mut factory = LpLe2Factory::for_universe(64, 2.0);
+        assert_eq!(factory.params.rows, 7);
+        factory.params.buckets = buckets;
+        let config = EngineConfig::new(64).shards(2).pool_size(2).seed(8);
+        let mut engine = ShardedEngine::new(config, factory);
+        engine.ingest_batch(&[Update::new(3, 5), Update::new(40, -2)]);
+        let mut bytes = Vec::new();
+        engine.checkpoint(&mut bytes).unwrap();
+        bytes
+    };
+    let restore = |bytes: Vec<u8>| ShardedEngine::<LpLe2Factory>::restore(&mut bytes.as_slice());
+    for buckets in [1 << 40, (1 << 24) / 7 + 1] {
+        assert!(
+            matches!(
+                restore(checkpoint(buckets)),
+                Err(WireError::Invalid("lp-le2 shape"))
+            ),
+            "buckets {buckets}"
+        );
+    }
+    assert!(restore(checkpoint((1 << 24) / 7)).is_ok());
+}
+
 #[test]
 fn malformed_checkpoints_error_never_panic() {
     let mut e = ShardedEngine::new(

@@ -29,7 +29,7 @@
 //! measures the residual conditional-failure dependence as `dup_c` varies.
 
 use crate::traits::{Sample, TurnstileSampler};
-use pts_sketch::countsketch::MAX_ROWS;
+use pts_sketch::countsketch::{MAX_CELLS, MAX_ROWS};
 use pts_sketch::{CountSketch, CountSketchParams, LinearSketch};
 use pts_stream::Update;
 use pts_util::variates::keyed_exponential;
@@ -179,42 +179,64 @@ impl PerfectLpLe2Sampler {
         sum / ((to - from) as f64 * scale)
     }
 
-    /// The decoded top-two magnitudes of the scaled vector, scanned over
-    /// `candidates` in the order given.
-    fn top_two(&self, candidates: impl IntoIterator<Item = u64>) -> ((u64, f64), f64) {
-        let mut best_i = 0u64;
+    /// Replays the net entries `entries` (non-zero values, ascending
+    /// indices, as [`ingest_entries`](TurnstileSampler::ingest_entries)
+    /// would) and decides with the CountSketch decode scanning only those
+    /// entries, instead of the universe `sample()` scans. The replay records
+    /// each entry's cell in every row in `cells` (cleared first; pass one
+    /// buffer across a draw's instances), and the decode reads its row
+    /// medians from those cells, so no entry is hashed twice.
+    ///
+    /// A zero coordinate can then neither win nor set the runner-up through
+    /// collision noise; everything else — the gap test, the winner's own
+    /// second copy and the estimate — is `sample()`'s. When `entries`
+    /// covers the whole universe, the answer is `ingest_entries` followed
+    /// by `sample()`, bit for bit.
+    pub fn replay_and_decide(
+        &mut self,
+        entries: &[(u64, i64)],
+        cells: &mut Vec<u32>,
+    ) -> Option<Sample> {
+        cells.clear();
+        for &(i, v) in entries {
+            debug_assert_ne!(v, 0, "entries must be non-zero");
+            let scaled = v as f64 * self.scale(i);
+            self.main.update_recording(i, scaled, cells);
+            for cs in &mut self.extra {
+                cs.update(i, scaled);
+            }
+        }
+        let rows = self.main.rows();
+        let estimates = entries
+            .iter()
+            .zip(cells.chunks_exact(rows))
+            .map(|(&(i, _), row_cells)| (i, self.main.estimate_recorded(row_cells)));
+        self.decide(estimates)
+    }
+
+    /// The sampler's decision from the decoded `(index, estimate)` pairs of
+    /// the scaled vector, which must ascend by index so that ties go to the
+    /// smaller index.
+    fn decide(&self, estimates: impl IntoIterator<Item = (u64, f64)>) -> Option<Sample> {
+        let mut i_star = 0u64;
         let mut best = f64::NEG_INFINITY;
-        let mut best_signed = 0.0;
+        let mut z_hat = 0.0;
         let mut second = f64::NEG_INFINITY;
         let mut prev = None;
-        for i in candidates {
-            debug_assert!(prev < Some(i), "candidates must ascend");
+        for (i, est) in estimates {
+            debug_assert!(prev < Some(i), "indices must ascend");
             prev = Some(i);
-            let est = self.main.estimate(i);
             let mag = est.abs();
             if mag > best {
                 second = best;
                 best = mag;
-                best_i = i;
-                best_signed = est;
+                i_star = i;
+                z_hat = est;
             } else if mag > second {
                 second = mag;
             }
         }
-        ((best_i, best_signed), second.max(0.0))
-    }
-
-    /// The sampler's decision with the CountSketch decode scanning only
-    /// `candidates`, which must ascend so that ties go to the smaller index
-    /// as in the universe scan. `sample()` passes the whole universe, as the
-    /// paper's algorithm does, so `decide(0..n)` is `sample()` itself.
-    ///
-    /// A caller that holds the exact net vector passes its non-zero
-    /// indices. A zero coordinate could then neither win nor set the
-    /// runner-up through collision noise; everything else — the gap test,
-    /// the winner's own second copy and the estimate — is unchanged.
-    pub fn decide(&self, candidates: impl IntoIterator<Item = u64>) -> Option<Sample> {
-        let ((i_star, z_hat), second) = self.top_two(candidates);
+        let second = second.max(0.0);
         if z_hat == 0.0 {
             return None;
         }
@@ -263,7 +285,7 @@ impl TurnstileSampler for PerfectLpLe2Sampler {
     }
 
     fn sample(&mut self) -> Option<Sample> {
-        self.decide(0..self.universe as u64)
+        self.decide((0..self.universe as u64).map(|i| (i, self.main.estimate(i))))
     }
 
     fn space_bits(&self) -> usize {
@@ -320,7 +342,11 @@ impl Decode for LpLe2Params {
         if !p_ok || !dup_ok || !test_factor.is_finite() {
             return Err(WireError::Invalid("lp-le2 parameters"));
         }
-        if !(1..=MAX_ROWS).contains(&rows) || buckets == 0 || extra_estimators > 1 << 16 {
+        // The cell cap keeps a restored shape's table allocatable.
+        if !(1..=MAX_ROWS).contains(&rows)
+            || !(1..=MAX_CELLS / rows).contains(&buckets)
+            || extra_estimators > 1 << 16
+        {
             return Err(WireError::Invalid("lp-le2 shape"));
         }
         Ok(Self {
@@ -450,15 +476,17 @@ impl LpLe2Batch {
 
     /// The draw of `new(n, params, k, seed)` caught up from the net vector
     /// `net` (each index at most once, in ascending order), computed
-    /// lazily: instance `j` is built and replayed only when every instance
-    /// before it FAILed, and each instance decodes over the support of
-    /// `net` ([`PerfectLpLe2Sampler::decide`]) instead of the universe.
+    /// lazily: instance `j` is built (without estimator replicas, which the
+    /// decision never reads) and replayed only when every instance before
+    /// it FAILed, and each instance decodes over the support of `net`
+    /// ([`PerfectLpLe2Sampler::replay_and_decide`]) instead of the
+    /// universe.
     ///
     /// Instance `j`'s seed depends on `(seed, j)` alone and the first
     /// non-⊥ instance wins, so when the support is the whole universe the
     /// draw is the eager batch's `sample()`, bit for bit. On any support
-    /// it never returns an index outside it. `net` is iterated once for
-    /// the support and once per instance built.
+    /// it never returns an index outside it. `net` is iterated once, into
+    /// its non-zero entries, which every instance built replays.
     ///
     /// # Panics
     /// Panics if `k == 0`.
@@ -470,20 +498,14 @@ impl LpLe2Batch {
         net: I,
     ) -> Option<Sample>
     where
-        I: IntoIterator<Item = (u64, i64)> + Clone,
+        I: IntoIterator<Item = (u64, i64)>,
     {
         assert!(k >= 1, "batch needs at least one instance");
-        let support: Vec<u64> = net
-            .clone()
-            .into_iter()
-            .filter(|&(_, v)| v != 0)
-            .map(|(i, _)| i)
-            .collect();
-        (0..k).find_map(|j| {
-            let mut inst = batch_instance(n, params, seed, j);
-            inst.ingest_entries(net.clone());
-            inst.decide(support.iter().copied())
-        })
+        let entries: Vec<(u64, i64)> = net.into_iter().filter(|&(_, v)| v != 0).collect();
+        let lean = params.with_extra_estimators(0);
+        let mut cells = Vec::new();
+        (0..k)
+            .find_map(|j| batch_instance(n, lean, seed, j).replay_and_decide(&entries, &mut cells))
     }
 }
 
@@ -788,6 +810,54 @@ mod tests {
             }
         }
         assert!(drawn >= 120, "{drawn}/128 sparse draws");
+    }
+
+    #[test]
+    fn replay_and_decide_equals_ingest_then_support_decode() {
+        let bits = |s: Option<Sample>| s.map(|s| (s.index, s.estimate.to_bits()));
+        let table_bits = |s: &PerfectLpLe2Sampler| {
+            s.main
+                .table()
+                .iter()
+                .map(|c| c.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let mut cells = Vec::new();
+        let mut rows_seen = Vec::new();
+        for n in [8usize, 32, 64, 4096] {
+            let params = LpLe2Params::for_universe(n, 2.0);
+            rows_seen.push(params.rows);
+            // A full support with mixed signs, every fifth entry of it, and
+            // the full one on a narrow 64-bucket sketch.
+            let full: Vec<(u64, i64)> = (0..n as u64)
+                .map(|i| {
+                    let v = 1 + (i * 7919 % 101) as i64;
+                    (i, if i % 3 == 0 { -v } else { v })
+                })
+                .collect();
+            let sparse: Vec<(u64, i64)> = full.iter().copied().step_by(5).collect();
+            let narrow = LpLe2Params {
+                buckets: 64,
+                ..params
+            };
+            for (entries, params) in [(&full, params), (&sparse, params), (&full, narrow)] {
+                let mut drawn = 0;
+                for seed in 0..16u64 {
+                    let mut want = PerfectLpLe2Sampler::new(n, params, 800 + seed);
+                    want.ingest_entries(entries.iter().copied());
+                    let estimates = entries.iter().map(|&(i, _)| (i, want.main.estimate(i)));
+                    let decided = want.decide(estimates);
+                    let mut got = PerfectLpLe2Sampler::new(n, params, 800 + seed);
+                    let fused = got.replay_and_decide(entries, &mut cells);
+                    let context = format!("n {n} buckets {} seed {seed}", params.buckets);
+                    assert_eq!(bits(fused), bits(decided), "{context}");
+                    assert!(table_bits(&got) == table_bits(&want), "{context}");
+                    drawn += usize::from(fused.is_some());
+                }
+                assert!(drawn > 0, "n {n} buckets {}: no seed drew", params.buckets);
+            }
+        }
+        assert_eq!(rows_seen, [3, 5, 7, 9]);
     }
 
     #[test]

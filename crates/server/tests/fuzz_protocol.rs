@@ -21,7 +21,7 @@
 //! (unreadable id, frame-level error). A readable id with an unreadable
 //! namespace or trace field *is* attributable: the error echoes the id.
 
-use pts_engine::{EngineConfig, L0Factory, ShardedEngine};
+use pts_engine::{EngineConfig, L0Factory, LpLe2Factory, ShardedEngine};
 use pts_server::{serve, serve_with_spawner, Client, ClientError, Pending};
 use pts_stream::Update;
 use pts_util::protocol::{
@@ -367,6 +367,64 @@ fn empty_batch_and_zero_sample_count_are_in_band_errors() {
     }
 
     assert_usable(&mut client, "after no-op-work rejections");
+    client.submit_shutdown().unwrap().wait().unwrap();
+    server.join();
+}
+
+/// An L₂ engine over a universe of 64.
+fn lp_engine(seed: u64) -> ShardedEngine<LpLe2Factory> {
+    ShardedEngine::new(
+        EngineConfig::new(64).shards(2).pool_size(1).seed(seed),
+        LpLe2Factory::for_universe(64, 2.0),
+    )
+}
+
+/// A served `Restore` of a checkpoint whose L₂ sketch shape is too large
+/// to allocate is refused with a typed error, so no later draw can abort
+/// the process: the addressed namespace keeps its state and, like every
+/// other namespace on the server, still samples.
+#[test]
+fn restore_of_an_unallocatable_sketch_shape_is_refused_in_band() {
+    let server =
+        serve_with_spawner("127.0.0.1:0", lp_engine(21), |ns| lp_engine(100 + ns)).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut hostile = LpLe2Factory::for_universe(64, 2.0);
+    hostile.params.buckets = 1 << 40;
+    let mut forged = ShardedEngine::new(
+        EngineConfig::new(64).shards(2).pool_size(1).seed(21),
+        hostile,
+    );
+    forged.ingest_batch(&[Update::new(3, 5)]);
+    let mut checkpoint = Vec::new();
+    forged.checkpoint(&mut checkpoint).unwrap();
+
+    client.submit_create_namespace(7).unwrap().wait().unwrap();
+    match client
+        .submit_restore_ns(7, &checkpoint)
+        .and_then(Pending::wait)
+    {
+        Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Malformed),
+        other => panic!("hostile restore must be a server error, got {other:?}"),
+    }
+    for ns in [7, DEFAULT_NAMESPACE] {
+        let batch = [Update::new(9, 4), Update::new(30, -3)];
+        client
+            .submit_ingest_batch_ns(ns, &batch)
+            .and_then(Pending::wait)
+            .unwrap();
+        let draws = client
+            .submit_sample_many_ns(ns, 8)
+            .and_then(Pending::wait)
+            .unwrap();
+        assert!(draws.iter().flatten().count() > 0, "ns {ns} drew nothing");
+        assert!(
+            draws
+                .iter()
+                .flatten()
+                .all(|s| s.index == 9 || s.index == 30),
+            "ns {ns}: {draws:?}"
+        );
+    }
     client.submit_shutdown().unwrap().wait().unwrap();
     server.join();
 }

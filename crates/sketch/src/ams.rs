@@ -9,7 +9,7 @@
 //! and evaluates every counter's polynomial from those shared powers, which
 //! reaches the same residue as Horner's rule.
 
-use crate::countsketch::median_in_place;
+use crate::countsketch::{median_in_place, signed};
 use crate::traits::LinearSketch;
 use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
 use pts_util::{cubic_powers, derive_seed, eval_cubic, KWiseHash, Xoshiro256pp};
@@ -74,12 +74,8 @@ impl LinearSketch for AmsF2 {
     fn update(&mut self, index: u64, delta: f64) {
         let powers = cubic_powers(index);
         for (c, h) in self.counters.iter_mut().zip(&self.signs) {
-            let sign = if eval_cubic(h, &powers) & 1 == 0 {
-                1.0
-            } else {
-                -1.0
-            };
-            *c += sign * delta;
+            // The hash's low bit, moved to the sign bit, negates `delta`.
+            *c += signed(delta, eval_cubic(h, &powers) << 63);
         }
     }
 
@@ -254,6 +250,38 @@ mod tests {
                 assert_eq!(shared, h.hash(x), "index {x}");
                 let sign = if shared & 1 == 0 { 1 } else { -1 };
                 assert_eq!(sign, h.sign(x), "index {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn counters_equal_signed_sums_of_the_hash_bits() {
+        let deltas = [3.0, -2.5, 0.0, -0.0, -7.0, 1e-300, -1e300, 0.125];
+        let mut rng = Xoshiro256pp::new(0xA5);
+        let updates: Vec<(u64, f64)> = (0..400)
+            .map(|k| (rng.next_u64() % 97, deltas[k % deltas.len()]))
+            .collect();
+        let mut ams = AmsF2::new(3, 5, 31);
+        let horner: Vec<KWiseHash> = ams
+            .signs
+            .iter()
+            .map(|c| KWiseHash::from_coefficients(c.to_vec()))
+            .collect();
+        let mut want = vec![0.0f64; ams.counters.len()];
+        for &(i, delta) in &updates {
+            ams.update(i, delta);
+            for (w, h) in want.iter_mut().zip(&horner) {
+                let sign = if h.hash(i) & 1 == 0 { 1.0 } else { -1.0 };
+                *w += sign * delta;
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&ams.counters), bits(&want));
+        // A sum from `+0.0` hides the sign of a zero term, so check the
+        // terms themselves too.
+        for delta in deltas {
+            for (bit, sign) in [(0u64, 1.0), (1, -1.0)] {
+                assert_eq!(signed(delta, bit << 63).to_bits(), (sign * delta).to_bits());
             }
         }
     }

@@ -25,6 +25,15 @@ use pts_util::{derive_seed, keyed_u64};
 /// configuration has at most 9 rows.
 pub const MAX_ROWS: usize = 16;
 
+/// The most cells (`rows × buckets`) a [`CountSketch`] may have, so that a
+/// cell offset fits the 31 bits [`CountSketch::update_recording`] gives
+/// it. Every in-repo configuration has at most 9 × 65,536.
+pub const MAX_CELLS: usize = 1 << 24;
+
+/// The bit of a recorded cell (see [`CountSketch::update_recording`]) that
+/// holds the row's sign; the bits below it hold the table offset.
+const CELL_SIGN: u32 = 1 << 31;
+
 /// Configuration for a [`CountSketch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CountSketchParams {
@@ -57,7 +66,8 @@ impl CountSketch {
     /// Creates an empty sketch with the given parameters and seed.
     ///
     /// # Panics
-    /// Panics if `rows == 0`, `rows > MAX_ROWS` or `buckets == 0`.
+    /// Panics if `rows == 0`, `rows > MAX_ROWS`, `buckets == 0` or
+    /// `rows × buckets > MAX_CELLS`.
     pub fn new(params: CountSketchParams, seed: u64) -> Self {
         check_shape(params);
         Self {
@@ -96,7 +106,7 @@ impl CountSketch {
         check_shape(params);
         let rows = params.rows;
         let mut seeds = [0u64; MAX_ROWS];
-        let mut own = [(0usize, 0.0f64); MAX_ROWS];
+        let mut own = [(0usize, 0u64); MAX_ROWS];
         for (r, row_seed) in row_seeds(seed).take(rows).enumerate() {
             seeds[r] = row_seed;
             own[r] = slot(row_seed, params.buckets, i);
@@ -108,13 +118,13 @@ impl CountSketch {
                 let (b, s) = slot(seeds[r], params.buckets, k);
                 if b == own[r].0 {
                     let d = *delta.get_or_insert_with(|| value(k, v));
-                    cells[r] += s * d;
+                    cells[r] += signed(d, s);
                 }
             }
         }
         let mut vals = [0.0f64; MAX_ROWS];
         for r in 0..rows {
-            vals[r] = own[r].1 * cells[r];
+            vals[r] = signed(cells[r], own[r].1);
         }
         median_in_place(&mut vals[..rows])
     }
@@ -147,7 +157,36 @@ impl CountSketch {
         let mut vals = [0.0f64; MAX_ROWS];
         for (r, v) in vals[..self.rows].iter_mut().enumerate() {
             let (b, s) = slot(self.row_seeds[r], self.buckets, i);
-            *v = s * self.table[self.cell(r, b)];
+            *v = signed(self.table[self.cell(r, b)], s);
+        }
+        median_in_place(&mut vals[..self.rows])
+    }
+
+    /// [`update`](LinearSketch::update) that also appends `index`'s cell in
+    /// each row to `cells`: its table offset, with the row's sign in the
+    /// top bit. [`estimate_recorded`](Self::estimate_recorded) reads those
+    /// cells back without hashing `index` again.
+    #[inline]
+    pub fn update_recording(&mut self, index: u64, delta: f64, cells: &mut Vec<u32>) {
+        for r in 0..self.rows {
+            let (b, s) = slot(self.row_seeds[r], self.buckets, index);
+            let cell = self.cell(r, b);
+            self.table[cell] += signed(delta, s);
+            // `check_shape` caps the table at MAX_CELLS, below the sign bit.
+            cells.push(cell as u32 | (s >> 32) as u32);
+        }
+    }
+
+    /// [`estimate`](Self::estimate) of the index whose per-row `cells`
+    /// [`update_recording`](Self::update_recording) appended, bit for bit.
+    pub fn estimate_recorded(&self, cells: &[u32]) -> f64 {
+        debug_assert_eq!(cells.len(), self.rows, "one recorded cell per row");
+        let mut vals = [0.0f64; MAX_ROWS];
+        for (v, &c) in vals.iter_mut().zip(cells) {
+            *v = signed(
+                self.table[(c & !CELL_SIGN) as usize],
+                u64::from(c & CELL_SIGN) << 32,
+            );
         }
         median_in_place(&mut vals[..self.rows])
     }
@@ -178,7 +217,7 @@ impl LinearSketch for CountSketch {
         for r in 0..self.rows {
             let (b, s) = slot(self.row_seeds[r], self.buckets, index);
             let cell = self.cell(r, b);
-            self.table[cell] += s * delta;
+            self.table[cell] += signed(delta, s);
         }
     }
 
@@ -217,6 +256,7 @@ impl Decode for CountSketch {
         }
         let cells = rows
             .checked_mul(buckets)
+            .filter(|&cells| cells <= MAX_CELLS)
             .ok_or(WireError::Invalid("countsketch shape overflow"))?;
         let table = r.get_f64s()?;
         if table.len() != cells {
@@ -244,6 +284,12 @@ fn check_shape(params: CountSketchParams) {
         "{} rows exceed MAX_ROWS = {MAX_ROWS}",
         params.rows
     );
+    assert!(
+        params.buckets <= MAX_CELLS / params.rows,
+        "{} × {} cells exceed MAX_CELLS = {MAX_CELLS}",
+        params.rows,
+        params.buckets
+    );
 }
 
 /// The hash keys of rows `0, 1, …` of a sketch seeded by `seed`.
@@ -254,13 +300,19 @@ fn row_seeds(seed: u64) -> impl Iterator<Item = u64> {
 
 /// The (bucket, sign) pair of index `i` in the row keyed by `row_seed`: one
 /// keyed-hash evaluation supplies 63 bits for the bucket and 1 bit for the
-/// sign.
+/// sign, returned in bit 63 (set for `−1`) for [`signed`].
 #[inline]
-fn slot(row_seed: u64, buckets: usize, i: u64) -> (usize, f64) {
+fn slot(row_seed: u64, buckets: usize, i: u64) -> (usize, u64) {
     let h = keyed_u64(row_seed, i);
     let bucket = (((h >> 1) as u128 * buckets as u128) >> 63) as usize;
-    let sign = if h & 1 == 0 { 1.0 } else { -1.0 };
-    (bucket, sign)
+    (bucket, h << 63)
+}
+
+/// `x` with `sign` (`0` or bit 63) XORed into its sign bit: `±1.0 · x`
+/// without a branch, bit for bit for every non-NaN `x`, `±0.0` included.
+#[inline]
+pub(crate) fn signed(x: f64, sign: u64) -> f64 {
+    f64::from_bits(x.to_bits() ^ sign)
 }
 
 /// Median of a mutable slice (averages the middle pair on even length).
@@ -454,6 +506,22 @@ mod tests {
                     let mut cs = CountSketch::new(params, seed);
                     for &(i, v) in &entries {
                         cs.update(i, value(i, v));
+                    }
+                    // The recording update fills the same table, and its
+                    // cells read back every entry's estimate.
+                    let mut recorded = CountSketch::new(params, seed);
+                    let mut cells = Vec::new();
+                    for &(i, v) in &entries {
+                        recorded.update_recording(i, value(i, v), &mut cells);
+                    }
+                    let bits = |t: &[f64]| t.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(recorded.table()), bits(cs.table()));
+                    for (&(i, _), row_cells) in entries.iter().zip(cells.chunks_exact(rows)) {
+                        assert_eq!(
+                            recorded.estimate_recorded(row_cells).to_bits(),
+                            cs.estimate(i).to_bits(),
+                            "rows {rows} buckets {buckets} seed {seed} entry {i}"
+                        );
                     }
                     for i in 0..96u64 {
                         let point = CountSketch::point_estimate(
