@@ -339,9 +339,10 @@ impl<F: SamplerFactory> ShardedEngine<F> {
 
     /// Rebuilds an engine from a [`ShardedEngine::checkpoint`] payload.
     /// Malformed input — truncation, corruption, a bumped format version,
-    /// a different factory type, a set pool slot bit — returns a
-    /// [`WireError`] and never panics. Each shard's mass is recomputed
-    /// from its entries; the stored field is not read back.
+    /// a different factory type, a shard whose factory differs from the
+    /// engine's, a set pool slot bit — returns a [`WireError`] and never
+    /// panics. Each shard's mass is recomputed from its entries; the
+    /// stored field is not read back.
     pub fn restore<R: Read>(src: &mut R) -> Result<Self, WireError>
     where
         F: Decode,
@@ -350,13 +351,23 @@ impl<F: SamplerFactory> ShardedEngine<F> {
         let payload = read_frame(KIND_ENGINE, &mut counted)?;
         let mut r = WireReader::new(&payload);
         let config = EngineConfig::decode(&mut r)?;
+        let at = |r: &WireReader<'_>| payload.len() - r.remaining();
+        let factory_start = at(&r);
         let factory = F::decode(&mut r)?;
+        let factory_bytes = &payload[factory_start..at(&r)];
         let rng = Xoshiro256pp::decode(&mut r)?;
         let stats = EngineStats::decode(&mut r)?;
         let router = ShardRouter::new(config.shards, derive_seed(config.seed, 0x5A4D));
         let mut shards = Vec::with_capacity(config.shards);
         for s in 0..config.shards {
+            let shard_start = at(&r);
             let shard: Shard<F> = Shard::decode(&mut r)?;
+            // A shard's encoding opens with its own factory copy. One that
+            // differs from the header's would weigh and draw that shard's
+            // entries under another law than `factory()` reports.
+            if !payload[shard_start..].starts_with(factory_bytes) {
+                return Err(WireError::Invalid("shard factory mismatch"));
+            }
             if shard.universe() != config.universe {
                 return Err(WireError::Invalid("shard universe mismatch"));
             }

@@ -126,6 +126,11 @@ impl Decode for EngineSnapshot {
             if v == 0 {
                 return Err(WireError::Invalid("zero entry in snapshot"));
             }
+            // No engine ever holds `i64::MIN` (a shard's decode refuses it
+            // too), and `ShardedEngine::merge` panics on one.
+            if v == i64::MIN {
+                return Err(WireError::Invalid("snapshot value i64::MIN"));
+            }
             if (i as u128) >= universe as u128 {
                 return Err(WireError::Invalid("snapshot entry outside universe"));
             }
@@ -146,6 +151,22 @@ mod tests {
         assert_eq!(s.entries(), &[(1, -3), (9, 2)]);
         assert_eq!(s.support(), 2);
         assert_eq!(s.universe(), 16);
+    }
+
+    #[test]
+    fn decode_rejects_a_net_value_of_i64_min() {
+        let bytes = |v: i64| {
+            let mut w = WireWriter::new();
+            w.put_usize(32);
+            w.put_usize(1);
+            w.put_u64(3);
+            w.put_i64(v);
+            w.into_bytes()
+        };
+        let max = EngineSnapshot::from_wire_bytes(&bytes(-i64::MAX)).unwrap();
+        assert_eq!(max.entries(), &[(3, -i64::MAX)]);
+        let min = EngineSnapshot::from_wire_bytes(&bytes(i64::MIN));
+        assert!(matches!(min, Err(WireError::Invalid(_))));
     }
 
     #[test]

@@ -443,3 +443,39 @@ fn restore_rejects_misrouted_net_entry() {
         res.map(|e| e.snapshot())
     );
 }
+
+/// Every shard carries its own factory copy, and restore refuses one that
+/// differs from the engine header's: a p = 4 shard under a p = 3 header
+/// would weigh its entry of value 2 as 16, while `factory()` reports
+/// p = 3, whose weight is 8.
+#[test]
+fn restore_refuses_a_shard_whose_factory_differs_from_the_engine_header() {
+    use pts_engine::{EngineStats, PerfectLpFactory, Shard};
+    use pts_util::wire::{write_frame, WireWriter, KIND_ENGINE};
+
+    let config = EngineConfig::new(16).shards(1).pool_size(1).seed(4);
+    let header = PerfectLpFactory::for_universe(16, 3.0);
+    let checkpoint = |shard_p: f64| {
+        let mut w = WireWriter::new();
+        config.encode(&mut w).unwrap();
+        header.encode(&mut w).unwrap();
+        Xoshiro256pp::new(1).encode(&mut w).unwrap();
+        EngineStats::default().encode(&mut w).unwrap();
+        let mut shard = Shard::new(PerfectLpFactory::for_universe(16, shard_p), 16, 1, 0);
+        shard.apply_run(&[Update::new(2, 2)]);
+        shard.encode(&mut w).unwrap();
+        let mut bytes = Vec::new();
+        write_frame(KIND_ENGINE, w.as_bytes(), &mut bytes).unwrap();
+        bytes
+    };
+    let restore =
+        |bytes: Vec<u8>| ShardedEngine::<PerfectLpFactory>::restore(&mut bytes.as_slice());
+
+    let same = restore(checkpoint(3.0)).unwrap();
+    assert_eq!(same.factory().params.p, 3.0);
+    assert_eq!(same.mass(), 8.0);
+    assert!(matches!(
+        restore(checkpoint(4.0)),
+        Err(WireError::Invalid("shard factory mismatch"))
+    ));
+}

@@ -8,12 +8,12 @@
 //! multi-tenant):
 //!
 //! ```text
-//!  Client ──TCP──►  [ accept loop ]      one reader thread per
-//!  Client ──TCP──►      │    │           connection, demuxing ids
-//!                   reader   reader
+//!  Client ──TCP──►  [ accept loop ]      per connection: a reader
+//!  Client ──TCP──►      │    │           demuxing ids into a bounded
+//!                   reader   reader      FIFO channel, and the one
+//!                      │        │        dispatcher that drains it;
+//!              dispatcher  dispatcher    responses via per-conn write lock
 //!                      \      /
-//!                  [ worker pool ]       bounded; per-connection FIFO,
-//!                        │               responses via per-conn write lock
 //!                   [ TenantMap ]        namespace → Arc<Mutex<engine>>
 //!                    │    │    │         (sharded-lock map; ns 0 is the
 //!                   ns 0  ns 7  ns 42    default tenant, spawner builds
@@ -23,17 +23,17 @@
 //! * **[`Server`]** binds a listener, hosts any
 //!   [`pts_engine::SamplingService`] implementor, and serves each
 //!   connection with a reader thread that demuxes v4 request-id frames
-//!   into a bounded worker pool. Every request addresses a **namespace**
-//!   (tenant): the engine passed at bind is namespace 0, and
-//!   [`serve_with_spawner`] additionally accepts a factory closure so
-//!   clients can create and drop further tenants at runtime — each a fully
-//!   isolated engine sharing the same worker pool (no per-tenant
-//!   threads). Every readable request frame — malformed payloads included
-//!   — gets exactly one response frame under the id it carried (id 0 when
-//!   the failure is unattributable);
-//!   protocol-recoverable errors (unknown namespaces included) keep the
-//!   connection, framing-fatal ones close it (see `pts_util::protocol`
-//!   for the normative classification).
+//!   and a dispatcher thread that answers them in order, so a peer that
+//!   stops reading stalls only itself. Every request addresses a
+//!   **namespace** (tenant): the engine passed at bind is namespace 0,
+//!   and [`serve_with_spawner`] also takes a factory closure so clients
+//!   can create and drop further tenants at runtime — each a fully
+//!   isolated engine (no per-tenant threads). Every readable request
+//!   frame — malformed payloads included — gets exactly one response
+//!   frame under the id it carried (id 0 when the failure is
+//!   unattributable); protocol-recoverable errors (unknown namespaces
+//!   included) keep the connection, framing-fatal ones close it (see
+//!   `pts_util::protocol` for the normative classification).
 //! * **[`Client`]** is the matching multiplexed client: one `submit_*`
 //!   method per request verb, each addressed to a namespace and each
 //!   returning a [`Pending`] handle, so one connection can hold up to

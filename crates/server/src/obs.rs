@@ -46,13 +46,14 @@ pub(crate) struct ServerObs {
     pub conn_closed: Counter,
     /// `server.conn.active` — currently open connections.
     pub conn_active: Gauge,
-    /// `server.conn.frame_timeouts` — whole-frame deadlines tripped.
+    /// `server.conn.frame_timeouts` — whole-frame deadlines tripped,
+    /// reading a request or writing a response.
     pub conn_timeouts: Counter,
     /// `server.panics` — dispatches that panicked inside an engine and
-    /// were answered `Internal` instead of killing a worker.
+    /// were answered `Internal` instead of killing a dispatcher.
     pub panics: Counter,
-    /// `server.requests.inflight` — requests enqueued (demuxed off a
-    /// connection) but not yet answered, across all connections.
+    /// `server.requests.inflight` — requests demuxed off a connection
+    /// but not yet answered (or dropped), across all connections.
     pub inflight: Gauge,
     /// `server.frame_errors{class=…}` — the three `FrameError` classes
     /// plus sound frames whose payload failed to decode.
@@ -61,14 +62,14 @@ pub(crate) struct ServerObs {
     pub frame_too_large: Counter,
     pub frame_payload: Counter,
     /// `server.bytes.in` / `server.bytes.out` — request bytes read and
-    /// response bytes flushed.
+    /// response bytes written.
     pub bytes_in: Counter,
     pub bytes_out: Counter,
     /// `server.stage.ns{stage=…}` — per-stage latency split of one
     /// request's server-side journey (wire v5 tracing's histogram view):
-    /// time queued behind the connection's FIFO, time waiting on the
-    /// tenant's engine lock, time doing engine work, time writing the
-    /// response.
+    /// time queued in the connection's channel until its dispatcher
+    /// takes the request, time waiting on the tenant's engine lock, time
+    /// doing engine work, time writing the response.
     pub stage_queue_wait: Histogram,
     pub stage_lock_wait: Histogram,
     pub stage_engine: Histogram,

@@ -1,53 +1,50 @@
-//! The server: accept loop, per-connection demux readers, a bounded
-//! worker pool, and the request dispatcher over a `TenantMap` of
+//! The server: accept loop, one reader and one dispatcher thread per
+//! connection, and the request dispatcher over a `TenantMap` of
 //! [`SamplingService`] engines.
 //!
-//! Threading model (wire v3): each accepted connection gets one reader
-//! thread that frames and demuxes requests — decoding each payload's
-//! request header (id, namespace, trace) — into the connection's FIFO
-//! queue; a **bounded pool** of `WORKER_THREADS` workers drains those
-//! queues and
-//! writes each response (under the echoed id) through the connection's
-//! write lock. At most one worker owns a connection's FIFO at a time, so
-//! one connection's requests are processed **in submission order** — the
-//! ordering the cluster coordinator's pipelined ingest relies on — while
-//! different connections proceed in parallel up to the pool width.
-//! Responses on one connection may still be *observed* out of order by a
-//! multiplexed peer only in the trivial sense that the protocol permits
-//! it; this server's per-connection FIFO is an implementation choice,
-//! not a wire guarantee (PROTOCOL.md §4).
+//! Threading model: a connection's reader frames requests, decodes each
+//! payload's header (id, namespace, trace), and sends them down a bounded
+//! channel to the connection's dispatcher, a thread started with its
+//! first request. The dispatcher is the channel's only consumer, so one
+//! connection's requests are answered **in submission order** (the order
+//! the cluster coordinator's pipelined ingest relies on; an
+//! implementation choice, not a wire guarantee — PROTOCOL.md §4), each
+//! through the connection's write lock, which it shares with the
+//! reader's inline id-0 replies. Connections share no thread: a peer
+//! that stops reading stalls only its own dispatcher, and its connection
+//! closes once a response frame has waited `FRAME_TIMEOUT`.
 //!
 //! Tenancy model (wire v4): the engines live in a `TenantMap` — a
-//! sharded-lock map from namespace id to `Arc<Mutex<engine>>`. A worker
-//! holds a map shard's lock only long enough to clone the tenant's Arc,
-//! then dispatches under that tenant's own mutex, so requests to
-//! *different* tenants proceed in parallel across the pool while
-//! requests to the *same* tenant serialize — per-tenant, every response
-//! reflects all previously answered requests, across connections.
-//! Tenants are cheap lazily-created engines sharing the existing worker
-//! pool: **no per-tenant threads**, which is what makes millions of
-//! namespaces per node viable (the paper's samplers are tiny).
-//! Namespace 0 is the default tenant, created at bind from the engine
-//! passed in; `CreateNamespace` builds additional tenants through the
-//! spawner given to [`serve_with_spawner`].
+//! sharded-lock map from namespace id to `Arc<Mutex<engine>>`. A
+//! dispatcher holds a map shard's lock only long enough to clone the
+//! tenant's Arc, then dispatches under that tenant's own mutex, so
+//! requests to *different* tenants proceed in parallel while requests to
+//! the *same* tenant serialize — per-tenant, every response reflects all
+//! previously answered requests, across connections. Tenants are cheap
+//! lazily-created engines with **no per-tenant threads**, which is what
+//! makes millions of namespaces per node viable (the paper's samplers
+//! are tiny). Namespace 0 is the default tenant, created at bind from
+//! the engine passed in; `CreateNamespace` builds additional tenants
+//! through the spawner given to [`serve_with_spawner`].
 //!
-//! Panic containment: a worker runs each dispatch under `catch_unwind`,
-//! so an engine that panics costs one `Internal` error response — under
-//! the request's own id — and a poisoned tenant mutex, never a worker.
-//! Later requests to that tenant answer `Internal` ("engine lock
-//! poisoned") until a `DropNamespace` + `CreateNamespace` replaces it;
-//! every other tenant, and the rest of the connection's FIFO, is
-//! untouched.
+//! Panic containment: a dispatcher runs each dispatch under
+//! `catch_unwind`, so an engine that panics costs one `Internal` error
+//! response — under the request's own id — and a poisoned tenant mutex,
+//! never a thread. Later requests to that tenant answer `Internal`
+//! ("engine lock poisoned") until a `DropNamespace` + `CreateNamespace`
+//! replaces it; every other tenant, and the rest of the connection's
+//! FIFO, is untouched.
 //!
 //! Shutdown: a `Shutdown` request (or [`Server::shutdown`]) sets a shared
-//! flag; the accept loop is woken by a loopback connection, joins the
-//! connection readers (which observe the flag at their next idle poll),
-//! drops the job channel so the workers exit, and joins those too.
-//! [`Server::join`] then completes once everything has returned.
+//! flag, and a loopback connection wakes the accept loop, which joins the
+//! connections. Readers see the flag at their next idle poll; dispatchers
+//! finish the request in hand and drop what is still queued; a write
+//! blocked on a peer that does not read gives up at its next poll.
+//! [`Server::join`] completes once everything has returned.
 
 use crate::obs::{kind_name, obs};
 use pts_engine::SamplingService;
-use pts_obs::{event, CountingWriter, Span, Stopwatch};
+use pts_obs::{event, Span, Stopwatch};
 use pts_stream::Update;
 use pts_util::protocol::{
     decode_request, read_frame_lenient, write_response, ErrorCode, FrameError, Request,
@@ -55,38 +52,33 @@ use pts_util::protocol::{
     MAX_FRAME_BYTES,
 };
 use pts_util::wire::{WireError, KIND_REQUEST};
-use std::collections::{HashMap, VecDeque};
-use std::io::{BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::HashMap;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a reader blocks waiting for the *first* byte of a request
-/// before re-checking the shutdown flag. Bounds shutdown latency without
-/// burning CPU on idle connections.
+/// How long a blocked socket read or write waits before re-checking the
+/// shutdown flag (and its frame's deadline). Bounds shutdown latency
+/// without burning CPU on idle connections.
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
-/// The whole-frame deadline: once a request's first byte has arrived, the
-/// complete frame must follow within this window. A peer that stalls — or
-/// trickles bytes to keep individual reads alive — is treated as gone
-/// when the deadline passes (fatal; the connection closes) rather than
-/// pinning the reader, and [`FrameBodyReader`] re-checks the shutdown
-/// flag on every retry so teardown never waits on a slow peer.
+/// The whole-frame deadline, in both directions: once a request's first
+/// byte has arrived the rest must follow, and once a response's write has
+/// begun the peer must take all of it, within this window. A peer that
+/// stalls — or trickles bytes to keep individual reads and writes alive —
+/// is treated as gone when it passes (fatal; the connection closes)
+/// rather than pinning a thread, and [`FrameBodyReader`] and
+/// [`FrameWriter`] re-check the shutdown flag on every retry.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Dispatch workers shared by all connections. A bounded pool — not a
-/// thread per request — so a flood of pipelined requests queues instead
-/// of spawning unboundedly; the engine mutex means more workers buy
-/// cross-connection overlap of framing/encoding, not engine parallelism.
-const WORKER_THREADS: usize = 4;
-
-/// Per-connection cap on decoded-but-undispatched requests. The reader
-/// blocks at the cap (TCP backpressure does the rest), so a client
-/// pipelining faster than the engine drains cannot grow server memory
-/// without bound.
+/// Per-connection cap on decoded-but-undispatched requests: the capacity
+/// of the reader → dispatcher channel. The reader blocks at the cap (TCP
+/// backpressure does the rest), so a client pipelining faster than the
+/// engine drains cannot grow server memory without bound.
 const MAX_QUEUED_PER_CONN: usize = 1024;
 
 /// Wraps the mid-frame reads of a connection: retries the socket's short
@@ -105,27 +97,11 @@ struct FrameBodyReader<'a, R: Read> {
 impl<R: Read> Read for FrameBodyReader<'_, R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "server shutting down mid-frame",
-                ));
-            }
-            if Instant::now() >= self.deadline {
-                obs().conn_timeouts.inc();
-                event("server.conn.frame_timeout", "whole-frame deadline exceeded");
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "frame deadline exceeded",
-                ));
+            if let Some(err) = frame_expiry(self.deadline, self.shutdown) {
+                return Err(err);
             }
             match self.stream.read(buf) {
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue
-                }
+                Err(e) if is_poll_timeout(&e) => continue,
                 Ok(n) => {
                     obs().bytes_in.add(n as u64);
                     return Ok(n);
@@ -136,6 +112,70 @@ impl<R: Read> Read for FrameBodyReader<'_, R> {
     }
 }
 
+/// The write-side twin of [`FrameBodyReader`] for one response frame.
+/// Unlike a read, the frame's first write is always tried, so a response
+/// the peer can take at once still goes out during teardown; every later
+/// attempt (a retry after a blocked write, or the rest of a partial one)
+/// first re-checks the shutdown flag and the per-frame `deadline`, so a
+/// peer taking a few bytes at a time cannot extend the budget either.
+struct FrameWriter<'a, W: Write> {
+    stream: &'a mut W,
+    deadline: Instant,
+    shutdown: &'a AtomicBool,
+    /// Whether a write of this frame has been tried yet.
+    begun: bool,
+}
+
+impl<W: Write> Write for FrameWriter<'_, W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        loop {
+            if self.begun {
+                if let Some(err) = frame_expiry(self.deadline, self.shutdown) {
+                    return Err(err);
+                }
+            }
+            self.begun = true;
+            match self.stream.write(buf) {
+                Err(e) if is_poll_timeout(&e) => continue,
+                Ok(n) => {
+                    obs().bytes_out.add(n as u64);
+                    return Ok(n);
+                }
+                other => return other,
+            }
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// Whether a socket error is just its [`IDLE_POLL`] timeout expiring.
+fn is_poll_timeout(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+}
+
+/// The error that ends a blocked mid-frame read or write: shutdown was
+/// flagged, or the frame's `deadline` passed. `None` means retry.
+fn frame_expiry(deadline: Instant, shutdown: &AtomicBool) -> Option<std::io::Error> {
+    if shutdown.load(Ordering::SeqCst) {
+        return Some(std::io::Error::new(
+            ErrorKind::TimedOut,
+            "server shutting down mid-frame",
+        ));
+    }
+    if Instant::now() >= deadline {
+        obs().conn_timeouts.inc();
+        event("server.conn.frame_timeout", "whole-frame deadline exceeded");
+        return Some(std::io::Error::new(
+            ErrorKind::TimedOut,
+            "frame deadline exceeded",
+        ));
+    }
+    None
+}
+
 /// How many independently locked buckets the [`TenantMap`] spreads
 /// namespaces over. A tenant lookup contends only with lookups hashing
 /// to the same bucket, never with another tenant's *dispatch* (that runs
@@ -143,7 +183,7 @@ impl<R: Read> Read for FrameBodyReader<'_, R> {
 const TENANT_SHARDS: usize = 64;
 
 /// The sharded-lock namespace → engine map (wire v4). Engines are held
-/// behind `Arc<Mutex<_>>` so a worker can clone a tenant's handle under
+/// behind `Arc<Mutex<_>>` so a dispatcher can clone a tenant's handle under
 /// the brief bucket lock and then dispatch without blocking any other
 /// tenant — including a concurrent `DropNamespace`, which merely removes
 /// the map entry (in-flight requests on the dropped tenant finish
@@ -223,9 +263,8 @@ impl<E> TenantMap<E> {
 /// vary configuration per tenant).
 type Spawner<E> = Box<dyn Fn(u64) -> E + Send + Sync>;
 
-/// The state all connection readers and workers share. The shutdown flag
-/// lives in its own `Arc` so the non-generic [`Server`] handle can hold
-/// it too.
+/// The state every connection shares. The shutdown flag lives in its own
+/// `Arc` so the non-generic [`Server`] handle can hold it too.
 struct Shared<E> {
     tenants: TenantMap<E>,
     /// How `CreateNamespace` builds a tenant's engine; `None` (plain
@@ -233,8 +272,8 @@ struct Shared<E> {
     /// namespace and creation requests are answered `unsupported`.
     spawner: Option<Spawner<E>>,
     shutdown: Arc<AtomicBool>,
-    /// The listener's address — what a worker pokes to wake a blocking
-    /// `accept` after flagging shutdown.
+    /// The listener's address — what a dispatcher pokes to wake a
+    /// blocking `accept` after flagging shutdown.
     listen_addr: SocketAddr,
     /// When this server started serving (feeds the local-view
     /// `ServiceStats::uptime_secs`).
@@ -244,30 +283,13 @@ struct Shared<E> {
     requests: AtomicU64,
 }
 
-/// One connection's demux state: the FIFO of decoded requests awaiting a
-/// worker, and the write half every response goes through.
-struct Conn {
-    queue: Mutex<ConnQueue>,
-    /// Signals the reader blocked at [`MAX_QUEUED_PER_CONN`] that a job
-    /// was drained.
-    drained: Condvar,
-    writer: Mutex<ConnWriter>,
-}
-
-/// The FIFO plus its scheduling token.
-struct ConnQueue {
-    jobs: VecDeque<(u64, Job)>,
-    /// Whether a worker currently owns this FIFO. At most one at a time —
-    /// that single-consumer rule is what makes per-connection processing
-    /// order equal submission order.
-    scheduled: bool,
-}
-
-/// The buffered write half plus the byte count already credited to
-/// `server.bytes.out`.
-struct ConnWriter {
-    sink: BufWriter<CountingWriter<TcpStream>>,
-    flushed: u64,
+/// One connection's write half, shared by its reader (inline id-0
+/// replies) and its dispatcher: the lock keeps their response frames from
+/// interleaving mid-frame.
+struct Conn<'a> {
+    writer: Mutex<TcpStream>,
+    /// The server's shutdown flag, re-checked by a blocked write.
+    shutdown: &'a AtomicBool,
 }
 
 /// A running sampling service bound to a TCP listener.
@@ -298,8 +320,9 @@ where
 /// Binds `addr` and serves a multi-tenant endpoint: `engine` serves
 /// namespace 0 and `spawner(ns)` builds the engine behind every namespace
 /// a client creates — the namespace id is passed so deployments can vary
-/// universe, factory, or seed per tenant. Spawned engines share the
-/// existing worker pool; creating a tenant spawns no threads.
+/// universe, factory, or seed per tenant. Threads belong to connections,
+/// not tenants: creating a tenant spawns none, and any connection's
+/// dispatcher can address any tenant.
 pub fn serve_with_spawner<E, S>(
     addr: impl ToSocketAddrs,
     engine: E,
@@ -357,14 +380,13 @@ impl Server {
         let _ = TcpStream::connect(self.addr);
     }
 
-    /// Blocks until the accept loop, every connection reader, and the
-    /// worker pool have exited. (A `Shutdown` request from a client
-    /// triggers the same teardown.)
-    pub fn join(mut self) {
-        self.shutdown();
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+    /// Blocks until the accept loop and every connection's reader and
+    /// dispatcher have exited; neither a long pipeline (requests not yet
+    /// dispatched are dropped) nor a peer that stops reading can hold it
+    /// up. (A `Shutdown` request from a client triggers the same
+    /// teardown.)
+    pub fn join(self) {
+        drop(self);
     }
 }
 
@@ -378,28 +400,12 @@ impl Drop for Server {
 }
 
 /// Accepts connections until the shutdown flag is set, then joins every
-/// connection reader it spawned, closes the job channel, and joins the
-/// worker pool.
+/// connection it spawned.
 fn accept_loop<E>(listener: TcpListener, shared: Arc<Shared<E>>)
 where
     E: SamplingService + Send + 'static,
 {
-    // The ready channel carries "this connection's FIFO is non-empty and
-    // unowned" tokens; a worker claiming one owns the FIFO until empty.
-    let (ready_tx, ready_rx) = mpsc::channel::<Arc<Conn>>();
-    let ready_rx = Arc::new(Mutex::new(ready_rx));
-    let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(WORKER_THREADS);
-    for _ in 0..WORKER_THREADS {
-        let rx = Arc::clone(&ready_rx);
-        let shared = Arc::clone(&shared);
-        if let Ok(handle) = std::thread::Builder::new()
-            .name("pts-server-worker".into())
-            .spawn(move || worker_loop(rx, shared))
-        {
-            workers.push(handle);
-        }
-    }
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let conn = listener.accept();
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -411,44 +417,31 @@ where
                 // Nagle would hold each behind the previous one's ACK.
                 let _ = stream.set_nodelay(true);
                 let shared = Arc::clone(&shared);
-                let ready = ready_tx.clone();
                 if let Ok(handle) = std::thread::Builder::new()
                     .name("pts-server-conn".into())
-                    .spawn(move || handle_connection(stream, shared, ready))
+                    .spawn(move || handle_connection(stream, &shared))
                 {
-                    readers.push(handle);
+                    conns.push(handle);
                 }
             }
             // Transient accept errors (peer reset mid-handshake, fd
             // pressure) should not kill the service.
             Err(_) => continue,
         }
-        // Reap finished readers so a long-lived server does not
+        // Reap finished connections so a long-lived server does not
         // accumulate joinable threads.
-        readers.retain(|h| !h.is_finished());
+        conns.retain(|h| !h.is_finished());
     }
-    for handle in readers {
-        let _ = handle.join();
-    }
-    // No reader holds a sender anymore: dropping ours disconnects the
-    // channel and the workers exit after draining what's left.
-    drop(ready_tx);
-    for handle in workers {
+    for handle in conns {
         let _ = handle.join();
     }
 }
 
-/// Serves one connection's read half: frames requests, decodes each
-/// payload into its header and body, and enqueues decoded requests for
-/// the worker pool — until EOF, a fatal framing error, or shutdown.
-/// Frame-level and id-level failures are answered inline (under id 0 —
-/// unattributable); later decode failures are answered under the
-/// request's own id, which by then *was* readable.
-fn handle_connection<E: SamplingService>(
-    stream: TcpStream,
-    shared: Arc<Shared<E>>,
-    ready: mpsc::Sender<Arc<Conn>>,
-) {
+/// Serves one connection: runs the read half on this thread and the
+/// dispatcher on a scoped one, and returns once both are done — the
+/// reader at EOF, a fatal framing error, or shutdown; the dispatcher once
+/// the reader has hung up and the channel is drained.
+fn handle_connection<E: SamplingService + Send>(stream: TcpStream, shared: &Shared<E>) {
     let o = obs();
     let peer = stream
         .peer_addr()
@@ -471,40 +464,54 @@ fn handle_connection<E: SamplingService>(
     let Ok(mut reader) = stream.try_clone() else {
         return;
     };
-    let conn = Arc::new(Conn {
-        queue: Mutex::new(ConnQueue {
-            jobs: VecDeque::new(),
-            scheduled: false,
-        }),
-        drained: Condvar::new(),
-        writer: Mutex::new(ConnWriter {
-            sink: BufWriter::new(CountingWriter::new(stream)),
-            flushed: 0,
-        }),
-    });
+    // Every blocked read or write on this socket wakes each IDLE_POLL to
+    // re-check its frame deadline and the shutdown flag.
+    let poll = Some(IDLE_POLL);
+    if stream.set_read_timeout(poll).is_err() || stream.set_write_timeout(poll).is_err() {
+        return;
+    }
+    let conn = Conn {
+        writer: Mutex::new(stream),
+        shutdown: &shared.shutdown,
+    };
+    std::thread::scope(|scope| read_loop(scope, &mut reader, &conn, shared));
+}
+
+/// A connection's read half: frames requests, decodes each payload into
+/// its header and body, and sends decoded requests to the dispatcher —
+/// until EOF, a fatal framing error, or shutdown. The dispatcher starts
+/// with the first request to dispatch, so a connection that sends none
+/// costs one thread. Frame-level and id-level failures are answered
+/// inline (under id 0 — unattributable); later decode failures are
+/// answered under the request's own id, which by then *was* readable.
+/// Returning drops the channel's sender, which hangs it up.
+fn read_loop<'scope, E: SamplingService + Send>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    reader: &mut TcpStream,
+    conn: &'scope Conn,
+    shared: &'scope Shared<E>,
+) {
+    let mut jobs = None;
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
         // Wait for the first byte with a short poll so shutdown stays
         // responsive, then read the rest of the frame under a whole-frame
         // deadline: the socket keeps its short timeout and the body
         // reader re-checks the deadline and the shutdown flag on every
         // retry, so neither a stalled peer nor one trickling a byte at a
         // time can pin the reader past FRAME_TIMEOUT (or past shutdown).
-        let first = match poll_first_byte(&mut reader, &shared.shutdown) {
+        let first = match poll_first_byte(reader, &shared.shutdown) {
             Ok(Some(b)) => b,
             Ok(None) => return, // EOF or shutdown
             Err(_) => return,
         };
         let body = FrameBodyReader {
-            stream: &mut reader,
+            stream: &mut *reader,
             deadline: Instant::now() + FRAME_TIMEOUT,
             shutdown: &shared.shutdown,
         };
         let mut src = std::io::Cursor::new([first]).chain(body);
         let outcome = read_frame_lenient(KIND_REQUEST, MAX_FRAME_BYTES, &mut src);
-        match outcome {
+        let job = match outcome {
             Ok(payload) => match decode_request(&payload) {
                 Ok((header, request)) => {
                     let queue_span = stage_span(
@@ -519,9 +526,7 @@ fn handle_connection<E: SamplingService>(
                         queue_span,
                         queued: Stopwatch::start(),
                     });
-                    if enqueue(&conn, &ready, &shared, header.id, job).is_err() {
-                        return;
-                    }
+                    (header.id, job)
                 }
                 // The id was sound but the namespace, the trace context,
                 // or the body was not: answer under the request's own id,
@@ -533,10 +538,7 @@ fn handle_connection<E: SamplingService>(
                 }) => {
                     obs().frame_payload.inc();
                     event("server.frame_error.payload", error.to_string());
-                    let response = error_response(ErrorCode::Malformed, &error);
-                    if enqueue(&conn, &ready, &shared, id, Job::Reply(response)).is_err() {
-                        return;
-                    }
+                    (id, Job::Reply(error_response(ErrorCode::Malformed, &error)))
                 }
                 // The id itself was unreadable (or the reserved 0):
                 // answer unattributably, keep the connection.
@@ -544,32 +546,51 @@ fn handle_connection<E: SamplingService>(
                     obs().frame_payload.inc();
                     event("server.frame_error.payload", error.to_string());
                     let response = error_response(ErrorCode::Malformed, &error);
-                    if respond(&conn, 0, &response).is_err() {
+                    if respond(conn, 0, &response).is_err() {
                         return;
                     }
+                    continue;
                 }
             },
             // Frame boundary survived: report under id 0 and continue.
             Err(FrameError::Recoverable(err)) => {
                 obs().frame_recoverable.inc();
                 event("server.frame_error.recoverable", err.to_string());
-                if respond(&conn, 0, &error_response(ErrorCode::Malformed, &err)).is_err() {
+                if respond(conn, 0, &error_response(ErrorCode::Malformed, &err)).is_err() {
                     return;
                 }
+                continue;
             }
             // Framing destroyed: best-effort report under id 0, close.
             Err(FrameError::Fatal(err)) => {
                 obs().frame_fatal.inc();
                 event("server.frame_error.fatal", err.to_string());
-                let _ = respond(&conn, 0, &error_response(ErrorCode::Malformed, &err));
+                let _ = respond(conn, 0, &error_response(ErrorCode::Malformed, &err));
                 return;
             }
             Err(FrameError::TooLarge(err)) => {
                 obs().frame_too_large.inc();
                 event("server.frame_error.too_large", err.to_string());
-                let _ = respond(&conn, 0, &error_response(ErrorCode::TooLarge, &err));
+                let _ = respond(conn, 0, &error_response(ErrorCode::TooLarge, &err));
                 return;
             }
+        };
+        if jobs.is_none() {
+            let (sender, queue) = mpsc::sync_channel(MAX_QUEUED_PER_CONN);
+            let dispatcher = std::thread::Builder::new()
+                .name("pts-server-dispatch".into())
+                .spawn_scoped(scope, move || dispatch_loop(queue, conn, shared));
+            jobs = dispatcher.is_ok().then_some(sender);
+        }
+        let Some(queue) = &jobs else {
+            return;
+        };
+        // Blocks at MAX_QUEUED_PER_CONN. The dispatcher consumes until
+        // this sender is dropped, so the send only fails if it is gone.
+        obs().inflight.add(1);
+        if queue.send(job).is_err() {
+            obs().inflight.add(-1);
+            return;
         }
     }
 }
@@ -584,9 +605,10 @@ enum Job {
     Reply(Response),
 }
 
-/// A decoded request in flight between the reader and a worker: its
+/// A decoded request in flight between the reader and the dispatcher: its
 /// header (namespace and wire trace context), and the queue-wait stage
-/// span opened at enqueue time (closed when a worker pops the job).
+/// span opened when the reader sent it (closed when the dispatcher takes
+/// it).
 struct DispatchJob {
     header: RequestHeader,
     request: Request,
@@ -613,139 +635,67 @@ fn stage_span(
     span
 }
 
-/// Appends a job to the connection FIFO (blocking at
-/// [`MAX_QUEUED_PER_CONN`]) and hands the connection to the worker pool
-/// if no worker owns it yet. `Err` means the connection should close
-/// (poisoned lock or the pool is gone at shutdown).
-fn enqueue<E>(
-    conn: &Arc<Conn>,
-    ready: &mpsc::Sender<Arc<Conn>>,
+/// A connection's dispatcher: answers jobs in submission order until the
+/// reader hangs up. Once a write fails (the connection is then closed,
+/// see [`respond`]) or shutdown is flagged, the jobs still queued are
+/// dropped: a long pipeline must not hold up teardown with engine work
+/// nobody will read.
+fn dispatch_loop<E: SamplingService>(
+    queue: mpsc::Receiver<(u64, Job)>,
+    conn: &Conn,
     shared: &Shared<E>,
-    id: u64,
-    job: Job,
-) -> Result<(), ()> {
-    let Ok(mut q) = conn.queue.lock() else {
-        return Err(());
-    };
-    while q.jobs.len() >= MAX_QUEUED_PER_CONN {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Err(());
-        }
-        q = match conn.drained.wait_timeout(q, IDLE_POLL) {
-            Ok((guard, _)) => guard,
-            Err(_) => return Err(()),
-        };
-    }
-    q.jobs.push_back((id, job));
-    obs().inflight.add(1);
-    let kick = !q.scheduled;
-    if kick {
-        q.scheduled = true;
-    }
-    drop(q);
-    if kick && ready.send(Arc::clone(conn)).is_err() {
-        return Err(());
-    }
-    Ok(())
-}
-
-/// A worker: claims connections off the ready channel and drains each
-/// FIFO it owns, one job at a time.
-fn worker_loop<E: SamplingService>(
-    ready: Arc<Mutex<mpsc::Receiver<Arc<Conn>>>>,
-    shared: Arc<Shared<E>>,
 ) {
-    loop {
-        let conn = {
-            let Ok(rx) = ready.lock() else {
-                return;
-            };
-            match rx.recv() {
-                Ok(conn) => conn,
-                Err(_) => return, // channel closed: shutdown
-            }
-        };
-        drain_connection(&conn, &shared);
+    let mut open = true;
+    for (id, job) in queue {
+        open = open && !shared.shutdown.load(Ordering::SeqCst) && answer(conn, shared, id, job);
+        obs().inflight.add(-1);
     }
 }
 
-/// Drains one connection's FIFO: pops jobs in order, dispatches, and
-/// writes each response under the connection's write lock. Releases
-/// ownership (`scheduled = false`) when the queue empties so the reader
-/// re-schedules the connection on its next enqueue. A panicking dispatch
-/// is answered `Internal` under its own id and draining continues: an
-/// unwinding worker would leave this FIFO owned by nobody (`scheduled`
-/// stuck true) and shrink the pool for every connection.
-fn drain_connection<E: SamplingService>(conn: &Conn, shared: &Arc<Shared<E>>) {
-    loop {
-        let (id, job) = {
-            let Ok(mut q) = conn.queue.lock() else {
-                return;
-            };
-            match q.jobs.pop_front() {
-                Some(job) => job,
-                None => {
-                    q.scheduled = false;
-                    return;
-                }
-            }
-        };
-        conn.drained.notify_all();
-        let (response, wants_shutdown, trace, kind, ns) = match job {
-            Job::Dispatch(job) => {
-                // The queue-wait stage ends here: a worker owns the job.
-                obs().stage_queue_wait.observe_elapsed(job.queued);
-                drop(job.queue_span);
-                let RequestHeader { ns, trace, .. } = job.header;
-                let kind = kind_name(&job.request);
-                let request = job.request;
-                let (response, wants_shutdown) =
-                    catch_unwind(AssertUnwindSafe(|| dispatch(shared, ns, trace, request)))
-                        .unwrap_or_else(|payload| {
-                            obs().panics.inc();
-                            let what = panic_message(payload.as_ref());
-                            event("server.panic", format!("ns={ns} kind={kind}: {what}"));
-                            let message = format!("engine panicked: {what}");
-                            let error = ServiceError::new(ErrorCode::Internal, message);
-                            (Response::Error(error), false)
-                        });
-                (response, wants_shutdown, trace, kind, ns)
-            }
-            Job::Reply(response) => (response, false, None, "error", 0),
-        };
-        let write_sw = Stopwatch::start();
-        let write_span = stage_span(trace, "server.write", kind, ns);
-        let write_ok = respond(conn, id, &response).is_ok();
-        drop(write_span);
-        obs().stage_write.observe_elapsed(write_sw);
-        obs().inflight.add(-1);
-        if wants_shutdown {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            event("server.shutdown", "shutdown request accepted");
-            // Wake the accept loop so it observes the flag.
-            let _ = TcpStream::connect(shared.listen_addr);
+/// Runs one job — a dispatch under `catch_unwind`, whose panic is
+/// answered `Internal` under the job's id — and writes its response;
+/// `false` if the write failed.
+fn answer<E: SamplingService>(conn: &Conn, shared: &Shared<E>, id: u64, job: Job) -> bool {
+    let (response, wants_shutdown, trace, kind, ns) = match job {
+        Job::Dispatch(job) => {
+            // The queue-wait stage ends here: the dispatcher owns the job.
+            obs().stage_queue_wait.observe_elapsed(job.queued);
+            drop(job.queue_span);
+            let RequestHeader { ns, trace, .. } = job.header;
+            let kind = kind_name(&job.request);
+            let request = job.request;
+            let (response, wants_shutdown) =
+                catch_unwind(AssertUnwindSafe(|| dispatch(shared, ns, trace, request)))
+                    .unwrap_or_else(|payload| {
+                        obs().panics.inc();
+                        let what = panic_message(payload.as_ref());
+                        event("server.panic", format!("ns={ns} kind={kind}: {what}"));
+                        let message = format!("engine panicked: {what}");
+                        let error = ServiceError::new(ErrorCode::Internal, message);
+                        (Response::Error(error), false)
+                    });
+            (response, wants_shutdown, trace, kind, ns)
         }
-        if !write_ok {
-            // The peer is gone: drop the rest of this queue (the reader
-            // learns via EOF/reset) and release ownership.
-            let Ok(mut q) = conn.queue.lock() else {
-                return;
-            };
-            obs().inflight.add(-(q.jobs.len() as i64));
-            q.jobs.clear();
-            q.scheduled = false;
-            drop(q);
-            conn.drained.notify_all();
-            return;
-        }
+        Job::Reply(response) => (response, false, None, "error", 0),
+    };
+    let write_sw = Stopwatch::start();
+    let write_span = stage_span(trace, "server.write", kind, ns);
+    let write_ok = respond(conn, id, &response).is_ok();
+    drop(write_span);
+    obs().stage_write.observe_elapsed(write_sw);
+    if wants_shutdown {
+        shared.shutdown.store(true, Ordering::SeqCst);
+        event("server.shutdown", "shutdown request accepted");
+        // Wake the accept loop so it observes the flag.
+        let _ = TcpStream::connect(shared.listen_addr);
     }
+    write_ok
 }
 
 /// Blocks (in [`IDLE_POLL`] slices) until one byte arrives, the peer
 /// closes, or shutdown is flagged. `Ok(None)` means "close this
 /// connection quietly".
 fn poll_first_byte(reader: &mut TcpStream, shutdown: &AtomicBool) -> std::io::Result<Option<u8>> {
-    reader.set_read_timeout(Some(IDLE_POLL))?;
     let mut byte = [0u8; 1];
     loop {
         if shutdown.load(Ordering::SeqCst) {
@@ -757,39 +707,39 @@ fn poll_first_byte(reader: &mut TcpStream, shutdown: &AtomicBool) -> std::io::Re
                 obs().bytes_in.inc();
                 return Ok(Some(byte[0]));
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
+            Err(e) if is_poll_timeout(&e) => continue,
             Err(e) => return Err(e),
         }
     }
 }
 
 /// Writes one response frame under `request_id` through the connection's
-/// write lock, flushes it, and credits the newly flushed bytes to
-/// `server.bytes.out`. The frame is encoded *before* taking the lock;
-/// the guarded region is exactly the serialized write+flush (both the
-/// reader — answering frame errors inline — and any pool worker write
-/// here, so responses never interleave mid-frame). The lock-io analyzer
-/// pass flags socket I/O under a guard by design; these two calls are
-/// allowlisted as the per-connection write serialization point — this is
-/// not the engine lock, and blocking here only ever blocks this
-/// connection's other responses.
+/// write lock, within a [`FrameWriter`] budget. The frame is encoded
+/// *before* taking the lock; the guarded region is exactly the
+/// serialized write (the reader — answering frame errors inline — and
+/// the dispatcher both write here, so responses never interleave
+/// mid-frame). A failed write closes the socket: a frame cut off midway
+/// leaves the stream unframeable, and the shutdown wakes the reader. The
+/// lock-io pass allowlists this write as the per-connection
+/// serialization point: it is not the engine lock, and blocking here
+/// blocks only this connection.
 fn respond(conn: &Conn, request_id: u64, response: &Response) -> std::io::Result<()> {
     let mut frame = Vec::new();
     write_response(request_id, response, &mut frame)?;
-    let Ok(mut w) = conn.writer.lock() else {
+    let Ok(mut stream) = conn.writer.lock() else {
         return Err(std::io::Error::other("connection writer poisoned"));
     };
-    w.sink.write_all(&frame)?;
-    w.sink.flush()?;
-    let total = w.sink.get_ref().count();
-    obs().bytes_out.add(total - w.flushed);
-    w.flushed = total;
-    Ok(())
+    let written = FrameWriter {
+        stream: &mut *stream,
+        deadline: Instant::now() + FRAME_TIMEOUT,
+        shutdown: conn.shutdown,
+        begun: false,
+    }
+    .write_all(&frame);
+    if written.is_err() {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+    written
 }
 
 /// The text of a caught panic's payload (the `&str` or `String` every
@@ -813,7 +763,7 @@ fn error_response(code: ErrorCode, err: &dyn std::fmt::Display) -> Response {
 /// tenant engine first — a missing tenant is the in-band recoverable
 /// `unknown-namespace` error. A traced request (wire v5) additionally
 /// records its lock-wait and engine-work stage spans here (queue-wait
-/// and response-write bracket this call in [`drain_connection`]).
+/// and response-write bracket this call in [`answer`]).
 /// Returns the response plus whether the server should shut down
 /// afterwards.
 fn dispatch<E: SamplingService>(
@@ -897,9 +847,9 @@ fn dispatch<E: SamplingService>(
 
     // Engine-scoped: resolve the namespace (brief bucket lock, Arc
     // clone), then dispatch under the tenant's own mutex — other tenants
-    // proceed in parallel on the remaining workers. The lock-wait stage
-    // covers both waits; the engine-work stage starts once the tenant
-    // mutex is held.
+    // proceed in parallel on other connections' dispatchers. The
+    // lock-wait stage covers both waits; the engine-work stage starts
+    // once the tenant mutex is held.
     let lock_sw = Stopwatch::start();
     let lock_span = stage_span(trace, "server.lock_wait", kind, ns);
     let Some(tenant) = shared.tenants.get(ns) else {
@@ -1115,5 +1065,52 @@ mod tests {
         let mut buf = [0u8; 1];
         let err = body.read(&mut buf).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
+    }
+
+    /// The response side of the per-frame budget: a peer that takes one
+    /// byte per write cannot stretch a frame past its deadline, and at
+    /// shutdown a frame the peer can take at once still goes out while
+    /// one that would block gives up.
+    #[test]
+    fn response_writes_keep_the_frame_budget_and_shutdown() {
+        /// Takes up to `per_call` bytes per write, `room` in all, then
+        /// blocks like a full socket buffer.
+        struct Peer(usize, usize);
+        impl Write for Peer {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                std::thread::sleep(Duration::from_millis(1));
+                let n = buf.len().min(self.0).min(self.1);
+                if n == 0 {
+                    return Err(ErrorKind::WouldBlock.into());
+                }
+                self.1 -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let write = |mut peer: Peer, len: usize, budget: Duration, shutdown: bool| {
+            let started = Instant::now();
+            let written = FrameWriter {
+                stream: &mut peer,
+                deadline: started + budget,
+                shutdown: &AtomicBool::new(shutdown),
+                begun: false,
+            }
+            .write_all(&vec![0; len]);
+            (written.map_err(|e| e.kind()), started.elapsed())
+        };
+        let budget = Duration::from_millis(100);
+        let (written, took) = write(Peer(1, usize::MAX), 8 << 10, budget, false);
+        assert_eq!(written, Err(ErrorKind::TimedOut));
+        assert!(
+            took >= budget && took < Duration::from_secs(5),
+            "deadline not honored: took {took:?} for a {budget:?} budget"
+        );
+        let long = Duration::from_secs(60);
+        assert_eq!(write(Peer(64, 64), 64, long, true).0, Ok(()));
+        let blocked = write(Peer(64, 32), 64, long, true).0;
+        assert_eq!(blocked, Err(ErrorKind::TimedOut));
     }
 }

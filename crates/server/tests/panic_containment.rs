@@ -1,11 +1,11 @@
 //! Panic containment: an engine that panics inside `dispatch` must cost
-//! one `Internal` error response, not a server worker.
+//! one `Internal` error response, not a server thread.
 //!
-//! The server has a fixed pool of 4 workers. If a panic unwound out of a
-//! worker, the connection it was draining would stay owned by a dead
-//! thread and, after 4 such panics, no request anywhere would ever be
-//! answered again. This test sends more panicking requests than there are
-//! workers and then checks that (a) every one of them was answered, (b)
+//! Each connection's requests run on that connection's one dispatcher
+//! thread. If a panic unwound out of it, nothing would answer the rest
+//! of the connection's requests, queued or yet to come. This test sends
+//! ten panicking requests down one connection and then checks that (a)
+//! every one of them was answered, (b)
 //! healthy tenants on the same connection keep serving their exact draw
 //! streams, and (c) a fresh connection can still complete a blocking
 //! `CreateNamespace`. Every client read carries a deadline, so a
@@ -24,7 +24,7 @@ use std::time::Duration;
 /// The namespace whose engine panics on every draw.
 const POISONED: u64 = 7;
 
-/// More panicking requests than the server has workers.
+/// Panicking requests sent down one connection.
 const PANICKING_REQUESTS: usize = 10;
 
 /// A real engine whose `sample` panics when `panics` is set.

@@ -206,8 +206,8 @@ use std::io::{Read, Write};
 pub const MAX_FRAME_BYTES: u64 = 1 << 26;
 
 /// The largest `count` a [`Request::Sample`] may carry (65 536): one
-/// request cannot pin a worker arbitrarily long, and the reply stays far
-/// under [`MAX_FRAME_BYTES`].
+/// request cannot pin a dispatcher arbitrarily long, and the reply stays
+/// far under [`MAX_FRAME_BYTES`].
 pub const MAX_SAMPLE_COUNT: u64 = 1 << 16;
 
 /// The largest checkpoint blob a [`Request::Restore`] can carry:

@@ -77,9 +77,6 @@ pub const KIND_ENGINE: u8 = 1;
 /// Frame kind: a compact `EngineSnapshot`-style sparse net vector.
 pub const KIND_SNAPSHOT: u8 = 2;
 
-/// Frame kind: a standalone sketch or sampler object.
-pub const KIND_OBJECT: u8 = 3;
-
 /// Frame kind: a service request ([`crate::protocol::Request`]).
 pub const KIND_REQUEST: u8 = 4;
 
