@@ -9,9 +9,9 @@
 //!
 //! * the framed [`pts_engine::EngineSnapshot`] payload (gap+varint coded sparse net
 //!   vector — the merge-layer shipping unit, `O(support)` bytes);
-//! * the full engine checkpoint (config + RNG + stats + every shard's net
-//!   vector and pool seed stream — the crash-recovery unit, also
-//!   `O(support)` bytes);
+//! * the full engine checkpoint (config + RNG + stats + two varints of
+//!   pool counters per shard + the snapshot body — the crash-recovery
+//!   unit, also `O(support)` bytes);
 //! * the `space_bits` of one spawned sampler, and the ratio
 //!   `sampler bits / n^{1−2/p}`, which the space bound predicts grows
 //!   only polylogarithmically in `n` at fixed `p > 2`.

@@ -302,19 +302,27 @@ impl<F: SamplerFactory> ShardedEngine<F> {
         if let Err(overflow) = self.check_values(&updates) {
             panic!("{overflow}");
         }
-        // Bounded batches keep the scatter buffers' peak size independent
-        // of snapshot support.
-        for chunk in updates.chunks(4096) {
-            self.apply_batch(chunk);
-        }
+        self.apply_entries(&updates);
         self.stats.merges += 1;
         obs().merges.inc();
     }
 
-    /// Serializes the engine's **complete** state — config, factory, query
-    /// RNG, stats, and every shard's net vector, mass, and pool seed
-    /// stream (one bit per slot) — as one framed, checksummed wire
-    /// payload.
+    /// Routes a snapshot's entries into the shards without touching the
+    /// ingest or merge counters (shared by merging and restoring). Bounded
+    /// batches keep the scatter buffers' peak size independent of the
+    /// snapshot's support.
+    fn apply_entries(&mut self, updates: &[Update]) {
+        for chunk in updates.chunks(4096) {
+            self.apply_batch(chunk);
+        }
+    }
+
+    /// Serializes the engine's **complete** state as one framed,
+    /// checksummed wire payload: config, factory, query RNG and stats,
+    /// then each shard pool's `spawned ‖ cursor` varints, then
+    /// [`ShardedEngine::snapshot`] through [`EngineSnapshot`]'s own codec.
+    /// Everything else a shard holds is derived from the config and the
+    /// factory.
     ///
     /// The restored engine ([`ShardedEngine::restore`]) is bit-identical
     /// going forward: the same subsequent call sequence produces the same
@@ -329,20 +337,29 @@ impl<F: SamplerFactory> ShardedEngine<F> {
         self.rng.encode(&mut payload)?;
         self.stats.encode(&mut payload)?;
         for shard in &self.shards {
-            shard.encode(&mut payload)?;
+            let (spawned, cursor) = shard.pool_counters()?;
+            payload.put_u64(spawned);
+            payload.put_usize(cursor);
         }
+        self.snapshot().encode(&mut payload)?;
         let mut counted = pts_obs::CountingWriter::new(sink);
         write_frame(KIND_ENGINE, payload.as_bytes(), &mut counted)?;
         obs().checkpoint_bytes.add(counted.count());
         Ok(())
     }
 
-    /// Rebuilds an engine from a [`ShardedEngine::checkpoint`] payload.
-    /// Malformed input — truncation, corruption, a bumped format version,
-    /// a different factory type, a shard whose factory differs from the
-    /// engine's, a set pool slot bit — returns a [`WireError`] and never
-    /// panics. Each shard's mass is recomputed from its entries; the
-    /// stored field is not read back.
+    /// Rebuilds an engine from a [`ShardedEngine::checkpoint`] payload:
+    /// a fresh engine from the config and factory, moved to the stored
+    /// RNG, stats and pool counters, with the snapshot's entries routed
+    /// through its own router. Each shard's pool seed is derived from the
+    /// config seed, its slot count is `pool_size`, and its respawn count
+    /// equals its spawn count.
+    ///
+    /// Malformed input — truncation, corruption, a bumped or older format
+    /// version, a different factory type, a pool cursor outside the pool,
+    /// a snapshot over another universe — returns a [`WireError`] and
+    /// never panics. All pool counters are read before any shard is
+    /// built, so a payload too short for its shard count fails first.
     pub fn restore<R: Read>(src: &mut R) -> Result<Self, WireError>
     where
         F: Decode,
@@ -351,49 +368,35 @@ impl<F: SamplerFactory> ShardedEngine<F> {
         let payload = read_frame(KIND_ENGINE, &mut counted)?;
         let mut r = WireReader::new(&payload);
         let config = EngineConfig::decode(&mut r)?;
-        let at = |r: &WireReader<'_>| payload.len() - r.remaining();
-        let factory_start = at(&r);
         let factory = F::decode(&mut r)?;
-        let factory_bytes = &payload[factory_start..at(&r)];
         let rng = Xoshiro256pp::decode(&mut r)?;
         let stats = EngineStats::decode(&mut r)?;
-        let router = ShardRouter::new(config.shards, derive_seed(config.seed, 0x5A4D));
-        let mut shards = Vec::with_capacity(config.shards);
-        for s in 0..config.shards {
-            let shard_start = at(&r);
-            let shard: Shard<F> = Shard::decode(&mut r)?;
-            // A shard's encoding opens with its own factory copy. One that
-            // differs from the header's would weigh and draw that shard's
-            // entries under another law than `factory()` reports.
-            if !payload[shard_start..].starts_with(factory_bytes) {
-                return Err(WireError::Invalid("shard factory mismatch"));
+        let mut counters = Vec::new();
+        for _ in 0..config.shards {
+            let spawned = r.get_u64()?;
+            let cursor = r.get_usize()?;
+            if cursor >= config.pool_size {
+                return Err(WireError::Invalid("pool cursor"));
             }
-            if shard.universe() != config.universe {
-                return Err(WireError::Invalid("shard universe mismatch"));
-            }
-            if shard.pool_len() != config.pool_size {
-                return Err(WireError::Invalid("shard pool-size mismatch"));
-            }
-            // An entry on a shard the router does not send its index to
-            // could never be cancelled by a later update, and it would
-            // break the snapshot's sorted, duplicate-free entry order.
-            if shard.entries().any(|(i, _)| router.shard_of(i) != s) {
-                return Err(WireError::Invalid("net entry on the wrong shard"));
-            }
-            shards.push(shard);
+            counters.push((spawned, cursor));
         }
+        let snapshot = EngineSnapshot::decode(&mut r)?;
         r.finish()?;
+        if snapshot.universe() != config.universe {
+            return Err(WireError::Invalid("snapshot universe mismatch"));
+        }
         obs().restore_bytes.add(counted.count());
-        let plan = (0..config.shards).map(|_| Vec::new()).collect();
-        Ok(Self {
-            config,
-            factory,
-            router,
-            shards,
-            plan,
-            rng,
-            stats,
-        })
+        let mut engine = Self::new(config, factory);
+        engine.rng = rng;
+        engine.stats = stats;
+        for (shard, (spawned, cursor)) in engine.shards.iter_mut().zip(counters) {
+            shard.set_pool_counters(spawned, cursor);
+        }
+        // The snapshot's indices are distinct, inside the universe, and
+        // off zero and `i64::MIN`, so on a fresh engine no batch can fail
+        // `check_values`.
+        engine.apply_entries(&snapshot.to_updates());
+        Ok(engine)
     }
 
     /// Total lazy respawns across all shard pools.

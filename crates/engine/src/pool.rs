@@ -12,12 +12,14 @@
 //! precisely the state the instance would have had streaming from the
 //! start. FAIL (⊥) is absorbed by retrying across the pool within one draw.
 //!
-//! A pool is born with every slot empty, and the engine never fills one:
-//! every engine draw respawns. Live instances exist only in a pool driven
-//! directly through [`SamplerPool::prime`] or [`SamplerPool::refill`];
-//! they then advance with every update ([`SamplerPool::process_live`])
-//! until a draw consumes them. The pool's codec carries the seed stream
-//! and one bit per slot, and refuses live slots.
+//! A pool is born with every slot empty and allocates no slot storage,
+//! and the engine never fills one: every engine draw respawns. Live
+//! instances exist only in a pool driven directly through
+//! [`SamplerPool::prime`] or [`SamplerPool::refill`]; they then advance
+//! with every update ([`SamplerPool::process_live`]) until a draw
+//! consumes them. What an engine checkpoint keeps of a pool is its place
+//! in the seed stream, `spawned ‖ cursor`;
+//! a pool holding a live instance has no such place to write.
 //!
 //! An empty slot's draw never materializes the instance: it hands the
 //! slot's fresh seed and the net vector to [`SamplerFactory::draw_from`].
@@ -37,14 +39,17 @@ use crate::factory::{entries, SamplerFactory};
 use pts_samplers::{Sample, TurnstileSampler};
 use pts_stream::Update;
 use pts_util::derive_seed;
-use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
+use pts_util::wire::WireError;
 use std::collections::BTreeMap;
 
 /// A pool of `k` independently seeded one-shot sampler instances.
 #[derive(Debug, Clone)]
 pub struct SamplerPool<S> {
-    /// `None` marks an empty slot (never filled, or consumed) awaiting
-    /// lazy respawn.
+    /// Number of slots `k`: the ⊥ retry budget of one draw.
+    k: usize,
+    /// Live instances by slot. Empty until [`SamplerPool::prime`] or
+    /// [`SamplerPool::refill`] sizes it to `k`; a missing or `None` slot
+    /// (never filled, or consumed) respawns lazily.
     slots: Vec<Option<S>>,
     /// Base seed of this pool's seed stream.
     seed: u64,
@@ -58,14 +63,16 @@ pub struct SamplerPool<S> {
 
 impl<S: TurnstileSampler> SamplerPool<S> {
     /// A pool of `k` empty slots: no instance exists until a draw spawns
-    /// one lazily, or [`SamplerPool::prime`] spawns them all eagerly.
+    /// one lazily, or [`SamplerPool::prime`] spawns them all eagerly. No
+    /// slot storage is allocated until then, so `k` costs nothing.
     ///
     /// # Panics
     /// Panics if `k == 0`.
     pub fn new(k: usize, seed: u64) -> Self {
         assert!(k >= 1, "pool needs at least one slot");
         Self {
-            slots: (0..k).map(|_| None).collect(),
+            k,
+            slots: Vec::new(),
             seed,
             spawned: 0,
             cursor: 0,
@@ -75,12 +82,12 @@ impl<S: TurnstileSampler> SamplerPool<S> {
 
     /// Number of slots.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.k
     }
 
     /// Whether the pool has no slots (never true after construction).
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.k == 0
     }
 
     /// Number of currently live (unconsumed) instances.
@@ -99,7 +106,8 @@ impl<S: TurnstileSampler> SamplerPool<S> {
     where
         F: SamplerFactory<Sampler = S>,
     {
-        for j in 0..self.slots.len() {
+        self.slots.resize_with(self.k, || None);
+        for j in 0..self.k {
             if self.slots[j].is_none() {
                 self.slots[j] = Some(self.spawn(factory, universe, net));
             }
@@ -119,8 +127,9 @@ impl<S: TurnstileSampler> SamplerPool<S> {
     where
         F: SamplerFactory<Sampler = S>,
     {
+        self.slots.resize_with(self.k, || None);
         let mut refilled = 0;
-        for j in 0..self.slots.len() {
+        for j in 0..self.k {
             if self.slots[j].is_none() {
                 self.slots[j] = Some(self.spawn(factory, universe, net));
                 refilled += 1;
@@ -172,10 +181,10 @@ impl<S: TurnstileSampler> SamplerPool<S> {
     where
         F: SamplerFactory<Sampler = S>,
     {
-        for _ in 0..self.slots.len() {
+        for _ in 0..self.k {
             let j = self.cursor;
-            self.cursor = (self.cursor + 1) % self.slots.len();
-            let drawn = match self.slots[j].take() {
+            self.cursor = (self.cursor + 1) % self.k;
+            let drawn = match self.slots.get_mut(j).and_then(Option::take) {
                 Some(mut live) => live.sample(),
                 None => {
                     self.respawns += 1;
@@ -191,54 +200,27 @@ impl<S: TurnstileSampler> SamplerPool<S> {
         }
         None
     }
-}
 
-/// The seed stream and one `false` bit per slot. A live instance has no
-/// codec on this path, so encoding one is an error.
-impl<S> Encode for SamplerPool<S> {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
+    /// The pool's place in its seed stream, `(spawned, cursor)`: all an
+    /// engine checkpoint keeps of it. The seed is derived from the engine
+    /// seed, `k` is the engine's `pool_size`, and the respawn count equals
+    /// `spawned` in every pool the engine owns. A live instance has no
+    /// codec, so a pool holding one is refused.
+    pub(crate) fn counters(&self) -> Result<(u64, usize), WireError> {
         if self.slots.iter().any(Option::is_some) {
             return Err(WireError::Unsupported("live pool slot"));
         }
-        w.put_u64(self.seed);
-        w.put_u64(self.spawned);
-        w.put_usize(self.cursor);
-        w.put_u64(self.respawns);
-        w.put_usize(self.slots.len());
-        for _ in &self.slots {
-            w.put_bool(false);
-        }
-        Ok(())
+        Ok((self.spawned, self.cursor))
     }
-}
 
-/// Decodes the seed stream into a pool of empty slots. A set slot bit
-/// comes only from a pool that carried live instances, which no
-/// checkpoint path writes, so it is refused.
-impl<S> Decode for SamplerPool<S> {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let seed = r.get_u64()?;
-        let spawned = r.get_u64()?;
-        let cursor = r.get_usize()?;
-        let respawns = r.get_u64()?;
-        let k = r.get_len(1)?;
-        if !(1..=1 << 16).contains(&k) || cursor >= k {
-            return Err(WireError::Invalid("pool shape"));
-        }
-        let mut slots = Vec::with_capacity(k);
-        for _ in 0..k {
-            if r.get_bool()? {
-                return Err(WireError::Invalid("live pool slot"));
-            }
-            slots.push(None);
-        }
-        Ok(Self {
-            slots,
-            seed,
-            spawned,
-            cursor,
-            respawns,
-        })
+    /// Moves a fresh pool to a checkpointed place in its seed stream.
+    /// Every instance an engine's pool spawned was a respawn, so the
+    /// respawn count is `spawned`.
+    pub(crate) fn set_counters(&mut self, spawned: u64, cursor: usize) {
+        debug_assert!(cursor < self.k, "cursor outside the pool");
+        self.spawned = spawned;
+        self.cursor = cursor;
+        self.respawns = spawned;
     }
 }
 
@@ -361,14 +343,16 @@ mod tests {
     #[test]
     fn codec_writes_empty_slots_and_refuses_live_ones() {
         let f = L0Factory::default();
-        let mut pool: SamplerPool<_> = SamplerPool::new(2, 3);
+        let mut pool: SamplerPool<PerfectL0Sampler> = SamplerPool::new(2, 3);
+        assert!(pool.slots.is_empty(), "a new pool allocates no slots");
         let _ = pool.draw(&f, 16, &net_of(&[(2, 3)]));
-        let bytes = pool.to_wire_bytes().unwrap();
-        let back = SamplerPool::<PerfectL0Sampler>::from_wire_bytes(&bytes).unwrap();
-        assert_eq!((back.spawned, back.cursor, back.live()), (1, 1, 0));
+        assert_eq!(pool.counters().unwrap(), (1, 1));
+        let mut back: SamplerPool<PerfectL0Sampler> = SamplerPool::new(2, 3);
+        back.set_counters(1, 1);
+        assert_eq!((back.counters().unwrap(), back.respawns()), ((1, 1), 1));
         pool.prime(&f, 16, &net_of(&[(2, 3)]));
         assert!(matches!(
-            pool.to_wire_bytes(),
+            pool.counters(),
             Err(WireError::Unsupported("live pool slot"))
         ));
     }

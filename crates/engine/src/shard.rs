@@ -19,7 +19,10 @@
 //! universe bound, its pool's seed stream, and its net vector. Nothing
 //! outside the shard may mutate the net vector — every mutation goes
 //! through [`Shard::apply_run`]. [`Shard::draw`] only advances the pool's
-//! seed stream and never touches the net vector.
+//! seed stream and never touches the net vector. A shard has no codec of
+//! its own: the engine's checkpoint writes every shard's entries as one
+//! [`crate::EngineSnapshot`] and each pool's place in its seed stream,
+//! and derives the rest from the engine's config and factory.
 //!
 //! No sampler instance lives in a shard: every draw respawns from the net
 //! vector, so the net vector is the shard's whole state. The mass is a
@@ -35,7 +38,7 @@ use crate::factory::SamplerFactory;
 use crate::pool::SamplerPool;
 use pts_samplers::Sample;
 use pts_stream::Update;
-use pts_util::wire::{Decode, Encode, WireError, WireReader, WireWriter};
+use pts_util::wire::WireError;
 use std::collections::BTreeMap;
 
 /// A shard: factory + pool seed stream + sparse net vector.
@@ -114,16 +117,6 @@ impl<F: SamplerFactory> Shard<F> {
         self.net.len()
     }
 
-    /// The universe bound this shard was built over.
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
-    /// Number of pool slots.
-    pub fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
     /// The sparse net entries (sorted by index).
     pub fn entries(&self) -> impl Iterator<Item = (u64, i64)> + '_ {
         self.net.iter().map(|(&i, &v)| (i, v))
@@ -140,76 +133,21 @@ impl<F: SamplerFactory> Shard<F> {
         self.pool.respawns()
     }
 
+    /// The pool's place in its seed stream (see
+    /// [`SamplerPool::counters`]).
+    pub(crate) fn pool_counters(&self) -> Result<(u64, usize), WireError> {
+        self.pool.counters()
+    }
+
+    /// Moves a fresh shard's pool to a checkpointed place in its seed
+    /// stream.
+    pub(crate) fn set_pool_counters(&mut self, spawned: u64, cursor: usize) {
+        self.pool.set_counters(spawned, cursor);
+    }
+
     /// Compact-state bits: 128 per net entry (index + value).
     pub fn space_bits(&self) -> usize {
         self.net.len() * 128
-    }
-}
-
-impl<F: SamplerFactory + Encode> Encode for Shard<F> {
-    fn encode(&self, w: &mut WireWriter) -> Result<(), WireError> {
-        self.factory.encode(w)?;
-        w.put_usize(self.universe);
-        w.put_f64(self.mass());
-        w.put_usize(self.net.len());
-        let mut prev = 0u64;
-        for (k, (&i, &v)) in self.net.iter().enumerate() {
-            w.put_u64(if k == 0 { i } else { i - prev - 1 });
-            w.put_i64(v);
-            prev = i;
-        }
-        self.pool.encode(w)
-    }
-}
-
-impl<F: SamplerFactory + Decode> Decode for Shard<F> {
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let factory = F::decode(r)?;
-        let universe = r.get_usize()?;
-        if universe < 2 {
-            return Err(WireError::Invalid("shard universe"));
-        }
-        // The stored mass is read only to keep the layout: `mass()`
-        // recomputes it from the entries.
-        r.get_f64()?;
-        let support = r.get_len(2)?;
-        let mut net = BTreeMap::new();
-        let mut prev = 0u64;
-        for k in 0..support {
-            let gap = r.get_u64()?;
-            let i = if k == 0 {
-                gap
-            } else {
-                prev.checked_add(gap)
-                    .and_then(|v| v.checked_add(1))
-                    .ok_or(WireError::Invalid("net-vector gap overflow"))?
-            };
-            let v = r.get_i64()?;
-            if v == 0 {
-                return Err(WireError::Invalid("zero entry in net vector"));
-            }
-            // `i64::MIN` has no `abs`: every factory's weight would be NaN.
-            if v == i64::MIN {
-                return Err(WireError::Invalid("net value i64::MIN"));
-            }
-            // Out-of-universe entries would panic later in dense
-            // materialization (`snapshot().to_vector()`); the never-panic
-            // decode contract requires rejecting them here.
-            if (i as u128) >= universe as u128 {
-                return Err(WireError::Invalid("net entry outside universe"));
-            }
-            net.insert(i, v);
-            prev = i;
-        }
-        let pool = SamplerPool::decode(r)?;
-        let value_bound = net.values().map(|v| v.unsigned_abs()).max().unwrap_or(0);
-        Ok(Self {
-            factory,
-            universe,
-            pool,
-            net,
-            value_bound,
-        })
     }
 }
 
@@ -217,25 +155,6 @@ impl<F: SamplerFactory + Decode> Decode for Shard<F> {
 mod tests {
     use super::*;
     use crate::factory::{L0Factory, LpLe2Factory};
-
-    #[test]
-    fn decode_rejects_a_net_value_of_i64_min() {
-        let bytes = |v: i64| {
-            let mut w = WireWriter::new();
-            L0Factory::default().encode(&mut w).unwrap();
-            w.put_usize(32);
-            w.put_f64(1.0);
-            w.put_usize(1);
-            w.put_u64(3);
-            w.put_i64(v);
-            let pool = SamplerPool::<<L0Factory as SamplerFactory>::Sampler>::new(1, 7);
-            pool.encode(&mut w).unwrap();
-            w.into_bytes()
-        };
-        assert!(Shard::<L0Factory>::from_wire_bytes(&bytes(-i64::MAX)).is_ok());
-        let min = Shard::<L0Factory>::from_wire_bytes(&bytes(i64::MIN));
-        assert!(matches!(min, Err(WireError::Invalid(_))));
-    }
 
     #[test]
     fn mass_tracks_updates_incrementally() {

@@ -9,6 +9,10 @@
 //! payload is router-agnostic, the two engines do **not** need the same
 //! shard count — a 16-shard ingest tier can snapshot into a 2-shard
 //! query tier.
+//!
+//! This is the one codec for a net vector: snapshots, merges, and the
+//! engine checkpoint (which ends with a snapshot body) all encode and
+//! validate entries here.
 
 use pts_stream::{FrequencyVector, Update};
 use pts_util::wire::{
@@ -24,9 +28,12 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// Builds a snapshot from per-shard entry iterators (crate-internal).
+    /// Builds a snapshot from the shards' entries, concatenated
+    /// (crate-internal). Each shard's entries arrive ascending, so the
+    /// run-adaptive stable sort merges `S` runs; indices are distinct, so
+    /// the order is the same as any sort's.
     pub(crate) fn from_entries(universe: usize, mut entries: Vec<(u64, i64)>) -> Self {
-        entries.sort_unstable_by_key(|&(i, _)| i);
+        entries.sort_by_key(|&(i, _)| i);
         entries.retain(|&(_, v)| v != 0);
         Self { universe, entries }
     }
@@ -126,8 +133,8 @@ impl Decode for EngineSnapshot {
             if v == 0 {
                 return Err(WireError::Invalid("zero entry in snapshot"));
             }
-            // No engine ever holds `i64::MIN` (a shard's decode refuses it
-            // too), and `ShardedEngine::merge` panics on one.
+            // No engine ever holds `i64::MIN`, and `ShardedEngine::merge`
+            // panics on one.
             if v == i64::MIN {
                 return Err(WireError::Invalid("snapshot value i64::MIN"));
             }

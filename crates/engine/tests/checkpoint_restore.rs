@@ -134,10 +134,11 @@ fn sharded_restore_is_bit_identical_log_g() {
 
 /// Golden pin on the checkpoint bytes themselves: a tiny fixed engine must
 /// serialize to exactly this length and FNV-1a digest. Any change to the
-/// payload layout — field order, shard framing, pool encoding — moves one
-/// of the two and must come with a `WIRE_VERSION` bump. The engine's pools
-/// are born empty, so this checkpoint carries no sampler instance: its one
-/// draw respawned, and its slots encode as empty.
+/// payload layout — field order, pool counters, snapshot coding — moves
+/// one of the two and must come with a `WIRE_VERSION` bump. The engine's
+/// pools hold no sampler instance, so its one draw respawned, and the
+/// checkpoint carries only each pool's `spawned ‖ cursor` and the net
+/// vector.
 #[test]
 fn checkpoint_bytes_are_pinned() {
     let mut e = ShardedEngine::new(
@@ -157,7 +158,7 @@ fn checkpoint_bytes_are_pinned() {
     let digest = pts_util::wire::fnv1a64(&bytes);
     assert_eq!(
         (bytes.len(), digest),
-        (129, 0x94ac_1152_96d5_0e77),
+        (80, 0x1e04_44c5_6e14_e9f2),
         "checkpoint bytes moved: len {} digest {digest:#018x}",
         bytes.len()
     );
@@ -193,131 +194,131 @@ fn snapshot_wire_bytes_roundtrip_and_reject_corruption() {
     }
 }
 
-#[test]
-fn shard_decode_rejects_out_of_universe_net_entries() {
-    use pts_engine::{SamplerPool, Shard};
-    use pts_samplers::PerfectL0Sampler;
+/// A hand-built checkpoint frame in the v6 layout over an L₀ factory:
+/// `config`, a fixed RNG, zero stats, the given `spawned ‖ cursor` pairs,
+/// then (if given) a snapshot body over `universe` with `entries`
+/// gap-coded. The pairs need not match `config.shards`, so a frame can
+/// back fewer pools than it claims.
+fn hand_built(
+    config: EngineConfig,
+    counters: &[(u64, u64)],
+    snapshot: Option<(u64, &[(u64, i64)])>,
+) -> Vec<u8> {
+    use pts_engine::EngineStats;
     use pts_util::wire::WireWriter;
 
-    // Hand-build a shard payload whose net vector addresses index 100 in a
-    // universe of 4: a checksum-valid forgery of this shape must be caught
-    // by decode itself (it would otherwise panic later when the snapshot is
-    // densified).
     let mut w = WireWriter::new();
+    config.encode(&mut w).unwrap();
     L0Factory::default().encode(&mut w).unwrap();
-    w.put_u64(4); // universe
-    w.put_f64(1.0); // mass
-    w.put_u64(1); // one net entry
-    w.put_u64(100); // index 100 >= universe
-    w.put_i64(5);
-    SamplerPool::<PerfectL0Sampler>::new(1, 7)
-        .encode(&mut w)
-        .unwrap();
-    let res = <Shard<L0Factory> as Decode>::from_wire_bytes(w.as_bytes());
-    assert!(
-        matches!(res, Err(WireError::Invalid("net entry outside universe"))),
-        "got {res:?}"
-    );
+    Xoshiro256pp::new(1).encode(&mut w).unwrap();
+    EngineStats::default().encode(&mut w).unwrap();
+    for &(spawned, cursor) in counters {
+        w.put_u64(spawned);
+        w.put_u64(cursor);
+    }
+    if let Some((universe, entries)) = snapshot {
+        w.put_u64(universe);
+        w.put_usize(entries.len());
+        let mut next = 0;
+        for &(i, v) in entries {
+            w.put_u64(i - next);
+            w.put_i64(v);
+            next = i + 1;
+        }
+    }
+    frame(w.as_bytes())
 }
 
-/// The stored mass field is kept only for the layout: whatever it holds,
-/// the decoded shard's mass is recomputed from its entries.
-#[test]
-fn shard_decode_recomputes_the_stored_mass() {
-    use pts_engine::{SamplerPool, Shard};
-    use pts_samplers::PerfectL0Sampler;
-    use pts_util::wire::WireWriter;
+fn restore_l0(bytes: &[u8]) -> Result<ShardedEngine<L0Factory>, WireError> {
+    ShardedEngine::restore(&mut &bytes[..])
+}
 
-    // A shard payload with one net entry and the given raw mass bits.
-    let payload = |mass: f64| {
-        let mut w = WireWriter::new();
-        L0Factory::default().encode(&mut w).unwrap();
-        w.put_u64(4); // universe
-        w.put_f64(mass);
-        w.put_u64(1); // one net entry
-        w.put_u64(2);
-        w.put_i64(5);
-        SamplerPool::<PerfectL0Sampler>::new(1, 7)
-            .encode(&mut w)
-            .unwrap();
-        w.as_bytes().to_vec()
-    };
-    for mass in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-15, 0.0, 7.0] {
-        let shard = <Shard<L0Factory> as Decode>::from_wire_bytes(&payload(mass))
-            .unwrap_or_else(|e| panic!("mass {mass}: {e:?}"));
-        assert_eq!(shard.support(), 1);
-        assert_eq!(shard.mass(), 1.0, "stored mass {mass}");
+/// The checkpoint's net vector is an `EngineSnapshot` body, decoded by the
+/// snapshot's own codec: a checksum-valid forgery addressing index 100 in
+/// a universe of 4 is refused there (it would otherwise panic later when
+/// the snapshot is densified), and a snapshot over another universe than
+/// the config's is refused by restore.
+#[test]
+fn shard_decode_rejects_out_of_universe_net_entries() {
+    let config = EngineConfig::new(4).shards(2).pool_size(1).seed(7);
+    let pools = [(0, 0), (0, 0)];
+    let res = restore_l0(&hand_built(config, &pools, Some((4, &[(100, 5)]))));
+    assert!(
+        matches!(
+            res,
+            Err(WireError::Invalid("snapshot entry outside universe"))
+        ),
+        "got {:?}",
+        res.err()
+    );
+    let res = restore_l0(&hand_built(config, &pools, Some((128, &[(100, 5)]))));
+    assert!(
+        matches!(res, Err(WireError::Invalid("snapshot universe mismatch"))),
+        "got {:?}",
+        res.err()
+    );
+    let restored = restore_l0(&hand_built(config, &pools, Some((4, &[(3, 5)])))).unwrap();
+    assert_eq!(restored.snapshot().entries(), &[(3, 5)]);
+}
+
+/// A pool's cursor must name one of its `pool_size` slots.
+#[test]
+fn restore_refuses_a_pool_cursor_outside_the_pool() {
+    let config = EngineConfig::new(16).shards(2).pool_size(3).seed(7);
+    for (cursor, ok) in [(2, true), (3, false), (u64::MAX, false)] {
+        let bytes = hand_built(config, &[(5, 0), (9, cursor)], Some((16, &[])));
+        let res = restore_l0(&bytes);
+        assert_eq!(res.is_ok(), ok, "cursor {cursor}: {:?}", res.err());
+        if let Ok(engine) = res {
+            assert_eq!(engine.respawns(), 14, "respawns equal spawns");
+        }
     }
 }
 
-/// The payload of an engine's checkpoint frame, and the frame around an
-/// edited payload.
-fn payload_of(bytes: &[u8]) -> Vec<u8> {
-    pts_util::wire::read_frame(pts_util::wire::KIND_ENGINE, &mut &bytes[..]).unwrap()
+/// A payload allocates only what its bytes back. A checkpoint with
+/// shards = pool_size = 2^16 and no entries (128 KiB of pool counters)
+/// restores without allocating a sampler slot, and one that claims those
+/// shards but stops after three pools' counters fails on the counters,
+/// before any shard is built.
+#[test]
+fn restore_allocates_only_what_the_payload_backs() {
+    let config = EngineConfig::new(16)
+        .shards(1 << 16)
+        .pool_size(1 << 16)
+        .seed(7);
+    let pools = vec![(0, 0); 1 << 16];
+    let engine = restore_l0(&hand_built(config, &pools, Some((16, &[])))).unwrap();
+    assert_eq!((engine.config(), engine.support()), (config, 0));
+
+    let res = restore_l0(&hand_built(config, &pools[..3], None));
+    assert!(
+        matches!(res, Err(WireError::Truncated)),
+        "got {:?}",
+        res.err()
+    );
 }
 
+/// A version-5 checkpoint — the pinned engine above, captured before the
+/// layout changed — is refused with the typed version error.
+#[test]
+fn a_version_5_checkpoint_is_refused() {
+    let hex = include_str!("fixtures/checkpoint_v5.hex").trim();
+    let bytes: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect();
+    assert_eq!(bytes.len(), 129);
+    assert!(matches!(
+        restore_l0(&bytes),
+        Err(WireError::BadVersion { got: 5 })
+    ));
+}
+
+/// The frame around a hand-built payload.
 fn frame(payload: &[u8]) -> Vec<u8> {
     let mut bytes = Vec::new();
     pts_util::wire::write_frame(pts_util::wire::KIND_ENGINE, payload, &mut bytes).unwrap();
     bytes
-}
-
-/// A checkpoint whose stored mass disagrees with its entries restores to
-/// the mass of the entries, and checkpoints back to the honest bytes.
-#[test]
-fn restore_recomputes_a_stored_mass_that_disagrees_with_the_entries() {
-    let config = EngineConfig::new(32).shards(1).pool_size(2).seed(5);
-    let mut engine = ShardedEngine::new(config, LpLe2Factory::for_universe(32, 2.0));
-    engine.ingest_batch(&[Update::new(3, 5), Update::new(9, -2), Update::new(20, 4)]);
-    assert_eq!(engine.mass(), 45.0);
-    let mut honest = Vec::new();
-    engine.checkpoint(&mut honest).unwrap();
-    let payload = payload_of(&honest);
-    let mass_bits = 45.0f64.to_bits().to_le_bytes();
-    let at: Vec<usize> = (0..payload.len() - 7)
-        .filter(|&i| payload[i..i + 8] == mass_bits)
-        .collect();
-    assert_eq!(at.len(), 1, "the stored mass appears once");
-    for stored in [0.0, 1.0, -45.0, 1e300, f64::NAN, f64::INFINITY] {
-        let mut forged = payload.clone();
-        forged[at[0]..at[0] + 8].copy_from_slice(&stored.to_bits().to_le_bytes());
-        let restored =
-            ShardedEngine::<LpLe2Factory>::restore(&mut frame(&forged).as_slice()).unwrap();
-        assert_eq!(restored.mass(), 45.0, "stored mass {stored}");
-        let mut again = Vec::new();
-        restored.checkpoint(&mut again).unwrap();
-        assert_eq!(again, honest, "stored mass {stored}");
-    }
-}
-
-/// A set slot bit marks a live sampler instance, which no checkpoint path
-/// writes any more: restore refuses it with a typed error, and a service
-/// asked to restore it keeps its state.
-#[test]
-fn restore_refuses_a_live_pool_slot() {
-    use pts_engine::SamplingService;
-
-    let config = EngineConfig::new(32).shards(2).pool_size(2).seed(6);
-    let mut engine = ShardedEngine::new(config, L0Factory::default());
-    engine.ingest_batch(&[Update::new(3, 5), Update::new(17, -2)]);
-    let _ = engine.sample();
-    let mut bytes = Vec::new();
-    engine.checkpoint(&mut bytes).unwrap();
-    // The payload ends with the last shard's last slot bit.
-    let mut payload = payload_of(&bytes);
-    assert_eq!(payload.last(), Some(&0));
-    *payload.last_mut().unwrap() = 1;
-    let live = frame(&payload);
-    assert!(matches!(
-        ShardedEngine::<L0Factory>::restore(&mut live.as_slice()),
-        Err(WireError::Invalid("live pool slot"))
-    ));
-
-    let mut service = engine.clone();
-    assert!(service.restore_bytes(&live).is_err());
-    assert_eq!(service.snapshot(), engine.snapshot());
-    assert_eq!(service.stats(), engine.stats());
-    assert_eq!(service.checkpoint_bytes().unwrap(), bytes);
 }
 
 /// A checkpoint whose L₂ sketch shape is too large to allocate is refused
@@ -386,96 +387,5 @@ fn malformed_checkpoints_error_never_panic() {
     assert!(matches!(
         ShardedEngine::<LpLe2Factory>::restore(&mut bytes.as_slice()),
         Err(WireError::Invalid(_))
-    ));
-}
-
-/// A checksum-valid checkpoint whose net entry sits on a shard the router
-/// does not send its index to must not restore: no later update could
-/// cancel the entry, and the snapshot would list the index twice.
-#[test]
-fn restore_rejects_misrouted_net_entry() {
-    use pts_engine::{EngineStats, Shard};
-    use pts_util::wire::{write_frame, WireWriter, KIND_ENGINE};
-
-    let config = EngineConfig::new(16).shards(2).pool_size(1).seed(4);
-    // A two-shard checkpoint whose shards hold the given net entries.
-    let checkpoint = |placement: [&[Update]; 2]| {
-        let mut w = WireWriter::new();
-        config.encode(&mut w).unwrap();
-        L0Factory::default().encode(&mut w).unwrap();
-        Xoshiro256pp::new(1).encode(&mut w).unwrap();
-        EngineStats::default().encode(&mut w).unwrap();
-        for (s, run) in placement.into_iter().enumerate() {
-            let mut shard = Shard::new(L0Factory::default(), 16, 1, s as u64);
-            shard.apply_run(run);
-            shard.encode(&mut w).unwrap();
-        }
-        let mut bytes = Vec::new();
-        write_frame(KIND_ENGINE, w.as_bytes(), &mut bytes).unwrap();
-        bytes
-    };
-    let restore = |bytes: Vec<u8>| ShardedEngine::<L0Factory>::restore(&mut bytes.as_slice());
-
-    // Index 2 on exactly one shard: the router's shard restores, the other
-    // one is refused.
-    let entry = [Update::new(2, 3)];
-    let on_shard = |s: usize| {
-        let mut placement: [&[Update]; 2] = [&[], &[]];
-        placement[s] = &entry;
-        restore(checkpoint(placement))
-    };
-    let (on_0, on_1) = (on_shard(0), on_shard(1));
-    assert!(
-        on_0.is_ok() != on_1.is_ok(),
-        "exactly one shard owns index 2: {:?} / {:?}",
-        on_0.as_ref().err(),
-        on_1.as_ref().err()
-    );
-    let owned = on_0.or(on_1).unwrap();
-    assert_eq!(owned.snapshot().entries(), &[(2, 3)]);
-
-    // Index 2 on both shards: whichever shard the router picks, the other
-    // copy is misrouted.
-    let res = restore(checkpoint([&[Update::new(2, 5)], &entry]));
-    assert!(
-        matches!(res, Err(WireError::Invalid("net entry on the wrong shard"))),
-        "got {:?}",
-        res.map(|e| e.snapshot())
-    );
-}
-
-/// Every shard carries its own factory copy, and restore refuses one that
-/// differs from the engine header's: a p = 4 shard under a p = 3 header
-/// would weigh its entry of value 2 as 16, while `factory()` reports
-/// p = 3, whose weight is 8.
-#[test]
-fn restore_refuses_a_shard_whose_factory_differs_from_the_engine_header() {
-    use pts_engine::{EngineStats, PerfectLpFactory, Shard};
-    use pts_util::wire::{write_frame, WireWriter, KIND_ENGINE};
-
-    let config = EngineConfig::new(16).shards(1).pool_size(1).seed(4);
-    let header = PerfectLpFactory::for_universe(16, 3.0);
-    let checkpoint = |shard_p: f64| {
-        let mut w = WireWriter::new();
-        config.encode(&mut w).unwrap();
-        header.encode(&mut w).unwrap();
-        Xoshiro256pp::new(1).encode(&mut w).unwrap();
-        EngineStats::default().encode(&mut w).unwrap();
-        let mut shard = Shard::new(PerfectLpFactory::for_universe(16, shard_p), 16, 1, 0);
-        shard.apply_run(&[Update::new(2, 2)]);
-        shard.encode(&mut w).unwrap();
-        let mut bytes = Vec::new();
-        write_frame(KIND_ENGINE, w.as_bytes(), &mut bytes).unwrap();
-        bytes
-    };
-    let restore =
-        |bytes: Vec<u8>| ShardedEngine::<PerfectLpFactory>::restore(&mut bytes.as_slice());
-
-    let same = restore(checkpoint(3.0)).unwrap();
-    assert_eq!(same.factory().params.p, 3.0);
-    assert_eq!(same.mass(), 8.0);
-    assert!(matches!(
-        restore(checkpoint(4.0)),
-        Err(WireError::Invalid("shard factory mismatch"))
     ));
 }

@@ -654,7 +654,8 @@ fn dispatch_loop<E: SamplingService>(
 
 /// Runs one job — a dispatch under `catch_unwind`, whose panic is
 /// answered `Internal` under the job's id — and writes its response;
-/// `false` if the write failed.
+/// `false` if the write failed or the dispatch dropped the request at
+/// teardown.
 fn answer<E: SamplingService>(conn: &Conn, shared: &Shared<E>, id: u64, job: Job) -> bool {
     let (response, wants_shutdown, trace, kind, ns) = match job {
         Job::Dispatch(job) => {
@@ -664,7 +665,7 @@ fn answer<E: SamplingService>(conn: &Conn, shared: &Shared<E>, id: u64, job: Job
             let RequestHeader { ns, trace, .. } = job.header;
             let kind = kind_name(&job.request);
             let request = job.request;
-            let (response, wants_shutdown) =
+            let dispatched =
                 catch_unwind(AssertUnwindSafe(|| dispatch(shared, ns, trace, request)))
                     .unwrap_or_else(|payload| {
                         obs().panics.inc();
@@ -672,8 +673,11 @@ fn answer<E: SamplingService>(conn: &Conn, shared: &Shared<E>, id: u64, job: Job
                         event("server.panic", format!("ns={ns} kind={kind}: {what}"));
                         let message = format!("engine panicked: {what}");
                         let error = ServiceError::new(ErrorCode::Internal, message);
-                        (Response::Error(error), false)
+                        Some((Response::Error(error), false))
                     });
+            let Some((response, wants_shutdown)) = dispatched else {
+                return false;
+            };
             (response, wants_shutdown, trace, kind, ns)
         }
         Job::Reply(response) => (response, false, None, "error", 0),
@@ -765,13 +769,13 @@ fn error_response(code: ErrorCode, err: &dyn std::fmt::Display) -> Response {
 /// records its lock-wait and engine-work stage spans here (queue-wait
 /// and response-write bracket this call in [`answer`]).
 /// Returns the response plus whether the server should shut down
-/// afterwards.
+/// afterwards, or `None` for a request dropped at teardown.
 fn dispatch<E: SamplingService>(
     shared: &Shared<E>,
     ns: u64,
     trace: Option<TraceContext>,
     request: Request,
-) -> (Response, bool) {
+) -> Option<(Response, bool)> {
     // Count the request up front so the Stats arm's local view includes
     // the Stats request itself; time the whole dispatch, lock wait
     // included — that wait is part of what the client experiences.
@@ -789,7 +793,7 @@ fn dispatch<E: SamplingService>(
         Request::Shutdown => {
             let _stage = stage_span(trace, "server.engine", kind, ns);
             req_obs.ns.observe_elapsed(sw);
-            return (Response::ShuttingDown, true);
+            return Some((Response::ShuttingDown, true));
         }
         Request::CreateNamespace => {
             let _stage = stage_span(trace, "server.engine", kind, ns);
@@ -818,7 +822,7 @@ fn dispatch<E: SamplingService>(
                 }
             };
             req_obs.ns.observe_elapsed(sw);
-            return (response, false);
+            return Some((response, false));
         }
         Request::DropNamespace => {
             let _stage = stage_span(trace, "server.engine", kind, ns);
@@ -834,13 +838,13 @@ fn dispatch<E: SamplingService>(
                 unknown_namespace(ns)
             };
             req_obs.ns.observe_elapsed(sw);
-            return (response, false);
+            return Some((response, false));
         }
         Request::ListNamespaces => {
             let _stage = stage_span(trace, "server.engine", kind, ns);
             let response = Response::Namespaces(shared.tenants.list());
             req_obs.ns.observe_elapsed(sw);
-            return (response, false);
+            return Some((response, false));
         }
         _ => {}
     }
@@ -856,17 +860,23 @@ fn dispatch<E: SamplingService>(
         drop(lock_span);
         obs().stage_lock_wait.observe_elapsed(lock_sw);
         req_obs.ns.observe_elapsed(sw);
-        return (unknown_namespace(ns), false);
+        return Some((unknown_namespace(ns), false));
     };
     let Ok(mut engine) = tenant.lock() else {
-        return (
+        return Some((
             Response::Error(ServiceError::new(
                 ErrorCode::Internal,
                 "engine lock poisoned",
             )),
             false,
-        );
+        ));
     };
+    // A request that waited out shutdown on the tenant lock is dropped
+    // unanswered, like one still queued (PROTOCOL.md §4): teardown must
+    // not wait for engine work nobody will read.
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return None;
+    }
     drop(lock_span);
     obs().stage_lock_wait.observe_elapsed(lock_sw);
     let engine_sw = Stopwatch::start();
@@ -895,10 +905,9 @@ fn dispatch<E: SamplingService>(
                         .iter()
                         .map(|&(index, delta)| Update::new(index, delta))
                         .collect();
-                    // No code of its own until the next wire-version bump.
                     match engine.check_values(&batch) {
                         Err(overflow) => Response::Error(ServiceError::new(
-                            ErrorCode::Unsupported,
+                            ErrorCode::ValueOverflow,
                             overflow.to_string(),
                         )),
                         Ok(()) => {
@@ -953,7 +962,7 @@ fn dispatch<E: SamplingService>(
     drop(engine_span);
     obs().stage_engine.observe_elapsed(engine_sw);
     req_obs.ns.observe_elapsed(sw);
-    (response, false)
+    Some((response, false))
 }
 
 /// The in-band answer for an engine-scoped request naming a namespace

@@ -429,6 +429,33 @@ fn restore_of_an_unallocatable_sketch_shape_is_refused_in_band() {
     server.join();
 }
 
+/// A `Restore` carrying a version-5 checkpoint (the engine pinned by
+/// `checkpoint_restore.rs`, captured before the v6 layout) is answered
+/// with an in-band error; the tenant keeps its state and the connection
+/// keeps working.
+#[test]
+fn a_version_5_checkpoint_restore_is_refused_in_band() {
+    let hex = include_str!("../../engine/tests/fixtures/checkpoint_v5.hex").trim();
+    let v5: Vec<u8> = (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect();
+    let (server, mut client) = live_server();
+    match client
+        .submit_restore_ns(DEFAULT_NAMESPACE, &v5)
+        .and_then(Pending::wait)
+    {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.code, ErrorCode::Malformed);
+            assert!(e.message.contains("version 5"), "{}", e.message);
+        }
+        other => panic!("a v5 checkpoint must be refused in-band, got {other:?}"),
+    }
+    assert_usable(&mut client, "after a v5 restore");
+    client.submit_shutdown().unwrap().wait().unwrap();
+    server.join();
+}
+
 /// The `Stats` response carries the engine's universe (what the cluster
 /// coordinator validates slice assignments against), and its decoder
 /// rejects truncation at every prefix — the response-side twin of the
@@ -850,9 +877,9 @@ fn drop_then_use_is_unknown_namespace_and_race_stays_in_band() {
 }
 
 /// A batch that would carry a net value out of `(-2^63, 2^63)` is refused
-/// whole and in-band (`Unsupported` until a wire-version bump gives it a
-/// code of its own): `i64::MAX` then `2`, `i64::MIN` alone, and a pair
-/// that overflows while it is coalesced. The tenant's state is untouched
+/// whole and in-band with its own code, `ValueOverflow` (wire v6):
+/// `i64::MAX` then `2`, `i64::MIN` alone, and a pair that overflows while
+/// it is coalesced. The tenant's state is untouched
 /// and the connection keeps working.
 #[test]
 fn overflowing_net_values_are_rejected_whole_and_in_band() {
@@ -884,7 +911,7 @@ fn overflowing_net_values_are_rejected_whole_and_in_band() {
         let before = entries(&mut client);
         match ingest(&mut client, bad) {
             Err(ClientError::Server(e)) => {
-                assert_eq!(e.code, ErrorCode::Unsupported, "{context}");
+                assert_eq!(e.code, ErrorCode::ValueOverflow, "{context}");
             }
             other => panic!("{context}: wanted an in-band error, got {other:?}"),
         }

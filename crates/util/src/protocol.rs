@@ -33,7 +33,7 @@
 //! ```text
 //! offset  bytes  field
 //! 0       4      magic        "PTSW" (0x50 0x54 0x53 0x57)
-//! 4       1      version      WIRE_VERSION (currently 0x05)
+//! 4       1      version      WIRE_VERSION (currently 0x06)
 //! 5       1      kind         KIND_REQUEST (0x04) or KIND_RESPONSE (0x05)
 //! 6       1–10   len          payload length, LEB128 varint
 //! 6+|len| len    payload      request: varint request_id ‖ varint namespace ‖
@@ -212,14 +212,15 @@ pub const MAX_SAMPLE_COUNT: u64 = 1 << 16;
 
 /// The largest checkpoint blob a [`Request::Restore`] can carry:
 /// [`MAX_FRAME_BYTES`] minus the request tag byte and a maximal blob
-/// length varint. [`Response::Checkpoint`] payloads are *not* capped on
-/// the client's read path, so a checkpoint can exceed this (experiment
-/// `w1` shows `p > 2` factories reach tens of MiB at toy universes) —
-/// such a checkpoint must be restored out-of-band (start the replacement
-/// server from the bytes via the engine's own `restore`) instead of being
-/// shipped back through a request. The client refuses to send an
-/// over-cap `Restore` up front rather than letting the server kill the
-/// connection.
+/// length varint. The client reads every response uncapped, so a
+/// `Checkpoint` response may exceed this. Since wire version 6 a
+/// checkpoint is its snapshot plus a small per-shard header (two varints
+/// per shard), so it reaches the cap only with a net vector of millions
+/// of entries. Such a checkpoint must be restored out-of-band (start the
+/// replacement server from the bytes via the engine's own `restore`)
+/// instead of being shipped back through a request. The client refuses
+/// to send an over-cap `Restore` up front rather than letting the server
+/// kill the connection.
 pub const MAX_RESTORE_BYTES: u64 = MAX_FRAME_BYTES - 11;
 
 /// The namespace every server hosts from startup (wire version 4): the
@@ -412,8 +413,7 @@ pub enum ErrorCode {
     /// An update addressed a coordinate outside the engine's universe.
     OutOfUniverse = 2,
     /// A valid request the engine cannot serve (e.g. restoring bytes
-    /// written by a different factory type, or an ingest batch that would
-    /// carry a net value out of `(-2^63, 2^63)`).
+    /// written by a different factory type).
     Unsupported = 3,
     /// The request frame exceeded [`MAX_FRAME_BYTES`].
     TooLarge = 4,
@@ -423,6 +423,10 @@ pub enum ErrorCode {
     /// host (wire version 4). Always recoverable: the frame was
     /// well-formed, only its addressee is missing.
     UnknownNamespace = 6,
+    /// An ingest batch would carry a net value out of `(-2^63, 2^63)`
+    /// (wire version 6). The batch is rejected whole, so the request is
+    /// recoverable: the tenant's state is untouched.
+    ValueOverflow = 7,
 }
 
 impl ErrorCode {
@@ -434,6 +438,7 @@ impl ErrorCode {
             4 => ErrorCode::TooLarge,
             5 => ErrorCode::Internal,
             6 => ErrorCode::UnknownNamespace,
+            7 => ErrorCode::ValueOverflow,
             _ => return Err(WireError::Invalid("unknown error code")),
         })
     }
@@ -448,6 +453,7 @@ impl std::fmt::Display for ErrorCode {
             ErrorCode::TooLarge => "too-large",
             ErrorCode::Internal => "internal",
             ErrorCode::UnknownNamespace => "unknown-namespace",
+            ErrorCode::ValueOverflow => "value-overflow",
         };
         f.write_str(name)
     }

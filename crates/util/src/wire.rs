@@ -68,10 +68,16 @@ pub const WIRE_MAGIC: [u8; 4] = *b"PTSW";
 ///   trace. Response payloads are unchanged. Same never-extend-in-place
 ///   rule: the layout changed, so the version bumps and v4 endpoints
 ///   reject v5 frames recoverably (and vice versa).
-pub const WIRE_VERSION: u8 = 5;
+/// * **6** — an engine checkpoint is its snapshot: config, factory, RNG
+///   and stats, then each shard pool's `spawned ‖ cursor` varints, then
+///   the net vector as one `EngineSnapshot` body. The per-shard factory
+///   copies, universes, mass slots, pool seeds and slot bits are gone.
+///   Request and response grammars are unchanged; the new error code 7
+///   (`value-overflow`) rides the bump.
+pub const WIRE_VERSION: u8 = 6;
 
 /// Frame kind: a full engine checkpoint (config + factory + RNG + stats +
-/// per-shard state).
+/// per-shard pool counters + the net vector).
 pub const KIND_ENGINE: u8 = 1;
 
 /// Frame kind: a compact `EngineSnapshot`-style sparse net vector.
