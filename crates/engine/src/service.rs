@@ -95,11 +95,6 @@ pub trait SamplingService {
             merges: stats.merges,
             mass: self.mass(),
             support: self.support() as u64,
-            // Local-view fields: the engine has no notion of requests or
-            // process uptime; `pts-server` fills these when it answers a
-            // Stats request (never on the wire — see PROTOCOL.md §3).
-            requests_served: 0,
-            uptime_secs: 0,
         }
     }
 

@@ -12,10 +12,10 @@
 //!  Client ──TCP──►      │    │           demuxing ids into a bounded
 //!                   reader   reader      FIFO channel, and the one
 //!                      │        │        dispatcher that drains it;
-//!              dispatcher  dispatcher    responses via per-conn write lock
+//!              dispatcher  dispatcher    the socket's only writer
 //!                      \      /
 //!                   [ TenantMap ]        namespace → Arc<Mutex<engine>>
-//!                    │    │    │         (sharded-lock map; ns 0 is the
+//!                    │    │    │         (one-lock map; ns 0 is the
 //!                   ns 0  ns 7  ns 42    default tenant, spawner builds
 //!                                        the rest lazily on demand)
 //! ```

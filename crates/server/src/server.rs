@@ -2,25 +2,26 @@
 //! connection, and the request dispatcher over a `TenantMap` of
 //! [`SamplingService`] engines.
 //!
-//! Threading model: a connection's reader frames requests, decodes each
-//! payload's header (id, namespace, trace), and sends them down a bounded
-//! channel to the connection's dispatcher, a thread started with its
-//! first request. The dispatcher is the channel's only consumer, so one
-//! connection's requests are answered **in submission order** (the order
-//! the cluster coordinator's pipelined ingest relies on; an
-//! implementation choice, not a wire guarantee — PROTOCOL.md §4), each
-//! through the connection's write lock, which it shares with the
-//! reader's inline id-0 replies. Connections share no thread: a peer
-//! that stops reading stalls only its own dispatcher, and its connection
+//! Threading model: each half of a socket has one owner. A connection's
+//! reader frames requests, decodes each payload's header (id, namespace,
+//! trace), and sends every job — a decoded request, or an error reply
+//! already built, id-0 ones included — down a bounded channel to the
+//! connection's dispatcher, a thread started with its first job. The
+//! reader never writes. The dispatcher is the channel's only consumer and
+//! the socket's only writer, so one connection's responses go out **in
+//! submission order** without a lock (the order the cluster coordinator's
+//! pipelined ingest relies on; an implementation choice, not a wire
+//! guarantee — PROTOCOL.md §4). Connections share no thread: a peer that
+//! stops reading stalls only its own dispatcher, and its connection
 //! closes once a response frame has waited `FRAME_TIMEOUT`.
 //!
-//! Tenancy model (wire v4): the engines live in a `TenantMap` — a
-//! sharded-lock map from namespace id to `Arc<Mutex<engine>>`. A
-//! dispatcher holds a map shard's lock only long enough to clone the
-//! tenant's Arc, then dispatches under that tenant's own mutex, so
-//! requests to *different* tenants proceed in parallel while requests to
-//! the *same* tenant serialize — per-tenant, every response reflects all
-//! previously answered requests, across connections. Tenants are cheap
+//! Tenancy model (wire v4): the engines live in a `TenantMap` — one
+//! locked map from namespace id to `Arc<Mutex<engine>>`. A dispatcher
+//! holds the map's lock only long enough to clone the tenant's Arc, then
+//! dispatches under that tenant's own mutex, so requests to *different*
+//! tenants proceed in parallel while requests to the *same* tenant
+//! serialize — per-tenant, every response reflects all previously
+//! answered requests, across connections. Tenants are cheap
 //! lazily-created engines with **no per-tenant threads**, which is what
 //! makes millions of namespaces per node viable (the paper's samplers
 //! are tiny). Namespace 0 is the default tenant, created at bind from
@@ -36,10 +37,12 @@
 //! FIFO, is untouched.
 //!
 //! Shutdown: a `Shutdown` request (or [`Server::shutdown`]) sets a shared
-//! flag, and a loopback connection wakes the accept loop, which joins the
-//! connections. Readers see the flag at their next idle poll; dispatchers
-//! finish the request in hand and drop what is still queued; a write
-//! blocked on a peer that does not read gives up at its next poll.
+//! flag, and a loopback connection wakes the accept loop. The accept loop
+//! keeps a handle on every connection's socket; once it sees the flag it
+//! shuts each socket down, then joins the connections. A blocked read
+//! then sees EOF and a blocked write fails at once, so no I/O loop polls
+//! the flag. Dispatchers drop what is still queued, and one that waited
+//! on a tenant's mutex drops its request once it holds the lock.
 //! [`Server::join`] completes once everything has returned.
 
 use crate::obs::{kind_name, obs};
@@ -56,14 +59,14 @@ use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long a blocked socket read or write waits before re-checking the
-/// shutdown flag (and its frame's deadline). Bounds shutdown latency
-/// without burning CPU on idle connections.
+/// The socket timeout of every connection: how often a blocked read or
+/// write wakes to re-check its frame's [`FRAME_TIMEOUT`] deadline.
+/// Teardown does not wait for it: it shuts the sockets down.
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// The whole-frame deadline, in both directions: once a request's first
@@ -71,35 +74,32 @@ const IDLE_POLL: Duration = Duration::from_millis(50);
 /// begun the peer must take all of it, within this window. A peer that
 /// stalls — or trickles bytes to keep individual reads and writes alive —
 /// is treated as gone when it passes (fatal; the connection closes)
-/// rather than pinning a thread, and [`FrameBodyReader`] and
-/// [`FrameWriter`] re-check the shutdown flag on every retry.
+/// rather than pinning a thread; [`FrameBodyReader`] and [`FrameWriter`]
+/// re-check it on every retry.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Per-connection cap on decoded-but-undispatched requests: the capacity
-/// of the reader → dispatcher channel. The reader blocks at the cap (TCP
+/// Per-connection cap on decoded-but-unanswered jobs: the capacity of the
+/// reader → dispatcher channel. The reader blocks at the cap (TCP
 /// backpressure does the rest), so a client pipelining faster than the
 /// engine drains cannot grow server memory without bound.
 const MAX_QUEUED_PER_CONN: usize = 1024;
 
 /// Wraps the mid-frame reads of a connection: retries the socket's short
-/// [`IDLE_POLL`] timeouts until data arrives, the whole-frame `deadline`
-/// passes, or shutdown is flagged — converting both expiries into a
-/// `TimedOut` error the frame reader classifies as fatal. The deadline
-/// is fixed at construction — a **per-frame budget**: nothing a peer
-/// sends can extend it, so a byte-trickler is cut off at the same
-/// deadline as a silent staller (regression-tested below).
-struct FrameBodyReader<'a, R: Read> {
-    stream: &'a mut R,
+/// [`IDLE_POLL`] timeouts until data arrives or the whole-frame `deadline`
+/// passes, turning the expiry into a `TimedOut` error the frame reader
+/// classifies as fatal. The deadline is fixed at construction — a
+/// **per-frame budget**: nothing a peer sends can extend it, so a
+/// byte-trickler is cut off at the same deadline as a silent staller
+/// (regression-tested below).
+struct FrameBodyReader<R: Read> {
+    stream: R,
     deadline: Instant,
-    shutdown: &'a AtomicBool,
 }
 
-impl<R: Read> Read for FrameBodyReader<'_, R> {
+impl<R: Read> Read for FrameBodyReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         loop {
-            if let Some(err) = frame_expiry(self.deadline, self.shutdown) {
-                return Err(err);
-            }
+            frame_expiry(self.deadline)?;
             match self.stream.read(buf) {
                 Err(e) if is_poll_timeout(&e) => continue,
                 Ok(n) => {
@@ -112,29 +112,19 @@ impl<R: Read> Read for FrameBodyReader<'_, R> {
     }
 }
 
-/// The write-side twin of [`FrameBodyReader`] for one response frame.
-/// Unlike a read, the frame's first write is always tried, so a response
-/// the peer can take at once still goes out during teardown; every later
-/// attempt (a retry after a blocked write, or the rest of a partial one)
-/// first re-checks the shutdown flag and the per-frame `deadline`, so a
-/// peer taking a few bytes at a time cannot extend the budget either.
-struct FrameWriter<'a, W: Write> {
-    stream: &'a mut W,
+/// The write-side twin of [`FrameBodyReader`] for one response frame:
+/// every attempt (the first, a retry after a blocked write, or the rest
+/// of a partial one) first checks the per-frame `deadline`, so a peer
+/// taking a few bytes at a time cannot extend the budget either.
+struct FrameWriter<W: Write> {
+    stream: W,
     deadline: Instant,
-    shutdown: &'a AtomicBool,
-    /// Whether a write of this frame has been tried yet.
-    begun: bool,
 }
 
-impl<W: Write> Write for FrameWriter<'_, W> {
+impl<W: Write> Write for FrameWriter<W> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         loop {
-            if self.begun {
-                if let Some(err) = frame_expiry(self.deadline, self.shutdown) {
-                    return Err(err);
-                }
-            }
-            self.begun = true;
+            frame_expiry(self.deadline)?;
             match self.stream.write(buf) {
                 Err(e) if is_poll_timeout(&e) => continue,
                 Ok(n) => {
@@ -156,45 +146,29 @@ fn is_poll_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
-/// The error that ends a blocked mid-frame read or write: shutdown was
-/// flagged, or the frame's `deadline` passed. `None` means retry.
-fn frame_expiry(deadline: Instant, shutdown: &AtomicBool) -> Option<std::io::Error> {
-    if shutdown.load(Ordering::SeqCst) {
-        return Some(std::io::Error::new(
-            ErrorKind::TimedOut,
-            "server shutting down mid-frame",
-        ));
+/// The error that ends a blocked mid-frame read or write once the frame's
+/// `deadline` has passed; `Ok` means retry.
+fn frame_expiry(deadline: Instant) -> std::io::Result<()> {
+    if Instant::now() < deadline {
+        return Ok(());
     }
-    if Instant::now() >= deadline {
-        obs().conn_timeouts.inc();
-        event("server.conn.frame_timeout", "whole-frame deadline exceeded");
-        return Some(std::io::Error::new(
-            ErrorKind::TimedOut,
-            "frame deadline exceeded",
-        ));
-    }
-    None
+    obs().conn_timeouts.inc();
+    event("server.conn.frame_timeout", "whole-frame deadline exceeded");
+    Err(std::io::Error::new(
+        ErrorKind::TimedOut,
+        "frame deadline exceeded",
+    ))
 }
 
-/// How many independently locked buckets the [`TenantMap`] spreads
-/// namespaces over. A tenant lookup contends only with lookups hashing
-/// to the same bucket, never with another tenant's *dispatch* (that runs
-/// under the tenant's own mutex after the bucket lock is released).
-const TENANT_SHARDS: usize = 64;
-
-/// The sharded-lock namespace → engine map (wire v4). Engines are held
-/// behind `Arc<Mutex<_>>` so a dispatcher can clone a tenant's handle under
-/// the brief bucket lock and then dispatch without blocking any other
+/// The namespace → engine map (wire v4), under one lock. Engines are held
+/// behind `Arc<Mutex<_>>` so a dispatcher can clone a tenant's handle
+/// under the brief map lock and then dispatch without blocking any other
 /// tenant — including a concurrent `DropNamespace`, which merely removes
 /// the map entry (in-flight requests on the dropped tenant finish
 /// against the orphaned Arc; subsequent lookups answer
 /// `unknown-namespace`).
 struct TenantMap<E> {
-    buckets: Vec<Mutex<HashMap<u64, Arc<Mutex<E>>>>>,
-    /// Live tenant count, mirrored into the `server.tenants.active`
-    /// gauge (an atomic because `len` would otherwise need every bucket
-    /// lock).
-    count: AtomicU64,
+    tenants: Mutex<HashMap<u64, Arc<Mutex<E>>>>,
 }
 
 impl<E> TenantMap<E> {
@@ -202,45 +176,37 @@ impl<E> TenantMap<E> {
     /// the engine the server was bound with.
     fn new(default_engine: E) -> Self {
         let map = Self {
-            buckets: (0..TENANT_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            count: AtomicU64::new(0),
+            tenants: Mutex::new(HashMap::new()),
         };
         map.insert(DEFAULT_NAMESPACE, default_engine);
         map
     }
 
-    fn bucket(&self, ns: u64) -> &Mutex<HashMap<u64, Arc<Mutex<E>>>> {
-        &self.buckets[(ns as usize) & (TENANT_SHARDS - 1)]
-    }
-
     /// The tenant's engine handle, if the namespace exists.
     fn get(&self, ns: u64) -> Option<Arc<Mutex<E>>> {
-        self.bucket(ns).lock().ok()?.get(&ns).cloned()
+        self.tenants.lock().ok()?.get(&ns).cloned()
     }
 
     /// Inserts a fresh tenant; `false` if the namespace already exists
     /// (the existing engine is left untouched).
     fn insert(&self, ns: u64, engine: E) -> bool {
-        let Ok(mut bucket) = self.bucket(ns).lock() else {
+        let Ok(mut tenants) = self.tenants.lock() else {
             return false;
         };
-        if bucket.contains_key(&ns) {
+        if tenants.contains_key(&ns) {
             return false;
         }
-        bucket.insert(ns, Arc::new(Mutex::new(engine)));
-        drop(bucket);
-        let live = self.count.fetch_add(1, Ordering::Relaxed) + 1;
-        obs().tenants_active.set(live as i64);
+        tenants.insert(ns, Arc::new(Mutex::new(engine)));
+        obs().tenants_active.set(tenants.len() as i64);
         true
     }
 
-    /// Removes a tenant, releasing the map's reference to its engine.
+    /// Removes a tenant, handing the map's reference to its engine to the
+    /// caller (so the engine is not dropped under the map lock).
     fn remove(&self, ns: u64) -> Option<Arc<Mutex<E>>> {
-        let removed = self.bucket(ns).lock().ok()?.remove(&ns)?;
-        let live = self.count.fetch_sub(1, Ordering::Relaxed) - 1;
-        obs().tenants_active.set(live as i64);
+        let mut tenants = self.tenants.lock().ok()?;
+        let removed = tenants.remove(&ns)?;
+        obs().tenants_active.set(tenants.len() as i64);
         Some(removed)
     }
 
@@ -248,11 +214,10 @@ impl<E> TenantMap<E> {
     /// promises).
     fn list(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self
-            .buckets
-            .iter()
-            .filter_map(|b| b.lock().ok())
-            .flat_map(|b| b.keys().copied().collect::<Vec<_>>())
-            .collect();
+            .tenants
+            .lock()
+            .map(|tenants| tenants.keys().copied().collect())
+            .unwrap_or_default();
         ids.sort_unstable();
         ids
     }
@@ -275,21 +240,6 @@ struct Shared<E> {
     /// The listener's address — what a dispatcher pokes to wake a
     /// blocking `accept` after flagging shutdown.
     listen_addr: SocketAddr,
-    /// When this server started serving (feeds the local-view
-    /// `ServiceStats::uptime_secs`).
-    start: Instant,
-    /// Requests answered by this server, all kinds (feeds the local-view
-    /// `ServiceStats::requests_served`; monotonic, never on the wire).
-    requests: AtomicU64,
-}
-
-/// One connection's write half, shared by its reader (inline id-0
-/// replies) and its dispatcher: the lock keeps their response frames from
-/// interleaving mid-frame.
-struct Conn<'a> {
-    writer: Mutex<TcpStream>,
-    /// The server's shutdown flag, re-checked by a blocked write.
-    shutdown: &'a AtomicBool,
 }
 
 /// A running sampling service bound to a TCP listener.
@@ -352,8 +302,6 @@ impl Server {
             spawner,
             shutdown: Arc::clone(&shutdown),
             listen_addr: addr,
-            start: Instant::now(),
-            requests: AtomicU64::new(0),
         });
         let accept = std::thread::Builder::new()
             .name("pts-server-accept".into())
@@ -399,13 +347,14 @@ impl Drop for Server {
     }
 }
 
-/// Accepts connections until the shutdown flag is set, then joins every
-/// connection it spawned.
+/// Accepts connections until the shutdown flag is set, then shuts every
+/// connection's socket down and joins the connections.
 fn accept_loop<E>(listener: TcpListener, shared: Arc<Shared<E>>)
 where
     E: SamplingService + Send + 'static,
 {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    // Each connection's thread, with a handle on its socket for teardown.
+    let mut conns: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
     loop {
         let conn = listener.accept();
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -416,12 +365,15 @@ where
                 // Pipelined responses are many small frames back-to-back;
                 // Nagle would hold each behind the previous one's ACK.
                 let _ = stream.set_nodelay(true);
+                let Ok(socket) = stream.try_clone() else {
+                    continue;
+                };
                 let shared = Arc::clone(&shared);
                 if let Ok(handle) = std::thread::Builder::new()
                     .name("pts-server-conn".into())
                     .spawn(move || handle_connection(stream, &shared))
                 {
-                    conns.push(handle);
+                    conns.push((handle, socket));
                 }
             }
             // Transient accept errors (peer reset mid-handshake, fd
@@ -429,18 +381,24 @@ where
             Err(_) => continue,
         }
         // Reap finished connections so a long-lived server does not
-        // accumulate joinable threads.
-        conns.retain(|h| !h.is_finished());
+        // accumulate joinable threads (or their sockets).
+        conns.retain(|(handle, _)| !handle.is_finished());
     }
-    for handle in conns {
+    // A blocked read now sees EOF and a blocked write fails, so every
+    // connection winds down without waiting on its peer or on a poll.
+    for (_, socket) in &conns {
+        let _ = socket.shutdown(Shutdown::Both);
+    }
+    for (handle, _) in conns {
         let _ = handle.join();
     }
 }
 
 /// Serves one connection: runs the read half on this thread and the
 /// dispatcher on a scoped one, and returns once both are done — the
-/// reader at EOF, a fatal framing error, or shutdown; the dispatcher once
-/// the reader has hung up and the channel is drained.
+/// reader at EOF (teardown's shutdown of the socket included) or after a
+/// fatal framing error; the dispatcher once the reader has hung up and
+/// the channel is drained.
 fn handle_connection<E: SamplingService + Send>(stream: TcpStream, shared: &Shared<E>) {
     let o = obs();
     let peer = stream
@@ -450,67 +408,65 @@ fn handle_connection<E: SamplingService + Send>(stream: TcpStream, shared: &Shar
     o.conn_opened.inc();
     o.conn_active.add(1);
     event("server.conn.open", peer.clone());
-    // Balance the lifecycle metrics on *every* exit path.
-    struct ConnGuard(String);
+    // On *every* exit path: shut the socket and balance the lifecycle
+    // metrics. The accept loop holds a handle on the socket too, so
+    // merely dropping ours would leave a connection the server is done
+    // with half-open, and its peer would never see EOF.
+    struct ConnGuard {
+        stream: TcpStream,
+        peer: String,
+    }
     impl Drop for ConnGuard {
         fn drop(&mut self) {
+            let _ = self.stream.shutdown(Shutdown::Both);
             let o = obs();
             o.conn_closed.inc();
             o.conn_active.add(-1);
-            event("server.conn.close", std::mem::take(&mut self.0));
+            event("server.conn.close", std::mem::take(&mut self.peer));
         }
     }
-    let _guard = ConnGuard(peer);
-    let Ok(mut reader) = stream.try_clone() else {
-        return;
-    };
-    // Every blocked read or write on this socket wakes each IDLE_POLL to
-    // re-check its frame deadline and the shutdown flag.
+    let conn = ConnGuard { stream, peer };
+    // Every blocked mid-frame read or write wakes each IDLE_POLL to
+    // re-check its frame deadline.
     let poll = Some(IDLE_POLL);
-    if stream.set_read_timeout(poll).is_err() || stream.set_write_timeout(poll).is_err() {
+    if conn.stream.set_read_timeout(poll).is_err() || conn.stream.set_write_timeout(poll).is_err() {
         return;
     }
-    let conn = Conn {
-        writer: Mutex::new(stream),
-        shutdown: &shared.shutdown,
-    };
-    std::thread::scope(|scope| read_loop(scope, &mut reader, &conn, shared));
+    std::thread::scope(|scope| read_loop(scope, &conn.stream, shared));
 }
 
 /// A connection's read half: frames requests, decodes each payload into
-/// its header and body, and sends decoded requests to the dispatcher —
-/// until EOF, a fatal framing error, or shutdown. The dispatcher starts
-/// with the first request to dispatch, so a connection that sends none
-/// costs one thread. Frame-level and id-level failures are answered
-/// inline (under id 0 — unattributable); later decode failures are
-/// answered under the request's own id, which by then *was* readable.
-/// Returning drops the channel's sender, which hangs it up.
+/// its header and body, and sends each job to the dispatcher — until EOF
+/// or a fatal framing error. It never writes: an error it detects goes
+/// down the channel as a reply, so it keeps its place in the response
+/// order. A frame-level or id-level failure is answered under id 0
+/// (unattributable); a later decode failure under the request's own id,
+/// which by then *was* readable. The dispatcher starts with the first
+/// job, so a connection that sends nothing costs one thread. Returning
+/// drops the channel's sender, which hangs it up.
 fn read_loop<'scope, E: SamplingService + Send>(
     scope: &'scope std::thread::Scope<'scope, '_>,
-    reader: &mut TcpStream,
-    conn: &'scope Conn,
+    stream: &'scope TcpStream,
     shared: &'scope Shared<E>,
 ) {
     let mut jobs = None;
     loop {
-        // Wait for the first byte with a short poll so shutdown stays
-        // responsive, then read the rest of the frame under a whole-frame
-        // deadline: the socket keeps its short timeout and the body
-        // reader re-checks the deadline and the shutdown flag on every
-        // retry, so neither a stalled peer nor one trickling a byte at a
-        // time can pin the reader past FRAME_TIMEOUT (or past shutdown).
-        let first = match poll_first_byte(reader, &shared.shutdown) {
-            Ok(Some(b)) => b,
-            Ok(None) => return, // EOF or shutdown
-            Err(_) => return,
+        // Wait for the first byte, then read the rest of the frame under
+        // a whole-frame deadline: the socket keeps its short timeout and
+        // the body reader re-checks the deadline on every retry, so
+        // neither a stalled peer nor one trickling a byte at a time can
+        // pin the reader past FRAME_TIMEOUT.
+        let Ok(Some(first)) = poll_first_byte(stream) else {
+            return; // EOF, teardown, or a socket error
         };
         let body = FrameBodyReader {
-            stream: &mut *reader,
+            stream,
             deadline: Instant::now() + FRAME_TIMEOUT,
-            shutdown: &shared.shutdown,
         };
         let mut src = std::io::Cursor::new([first]).chain(body);
         let outcome = read_frame_lenient(KIND_REQUEST, MAX_FRAME_BYTES, &mut src);
+        // A fatal error destroyed framing: its reply is the last job.
+        let mut fatal = false;
         let job = match outcome {
             Ok(payload) => match decode_request(&payload) {
                 Ok((header, request)) => {
@@ -528,58 +484,42 @@ fn read_loop<'scope, E: SamplingService + Send>(
                     });
                     (header.id, job)
                 }
-                // The id was sound but the namespace, the trace context,
-                // or the body was not: answer under the request's own id,
-                // in queue order (errors must not overtake earlier
-                // responses).
-                Err(RequestError {
-                    id: Some(id),
-                    error,
-                }) => {
+                // The connection survives. If the id was sound (the
+                // namespace, the trace context, or the body failed) the
+                // error is answered under it; if the id was unreadable (or
+                // the reserved 0), under id 0.
+                Err(RequestError { id, error }) => {
                     obs().frame_payload.inc();
                     event("server.frame_error.payload", error.to_string());
-                    (id, Job::Reply(error_response(ErrorCode::Malformed, &error)))
-                }
-                // The id itself was unreadable (or the reserved 0):
-                // answer unattributably, keep the connection.
-                Err(RequestError { id: None, error }) => {
-                    obs().frame_payload.inc();
-                    event("server.frame_error.payload", error.to_string());
-                    let response = error_response(ErrorCode::Malformed, &error);
-                    if respond(conn, 0, &response).is_err() {
-                        return;
-                    }
-                    continue;
+                    let reply = error_response(ErrorCode::Malformed, &error);
+                    (id.unwrap_or(0), Job::Reply(reply))
                 }
             },
             // Frame boundary survived: report under id 0 and continue.
             Err(FrameError::Recoverable(err)) => {
                 obs().frame_recoverable.inc();
                 event("server.frame_error.recoverable", err.to_string());
-                if respond(conn, 0, &error_response(ErrorCode::Malformed, &err)).is_err() {
-                    return;
-                }
-                continue;
+                (0, Job::Reply(error_response(ErrorCode::Malformed, &err)))
             }
-            // Framing destroyed: best-effort report under id 0, close.
+            // Framing destroyed: report under id 0, then close.
             Err(FrameError::Fatal(err)) => {
                 obs().frame_fatal.inc();
                 event("server.frame_error.fatal", err.to_string());
-                let _ = respond(conn, 0, &error_response(ErrorCode::Malformed, &err));
-                return;
+                fatal = true;
+                (0, Job::Reply(error_response(ErrorCode::Malformed, &err)))
             }
             Err(FrameError::TooLarge(err)) => {
                 obs().frame_too_large.inc();
                 event("server.frame_error.too_large", err.to_string());
-                let _ = respond(conn, 0, &error_response(ErrorCode::TooLarge, &err));
-                return;
+                fatal = true;
+                (0, Job::Reply(error_response(ErrorCode::TooLarge, &err)))
             }
         };
         if jobs.is_none() {
             let (sender, queue) = mpsc::sync_channel(MAX_QUEUED_PER_CONN);
             let dispatcher = std::thread::Builder::new()
                 .name("pts-server-dispatch".into())
-                .spawn_scoped(scope, move || dispatch_loop(queue, conn, shared));
+                .spawn_scoped(scope, move || dispatch_loop(queue, stream, shared));
             jobs = dispatcher.is_ok().then_some(sender);
         }
         let Some(queue) = &jobs else {
@@ -592,6 +532,9 @@ fn read_loop<'scope, E: SamplingService + Send>(
             obs().inflight.add(-1);
             return;
         }
+        if fatal {
+            return;
+        }
     }
 }
 
@@ -600,8 +543,8 @@ enum Job {
     /// A decoded request, addressed to a namespace, to run through
     /// [`dispatch`].
     Dispatch(DispatchJob),
-    /// A pre-built response (a namespace, trace, or body decode error)
-    /// that must keep its place in the response order.
+    /// A pre-built response (a frame, id, namespace, trace, or body
+    /// decode error) that must keep its place in the response order.
     Reply(Response),
 }
 
@@ -635,19 +578,19 @@ fn stage_span(
     span
 }
 
-/// A connection's dispatcher: answers jobs in submission order until the
-/// reader hangs up. Once a write fails (the connection is then closed,
-/// see [`respond`]) or shutdown is flagged, the jobs still queued are
-/// dropped: a long pipeline must not hold up teardown with engine work
-/// nobody will read.
+/// A connection's dispatcher, and the only thread that writes its
+/// socket: answers jobs in submission order until the reader hangs up.
+/// Once a write fails (the connection is then closed, see [`respond`]) or
+/// shutdown is flagged, the jobs still queued are dropped: a long
+/// pipeline must not hold up teardown with engine work nobody will read.
 fn dispatch_loop<E: SamplingService>(
     queue: mpsc::Receiver<(u64, Job)>,
-    conn: &Conn,
+    stream: &TcpStream,
     shared: &Shared<E>,
 ) {
     let mut open = true;
     for (id, job) in queue {
-        open = open && !shared.shutdown.load(Ordering::SeqCst) && answer(conn, shared, id, job);
+        open = open && !shared.shutdown.load(Ordering::SeqCst) && answer(stream, shared, id, job);
         obs().inflight.add(-1);
     }
 }
@@ -656,7 +599,7 @@ fn dispatch_loop<E: SamplingService>(
 /// answered `Internal` under the job's id — and writes its response;
 /// `false` if the write failed or the dispatch dropped the request at
 /// teardown.
-fn answer<E: SamplingService>(conn: &Conn, shared: &Shared<E>, id: u64, job: Job) -> bool {
+fn answer<E: SamplingService>(stream: &TcpStream, shared: &Shared<E>, id: u64, job: Job) -> bool {
     let (response, wants_shutdown, trace, kind, ns) = match job {
         Job::Dispatch(job) => {
             // The queue-wait stage ends here: the dispatcher owns the job.
@@ -684,7 +627,7 @@ fn answer<E: SamplingService>(conn: &Conn, shared: &Shared<E>, id: u64, job: Job
     };
     let write_sw = Stopwatch::start();
     let write_span = stage_span(trace, "server.write", kind, ns);
-    let write_ok = respond(conn, id, &response).is_ok();
+    let write_ok = respond(stream, id, &response).is_ok();
     drop(write_span);
     obs().stage_write.observe_elapsed(write_sw);
     if wants_shutdown {
@@ -696,17 +639,15 @@ fn answer<E: SamplingService>(conn: &Conn, shared: &Shared<E>, id: u64, job: Job
     write_ok
 }
 
-/// Blocks (in [`IDLE_POLL`] slices) until one byte arrives, the peer
-/// closes, or shutdown is flagged. `Ok(None)` means "close this
-/// connection quietly".
-fn poll_first_byte(reader: &mut TcpStream, shutdown: &AtomicBool) -> std::io::Result<Option<u8>> {
+/// Blocks until one byte arrives (`Ok(Some)`) or the peer closes
+/// (`Ok(None)`; teardown's shutdown of the socket reads as a close too).
+/// An [`IDLE_POLL`] timeout just retries: no deadline runs before a
+/// frame's first byte.
+fn poll_first_byte(mut stream: &TcpStream) -> std::io::Result<Option<u8>> {
     let mut byte = [0u8; 1];
     loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(None);
-        }
-        match reader.read(&mut byte) {
-            Ok(0) => return Ok(None), // EOF
+        match stream.read(&mut byte) {
+            Ok(0) => return Ok(None),
             Ok(_) => {
                 obs().bytes_in.inc();
                 return Ok(Some(byte[0]));
@@ -717,27 +658,18 @@ fn poll_first_byte(reader: &mut TcpStream, shutdown: &AtomicBool) -> std::io::Re
     }
 }
 
-/// Writes one response frame under `request_id` through the connection's
-/// write lock, within a [`FrameWriter`] budget. The frame is encoded
-/// *before* taking the lock; the guarded region is exactly the
-/// serialized write (the reader — answering frame errors inline — and
-/// the dispatcher both write here, so responses never interleave
-/// mid-frame). A failed write closes the socket: a frame cut off midway
-/// leaves the stream unframeable, and the shutdown wakes the reader. The
-/// lock-io pass allowlists this write as the per-connection
-/// serialization point: it is not the engine lock, and blocking here
-/// blocks only this connection.
-fn respond(conn: &Conn, request_id: u64, response: &Response) -> std::io::Result<()> {
+/// Writes one response frame under `request_id` within a [`FrameWriter`]
+/// budget. Only the connection's dispatcher writes, so frames never
+/// interleave and no lock is taken; the frame is encoded first and goes
+/// out as one `write_all`. A failed write shuts the socket: a frame cut
+/// off midway leaves the stream unframeable, and the shutdown wakes the
+/// reader.
+fn respond(stream: &TcpStream, request_id: u64, response: &Response) -> std::io::Result<()> {
     let mut frame = Vec::new();
     write_response(request_id, response, &mut frame)?;
-    let Ok(mut stream) = conn.writer.lock() else {
-        return Err(std::io::Error::other("connection writer poisoned"));
-    };
     let written = FrameWriter {
-        stream: &mut *stream,
+        stream,
         deadline: Instant::now() + FRAME_TIMEOUT,
-        shutdown: conn.shutdown,
-        begun: false,
     }
     .write_all(&frame);
     if written.is_err() {
@@ -776,11 +708,9 @@ fn dispatch<E: SamplingService>(
     trace: Option<TraceContext>,
     request: Request,
 ) -> Option<(Response, bool)> {
-    // Count the request up front so the Stats arm's local view includes
-    // the Stats request itself; time the whole dispatch, lock wait
-    // included — that wait is part of what the client experiences.
+    // Time the whole dispatch, lock wait included — that wait is part of
+    // what the client experiences.
     let sw = Stopwatch::start();
-    let served = shared.requests.fetch_add(1, Ordering::Relaxed) + 1;
     let req_obs = obs().req(&request);
     req_obs.count.inc();
     let kind = kind_name(&request);
@@ -849,11 +779,11 @@ fn dispatch<E: SamplingService>(
         _ => {}
     }
 
-    // Engine-scoped: resolve the namespace (brief bucket lock, Arc
-    // clone), then dispatch under the tenant's own mutex — other tenants
-    // proceed in parallel on other connections' dispatchers. The
-    // lock-wait stage covers both waits; the engine-work stage starts
-    // once the tenant mutex is held.
+    // Engine-scoped: resolve the namespace (brief map lock, Arc clone),
+    // then dispatch under the tenant's own mutex — other tenants proceed
+    // in parallel on other connections' dispatchers. The lock-wait stage
+    // covers both waits; the engine-work stage starts once the tenant
+    // mutex is held.
     let lock_sw = Stopwatch::start();
     let lock_span = stage_span(trace, "server.lock_wait", kind, ns);
     let Some(tenant) = shared.tenants.get(ns) else {
@@ -927,14 +857,7 @@ fn dispatch<E: SamplingService>(
             Response::Samples(draws)
         }
         Request::Snapshot => Response::Snapshot(engine.snapshot().to_bytes()),
-        Request::Stats => {
-            let mut stats = engine.service_stats();
-            // The local-view fields (never on the wire — PROTOCOL.md §3):
-            // this server's own request count and uptime.
-            stats.requests_served = served;
-            stats.uptime_secs = shared.start.elapsed().as_secs();
-            Response::Stats(stats)
-        }
+        Request::Stats => Response::Stats(engine.service_stats()),
         Request::Checkpoint => match engine.checkpoint_bytes() {
             Ok(bytes) => {
                 // The one moment a tenant's full footprint is in hand:
@@ -1028,13 +951,11 @@ mod tests {
         head.push(KIND_REQUEST);
         head.extend_from_slice(&[0x80, 0x80, 0x40]); // varint 1 << 20
         let mut trickler = Trickler { head, pos: 0 };
-        let shutdown = AtomicBool::new(false);
         let budget = Duration::from_millis(100);
         let started = Instant::now();
         let mut body = FrameBodyReader {
             stream: &mut trickler,
             deadline: Instant::now() + budget,
-            shutdown: &shutdown,
         };
         let outcome = read_frame_lenient(KIND_REQUEST, MAX_FRAME_BYTES, &mut body);
         let elapsed = started.elapsed();
@@ -1050,38 +971,10 @@ mod tests {
         );
     }
 
-    /// Shutdown must also cut a trickled frame short, budget remaining or
-    /// not.
-    #[test]
-    fn shutdown_interrupts_mid_frame_reads() {
-        struct Endless;
-        impl Read for Endless {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if buf.is_empty() {
-                    return Ok(0);
-                }
-                buf[0] = 0;
-                Ok(1)
-            }
-        }
-        let shutdown = AtomicBool::new(true);
-        let mut endless = Endless;
-        let mut body = FrameBodyReader {
-            stream: &mut endless,
-            deadline: Instant::now() + Duration::from_secs(60),
-            shutdown: &shutdown,
-        };
-        let mut buf = [0u8; 1];
-        let err = body.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
-    }
-
     /// The response side of the per-frame budget: a peer that takes one
-    /// byte per write cannot stretch a frame past its deadline, and at
-    /// shutdown a frame the peer can take at once still goes out while
-    /// one that would block gives up.
+    /// byte per write cannot stretch a frame past its deadline.
     #[test]
-    fn response_writes_keep_the_frame_budget_and_shutdown() {
+    fn response_writes_keep_the_frame_budget() {
         /// Takes up to `per_call` bytes per write, `room` in all, then
         /// blocks like a full socket buffer.
         struct Peer(usize, usize);
@@ -1099,27 +992,21 @@ mod tests {
                 Ok(())
             }
         }
-        let write = |mut peer: Peer, len: usize, budget: Duration, shutdown: bool| {
+        let write = |mut peer: Peer, len: usize, budget: Duration| {
             let started = Instant::now();
             let written = FrameWriter {
                 stream: &mut peer,
                 deadline: started + budget,
-                shutdown: &AtomicBool::new(shutdown),
-                begun: false,
             }
             .write_all(&vec![0; len]);
             (written.map_err(|e| e.kind()), started.elapsed())
         };
         let budget = Duration::from_millis(100);
-        let (written, took) = write(Peer(1, usize::MAX), 8 << 10, budget, false);
+        let (written, took) = write(Peer(1, usize::MAX), 8 << 10, budget);
         assert_eq!(written, Err(ErrorKind::TimedOut));
         assert!(
             took >= budget && took < Duration::from_secs(5),
             "deadline not honored: took {took:?} for a {budget:?} budget"
         );
-        let long = Duration::from_secs(60);
-        assert_eq!(write(Peer(64, 64), 64, long, true).0, Ok(()));
-        let blocked = write(Peer(64, 32), 64, long, true).0;
-        assert_eq!(blocked, Err(ErrorKind::TimedOut));
     }
 }

@@ -52,8 +52,6 @@ fn stats_marked(id: u64) -> Response {
         merges: 0,
         mass: 0.0,
         support: 0,
-        requests_served: 0,
-        uptime_secs: 0,
     })
 }
 

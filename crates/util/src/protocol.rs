@@ -512,16 +512,6 @@ pub struct ServiceStats {
     pub mass: f64,
     /// Number of non-zero coordinates.
     pub support: u64,
-    /// **Local-view field — never on the wire.** Requests this server
-    /// process has answered (all kinds, monotonic). Filled by `pts-server`
-    /// when it builds a `Stats` response; `encode` skips it and `decode`
-    /// leaves it 0, so the v2 frame grammar is unchanged (see
-    /// PROTOCOL.md §Stats notes and the byte-pinned worked examples).
-    pub requests_served: u64,
-    /// **Local-view field — never on the wire.** Whole seconds since this
-    /// server process started serving. Same wire rules as
-    /// [`ServiceStats::requests_served`].
-    pub uptime_secs: u64,
 }
 
 impl Encode for ServiceStats {
@@ -549,10 +539,6 @@ impl Decode for ServiceStats {
             merges: r.get_u64()?,
             mass: r.get_f64()?,
             support: r.get_u64()?,
-            // Local-view fields: not carried by the v2 frame, so a decoded
-            // ServiceStats always reports 0 for them.
-            requests_served: 0,
-            uptime_secs: 0,
         })
     }
 }
@@ -907,9 +893,6 @@ mod tests {
         ]));
         roundtrip_response(Response::Samples(vec![]));
         roundtrip_response(Response::Snapshot(vec![1, 2, 3]));
-        // Local-view fields stay 0 here: they are not on the wire, so a
-        // decoded ServiceStats always reports 0 for them (see
-        // `local_view_stats_fields_never_reach_the_wire`).
         roundtrip_response(Response::Stats(ServiceStats {
             universe: 1 << 20,
             updates: 10,
@@ -919,8 +902,6 @@ mod tests {
             merges: 0,
             mass: 123.5,
             support: 9,
-            requests_served: 0,
-            uptime_secs: 0,
         }));
         roundtrip_response(Response::Checkpoint(vec![9; 100]));
         roundtrip_response(Response::Restored);
@@ -943,39 +924,6 @@ mod tests {
                 "unsorted list {bad:?} decoded"
             );
         }
-    }
-
-    #[test]
-    fn local_view_stats_fields_never_reach_the_wire() {
-        // Two stats differing only in the local-view fields must encode
-        // byte-identically — that is the "no wire change" contract of the
-        // requests_served / uptime_secs additions.
-        let base = ServiceStats {
-            universe: 4096,
-            updates: 1000,
-            batches: 4,
-            samples: 6,
-            fails: 1,
-            merges: 0,
-            mass: 123.5,
-            support: 9,
-            requests_served: 0,
-            uptime_secs: 0,
-        };
-        let filled = ServiceStats {
-            requests_served: u64::MAX,
-            uptime_secs: 86_400,
-            ..base
-        };
-        assert_eq!(
-            base.to_wire_bytes().unwrap(),
-            filled.to_wire_bytes().unwrap()
-        );
-        // And a decode of the filled encoding reports them as 0.
-        let decoded = ServiceStats::from_wire_bytes(&filled.to_wire_bytes().unwrap()).unwrap();
-        assert_eq!(decoded.requests_served, 0);
-        assert_eq!(decoded.uptime_secs, 0);
-        assert_eq!(decoded, base);
     }
 
     #[test]
@@ -1212,8 +1160,7 @@ mod tests {
                 Request::Sample { count: 2 },
             ),
         ];
-        // §6.5–§6.7. The Stats report's local-view fields are nonzero on
-        // purpose: the document's bytes prove they never reach the wire.
+        // §6.5–§6.7.
         let responses = [
             (2, Response::Samples(vec![Some((3, 5.0)), None])),
             (
@@ -1234,8 +1181,6 @@ mod tests {
                     merges: 0,
                     mass: 123.5,
                     support: 9,
-                    requests_served: 77,
-                    uptime_secs: 3600,
                 }),
             ),
         ];
@@ -1256,8 +1201,7 @@ mod tests {
             let mut frame = Vec::new();
             write_response(*id, resp, &mut frame).unwrap();
             assert_eq!(block, &frame, "{resp:?} drifted: {frame:02X?}");
-            // Decoded, then re-encoded: local-view stats fields decode
-            // as 0, so compare on the wire, where they do not exist.
+            // Decoded, then re-encoded, the block is the same bytes.
             let (back_id, back) = read_response(&mut block.as_slice()).unwrap();
             let mut again = Vec::new();
             write_response(back_id, &back, &mut again).unwrap();

@@ -250,11 +250,6 @@ impl WireWriter {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    /// A boolean as one byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
-    }
-
     /// A `u64` slice with a length prefix.
     pub fn put_u64s(&mut self, vs: &[u64]) {
         self.put_usize(vs.len());
@@ -383,15 +378,6 @@ impl<'a> WireReader<'a> {
         self.pos = end;
         let arr: [u8; 8] = bytes.try_into().map_err(|_| WireError::Truncated)?;
         Ok(f64::from_bits(u64::from_le_bytes(arr)))
-    }
-
-    /// A boolean byte; anything but 0/1 is invalid.
-    pub fn get_bool(&mut self) -> Result<bool, WireError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::Invalid("boolean byte")),
-        }
     }
 
     /// A length-prefixed `u64` sequence.
