@@ -67,6 +67,8 @@ fn e1_battery(n: usize) -> Vec<(&'static str, FrequencyVector)> {
 }
 
 /// E1: the perfect L_p sampler's output law for p ∈ {2.5, 3, 3.5, 4}.
+/// Each trial is one lazy draw ([`PerfectLpSampler::draw_from`]) of the
+/// sampler seeded for it, caught up from the workload vector.
 pub fn e1_perfect_lp(quick: bool) -> Table {
     let n = 32;
     let trials: u64 = if quick { 2_000 } else { 12_000 };
@@ -76,9 +78,9 @@ pub fn e1_perfect_lp(quick: bool) -> Table {
         for (wname, x) in e1_battery(n) {
             let weights = x.lp_weights(p);
             let (counts, fails) = parallel_counts(n, trials, |t| {
-                let mut s = PerfectLpSampler::new(n, params, 0xE1_0000 + t * 127 + p as u64);
-                s.ingest_vector(&x);
-                s.sample().map(|smp| smp.index as usize)
+                let seed = 0xE1_0000 + t * 127 + p as u64;
+                PerfectLpSampler::draw_from(n, params, seed, x.iter_nonzero())
+                    .map(|smp| smp.index as usize)
             });
             law_row(
                 &mut table,

@@ -122,9 +122,8 @@ pub fn run(quick: bool) -> Table {
         let trials_p = if quick { 1_500 } else { 8_000 };
         let params = PerfectLpParams::for_universe(n, 3.0);
         let (counts, fails) = parallel_counts(n, trials_p, |t| {
-            let mut s = PerfectLpSampler::new(n, params, 0x74_000 + t * 7);
-            s.ingest_vector(&x);
-            s.sample().map(|smp| smp.index as usize)
+            PerfectLpSampler::draw_from(n, params, 0x74_000 + t * 7, x.iter_nonzero())
+                .map(|smp| smp.index as usize)
         });
         table.push_row([
             "perfect Lp p>2 [THIS PAPER]".to_string(),

@@ -51,15 +51,20 @@
 //!
 //! The lazy driver builds each attempt without its estimator replicas.
 //! They are read only at a candidate `j`, and only through the power
-//! estimate, so it point-queries them from the net vector
-//! ([`PerfectLpLe2Sampler::net_mean_estimate`]). That is bit-identical to
-//! the materialized replicas:
+//! estimate, so it point-queries all `groups × reps` of them from the net
+//! entries in one pass ([`PerfectLpLe2Sampler::net_replica_estimates`]),
+//! and both drivers average each group's slice of those estimates with
+//! [`PerfectLpLe2Sampler::mean_of`]. That is bit-identical to the
+//! materialized replicas:
 //! * leaving the replicas out moves nothing else, because the main sketch,
 //!   `μ` and the scales have seeds of their own;
 //! * replica `k`'s seed comes from the same rule in both cases;
-//! * per row, the point query sums the signed, scaled deltas of the entries
-//!   that share `j`'s bucket, in net order and from `0.0`. That is the
-//!   float sequence the materialized cell receives.
+//! * in every (replica, row) lane, the point query sums the signed, scaled
+//!   deltas of the entries that share `j`'s bucket, in net order and from
+//!   `0.0`. That is the float sequence the materialized cell receives;
+//! * an entry's scale is computed once, on the first lane it collides in,
+//!   whatever the number of lanes; and each group mean sums its replicas
+//!   in order, as the materialized mean does.
 
 use pts_samplers::{LpLe2Params, PerfectLpLe2Sampler, Sample, TurnstileSampler};
 use pts_sketch::{AmsF2, FpTaylor, FpTaylorParams, LinearSketch};
@@ -283,7 +288,7 @@ impl PerfectLpSampler {
     /// `t` is built (without its estimator replicas), replayed and decoded
     /// over the support of `net` only when the rejection loop reaches it,
     /// and a candidate's replica estimates are point-queried from the net
-    /// entries.
+    /// entries, all in one pass.
     ///
     /// When the support is the whole universe the answer is the eager
     /// sampler's, bit for bit; on any support it never returns an index
@@ -308,21 +313,23 @@ impl PerfectLpSampler {
         let mut stats = RejectionStats::default();
         // Replicas are read only at a candidate, so the attempts skip them.
         let lean = params.l2.with_extra_estimators(0);
+        let (replicas, reps) = (params.l2.extra_estimators, params.reps_per_group);
         let mut cells = Vec::new();
+        let mut estimates = Vec::new();
         (0..params.attempts).find_map(|t| {
             let inner_seed = attempt_seed(seed, t);
             let mut inner = PerfectLpLe2Sampler::new(n, lean, inner_seed);
-            let candidate = inner.replay_and_decide(&entries, &mut cells);
-            let replica_mean = |from, to, j| {
-                inner.net_mean_estimate(inner_seed, from, to, entries.iter().copied(), j)
-            };
+            let candidate = inner.replay_and_decide(&entries, &mut cells)?;
+            let j = candidate.index;
+            inner.net_replica_estimates(inner_seed, replicas, &entries, j, &mut estimates);
+            let group_mean = |g: usize| inner.mean_of(j, &estimates[g * reps..(g + 1) * reps]);
             try_attempt(
                 &params,
                 base,
                 accept_seed,
                 t,
                 candidate,
-                replica_mean,
+                group_mean,
                 &mut stats,
             )
         })
@@ -333,15 +340,15 @@ impl PerfectLpSampler {
         self.stats
     }
 
-    /// The sketch size this configuration would occupy, computed without
-    /// allocating all `attempts` inner samplers (the size is deterministic
-    /// in the parameters; used by the space-scaling experiment E2 where the
-    /// largest configurations would needlessly allocate gigabytes).
+    /// The sketch size this configuration would occupy, computed from the
+    /// shapes alone: no sampler, sketch or estimator is built (the size is
+    /// deterministic in the parameters; the space-scaling experiment E2
+    /// asks it at universes where building even one inner sampler would
+    /// allocate gigabytes).
     pub fn projected_space_bits(n: usize, params: PerfectLpParams) -> usize {
-        let one_inner = PerfectLpLe2Sampler::new(n, params.l2, 0).space_bits();
-        let f2 = AmsF2::for_2_approx(n, 0).space_bits();
-        let fp = FpTaylor::new(n, FpTaylorParams::for_universe(n, params.p), 0).space_bits();
-        params.attempts * one_inner + f2 + fp + 64
+        let f2 = AmsF2::space_bits_for_2_approx(n);
+        let fp = FpTaylorParams::for_universe(n, params.p).space_bits(n);
+        params.attempts * params.l2.space_bits() + f2 + fp + 64
     }
 
     /// The generalized binomial coefficient `C(a, q)` for real `a`
@@ -441,24 +448,21 @@ fn correction_base(
     Some(f2_hat / (params.slack * (n as f64).powf(1.0 - 2.0 / params.p) * fp_hat))
 }
 
-/// One step of the rejection loop: attempt `t`'s candidate, if any, is
-/// accepted with probability `min(1, base · |x̂_j|^{p−2})` against the coin
-/// keyed by `(accept_seed, t)`. `replica_mean(from, to, j)` is the
-/// attempt's mean estimate of `x_j` over replicas `[from, to)`. Updates
-/// `stats` as `sample()` reports them.
+/// One step of the rejection loop: attempt `t`'s candidate is accepted
+/// with probability `min(1, base · |x̂_j|^{p−2})` against the coin keyed by
+/// `(accept_seed, t)`. `group_mean(g)` is the attempt's mean estimate of
+/// `x_j` over the replicas of estimate group `g`. Updates `stats` as
+/// `sample()` reports them.
 fn try_attempt(
     params: &PerfectLpParams,
     base: f64,
     accept_seed: u64,
     t: usize,
-    candidate: Option<Sample>,
-    replica_mean: impl Fn(usize, usize, u64) -> f64,
+    candidate: Sample,
+    group_mean: impl Fn(usize) -> f64,
     stats: &mut RejectionStats,
 ) -> Option<Sample> {
-    let candidate = candidate?;
     stats.candidates += 1;
-    let reps = params.reps_per_group;
-    let group_mean = |g: usize| replica_mean(g * reps, (g + 1) * reps, candidate.index);
     let r = base * power_estimate(params, group_mean, candidate.estimate);
     let r_clamped = if r > 1.0 {
         stats.clamps += 1;
@@ -522,10 +526,14 @@ impl TurnstileSampler for PerfectLpSampler {
         self.stats = RejectionStats::default();
         let base = correction_base(&self.params, self.universe, &self.f2_est, &self.fp_est)?;
         let (params, accept_seed, stats) = (&self.params, self.accept_seed, &mut self.stats);
+        let reps = params.reps_per_group;
+        let mut estimates = Vec::new();
         self.attempts.iter_mut().enumerate().find_map(|(t, inner)| {
-            let candidate = inner.sample();
-            let replica_mean = |from, to, j| inner.mean_estimate(from, to, j);
-            try_attempt(params, base, accept_seed, t, candidate, replica_mean, stats)
+            let candidate = inner.sample()?;
+            let j = candidate.index;
+            inner.replica_estimates(j, &mut estimates);
+            let group_mean = |g: usize| inner.mean_of(j, &estimates[g * reps..(g + 1) * reps]);
+            try_attempt(params, base, accept_seed, t, candidate, group_mean, stats)
         })
     }
 
@@ -851,11 +859,63 @@ mod tests {
     }
 
     #[test]
+    fn taylor_replica_queries_equal_materialized_replicas() {
+        // p = 2.5 at n = 64: 8 Taylor groups × 4 replicas, all 32 read in
+        // one pass per candidate, on a full and on a sparse support.
+        let n = 64;
+        let mut params = PerfectLpParams::for_universe(n, 2.5);
+        params.attempts = 3;
+        assert_eq!(params.groups(), 8);
+        let replicas = params.l2.extra_estimators;
+        let reps = params.reps_per_group;
+        let full = zipf_vector(n, 1.1, 60, 23);
+        let sparse = FrequencyVector::from_values(
+            (0..n as u64)
+                .map(|i| if i % 4 == 0 { full.value(i) } else { 0 })
+                .collect(),
+        );
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for x in [&full, &sparse] {
+            let entries: Vec<(u64, i64)> = x.iter_nonzero().collect();
+            let mut eager = PerfectLpSampler::new(n, params, 31);
+            eager.ingest_vector(x);
+            for (t, inner) in eager.attempts.iter().enumerate() {
+                let inner_seed = attempt_seed(31, t);
+                let lean =
+                    PerfectLpLe2Sampler::new(n, params.l2.with_extra_estimators(0), inner_seed);
+                for j in [0u64, 4, 17, 63] {
+                    inner.replica_estimates(j, &mut want);
+                    lean.net_replica_estimates(inner_seed, replicas, &entries, j, &mut got);
+                    let bits = |e: &[f64]| e.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "attempt {t} index {j}");
+                    for g in 0..params.groups() {
+                        let mean = lean.mean_of(j, &got[g * reps..(g + 1) * reps]);
+                        let materialized = inner.mean_estimate(g * reps, (g + 1) * reps, j);
+                        assert_eq!(mean.to_bits(), materialized.to_bits(), "group {g}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn projected_space_matches_actual() {
         let params = PerfectLpParams::for_universe(32, 3.0);
         let actual = PerfectLpSampler::new(32, params, 9).space_bits();
         let projected = PerfectLpSampler::projected_space_bits(32, params);
         assert_eq!(actual, projected);
+    }
+
+    #[test]
+    fn projected_space_needs_no_allocation_at_huge_universes() {
+        // At n = 2^48 the F_p estimator alone exceeds MAX_CELLS for p ≥ 3,
+        // and p = 2.5's replicas would take about 130 MB per inner sampler.
+        let n = 1usize << 48;
+        for p in [2.5, 3.0, 4.0] {
+            let params = PerfectLpParams::for_universe(n, p);
+            let bits = PerfectLpSampler::projected_space_bits(n, params);
+            assert!(bits > params.attempts * params.l2.space_bits(), "p = {p}");
+        }
     }
 
     #[test]

@@ -78,6 +78,13 @@ impl LpLe2Params {
         self.extra_estimators = extra;
         self
     }
+
+    /// The [`space_bits`](TurnstileSampler::space_bits) of a sampler with
+    /// these parameters, computed from the shape alone: the main sketch,
+    /// the extra instances and 128 bits of seeds.
+    pub fn space_bits(&self) -> usize {
+        (1 + self.extra_estimators) * sketch_params(self).space_bits() + 128
+    }
 }
 
 /// The perfect L_p (p ≤ 2) sampler.
@@ -142,41 +149,58 @@ impl PerfectLpLe2Sampler {
     /// Panics if the range is empty or out of bounds.
     pub fn mean_estimate(&self, from: usize, to: usize, i: u64) -> f64 {
         assert!(from < to && to <= self.extra.len(), "bad estimator range");
-        let scale = self.scale(i);
-        let sum: f64 = self.extra[from..to].iter().map(|cs| cs.estimate(i)).sum();
-        sum / ((to - from) as f64 * scale)
+        let estimates: Vec<f64> = self.extra[from..to]
+            .iter()
+            .map(|cs| cs.estimate(i))
+            .collect();
+        self.mean_of(i, &estimates)
     }
 
-    /// The [`mean_estimate`](Self::mean_estimate) that the sampler
-    /// `new(n, params, seed)` with at least `to` replicas would give after
-    /// replaying `net`, read off the net vector by point queries
-    /// ([`CountSketch::point_estimate`]) instead of materialized replicas.
+    /// Each extra instance's estimate of the scaled `z_i`, in order, into
+    /// `out` (cleared first).
+    pub fn replica_estimates(&self, i: u64, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.extra.iter().map(|cs| cs.estimate(i)));
+    }
+
+    /// The estimate of `x_i` that averages the replica estimates
+    /// `estimates` of the scaled `z_i` and unscales the mean: with a range
+    /// of [`replica_estimates`](Self::replica_estimates), it is
+    /// [`mean_estimate`](Self::mean_estimate) over that range, bit for bit.
+    pub fn mean_of(&self, i: u64, estimates: &[f64]) -> f64 {
+        let sum: f64 = estimates.iter().sum();
+        sum / (estimates.len() as f64 * self.scale(i))
+    }
+
+    /// The [`replica_estimates`](Self::replica_estimates) at `i` of the
+    /// first `replicas` replicas of the sampler `new(n, params, seed)`
+    /// after replaying `entries`, read off the entries in one pass
+    /// ([`CountSketch::point_estimates`]) instead of from materialized
+    /// replicas.
     ///
     /// `self` is that sampler built with any replica count (typically 0),
     /// so it shares the scale. The answer is bit-identical to the
     /// materialized one: the replicas' seeds come from the same rule, the
     /// point query reproduces each cell's float sequence, and zero entries
-    /// are skipped as `process` skips them.
+    /// are skipped as `process` skips them. Each entry's scale is computed
+    /// at most once, and only if it shares `i`'s bucket in some replica
+    /// row.
     ///
     /// # Panics
-    /// Panics if the range is empty or `seed` is not the seed `self` was
-    /// built with.
-    pub fn net_mean_estimate<I>(&self, seed: u64, from: usize, to: usize, net: I, i: u64) -> f64
-    where
-        I: IntoIterator<Item = (u64, i64)> + Clone,
-    {
-        assert!(from < to, "bad estimator range");
+    /// Panics if `seed` is not the seed `self` was built with.
+    pub fn net_replica_estimates(
+        &self,
+        seed: u64,
+        replicas: usize,
+        entries: &[(u64, i64)],
+        i: u64,
+        out: &mut Vec<f64>,
+    ) {
         assert_eq!(scale_seed(seed), self.scale_seed, "seed mismatch");
-        let cs_params = sketch_params(&self.params);
-        let scale = self.scale(i);
-        let sum: f64 = (from..to)
-            .map(|k| {
-                let entries = net.clone().into_iter().filter(|&(_, v)| v != 0);
-                let value = |idx: u64, v: i64| v as f64 * self.scale(idx);
-                CountSketch::point_estimate(cs_params, replica_seed(seed, k), entries, i, value)
-            })
-            .sum();
-        sum / ((to - from) as f64 * scale)
+        let seeds: Vec<u64> = (0..replicas).map(|k| replica_seed(seed, k)).collect();
+        let nonzero = entries.iter().copied().filter(|&(_, v)| v != 0);
+        let value = |idx: u64, v: i64| v as f64 * self.scale(idx);
+        CountSketch::point_estimates(sketch_params(&self.params), &seeds, nonzero, i, value, out);
     }
 
     /// Replays the net entries `entries` (non-zero values, ascending
@@ -444,7 +468,7 @@ fn scale_seed(seed: u64) -> u64 {
 
 /// The seed of estimator replica `k` of a sampler built from `seed` —
 /// shared by [`PerfectLpLe2Sampler::new`] and the point-queried
-/// [`PerfectLpLe2Sampler::net_mean_estimate`].
+/// [`PerfectLpLe2Sampler::net_replica_estimates`].
 fn replica_seed(seed: u64, k: usize) -> u64 {
     derive_seed(seed, 100 + k as u64)
 }
@@ -637,11 +661,12 @@ mod tests {
             let mut full = PerfectLpLe2Sampler::new(64, params, 40_000 + seed);
             full.ingest_entries(net.iter().copied());
             let point = PerfectLpLe2Sampler::new(64, lean, 40_000 + seed);
+            let mut estimates = Vec::new();
             for (from, to) in [(0, 1), (0, 4), (2, 6)] {
                 for i in [0u64, 5, 31, 63] {
                     let want = full.mean_estimate(from, to, i);
-                    let got =
-                        point.net_mean_estimate(40_000 + seed, from, to, net.iter().copied(), i);
+                    point.net_replica_estimates(40_000 + seed, to, &net, i, &mut estimates);
+                    let got = point.mean_of(i, &estimates[from..to]);
                     assert_eq!(
                         got.to_bits(),
                         want.to_bits(),
@@ -656,7 +681,7 @@ mod tests {
     #[should_panic(expected = "seed mismatch")]
     fn net_mean_estimate_rejects_a_foreign_seed() {
         let s = PerfectLpLe2Sampler::new(16, LpLe2Params::for_universe(16, 2.0), 1);
-        let _ = s.net_mean_estimate(2, 0, 1, [(3u64, 5i64)], 3);
+        s.net_replica_estimates(2, 1, &[(3, 5)], 3, &mut Vec::new());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! namespace or trace field *is* attributable: the error echoes the id.
 
 use pts_engine::{EngineConfig, L0Factory, LpLe2Factory, ShardedEngine};
-use pts_server::{serve, serve_with_spawner, Client, ClientError, Pending};
+use pts_server::{serve, serve_with_spawner, Client, ClientConfig, ClientError, Pending};
 use pts_stream::Update;
 use pts_util::protocol::{
     write_request, ErrorCode, Request, RequestHeader, Response, ServiceError, TraceContext,
@@ -30,6 +30,8 @@ use pts_util::protocol::{
 };
 use pts_util::wire::{write_frame, Encode, WireWriter, KIND_REQUEST, WIRE_MAGIC, WIRE_VERSION};
 use pts_util::Xoshiro256pp;
+use std::io::ErrorKind;
+use std::time::Duration;
 
 fn small_engine(seed: u64) -> ShardedEngine<L0Factory> {
     ShardedEngine::new(
@@ -43,6 +45,33 @@ fn live_server() -> (pts_server::Server, Client) {
     let server = serve("127.0.0.1:0", small_engine(13)).unwrap();
     let client = Client::connect(server.local_addr()).unwrap();
     (server, client)
+}
+
+/// A live server plus one client whose responses are due within 5 s, for
+/// the fatal-frame tests: if the server left the connection half-open
+/// instead of closing it, the next round trip would fail with `TimedOut`
+/// (see [`expect_closed`]) rather than block forever.
+fn live_server_with_deadline() -> (pts_server::Server, Client) {
+    let server = serve("127.0.0.1:0", small_engine(13)).unwrap();
+    let config = ClientConfig::new().read_timeout(Duration::from_secs(5));
+    let client = Client::connect_with(server.local_addr(), &config).unwrap();
+    (server, client)
+}
+
+/// Asserts the server has closed this connection: the next round trip
+/// fails with a close, not with an expired response deadline.
+fn expect_closed(client: &mut Client, context: &str) {
+    match client
+        .submit_stats_ns(DEFAULT_NAMESPACE)
+        .and_then(Pending::wait)
+    {
+        Err(ClientError::Io(e)) => assert!(
+            !matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock),
+            "{context}: the server left the connection open: {e}"
+        ),
+        Err(ClientError::Wire(_)) => {}
+        other => panic!("{context}: wanted a closed connection, got {other:?}"),
+    }
 }
 
 /// A live *multi-tenant* server (spawner attached), plus one client.
@@ -496,7 +525,7 @@ fn stats_response_reports_universe_and_rejects_truncation() {
 
 #[test]
 fn bad_magic_gets_an_error_then_a_clean_close_and_server_survives() {
-    let (server, mut client) = live_server();
+    let (server, mut client) = live_server_with_deadline();
 
     // Raw soup on the wire (no envelope): framing is unrecoverable. The
     // server still answers in-band (under id 0 — no id ever arrived) —
@@ -504,12 +533,7 @@ fn bad_magic_gets_an_error_then_a_clean_close_and_server_survives() {
     client.send_raw(b"GARBAGE GARBAGE GARBAGE!").unwrap();
     expect_error(&mut client, 0, ErrorCode::Malformed, "raw soup");
     // The connection is now closed: the next round trip fails cleanly.
-    assert!(matches!(
-        client
-            .submit_stats_ns(DEFAULT_NAMESPACE)
-            .and_then(Pending::wait),
-        Err(ClientError::Io(_) | ClientError::Wire(_))
-    ));
+    expect_closed(&mut client, "after raw soup");
 
     // The server itself is fine: fresh connections work.
     let mut fresh = Client::connect(server.local_addr()).unwrap();
@@ -527,7 +551,7 @@ fn bad_magic_gets_an_error_then_a_clean_close_and_server_survives() {
 
 #[test]
 fn envelope_length_over_cap_is_too_large_then_close() {
-    let (server, mut client) = live_server();
+    let (server, mut client) = live_server_with_deadline();
 
     // magic | version | kind | len = MAX_FRAME_BYTES + 1 — rejected from
     // the length field alone, before any "payload" is read.
@@ -540,12 +564,7 @@ fn envelope_length_over_cap_is_too_large_then_close() {
     frame.extend_from_slice(w.as_bytes());
     client.send_raw(&frame).unwrap();
     expect_error(&mut client, 0, ErrorCode::TooLarge, "over-cap length");
-    assert!(matches!(
-        client
-            .submit_stats_ns(DEFAULT_NAMESPACE)
-            .and_then(Pending::wait),
-        Err(ClientError::Io(_) | ClientError::Wire(_))
-    ));
+    expect_closed(&mut client, "after an over-cap length");
 
     let mut fresh = Client::connect(server.local_addr()).unwrap();
     assert_usable(&mut fresh, "server after over-cap frame");

@@ -52,8 +52,13 @@ impl AmsF2 {
 
     /// Standard configuration for a 2-approximation w.h.p. at universe `n`.
     pub fn for_2_approx(n: usize, seed: u64) -> Self {
-        let rows = ((n.max(2) as f64).ln().ceil() as usize).clamp(5, 9) | 1;
-        Self::new(rows, 24, seed)
+        Self::new(rows_for_2_approx(n), COLS_FOR_2_APPROX, seed)
+    }
+
+    /// The [`space_bits`](LinearSketch::space_bits) of
+    /// [`for_2_approx`](Self::for_2_approx)`(n, _)`, without building it.
+    pub fn space_bits_for_2_approx(n: usize) -> usize {
+        table_space_bits(rows_for_2_approx(n), COLS_FOR_2_APPROX)
     }
 
     /// The `F₂` estimate: median over rows of the mean over columns of the
@@ -93,9 +98,22 @@ impl LinearSketch for AmsF2 {
     }
 
     fn space_bits(&self) -> usize {
-        // Each sign hash stores 4 coefficients of 61 bits.
-        self.counters.len() * 64 + self.signs.len() * 4 * 61
+        table_space_bits(self.rows, self.cols)
     }
+}
+
+/// Columns of [`AmsF2::for_2_approx`].
+const COLS_FOR_2_APPROX: usize = 24;
+
+/// Rows of [`AmsF2::for_2_approx`] at universe `n`.
+fn rows_for_2_approx(n: usize) -> usize {
+    ((n.max(2) as f64).ln().ceil() as usize).clamp(5, 9) | 1
+}
+
+/// The space of a `rows × cols` sketch: a 64-bit counter and a sign hash
+/// of 4 coefficients of 61 bits per counter.
+fn table_space_bits(rows: usize, cols: usize) -> usize {
+    rows * cols * (64 + 4 * 61)
 }
 
 impl Encode for AmsF2 {

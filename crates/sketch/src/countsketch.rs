@@ -34,6 +34,16 @@ pub const MAX_CELLS: usize = 1 << 24;
 /// holds the row's sign; the bits below it hold the table offset.
 const CELL_SIGN: u32 = 1 << 31;
 
+/// One (sketch, row) of a [`CountSketch::point_estimates`] query: the row's
+/// hash key, the queried index's bucket and sign in it, and that bucket's
+/// cell as rebuilt so far.
+struct Lane {
+    row_seed: u64,
+    bucket: usize,
+    sign: u64,
+    cell: f64,
+}
+
 /// Configuration for a [`CountSketch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CountSketchParams {
@@ -49,6 +59,12 @@ impl CountSketchParams {
     pub fn for_universe(n: usize, buckets: usize) -> Self {
         let rows = ((n.max(2) as f64).ln().ceil() as usize).clamp(3, 9) | 1;
         Self { rows, buckets }
+    }
+
+    /// The [`space_bits`](LinearSketch::space_bits) of a sketch of this
+    /// shape: one 64-bit counter per cell plus one 64-bit seed per row.
+    pub fn space_bits(&self) -> usize {
+        (self.rows * self.buckets + self.rows) * 64
     }
 }
 
@@ -79,54 +95,66 @@ impl CountSketch {
         }
     }
 
-    /// The point estimate `new(params, seed)` would give at `i` after
-    /// `update(k, value(k, v))` for each entry `(k, v)` in order, computed
-    /// from the entries without materializing the table.
+    /// The point estimates at `i` of the sketches `new(params, seed)`, one
+    /// per seed in `seeds`, after `update(k, value(k, v))` for each entry
+    /// `(k, v)` in order — computed in one pass over the entries, without
+    /// materializing a table. `out` is cleared, then gets one estimate per
+    /// seed, in order.
     ///
-    /// Bit-identical to the materialized [`CountSketch::estimate`]: each
-    /// row's cell of `i` is rebuilt by summing, in entry order and from
-    /// `0.0`, the signed deltas of the entries that land in it — the same
-    /// float sequence the table cell receives. `value` is called once per
-    /// entry that shares a bucket with `i` in some row, and never for the
-    /// others.
+    /// Bit-identical to each materialized [`CountSketch::estimate`]: every
+    /// (seed, row) lane rebuilds its cell of `i` by summing, in entry order
+    /// and from `0.0`, the signed deltas of the entries that land in it —
+    /// the same float sequence the table cell receives. `value` is called
+    /// at most once per entry, on the first lane where it shares `i`'s
+    /// bucket, and never for an entry that shares none.
     ///
     /// # Panics
     /// Panics on the shapes [`CountSketch::new`] rejects.
-    pub fn point_estimate<I, V>(
+    pub fn point_estimates<I, V>(
         params: CountSketchParams,
-        seed: u64,
+        seeds: &[u64],
         entries: I,
         i: u64,
         mut value: V,
-    ) -> f64
-    where
+        out: &mut Vec<f64>,
+    ) where
         I: IntoIterator<Item = (u64, i64)>,
         V: FnMut(u64, i64) -> f64,
     {
         check_shape(params);
         let rows = params.rows;
-        let mut seeds = [0u64; MAX_ROWS];
-        let mut own = [(0usize, 0u64); MAX_ROWS];
-        for (r, row_seed) in row_seeds(seed).take(rows).enumerate() {
-            seeds[r] = row_seed;
-            own[r] = slot(row_seed, params.buckets, i);
-        }
-        let mut cells = [0.0f64; MAX_ROWS];
+        // Lane `s · rows + r` is row `r` of the sketch seeded by `seeds[s]`.
+        let mut lanes: Vec<Lane> = seeds
+            .iter()
+            .flat_map(|&seed| row_seeds(seed).take(rows))
+            .map(|row_seed| {
+                let (bucket, sign) = slot(row_seed, params.buckets, i);
+                Lane {
+                    row_seed,
+                    bucket,
+                    sign,
+                    cell: 0.0,
+                }
+            })
+            .collect();
         for (k, v) in entries {
             let mut delta = None;
-            for r in 0..rows {
-                let (b, s) = slot(seeds[r], params.buckets, k);
-                if b == own[r].0 {
+            for lane in &mut lanes {
+                let (b, s) = slot(lane.row_seed, params.buckets, k);
+                if b == lane.bucket {
                     let d = *delta.get_or_insert_with(|| value(k, v));
-                    cells[r] += signed(d, s);
+                    lane.cell += signed(d, s);
                 }
             }
         }
-        let mut vals = [0.0f64; MAX_ROWS];
-        for r in 0..rows {
-            vals[r] = signed(cells[r], own[r].1);
-        }
-        median_in_place(&mut vals[..rows])
+        out.clear();
+        out.extend(lanes.chunks_exact(rows).map(|sketch| {
+            let mut vals = [0.0f64; MAX_ROWS];
+            for (val, lane) in vals.iter_mut().zip(sketch) {
+                *val = signed(lane.cell, lane.sign);
+            }
+            median_in_place(&mut vals[..rows])
+        }));
     }
 
     /// Number of rows.
@@ -231,8 +259,11 @@ impl LinearSketch for CountSketch {
     }
 
     fn space_bits(&self) -> usize {
-        // Counters plus one 64-bit seed per row.
-        self.table.len() * 64 + self.row_seeds.len() * 64
+        CountSketchParams {
+            rows: self.rows,
+            buckets: self.buckets,
+        }
+        .space_bits()
     }
 }
 
@@ -523,17 +554,20 @@ mod tests {
                             "rows {rows} buckets {buckets} seed {seed} entry {i}"
                         );
                     }
+                    let mut point = Vec::new();
                     for i in 0..96u64 {
-                        let point = CountSketch::point_estimate(
+                        let entries = entries.iter().copied();
+                        CountSketch::point_estimates(
                             params,
-                            seed,
-                            entries.iter().copied(),
+                            &[seed],
+                            entries,
                             i,
                             value,
+                            &mut point,
                         );
                         assert_eq!(
-                            point.to_bits(),
-                            cs.estimate(i).to_bits(),
+                            bits(&point),
+                            [cs.estimate(i).to_bits()],
                             "rows {rows} buckets {buckets} seed {seed} index {i}"
                         );
                     }
@@ -550,14 +584,65 @@ mod tests {
         };
         let entries = [(5u64, 2i64), (9, 3), (5, -1)];
         let mut seen = Vec::new();
-        let est = CountSketch::point_estimate(params, 3, entries, 5, |i, v| {
+        let mut est = Vec::new();
+        let value = |i, v| {
             seen.push(i);
             v as f64
-        });
-        assert_eq!(est, 1.0);
+        };
+        CountSketch::point_estimates(params, &[3, 4], entries, 5, value, &mut est);
+        assert_eq!(est, [1.0, 1.0]);
         // Index 9 shares none of 5's buckets among 2^20; index 5 is valued
-        // once per entry, not once per row.
+        // once per entry, not once per row or per sketch.
         assert_eq!(seen, [5, 5]);
+    }
+
+    #[test]
+    fn point_estimates_of_many_sketches_equal_materialized_estimates() {
+        let n = 64u64;
+        // A full support with mixed signs, every fifth entry of it, and the
+        // full one on a narrow 64-bucket sketch, where most cells collide.
+        let full: Vec<(u64, i64)> = (0..n)
+            .map(|i| {
+                let v = 1 + (i * 7919 % 101) as i64;
+                (i, if i % 3 == 0 { -v } else { v })
+            })
+            .collect();
+        let sparse: Vec<(u64, i64)> = full.iter().copied().step_by(5).collect();
+        let value = |i: u64, v: i64| v as f64 * (1.0 + (i as f64).sqrt() / 7.0);
+        let mut point = Vec::new();
+        for rows in [3usize, 5, 7, 9] {
+            for (entries, buckets) in [(&full, 576), (&sparse, 576), (&full, 64)] {
+                let params = CountSketchParams { rows, buckets };
+                for replicas in [1u64, 4, 32] {
+                    let seeds: Vec<u64> = (0..replicas).map(|k| 500 + 37 * k).collect();
+                    let sketches: Vec<CountSketch> = seeds
+                        .iter()
+                        .map(|&seed| {
+                            let mut cs = CountSketch::new(params, seed);
+                            for &(i, v) in entries {
+                                cs.update(i, value(i, v));
+                            }
+                            cs
+                        })
+                        .collect();
+                    for i in 0..n {
+                        let mut calls = 0;
+                        let counted = |k, v| {
+                            calls += 1;
+                            value(k, v)
+                        };
+                        let iter = entries.iter().copied();
+                        CountSketch::point_estimates(params, &seeds, iter, i, counted, &mut point);
+                        let want: Vec<u64> =
+                            sketches.iter().map(|cs| cs.estimate(i).to_bits()).collect();
+                        let got: Vec<u64> = point.iter().map(|e| e.to_bits()).collect();
+                        let context = format!("rows {rows} buckets {buckets} × {replicas} i {i}");
+                        assert_eq!(got, want, "{context}");
+                        assert!(calls <= entries.len(), "{context}: {calls} value calls");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

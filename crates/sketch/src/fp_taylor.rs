@@ -45,6 +45,21 @@ impl FpTaylorParams {
             threshold_sigmas: 3.0,
         }
     }
+
+    /// The CountSketch shape of the estimator.
+    fn sketch_params(&self) -> CountSketchParams {
+        CountSketchParams {
+            rows: self.rows,
+            buckets: self.buckets,
+        }
+    }
+
+    /// The [`space_bits`](LinearSketch::space_bits) of
+    /// `FpTaylor::new(n, *self, _)`, computed from the shape alone — a
+    /// shape [`CountSketch::new`] would refuse still has a size.
+    pub fn space_bits(&self, n: usize) -> usize {
+        self.sketch_params().space_bits() + AmsF2::space_bits_for_2_approx(n)
+    }
 }
 
 /// The heavy-hitter + Taylor-correction `F_p` estimator.
@@ -60,13 +75,7 @@ impl FpTaylor {
     /// Creates the estimator over universe `[0, n)`.
     pub fn new(n: usize, params: FpTaylorParams, seed: u64) -> Self {
         assert!(params.p > 2.0, "p must exceed 2");
-        let cs = CountSketch::new(
-            CountSketchParams {
-                rows: params.rows,
-                buckets: params.buckets,
-            },
-            derive_seed(seed, 1),
-        );
+        let cs = CountSketch::new(params.sketch_params(), derive_seed(seed, 1));
         let ams = AmsF2::for_2_approx(n, derive_seed(seed, 2));
         Self {
             params,
