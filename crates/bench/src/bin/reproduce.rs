@@ -1,21 +1,74 @@
-//! `reproduce` — regenerate the paper's tables and figures.
+//! `reproduce` — regenerate the paper's tables and figures. [`USAGE`]
+//! (what `reproduce --help` prints) lists the ids, modes and flags.
 //!
-//! ```text
-//! reproduce                    # run every experiment in quick mode
-//! reproduce e1 e4 a1           # run a subset
-//! reproduce --full             # full trial counts (the EXPERIMENTS.md record)
-//! reproduce --list             # list experiment ids
-//! reproduce --json <dir> e1 w1 # also write machine-readable BENCH_<id>.json
-//!                              # files into <dir> (created if missing) —
-//!                              # what the nightly CI job uploads
-//! ```
-//!
-//! An id the registry does not know exits 2 before anything runs.
+//! An unknown id or flag exits 2 before anything runs.
 
 use pts_bench::{json, registry, select};
 use pts_util::table::{arm_witness, disarm_witness};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
+
+/// The usage block `--help` and `-h` print.
+const USAGE: &str = "\
+reproduce                    # run every experiment in quick mode
+reproduce e1 e4 a1           # run a subset
+reproduce --full             # full trial counts (the EXPERIMENTS.md record)
+reproduce --list             # list experiment ids
+reproduce --json <dir> e1 w1 # also write machine-readable BENCH_<id>.json
+                             # files into <dir> (created if missing) —
+                             # what the nightly CI job uploads
+reproduce --help             # this text (also -h)
+";
+
+/// What a command line asks for.
+#[derive(Debug, PartialEq)]
+enum Command {
+    /// Print [`USAGE`].
+    Help,
+    /// List the experiment ids.
+    List,
+    /// Run the experiments `ids` (all of them when empty).
+    Run {
+        ids: Vec<String>,
+        full: bool,
+        json_dir: Option<PathBuf>,
+    },
+}
+
+/// Parses the arguments after the program name. Any token starting with
+/// `-` is a flag; an unknown flag or a `--json` without a directory is an
+/// error. `--help` wins over everything else, then `--list`.
+fn parse_args(args: &[String]) -> Result<Command, String> {
+    let (mut help, mut list, mut full) = (false, false, false);
+    let mut json_dir = None;
+    let mut ids = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--help" | "-h" => help = true,
+            "--list" => list = true,
+            "--full" => full = true,
+            "--json" => match args.next() {
+                Some(dir) if !dir.starts_with('-') => json_dir = Some(PathBuf::from(dir)),
+                _ => return Err("--json requires a directory argument".to_string()),
+            },
+            flag if flag.starts_with('-') => return Err(format!("unknown flag: {flag}")),
+            id => ids.push(id.to_string()),
+        }
+    }
+    Ok(if help {
+        Command::Help
+    } else if list {
+        Command::List
+    } else {
+        Command::Run {
+            ids,
+            full,
+            json_dir,
+        }
+    })
+}
 
 /// Human-readable panic payload (panics carry `&str` or `String`; anything
 /// else is reported opaquely).
@@ -31,34 +84,29 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let list = args.iter().any(|a| a == "--list");
-    let json_dir: Option<std::path::PathBuf> =
-        args.iter()
-            .position(|a| a == "--json")
-            .map(|i| match args.get(i + 1) {
-                Some(dir) if !dir.starts_with("--") => std::path::PathBuf::from(dir),
-                _ => {
-                    eprintln!("--json requires a directory argument");
-                    std::process::exit(2);
-                }
-            });
-    let wanted: Vec<&str> = {
-        // Skip flag tokens and the --json value when collecting ids.
-        let json_value_idx = args.iter().position(|a| a == "--json").map(|i| i + 1);
-        args.iter()
-            .enumerate()
-            .filter(|(i, a)| !a.starts_with("--") && Some(*i) != json_value_idx)
-            .map(|(_, a)| a.as_str())
-            .collect()
-    };
-
-    if list {
-        for e in &registry() {
-            println!("{:>4}  {}", e.id, e.title);
+    let (wanted, full, json_dir) = match parse_args(&args) {
+        Ok(Command::Help) => {
+            print!("{USAGE}");
+            return;
         }
-        return;
-    }
+        Ok(Command::List) => {
+            for e in &registry() {
+                println!("{:>4}  {}", e.id, e.title);
+            }
+            return;
+        }
+        Ok(Command::Run {
+            ids,
+            full,
+            json_dir,
+        }) => (ids, full, json_dir),
+        Err(err) => {
+            eprintln!("{err}");
+            eprint!("usage:\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    let wanted: Vec<&str> = wanted.iter().map(String::as_str).collect();
     let experiments = select(&wanted).unwrap_or_else(|unknown| {
         let valid: Vec<&str> = registry().iter().map(|e| e.id).collect();
         eprintln!("unknown experiment id(s): {}", unknown.join(", "));
@@ -164,5 +212,67 @@ fn main() {
     if !panicked.is_empty() {
         eprintln!("experiments panicked: {}", panicked.join(", "));
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Command, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn help_wins_over_everything_else() {
+        for args in [
+            &["--help"][..],
+            &["-h"],
+            &["e1", "--full", "-h"],
+            &["--list", "--help"],
+        ] {
+            assert_eq!(parse(args), Ok(Command::Help), "{args:?}");
+        }
+        assert_eq!(parse(&["--list", "e1"]), Ok(Command::List));
+    }
+
+    #[test]
+    fn unknown_flags_are_errors() {
+        for args in [
+            &["--hepl"][..],
+            &["e1", "-x"],
+            &["--full", "--fast"],
+            &["-"],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.starts_with("unknown flag"), "{args:?}: {err}");
+        }
+        for args in [&["--json"][..], &["--json", "--full"], &["e1", "--json"]] {
+            assert_eq!(
+                parse(args),
+                Err("--json requires a directory argument".to_string()),
+                "{args:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn runs_take_ids_modes_and_a_json_dir_in_any_order() {
+        assert_eq!(
+            parse(&[]),
+            Ok(Command::Run {
+                ids: vec![],
+                full: false,
+                json_dir: None
+            })
+        );
+        assert_eq!(
+            parse(&["e1", "--json", "out", "--full", "w1"]),
+            Ok(Command::Run {
+                ids: vec!["e1".to_string(), "w1".to_string()],
+                full: true,
+                json_dir: Some(PathBuf::from("out")),
+            })
+        );
     }
 }

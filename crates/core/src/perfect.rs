@@ -65,6 +65,22 @@
 //! * an entry's scale is computed once, on the first lane it collides in,
 //!   whatever the number of lanes; and each group mean sums its replicas
 //!   in order, as the materialized mean does.
+//!
+//! Most candidates are rejected, and the lazy driver reads a candidate's
+//! coin before its replicas. The coin is keyed by `(accept_seed, t)`
+//! alone, so it is known before anything about `j` is computed. The
+//! integer-`p` estimate has a free ceiling: every replica cell at `j` is a
+//! signed sum of a subset of the scaled entries, so each group mean is at
+//! most `‖z‖₁ / scale(j)` in magnitude, and the replay already computes
+//! `‖z‖₁` ([`PerfectLpLe2Sampler::replay_and_decide`]). A coin at or above
+//! `base` times that ceiling to the power `p − 2` rejects without the
+//! query. This is the full step's answer, bit for bit: the ceiling carries
+//! a rounding margin, so it bounds the *computed* estimate; rounding is
+//! monotone, so the computed ratio is at most the coin; and the coin is
+//! below 1, so no clamp is skipped. The `RejectionStats` match too. The
+//! eager `sample()` reads materialized replicas and checks no ceiling, and
+//! neither driver has one for the Taylor estimator (`power_ceiling` says
+//! why).
 
 use pts_samplers::{LpLe2Params, PerfectLpLe2Sampler, Sample, TurnstileSampler};
 use pts_sketch::{AmsF2, FpTaylor, FpTaylorParams, LinearSketch};
@@ -235,7 +251,7 @@ impl Decode for PerfectLpParams {
 }
 
 /// Diagnostics of the most recent [`PerfectLpSampler::sample`] call.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RejectionStats {
     /// Inner L₂ attempts that produced a candidate.
     pub candidates: u64,
@@ -288,7 +304,8 @@ impl PerfectLpSampler {
     /// `t` is built (without its estimator replicas), replayed and decoded
     /// over the support of `net` only when the rejection loop reaches it,
     /// and a candidate's replica estimates are point-queried from the net
-    /// entries, all in one pass.
+    /// entries, all in one pass, unless its coin already rejects it
+    /// against a ceiling on the estimate.
     ///
     /// When the support is the whole universe the answer is the eager
     /// sampler's, bit for bit; on any support it never returns an index
@@ -302,37 +319,7 @@ impl PerfectLpSampler {
     where
         I: IntoIterator<Item = (u64, i64)>,
     {
-        check_params(&params);
-        let (mut f2_est, mut fp_est) = moment_estimators(n, &params, seed);
-        let entries: Vec<(u64, i64)> = net.into_iter().filter(|&(_, v)| v != 0).collect();
-        for &(i, v) in &entries {
-            update_moments(&mut f2_est, &mut fp_est, Update::new(i, v));
-        }
-        let base = correction_base(&params, n, &f2_est, &fp_est)?;
-        let accept_seed = accept_seed(seed);
-        let mut stats = RejectionStats::default();
-        // Replicas are read only at a candidate, so the attempts skip them.
-        let lean = params.l2.with_extra_estimators(0);
-        let (replicas, reps) = (params.l2.extra_estimators, params.reps_per_group);
-        let mut cells = Vec::new();
-        let mut estimates = Vec::new();
-        (0..params.attempts).find_map(|t| {
-            let inner_seed = attempt_seed(seed, t);
-            let mut inner = PerfectLpLe2Sampler::new(n, lean, inner_seed);
-            let candidate = inner.replay_and_decide(&entries, &mut cells)?;
-            let j = candidate.index;
-            inner.net_replica_estimates(inner_seed, replicas, &entries, j, &mut estimates);
-            let group_mean = |g: usize| inner.mean_of(j, &estimates[g * reps..(g + 1) * reps]);
-            try_attempt(
-                &params,
-                base,
-                accept_seed,
-                t,
-                candidate,
-                group_mean,
-                &mut stats,
-            )
-        })
+        draw_with_stats(n, params, seed, net).0
     }
 
     /// Diagnostics of the most recent `sample()` call.
@@ -382,6 +369,49 @@ impl PerfectLpSampler {
 // The eager sampler and the lazy `draw_from` share every seed and the
 // accept step below, which is what makes their draws bit-identical on a
 // full support.
+
+/// [`PerfectLpSampler::draw_from`] with the [`RejectionStats`] the eager
+/// `sample()` would report.
+fn draw_with_stats<I>(
+    n: usize,
+    params: PerfectLpParams,
+    seed: u64,
+    net: I,
+) -> (Option<Sample>, RejectionStats)
+where
+    I: IntoIterator<Item = (u64, i64)>,
+{
+    check_params(&params);
+    let mut stats = RejectionStats::default();
+    let (mut f2_est, mut fp_est) = moment_estimators(n, &params, seed);
+    let entries: Vec<(u64, i64)> = net.into_iter().filter(|&(_, v)| v != 0).collect();
+    for &(i, v) in &entries {
+        update_moments(&mut f2_est, &mut fp_est, Update::new(i, v));
+    }
+    let Some(base) = correction_base(&params, n, &f2_est, &fp_est) else {
+        return (None, stats);
+    };
+    let accept_seed = accept_seed(seed);
+    // Replicas are read only at a candidate, so the attempts skip them.
+    let lean = params.l2.with_extra_estimators(0);
+    let (replicas, reps) = (params.l2.extra_estimators, params.reps_per_group);
+    let mut cells = Vec::new();
+    let mut estimates = Vec::new();
+    let drawn = (0..params.attempts).find_map(|t| {
+        let inner_seed = attempt_seed(seed, t);
+        let mut inner = PerfectLpLe2Sampler::new(n, lean, inner_seed);
+        let (candidate, l1) = inner.replay_and_decide(&entries, &mut cells)?;
+        let (j, anchor) = (candidate.index, candidate.estimate);
+        let ceiling = power_ceiling(&params, l1, entries.len(), inner.scale(j));
+        let power = || {
+            inner.net_replica_estimates(inner_seed, replicas, &entries, j, &mut estimates);
+            let group_mean = |g: usize| inner.mean_of(j, &estimates[g * reps..(g + 1) * reps]);
+            power_estimate(&params, group_mean, anchor)
+        };
+        try_attempt(base, accept_seed, t, candidate, ceiling, power, &mut stats)
+    });
+    (drawn, stats)
+}
 
 /// Asserts the parameter invariants both drivers rely on.
 fn check_params(params: &PerfectLpParams) {
@@ -450,31 +480,87 @@ fn correction_base(
 
 /// One step of the rejection loop: attempt `t`'s candidate is accepted
 /// with probability `min(1, base · |x̂_j|^{p−2})` against the coin keyed by
-/// `(accept_seed, t)`. `group_mean(g)` is the attempt's mean estimate of
-/// `x_j` over the replicas of estimate group `g`. Updates `stats` as
-/// `sample()` reports them.
+/// `(accept_seed, t)`. `power()` computes the candidate's `|x̂_j|^{p−2}`
+/// ([`power_estimate`]), and `ceiling` bounds what it can return
+/// ([`power_ceiling`]; `f64::INFINITY` when there is no cheap bound).
+/// Updates `stats` as `sample()` reports them.
+///
+/// A coin at or above `base · ceiling` rejects without calling `power()`,
+/// with the same outcome and `stats` as the full step: rounding is
+/// monotone, so the computed `r ≤ base · ceiling ≤ coin` is a rejection
+/// either way, and as the coin is below 1, no `r > 1` can have been
+/// clamped. No coin clears an infinite or NaN `base · ceiling`.
 fn try_attempt(
-    params: &PerfectLpParams,
     base: f64,
     accept_seed: u64,
     t: usize,
     candidate: Sample,
-    group_mean: impl Fn(usize) -> f64,
+    ceiling: f64,
+    power: impl FnOnce() -> f64,
     stats: &mut RejectionStats,
 ) -> Option<Sample> {
     stats.candidates += 1;
-    let r = base * power_estimate(params, group_mean, candidate.estimate);
+    let coin = keyed_unit(accept_seed, t as u64);
+    if coin >= base * ceiling {
+        return None;
+    }
+    let r = base * power();
     let r_clamped = if r > 1.0 {
         stats.clamps += 1;
         1.0
     } else {
         r
     };
-    if keyed_unit(accept_seed, t as u64) < r_clamped {
+    if coin < r_clamped {
         stats.accepted_at = Some(t);
         Some(candidate)
     } else {
         None
+    }
+}
+
+/// A ceiling on the computed [`power_estimate`] of candidate `j`, from
+/// the attempt's `l1 = ‖z‖₁` (the magnitudes of its `nnz` scaled entries,
+/// summed in entry order) and `scale = scale(j)`, or `f64::INFINITY`.
+///
+/// Every replica cell at `j` is a signed sum of a subset of the scaled
+/// entries, so a row median, a replica estimate and a group mean of `x_j`
+/// are at most `‖z‖₁ / scale(j)` in magnitude, and the product of the
+/// `groups` means at most that to the power `groups`. The margin makes
+/// this hold for the computed values. With unit roundoff `u = ε/2`, each
+/// rounding moves a value by at most a factor `1 ± u`:
+/// * the estimate's side gains `(1 + u)^{nnz + reps}`: a cell sums at most
+///   `nnz` terms from `0.0` (`nnz − 1` roundings), an even-row median
+///   averages two rows (1), a group sums `reps` estimates (`reps − 1`) and
+///   divides (1). The divisor `reps · scale(j)` rounds once more (a factor
+///   `1 / (1 − u)`), and the product of the means `groups − 1` times;
+/// * the ceiling's side loses `(1 − u)^{nnz − 1}` in the computed `l1`, two
+///   roundings in `l1 / scale · margin` and `groups − 1` in the power.
+///
+/// Per group (the `groups`-th root), `margin ≥ (1 + u)^{nnz + reps + 1} /
+/// (1 − u)^{nnz + 3}` suffices. With `k = 2·nnz + reps + 4` that ratio is
+/// below `exp(k·u·(1 + 2u)) ≤ 1 + 2·k·u = 1 + k·ε` while `k·u ≤ 1/4`, and
+/// `1 + k·ε` is exact in `f64`. Underflow cannot break the bound: a result
+/// below the normal range is off by at most `2^-1074`, and the ceiling is
+/// at least about 1 (`l1 ≥ |z_j| = |x_j|·scale(j)` with `|x_j| ≥ 1`).
+///
+/// The Taylor estimator gets no ceiling. Its series can only be bounded
+/// term by term, and with a cell bound `M ≥ y` for the anchor `y`, each
+/// factor `|x̂ − y|` only by `M + y ≥ 2y`. That bound is at least
+/// `y^{p−2} · Σ_q |C(p−2, q)|·2^q`, over 11× the ratio it bounds at
+/// p = 2.5 with 8 terms, so it would almost never reject.
+fn power_ceiling(params: &PerfectLpParams, l1: f64, nnz: usize, scale: f64) -> f64 {
+    match params.estimator {
+        PowerEstimator::IntegerProduct => {
+            let margin = 1.0 + (2 * nnz + params.reps_per_group + 4) as f64 * f64::EPSILON;
+            let group_ceiling = l1 / scale * margin;
+            let mut ceiling = 1.0;
+            for _ in 0..params.groups() {
+                ceiling *= group_ceiling;
+            }
+            ceiling
+        }
+        PowerEstimator::Taylor { .. } => f64::INFINITY,
     }
 }
 
@@ -530,10 +616,14 @@ impl TurnstileSampler for PerfectLpSampler {
         let mut estimates = Vec::new();
         self.attempts.iter_mut().enumerate().find_map(|(t, inner)| {
             let candidate = inner.sample()?;
-            let j = candidate.index;
-            inner.replica_estimates(j, &mut estimates);
-            let group_mean = |g: usize| inner.mean_of(j, &estimates[g * reps..(g + 1) * reps]);
-            try_attempt(params, base, accept_seed, t, candidate, group_mean, stats)
+            let (j, anchor) = (candidate.index, candidate.estimate);
+            // The replicas are materialized and cheap to read: no ceiling.
+            let power = || {
+                inner.replica_estimates(j, &mut estimates);
+                let group_mean = |g: usize| inner.mean_of(j, &estimates[g * reps..(g + 1) * reps]);
+                power_estimate(params, group_mean, anchor)
+            };
+            try_attempt(base, accept_seed, t, candidate, f64::INFINITY, power, stats)
         })
     }
 
@@ -810,22 +900,36 @@ mod tests {
         }
     }
 
-    /// Lazy vs eager over `seeds`: the same outcome, index and estimate
-    /// bits on every seed. Returns how many seeds drew a sample.
-    fn lazy_matches_eager(x: &FrequencyVector, params: PerfectLpParams, seeds: u64) -> usize {
+    /// Lazy vs eager at seed `4_000 + seed`: the same outcome, index and
+    /// estimate bits, and the same `RejectionStats`. Returns the eager
+    /// sampler after its draw.
+    fn lazy_matches_eager_at(
+        x: &FrequencyVector,
+        params: PerfectLpParams,
+        seed: u64,
+    ) -> PerfectLpSampler {
         let n = x.n();
-        let net: Vec<(u64, i64)> = x.iter_nonzero().collect();
-        let mut drawn = 0;
-        for seed in 0..seeds {
-            let mut eager = PerfectLpSampler::new(n, params, 4_000 + seed);
-            eager.ingest_vector(x);
-            let want = eager.sample();
-            let got = PerfectLpSampler::draw_from(n, params, 4_000 + seed, net.iter().copied());
-            let bits = |s: Option<Sample>| s.map(|s| (s.index, s.estimate.to_bits()));
-            assert_eq!(bits(got), bits(want), "p = {} seed {seed}", params.p);
-            drawn += usize::from(want.is_some());
-        }
-        drawn
+        let mut eager = PerfectLpSampler::new(n, params, 4_000 + seed);
+        eager.ingest_vector(x);
+        let want = eager.sample();
+        let (got, stats) = draw_with_stats(n, params, 4_000 + seed, x.iter_nonzero());
+        let bits = |s: Option<Sample>| s.map(|s| (s.index, s.estimate.to_bits()));
+        assert_eq!(bits(got), bits(want), "p = {} seed {seed}", params.p);
+        assert_eq!(stats, eager.stats(), "p = {} seed {seed}", params.p);
+        eager
+    }
+
+    /// [`lazy_matches_eager_at`] over `seeds`. Returns how many seeds drew a
+    /// sample.
+    fn lazy_matches_eager(x: &FrequencyVector, params: PerfectLpParams, seeds: u64) -> usize {
+        (0..seeds)
+            .filter(|&seed| {
+                lazy_matches_eager_at(x, params, seed)
+                    .stats()
+                    .accepted_at
+                    .is_some()
+            })
+            .count()
     }
 
     #[test]
@@ -856,6 +960,86 @@ mod tests {
             0,
             "an attempt produced a candidate"
         );
+    }
+
+    /// Replays the eager sampler `eager` (built from `seed` over `x`)
+    /// attempt by attempt: asserts that each candidate's power estimate,
+    /// from the materialized replicas, is under its ceiling, and counts the
+    /// candidates whose coin cleared the ceiling, which the lazy driver
+    /// rejects without a replica query.
+    fn cleared_ceilings(x: &FrequencyVector, eager: &PerfectLpSampler, seed: u64) -> u64 {
+        let (n, params) = (x.n(), eager.params);
+        let entries: Vec<(u64, i64)> = x.iter_nonzero().collect();
+        let Some(base) = correction_base(&params, n, &eager.f2_est, &eager.fp_est) else {
+            return 0;
+        };
+        let last = eager.stats().accepted_at.unwrap_or(params.attempts - 1);
+        let lean = params.l2.with_extra_estimators(0);
+        let reps = params.reps_per_group;
+        let (mut cells, mut estimates) = (Vec::new(), Vec::new());
+        let mut cleared = 0;
+        for (t, inner) in eager.attempts[..=last].iter().enumerate() {
+            let mut replayed = PerfectLpLe2Sampler::new(n, lean, attempt_seed(seed, t));
+            let Some((candidate, l1)) = replayed.replay_and_decide(&entries, &mut cells) else {
+                continue;
+            };
+            let j = candidate.index;
+            let ceiling = power_ceiling(&params, l1, entries.len(), replayed.scale(j));
+            inner.replica_estimates(j, &mut estimates);
+            let group_mean = |g: usize| inner.mean_of(j, &estimates[g * reps..(g + 1) * reps]);
+            let power = power_estimate(&params, group_mean, candidate.estimate);
+            assert!(
+                power <= ceiling,
+                "seed {seed} attempt {t}: {power} > {ceiling}"
+            );
+            cleared += u64::from(keyed_unit(eager.accept_seed, t as u64) >= base * ceiling);
+        }
+        cleared
+    }
+
+    #[test]
+    fn ceiling_holds_where_it_is_tightest() {
+        // Single-entry supports: ‖z‖₁ = |z_j| and every replica estimate is
+        // z_j, so only the rounding margin separates the ceiling from r.
+        // With 3 replicas per group the group sum and its divisor round, and
+        // a ceiling without the margin falls below some estimates.
+        // One row and one bucket: every entry shares j's cell, so each cell
+        // sums all of them. Every index then ties, and a gap test every
+        // candidate clears makes index 0 the candidate of every attempt;
+        // x_0 dominates, so its ceiling is often below the coin.
+        let n = 24;
+        for p in [3.0, 4.0] {
+            let mut params = PerfectLpParams::for_universe(n, p);
+            params.reps_per_group = 3;
+            params.l2.extra_estimators = 3 * params.groups();
+            let mut one_cell = PerfectLpParams::for_universe(n, p);
+            one_cell.l2.rows = 1;
+            one_cell.l2.buckets = 1;
+            one_cell.l2.test_factor = -1.0;
+            let dominant = FrequencyVector::from_values(
+                (0..n as i64)
+                    .map(|i| if i == 0 { 400 } else { 1 + i % 3 })
+                    .collect(),
+            );
+            let mut cleared = [0u64; 2];
+            for seed in 0..256u64 {
+                let mut single = vec![0i64; n];
+                let v = 1 + (seed * 7_919 % 997) as i64;
+                single[(seed % n as u64) as usize] = if seed % 2 == 0 { v } else { -v };
+                let single = FrequencyVector::from_values(single);
+                for (shape, (x, params)) in [(&single, params), (&dominant, one_cell)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let eager = lazy_matches_eager_at(x, params, seed);
+                    cleared[shape] += cleared_ceilings(x, &eager, 4_000 + seed);
+                }
+            }
+            assert!(
+                cleared.iter().all(|&c| c > 0),
+                "p = {p}: cleared {cleared:?}"
+            );
+        }
     }
 
     #[test]

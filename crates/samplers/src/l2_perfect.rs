@@ -216,15 +216,21 @@ impl PerfectLpLe2Sampler {
     /// second copy and the estimate — is `sample()`'s. When `entries`
     /// covers the whole universe, the answer is `ingest_entries` followed
     /// by `sample()`, bit for bit.
+    ///
+    /// Next to a candidate comes `‖z‖₁`, the sum of the scaled entries'
+    /// magnitudes in entry order: every sketch cell is a signed sum of a
+    /// subset of them, which bounds any replica estimate of the candidate.
     pub fn replay_and_decide(
         &mut self,
         entries: &[(u64, i64)],
         cells: &mut Vec<u32>,
-    ) -> Option<Sample> {
+    ) -> Option<(Sample, f64)> {
         cells.clear();
+        let mut l1 = 0.0;
         for &(i, v) in entries {
             debug_assert_ne!(v, 0, "entries must be non-zero");
             let scaled = v as f64 * self.scale(i);
+            l1 += scaled.abs();
             self.main.update_recording(i, scaled, cells);
             for cs in &mut self.extra {
                 cs.update(i, scaled);
@@ -235,7 +241,7 @@ impl PerfectLpLe2Sampler {
             .iter()
             .zip(cells.chunks_exact(rows))
             .map(|(&(i, _), row_cells)| (i, self.main.estimate_recorded(row_cells)));
-        self.decide(estimates)
+        self.decide(estimates).map(|sample| (sample, l1))
     }
 
     /// The sampler's decision from the decoded `(index, estimate)` pairs of
@@ -528,8 +534,10 @@ impl LpLe2Batch {
         let entries: Vec<(u64, i64)> = net.into_iter().filter(|&(_, v)| v != 0).collect();
         let lean = params.with_extra_estimators(0);
         let mut cells = Vec::new();
-        (0..k)
-            .find_map(|j| batch_instance(n, lean, seed, j).replay_and_decide(&entries, &mut cells))
+        (0..k).find_map(|j| {
+            let decided = batch_instance(n, lean, seed, j).replay_and_decide(&entries, &mut cells);
+            decided.map(|(sample, _)| sample)
+        })
     }
 }
 
@@ -875,7 +883,12 @@ mod tests {
                     let mut got = PerfectLpLe2Sampler::new(n, params, 800 + seed);
                     let fused = got.replay_and_decide(entries, &mut cells);
                     let context = format!("n {n} buckets {} seed {seed}", params.buckets);
-                    assert_eq!(bits(fused), bits(decided), "{context}");
+                    assert_eq!(bits(fused.map(|(s, _)| s)), bits(decided), "{context}");
+                    if let Some((_, l1)) = fused {
+                        let scaled = entries.iter().map(|&(i, v)| v as f64 * got.scale(i));
+                        let want_l1: f64 = scaled.map(f64::abs).sum();
+                        assert_eq!(l1.to_bits(), want_l1.to_bits(), "{context}");
+                    }
                     assert!(table_bits(&got) == table_bits(&want), "{context}");
                     drawn += usize::from(fused.is_some());
                 }
