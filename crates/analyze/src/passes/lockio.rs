@@ -43,7 +43,7 @@ const IO_FNS: [&str; 12] = [
     "read_frame",
     "read_frame_lenient",
     "connect",
-    "shutdown_socket",
+    "shutdown",
 ];
 
 /// Runs the pass.
@@ -299,5 +299,25 @@ mod tests {
         );
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].key.ends_with(":flush"));
+    }
+
+    #[test]
+    fn a_socket_shut_under_a_guard_is_flagged() {
+        let bad = scan(
+            "fn end(d: &Demux) {\n\
+                 let mut s = d.state.lock().unwrap();\n\
+                 s.dead = true;\n\
+                 d.socket.shutdown(Shutdown::Both);\n\
+             }",
+        );
+        assert_eq!(bad.len(), 1, "{bad:?}");
+        assert!(bad[0].key.ends_with(":shutdown"));
+        let good = scan(
+            "fn end(d: &Demux) {\n\
+                 let first = d.state.lock().is_ok_and(|mut s| { s.dead = true; true });\n\
+                 d.socket.shutdown(Shutdown::Both);\n\
+             }",
+        );
+        assert!(good.is_empty(), "{good:?}");
     }
 }

@@ -557,6 +557,13 @@ impl Coordinator {
 
     /// [`Coordinator::ingest_batch`] addressed to namespace `ns` — same
     /// routing and fan-out, against that tenant's slice owners.
+    ///
+    /// The universe is checked for the whole batch, value overflow only
+    /// per node: each node checks its own slice. A batch that overflows a
+    /// value on one node returns that node's in-band
+    /// [`ErrorCode::ValueOverflow`](pts_util::protocol::ErrorCode::ValueOverflow)
+    /// (recoverable; every node stays up), and the other nodes it touches
+    /// have applied their sub-batches.
     pub fn ingest_batch_ns(&mut self, ns: u64, batch: &[Update]) -> Result<u64, ClusterError> {
         if let Some(u) = batch
             .iter()

@@ -20,7 +20,8 @@
 //!   cache the handle in a per-site `OnceLock`, and the instrumented
 //!   crates pre-register handle structs at first use.
 //! * **One build**: instrumentation cannot be compiled out — compiling
-//!   it out saved less than measurement noise (`EXPERIMENTS.md`, `o1`).
+//!   it out saved less than measurement noise (the retired experiment
+//!   `o1`, whose table is in the git history of `EXPERIMENTS.md`).
 //!   Tracing is the one run-time switch: an untraced request gets a
 //!   [`Span::noop`].
 //!

@@ -34,6 +34,13 @@
 //! [`Pending`] with a connection error — see
 //! [`ClientError::is_recoverable`].
 //!
+//! The reader thread only reads: it blocks on the socket with no timeout
+//! and judges no deadline, so an idle connection's reader never wakes.
+//! The response deadline ([`ClientConfig::read_timeout`]) is judged by
+//! the callers that wait — [`Pending::wait`], and a submit blocked on the
+//! in-flight cap. A dead connection shuts its socket, which is what ends
+//! the reader (on a failure, or when the [`Client`] is dropped).
+//!
 //! Protocol payloads convert back into engine types at the boundary: raw
 //! `(index, delta)` pairs become [`pts_stream::Update`]s on the way out
 //! and [`pts_samplers::Sample`]s on the way back, snapshot bytes decode
@@ -41,7 +48,7 @@
 
 use crate::obs::{kind_name, obs};
 use pts_engine::EngineSnapshot;
-use pts_obs::{Span, Stopwatch, Tracer};
+use pts_obs::{event, Span, Stopwatch, Tracer};
 use pts_samplers::Sample;
 use pts_stream::Update;
 use pts_util::protocol::{
@@ -50,9 +57,9 @@ use pts_util::protocol::{
 };
 use pts_util::wire::WireError;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -92,7 +99,11 @@ const STRAY_BUFFER: usize = 1024;
 /// Timeout semantics: `read_timeout` is a **response deadline** — the
 /// connection is declared dead (failing every outstanding request) only
 /// when requests are in flight and no response frame has arrived within
-/// the window; an idle multiplexed connection never times out. A write
+/// the window (a frame that has begun to arrive gets the whole window
+/// from its first byte); an idle multiplexed connection never times out.
+/// The callers that wait judge it, so it fires when a `wait` (or a
+/// `submit` blocked on the in-flight cap) is under way, and the reader
+/// thread never polls for it. A write
 /// deadline expires in the submitting call itself. After any expiry the
 /// stream position is unknowable — discard the client and reconnect; do
 /// not retry on the same connection.
@@ -100,9 +111,9 @@ const STRAY_BUFFER: usize = 1024;
 pub struct ClientConfig {
     /// Deadline for establishing the TCP connection (`None` = OS default).
     pub connect_timeout: Option<Duration>,
-    /// Response deadline: with requests in flight, how long the reader
-    /// waits for the next response frame before declaring the connection
-    /// dead (`None` = block indefinitely).
+    /// Response deadline: with requests in flight, how long a waiting
+    /// caller waits for the next response frame before declaring the
+    /// connection dead (`None` = block indefinitely).
     pub read_timeout: Option<Duration>,
     /// Per-write socket deadline while sending request bytes
     /// (`None` = block indefinitely).
@@ -173,8 +184,8 @@ impl ClientConfig {
 /// Everything a client call can fail with.
 #[derive(Debug)]
 pub enum ClientError {
-    /// The connection failed at the socket level (or a fatal connection
-    /// error observed by the reader thread — every outstanding request
+    /// The connection failed at the socket level, or died (a failed
+    /// read, an expired response deadline — every outstanding request
     /// resolves with one of these).
     Io(std::io::Error),
     /// The server's bytes could not be decoded as a response frame.
@@ -268,6 +279,11 @@ impl DeadReason {
     }
 }
 
+/// The error for a demux lock a panicking thread left poisoned.
+fn poisoned<T>(_: PoisonError<T>) -> ClientError {
+    ClientError::Io(std::io::Error::other("client demux poisoned"))
+}
+
 /// One request's slot in the demux table.
 #[derive(Debug)]
 enum Slot {
@@ -288,8 +304,9 @@ struct DemuxState {
     /// deadline: only unanswered requests arm it).
     waiting: usize,
     /// When the current wait-for-a-response window started: set when the
-    /// connection goes from idle to having waiters, refreshed by every
-    /// arriving response frame, cleared when the last waiter resolves.
+    /// connection goes from idle to having waiters, refreshed by the first
+    /// byte of every response frame and by every delivered frame, cleared
+    /// when the last waiter resolves.
     pending_since: Option<Instant>,
     /// Responses to ids nobody was waiting on (bounded; see
     /// [`STRAY_BUFFER`]). [`Client::recv_response`] drains it.
@@ -299,11 +316,18 @@ struct DemuxState {
     dead: Option<DeadReason>,
 }
 
-/// The demux table plus its wakeup signal.
-#[derive(Debug, Default)]
+/// The demux table, its wakeup signal, and the one way a connection
+/// ends.
+#[derive(Debug)]
 struct Demux {
     state: Mutex<DemuxState>,
     cv: Condvar,
+    /// The response deadline ([`ClientConfig::read_timeout`]), judged by
+    /// whoever waits ([`Demux::wait_for`]).
+    read_timeout: Option<Duration>,
+    /// A handle on the connection's socket: ending the connection shuts
+    /// it, which returns the reader from its blocking read.
+    socket: TcpStream,
 }
 
 impl Demux {
@@ -342,27 +366,88 @@ impl Demux {
         self.cv.notify_all();
     }
 
-    /// Marks the connection dead (first cause wins) and wakes every
-    /// waiter — each resolves with a connection error.
-    fn die(&self, kind: std::io::ErrorKind, detail: impl Into<String>) {
+    /// A response frame has begun to arrive: it gets the whole response
+    /// window from its first byte.
+    fn rearm(&self) {
         if let Ok(mut s) = self.state.lock() {
-            if s.dead.is_none() {
-                s.dead = Some(DeadReason {
-                    kind,
-                    detail: detail.into(),
-                });
+            if s.waiting > 0 {
+                s.pending_since = Some(Instant::now());
             }
         }
-        self.cv.notify_all();
     }
 
-    /// Whether the response deadline has expired: some request has been
-    /// waiting and no frame has arrived for at least `timeout`.
-    fn overdue(&self, timeout: Option<Duration>) -> bool {
-        let (Some(timeout), Ok(s)) = (timeout, self.state.lock()) else {
-            return false;
-        };
-        matches!(s.pending_since, Some(since) if since.elapsed() >= timeout)
+    /// The one condvar wait. Blocks until `ready` yields a value, the
+    /// connection dies (`Err`), or the caller's own `deadline` passes
+    /// (`Ok(None)`). `ready` runs under the lock, before the dead check,
+    /// so a response that arrived before the connection died still
+    /// resolves.
+    ///
+    /// The response deadline is judged here, by the callers that wait:
+    /// once requests have been in flight for `read_timeout` with no
+    /// response frame, the waiter that sees it ends the connection with
+    /// `TimedOut`.
+    fn wait_for<R>(
+        &self,
+        deadline: Option<Instant>,
+        mut ready: impl FnMut(&mut DemuxState) -> Option<R>,
+    ) -> Result<Option<R>, ClientError> {
+        let mut s = self.state.lock().map_err(poisoned)?;
+        loop {
+            if let Some(value) = ready(&mut s) {
+                return Ok(Some(value));
+            }
+            if let Some(dead) = &s.dead {
+                return Err(dead.to_error());
+            }
+            let now = Instant::now();
+            let overdue = (self.read_timeout.zip(s.pending_since))
+                .and_then(|(timeout, since)| since.checked_add(timeout));
+            if overdue.is_some_and(|at| at <= now) {
+                drop(s);
+                self.die(
+                    std::io::ErrorKind::TimedOut,
+                    "response deadline expired with requests in flight",
+                );
+                s = self.state.lock().map_err(poisoned)?;
+                continue;
+            }
+            if deadline.is_some_and(|at| at <= now) {
+                return Ok(None);
+            }
+            s = match overdue.into_iter().chain(deadline).min() {
+                None => self.cv.wait(s).map_err(poisoned)?,
+                Some(at) => self.cv.wait_timeout(s, at - now).map_err(poisoned)?.0,
+            };
+        }
+    }
+
+    /// Ends the connection: keeps the first cause for every present and
+    /// future waiter, wakes them all, then shuts the socket so the reader
+    /// returns from its blocking read. Returns whether this call set the
+    /// cause.
+    fn end(&self, kind: std::io::ErrorKind, detail: &str) -> bool {
+        let first = self.state.lock().is_ok_and(|mut s| {
+            let first = s.dead.is_none();
+            if first {
+                s.dead = Some(DeadReason {
+                    kind,
+                    detail: detail.to_string(),
+                });
+            }
+            first
+        });
+        self.cv.notify_all();
+        let _ = self.socket.shutdown(Shutdown::Both);
+        first
+    }
+
+    /// Ends the connection on a failure, recording one `client.conn.dead`
+    /// event with the cause that won.
+    fn die(&self, kind: std::io::ErrorKind, detail: impl Into<String>) {
+        let detail = detail.into();
+        if self.end(kind, &detail) {
+            event("client.conn.dead", detail);
+        }
     }
 }
 
@@ -416,61 +501,21 @@ impl<T> Pending<T> {
     }
 
     fn wait_deadline(mut self, deadline: Option<Instant>) -> Result<Option<T>, ClientError> {
+        let id = self.id;
+        // On an error or an expiry, `Drop` releases the slot.
+        let resp = self
+            .demux
+            .wait_for(deadline, |s| match s.slots.remove(&id)? {
+                Slot::Ready(resp) => Some(resp),
+                waiting => {
+                    s.slots.insert(id, waiting);
+                    None
+                }
+            })?;
+        let Some(resp) = resp else {
+            return Ok(None);
+        };
         self.done = true;
-        let poisoned = || ClientError::Io(std::io::Error::other("client demux poisoned"));
-        let Ok(mut s) = self.demux.state.lock() else {
-            return Err(poisoned());
-        };
-        let resp = loop {
-            match s.slots.remove(&self.id) {
-                Some(Slot::Ready(resp)) => break resp,
-                Some(waiting @ Slot::Waiting(_)) => {
-                    s.slots.insert(self.id, waiting);
-                }
-                // Only reachable dead: the reader cleared nothing, but a
-                // poisoned path may have; fall through to the dead check.
-                None => {}
-            }
-            if let Some(dead) = &s.dead {
-                let err = dead.to_error();
-                if matches!(s.slots.remove(&self.id), Some(Slot::Waiting(_))) {
-                    s.waiting -= 1;
-                }
-                drop(s);
-                self.demux.cv.notify_all();
-                return Err(err);
-            }
-            s = match deadline {
-                None => match self.demux.cv.wait(s) {
-                    Ok(guard) => guard,
-                    Err(_) => return Err(poisoned()),
-                },
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        // Expired: release the slot exactly like Drop
-                        // does, so the connection keeps working and the
-                        // late response becomes a bounded stray.
-                        if matches!(s.slots.remove(&self.id), Some(Slot::Waiting(_))) {
-                            s.waiting -= 1;
-                            if s.waiting == 0 {
-                                s.pending_since = None;
-                            }
-                        }
-                        drop(s);
-                        self.demux.cv.notify_all();
-                        return Ok(None);
-                    }
-                    match self.demux.cv.wait_timeout(s, d - now) {
-                        Ok((guard, _)) => guard,
-                        Err(_) => return Err(poisoned()),
-                    }
-                }
-            };
-        };
-        drop(s);
-        // A slot freed: a submit blocked on the in-flight cap can run.
-        self.demux.cv.notify_all();
         // Resolved: close the submit→resolve span before decoding (decode
         // cost is the caller's, not the wire's).
         std::mem::take(&mut self.span).finish();
@@ -482,6 +527,8 @@ impl<T> Pending<T> {
 }
 
 impl<T> Drop for Pending<T> {
+    /// The one place a slot is released: an abandoned, expired or failed
+    /// request gives back its place under the in-flight cap.
     fn drop(&mut self) {
         if self.done {
             return;
@@ -508,9 +555,6 @@ impl<T> Drop for Pending<T> {
 #[derive(Debug)]
 pub struct Client {
     writer: BufWriter<TcpStream>,
-    /// A separate handle for `Drop`'s socket shutdown (unblocks the
-    /// reader thread).
-    stream: TcpStream,
     demux: Arc<Demux>,
     reader: Option<JoinHandle<()>>,
     /// The next request id to assign (sequential from 1; id 0 is
@@ -567,24 +611,18 @@ impl Client {
         stream.set_nodelay(true)?;
         stream.set_write_timeout(config.write_timeout)?;
         let read_half = stream.try_clone()?;
-        // The reader polls in short slices so the response deadline is
-        // judged against *pending requests*, not against idle time (an
-        // idle multiplexed connection must not time out).
-        read_half.set_read_timeout(Some(
-            config
-                .read_timeout
-                .unwrap_or(Duration::from_millis(100))
-                .min(Duration::from_millis(100)),
-        ))?;
-        let demux = Arc::new(Demux::default());
+        let demux = Arc::new(Demux {
+            state: Mutex::default(),
+            cv: Condvar::new(),
+            read_timeout: config.read_timeout,
+            socket: stream.try_clone()?,
+        });
         let reader_demux = Arc::clone(&demux);
-        let read_timeout = config.read_timeout;
         let reader = std::thread::Builder::new()
             .name("pts-client-reader".into())
-            .spawn(move || reader_loop(read_half, reader_demux, read_timeout))?;
+            .spawn(move || reader_loop(read_half, &reader_demux))?;
         Ok(Self {
-            writer: BufWriter::new(stream.try_clone()?),
-            stream,
+            writer: BufWriter::new(stream),
             demux,
             reader: Some(reader),
             next_id: 1,
@@ -621,65 +659,44 @@ impl Client {
             parent_span_id: span.id(),
         });
         let sw = Stopwatch::start();
-        let id = {
-            let Ok(mut s) = self.demux.state.lock() else {
-                return Err(ClientError::Io(std::io::Error::other(
-                    "client demux poisoned",
-                )));
-            };
-            loop {
-                if let Some(dead) = &s.dead {
-                    return Err(dead.to_error());
-                }
-                // Gate on *unanswered* requests, not table size: a slot
-                // whose response arrived but hasn't been claimed by its
-                // `wait()` yet is no longer in flight on the wire, and
-                // counting it would deadlock a submit-all-then-wait-all
-                // caller at the cap.
-                if s.waiting < self.max_in_flight {
-                    break;
-                }
-                s = match self.demux.cv.wait(s) {
-                    Ok(guard) => guard,
-                    Err(_) => {
-                        return Err(ClientError::Io(std::io::Error::other(
-                            "client demux poisoned",
-                        )))
-                    }
-                };
+        let id = self.demux.wait_for(None, |s| {
+            // A dead connection takes no request (`wait_for` returns its
+            // cause). Gate on *unanswered* requests, not table size: a
+            // slot whose response arrived but hasn't been claimed by its
+            // `wait()` yet is no longer in flight on the wire, and
+            // counting it would deadlock a submit-all-then-wait-all
+            // caller at the cap.
+            if s.dead.is_some() || s.waiting >= self.max_in_flight {
+                return None;
             }
             let id = self.next_id;
             self.next_id += 1;
             s.slots.insert(id, Slot::Waiting(sw));
             s.waiting += 1;
-            if s.pending_since.is_none() {
-                s.pending_since = Some(Instant::now());
-            }
-            id
-        };
+            s.pending_since.get_or_insert_with(Instant::now);
+            Some(id)
+        })?;
+        let id = id.expect("no caller deadline: wait_for resolves or fails");
         if span.is_recording() {
             span.tag(format!("kind={} ns={ns} id={id}", kind_name(request)));
         }
+        let pending = Pending {
+            demux: Arc::clone(&self.demux),
+            id,
+            decode,
+            done: false,
+            span,
+        };
         let header = RequestHeader { id, ns, trace };
-        match write_request(&header, request, &mut self.writer).and_then(|()| self.writer.flush()) {
-            Ok(()) => Ok(Pending {
-                demux: Arc::clone(&self.demux),
-                id,
-                decode,
-                done: false,
-                span,
-            }),
-            Err(e) => {
-                if let Ok(mut s) = self.demux.state.lock() {
-                    if matches!(s.slots.remove(&id), Some(Slot::Waiting(_))) {
-                        s.waiting -= 1;
-                    }
-                }
-                self.demux
-                    .die(e.kind(), format!("request write failed: {e}"));
-                Err(ClientError::Io(e))
-            }
+        if let Err(e) =
+            write_request(&header, request, &mut self.writer).and_then(|()| self.writer.flush())
+        {
+            drop(pending); // releases the slot
+            self.demux
+                .die(e.kind(), format!("request write failed: {e}"));
+            return Err(ClientError::Io(e));
         }
+        Ok(pending)
     }
 
     // ---- the request API: one submit per verb -------------------------
@@ -819,110 +836,41 @@ impl Client {
     /// Blocks until a stray response arrives or the connection dies.
     #[doc(hidden)]
     pub fn recv_response(&mut self) -> Result<(u64, Response), ClientError> {
-        let Ok(mut s) = self.demux.state.lock() else {
-            return Err(ClientError::Io(std::io::Error::other(
-                "client demux poisoned",
-            )));
-        };
-        loop {
-            if let Some(hit) = s.stray.pop_front() {
-                return Ok(hit);
-            }
-            if let Some(dead) = &s.dead {
-                return Err(dead.to_error());
-            }
-            s = match self.demux.cv.wait(s) {
-                Ok(guard) => guard,
-                Err(_) => {
-                    return Err(ClientError::Io(std::io::Error::other(
-                        "client demux poisoned",
-                    )))
-                }
-            };
-        }
+        let hit = self.demux.wait_for(None, |s| s.stray.pop_front())?;
+        Ok(hit.expect("no caller deadline: wait_for resolves or fails"))
     }
 }
 
 impl Drop for Client {
     fn drop(&mut self) {
-        // Unblock the reader (it sees EOF/reset), mark the connection
-        // dead for any surviving Pending handles, and reap the thread.
-        let _ = self.stream.shutdown(Shutdown::Both);
+        // Fail any surviving Pending handles and shut the socket (the
+        // reader sees EOF), then reap the reader. Not a failure: no event.
         self.demux
-            .die(std::io::ErrorKind::ConnectionAborted, "client dropped");
+            .end(std::io::ErrorKind::ConnectionAborted, "client dropped");
         if let Some(handle) = self.reader.take() {
             let _ = handle.join();
         }
     }
 }
 
-/// The background demux loop: reads response frames and routes each by
-/// its echoed id until EOF, a decode failure, an I/O error, or an expired
-/// response deadline (judged against pending requests — see
-/// [`ClientConfig::read_timeout`]).
-fn reader_loop(stream: TcpStream, demux: Arc<Demux>, read_timeout: Option<Duration>) {
-    /// Retries the socket's short poll timeouts mid-frame until the
-    /// whole-frame deadline passes — a response frame gets `read_timeout`
-    /// from its first byte, not per read.
-    struct PatientReader<'a> {
-        inner: &'a mut BufReader<TcpStream>,
-        deadline: Option<Instant>,
-    }
-    impl Read for PatientReader<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            loop {
-                if matches!(self.deadline, Some(d) if Instant::now() >= d) {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "response deadline expired mid-frame",
-                    ));
-                }
-                match self.inner.read(buf) {
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        continue
-                    }
-                    other => return other,
-                }
-            }
-        }
-    }
-
+/// The background demux loop: a plain blocking read of response frames,
+/// each routed by its echoed id, until EOF or an error ends the
+/// connection. It judges no deadline (the callers that wait do, see
+/// [`Demux::wait_for`]), so an idle connection's reader never wakes.
+fn reader_loop(stream: TcpStream, demux: &Demux) {
     let mut reader = BufReader::new(stream);
     loop {
-        // Poll for the first byte of the next frame in short slices so an
-        // idle connection never trips the response deadline.
-        let mut first = [0u8; 1];
-        match reader.read(&mut first) {
-            Ok(0) => {
+        match reader.fill_buf() {
+            Ok([]) => {
                 return demux.die(
                     std::io::ErrorKind::ConnectionAborted,
                     "connection closed by server",
                 )
             }
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if demux.overdue(read_timeout) {
-                    return demux.die(
-                        std::io::ErrorKind::TimedOut,
-                        "response deadline expired with requests in flight",
-                    );
-                }
-                continue;
-            }
+            Ok(_) => demux.rearm(),
             Err(e) => return demux.die(e.kind(), format!("read failed: {e}")),
         }
-        let body = PatientReader {
-            inner: &mut reader,
-            deadline: read_timeout.map(|t| Instant::now() + t),
-        };
-        let mut src = std::io::Cursor::new(first).chain(body);
-        match read_response(&mut src) {
+        match read_response(&mut reader) {
             Ok((id, resp)) => demux.deliver(id, resp),
             // Any torn/undecodable frame desyncs the stream — after it,
             // responses can no longer be attributed to requests.
