@@ -14,7 +14,7 @@
 //!                      │        │        dispatcher that drains it;
 //!              dispatcher  dispatcher    the socket's only writer
 //!                      \      /
-//!                   [ TenantMap ]        namespace → Arc<Mutex<engine>>
+//!                   [ TenantMap ]        namespace → Arc<Tenant> (engine mutex)
 //!                    │    │    │         (one-lock map; ns 0 is the
 //!                   ns 0  ns 7  ns 42    default tenant, spawner builds
 //!                                        the rest lazily on demand)

@@ -13,20 +13,24 @@
 //! pipelined ingest relies on; an implementation choice, not a wire
 //! guarantee — PROTOCOL.md §4). Connections share no thread: a peer that
 //! stops reading stalls only its own dispatcher, and its connection
-//! closes once a response frame has waited `FRAME_TIMEOUT`.
+//! closes once a response frame has waited `FRAME_TIMEOUT`. The reader is
+//! one `BufReader` over the socket: idle, it blocks in one read with no
+//! timeout and never wakes; once a frame's first bytes are buffered, each
+//! read the frame still needs waits at most its time left.
 //!
 //! Tenancy model (wire v4): the engines live in a `TenantMap` — one
-//! locked map from namespace id to `Arc<Mutex<engine>>`. A dispatcher
+//! locked map from namespace id to a tenant's engine mutex. A dispatcher
 //! holds the map's lock only long enough to clone the tenant's Arc, then
 //! dispatches under that tenant's own mutex, so requests to *different*
 //! tenants proceed in parallel while requests to the *same* tenant
 //! serialize — per-tenant, every response reflects all previously
-//! answered requests, across connections. Tenants are cheap
-//! lazily-created engines with **no per-tenant threads**, which is what
-//! makes millions of namespaces per node viable (the paper's samplers
-//! are tiny). Namespace 0 is the default tenant, created at bind from
-//! the engine passed in; `CreateNamespace` builds additional tenants
-//! through the spawner given to [`serve_with_spawner`].
+//! answered requests, across connections. A `Sample` takes the mutex once
+//! per draw, so no request holds a tenant for longer than one draw.
+//! Tenants are cheap lazily-created engines with **no per-tenant
+//! threads**, which is what makes millions of namespaces per node viable
+//! (the paper's samplers are tiny). Namespace 0 is the default tenant,
+//! created at bind from the engine passed in; `CreateNamespace` builds
+//! additional tenants through the spawner given to [`serve_with_spawner`].
 //!
 //! Panic containment: a dispatcher runs each dispatch under
 //! `catch_unwind`, so an engine that panics costs one `Internal` error
@@ -41,8 +45,8 @@
 //! keeps a handle on every connection's socket; once it sees the flag it
 //! shuts each socket down, then joins the connections. A blocked read
 //! then sees EOF and a blocked write fails at once, so no I/O loop polls
-//! the flag. Dispatchers drop what is still queued, and one that waited
-//! on a tenant's mutex drops its request once it holds the lock.
+//! the flag. Dispatchers drop what is still queued, and a request drops
+//! what is left of it the next time it holds its tenant's mutex.
 //! [`Server::join`] completes once everything has returned.
 
 use crate::obs::{kind_name, obs};
@@ -56,26 +60,23 @@ use pts_util::protocol::{
 };
 use pts_util::wire::{WireError, KIND_REQUEST};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The socket timeout of every connection: how often a blocked read or
-/// write wakes to re-check its frame's [`FRAME_TIMEOUT`] deadline.
-/// Teardown does not wait for it: it shuts the sockets down.
-const IDLE_POLL: Duration = Duration::from_millis(50);
-
 /// The whole-frame deadline, in both directions: once a request's first
-/// byte has arrived the rest must follow, and once a response's write has
-/// begun the peer must take all of it, within this window. A peer that
-/// stalls — or trickles bytes to keep individual reads and writes alive —
-/// is treated as gone when it passes (fatal; the connection closes)
-/// rather than pinning a thread; [`FrameBodyReader`] and [`FrameWriter`]
-/// re-check it on every retry.
+/// bytes are buffered the rest must follow, and once a response's write
+/// has begun the peer must take all of it, within this window. A peer
+/// that stalls — or trickles bytes to keep individual reads and writes
+/// alive — is treated as gone when it passes (fatal; the connection
+/// closes) rather than pinning a thread. The deadline is fixed when the
+/// frame starts and every socket wait the frame still needs is bounded by
+/// the time left ([`FrameReader`], [`FrameWriter`]), so nothing a peer
+/// sends extends it.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Per-connection cap on decoded-but-unanswered jobs: the capacity of the
@@ -84,91 +85,129 @@ const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
 /// engine drains cannot grow server memory without bound.
 const MAX_QUEUED_PER_CONN: usize = 1024;
 
-/// Wraps the mid-frame reads of a connection: retries the socket's short
-/// [`IDLE_POLL`] timeouts until data arrives or the whole-frame `deadline`
-/// passes, turning the expiry into a `TimedOut` error the frame reader
-/// classifies as fatal. The deadline is fixed at construction — a
-/// **per-frame budget**: nothing a peer sends can extend it, so a
-/// byte-trickler is cut off at the same deadline as a silent staller
-/// (regression-tested below).
-struct FrameBodyReader<R: Read> {
-    stream: R,
-    deadline: Instant,
+/// A connection's socket as its reader sees it, under the deadline of the
+/// frame being read. Between frames (`deadline` is `None`) a read blocks
+/// with no timeout, so an idle connection never wakes; teardown's
+/// shutdown of the socket ends that read as EOF. Within a frame, a read
+/// first checks the deadline and then waits at most the time left, as
+/// the socket's read timeout: set only when a frame needs another read,
+/// and cleared before the next idle one. Behind a `BufReader`, a frame
+/// that has arrived whole costs no read of its own and no timeout call.
+struct FrameReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Option<Instant>,
+    /// Whether the socket still carries a frame's read timeout.
+    timed: bool,
 }
 
-impl<R: Read> Read for FrameBodyReader<R> {
+impl Read for FrameReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        loop {
-            frame_expiry(self.deadline)?;
-            match self.stream.read(buf) {
-                Err(e) if is_poll_timeout(&e) => continue,
-                Ok(n) => {
-                    obs().bytes_in.add(n as u64);
-                    return Ok(n);
-                }
-                other => return other,
-            }
+        let wait = self.deadline.map(time_left).transpose()?;
+        if wait.is_some() || self.timed {
+            self.stream.set_read_timeout(wait)?;
+            self.timed = wait.is_some();
         }
+        let mut stream = self.stream;
+        let n = stream.read(buf).map_err(judge_wait)?;
+        obs().bytes_in.add(n as u64);
+        Ok(n)
     }
 }
 
-/// The write-side twin of [`FrameBodyReader`] for one response frame:
-/// every attempt (the first, a retry after a blocked write, or the rest
-/// of a partial one) first checks the per-frame `deadline`, so a peer
-/// taking a few bytes at a time cannot extend the budget either.
-struct FrameWriter<W: Write> {
-    stream: W,
+/// The write side of the per-frame budget, for one response frame. Its
+/// first write is bounded by the connection's write timeout, which is the
+/// whole budget; each later one (the rest of a partial write) by the time
+/// left, so a peer taking a few bytes at a time cannot extend the budget.
+struct FrameWriter<'a> {
+    stream: &'a TcpStream,
     deadline: Instant,
+    /// Writes so far; after the first, the socket's write timeout is the
+    /// frame's time left.
+    writes: usize,
 }
 
-impl<W: Write> Write for FrameWriter<W> {
+impl Write for FrameWriter<'_> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        loop {
-            frame_expiry(self.deadline)?;
-            match self.stream.write(buf) {
-                Err(e) if is_poll_timeout(&e) => continue,
-                Ok(n) => {
-                    obs().bytes_out.add(n as u64);
-                    return Ok(n);
-                }
-                other => return other,
-            }
+        if self.writes > 0 {
+            self.stream
+                .set_write_timeout(Some(time_left(self.deadline)?))?;
         }
+        self.writes += 1;
+        let mut stream = self.stream;
+        let n = stream.write(buf).map_err(judge_wait)?;
+        obs().bytes_out.add(n as u64);
+        Ok(n)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        self.stream.flush()
+        Ok(())
     }
 }
 
-/// Whether a socket error is just its [`IDLE_POLL`] timeout expiring.
-fn is_poll_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+/// The time left before a frame's `deadline`, or the frame's timeout once
+/// it has passed.
+fn time_left(deadline: Instant) -> std::io::Result<Duration> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(frame_timeout());
+    }
+    Ok(left)
 }
 
-/// The error that ends a blocked mid-frame read or write once the frame's
-/// `deadline` has passed; `Ok` means retry.
-fn frame_expiry(deadline: Instant) -> std::io::Result<()> {
-    if Instant::now() < deadline {
-        return Ok(());
+/// Judges a socket wait that failed. Only a frame's waits carry a
+/// timeout, and it is the frame's time left, so a wait that ran out is
+/// the frame's timeout; any other error stands.
+fn judge_wait(e: std::io::Error) -> std::io::Error {
+    match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => frame_timeout(),
+        _ => e,
     }
+}
+
+/// The error that ends a frame whose deadline has passed (fatal; the
+/// connection closes).
+fn frame_timeout() -> std::io::Error {
     obs().conn_timeouts.inc();
     event("server.conn.frame_timeout", "whole-frame deadline exceeded");
-    Err(std::io::Error::new(
-        ErrorKind::TimedOut,
-        "frame deadline exceeded",
-    ))
+    std::io::Error::new(ErrorKind::TimedOut, "frame deadline exceeded")
 }
 
-/// The namespace → engine map (wire v4), under one lock. Engines are held
-/// behind `Arc<Mutex<_>>` so a dispatcher can clone a tenant's handle
+/// One tenant's engine, behind a lock taken in turns. `std`'s mutex is not
+/// fair: a dispatcher that re-takes it between the draws of one request
+/// wins against the waiter it has just woken, every time. So each taker
+/// holds `turn` while it waits for `engine`: at most one thread waits on
+/// `engine` itself, and one that comes back for its next draw queues at
+/// `turn` behind it.
+struct Tenant<E> {
+    turn: Mutex<()>,
+    engine: Mutex<E>,
+}
+
+impl<E> Tenant<E> {
+    /// Takes the engine lock for one step of a request. `Err(Some(_))`
+    /// answers a poisoned lock; `Err(None)` drops a request that outlived
+    /// shutdown unanswered (PROTOCOL.md §4): nobody will read its answer.
+    fn hold(&self, shutdown: &AtomicBool) -> Result<MutexGuard<'_, E>, Option<Response>> {
+        let turn = self.turn.lock();
+        let poisoned = |_| Some(error_response(ErrorCode::Internal, "engine lock poisoned"));
+        let engine = self.engine.lock().map_err(poisoned)?;
+        drop(turn);
+        if shutdown.load(Ordering::SeqCst) {
+            return Err(None);
+        }
+        Ok(engine)
+    }
+}
+
+/// The namespace → engine map (wire v4), under one lock. Tenants are held
+/// behind `Arc` so a dispatcher can clone a tenant's handle
 /// under the brief map lock and then dispatch without blocking any other
 /// tenant — including a concurrent `DropNamespace`, which merely removes
 /// the map entry (in-flight requests on the dropped tenant finish
 /// against the orphaned Arc; subsequent lookups answer
 /// `unknown-namespace`).
 struct TenantMap<E> {
-    tenants: Mutex<HashMap<u64, Arc<Mutex<E>>>>,
+    tenants: Mutex<HashMap<u64, Arc<Tenant<E>>>>,
 }
 
 impl<E> TenantMap<E> {
@@ -183,7 +222,7 @@ impl<E> TenantMap<E> {
     }
 
     /// The tenant's engine handle, if the namespace exists.
-    fn get(&self, ns: u64) -> Option<Arc<Mutex<E>>> {
+    fn get(&self, ns: u64) -> Option<Arc<Tenant<E>>> {
         self.tenants.lock().ok()?.get(&ns).cloned()
     }
 
@@ -196,14 +235,16 @@ impl<E> TenantMap<E> {
         if tenants.contains_key(&ns) {
             return false;
         }
-        tenants.insert(ns, Arc::new(Mutex::new(engine)));
+        let turn = Mutex::new(());
+        let engine = Mutex::new(engine);
+        tenants.insert(ns, Arc::new(Tenant { turn, engine }));
         obs().tenants_active.set(tenants.len() as i64);
         true
     }
 
     /// Removes a tenant, handing the map's reference to its engine to the
     /// caller (so the engine is not dropped under the map lock).
-    fn remove(&self, ns: u64) -> Option<Arc<Mutex<E>>> {
+    fn remove(&self, ns: u64) -> Option<Arc<Tenant<E>>> {
         let mut tenants = self.tenants.lock().ok()?;
         let removed = tenants.remove(&ns)?;
         obs().tenants_active.set(tenants.len() as i64);
@@ -426,10 +467,8 @@ fn handle_connection<E: SamplingService + Send>(stream: TcpStream, shared: &Shar
         }
     }
     let conn = ConnGuard { stream, peer };
-    // Every blocked mid-frame read or write wakes each IDLE_POLL to
-    // re-check its frame deadline.
-    let poll = Some(IDLE_POLL);
-    if conn.stream.set_read_timeout(poll).is_err() || conn.stream.set_write_timeout(poll).is_err() {
+    // A response frame's first write may take the whole budget.
+    if conn.stream.set_write_timeout(Some(FRAME_TIMEOUT)).is_err() {
         return;
     }
     std::thread::scope(|scope| read_loop(scope, &conn.stream, shared));
@@ -450,20 +489,19 @@ fn read_loop<'scope, E: SamplingService + Send>(
     shared: &'scope Shared<E>,
 ) {
     let mut jobs = None;
+    let mut src = BufReader::new(FrameReader {
+        stream,
+        deadline: None,
+        timed: false,
+    });
     loop {
-        // Wait for the first byte, then read the rest of the frame under
-        // a whole-frame deadline: the socket keeps its short timeout and
-        // the body reader re-checks the deadline on every retry, so
-        // neither a stalled peer nor one trickling a byte at a time can
-        // pin the reader past FRAME_TIMEOUT.
-        let Ok(Some(first)) = poll_first_byte(stream) else {
+        // Idle until a frame's first bytes are buffered; from then on the
+        // frame runs against its deadline.
+        src.get_mut().deadline = None;
+        let Ok([_, ..]) = src.fill_buf() else {
             return; // EOF, teardown, or a socket error
         };
-        let body = FrameBodyReader {
-            stream,
-            deadline: Instant::now() + FRAME_TIMEOUT,
-        };
-        let mut src = std::io::Cursor::new([first]).chain(body);
+        src.get_mut().deadline = Some(Instant::now() + FRAME_TIMEOUT);
         let outcome = read_frame_lenient(KIND_REQUEST, MAX_FRAME_BYTES, &mut src);
         // A fatal error destroyed framing: its reply is the last job.
         let mut fatal = false;
@@ -639,25 +677,6 @@ fn answer<E: SamplingService>(stream: &TcpStream, shared: &Shared<E>, id: u64, j
     write_ok
 }
 
-/// Blocks until one byte arrives (`Ok(Some)`) or the peer closes
-/// (`Ok(None)`; teardown's shutdown of the socket reads as a close too).
-/// An [`IDLE_POLL`] timeout just retries: no deadline runs before a
-/// frame's first byte.
-fn poll_first_byte(mut stream: &TcpStream) -> std::io::Result<Option<u8>> {
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => return Ok(None),
-            Ok(_) => {
-                obs().bytes_in.inc();
-                return Ok(Some(byte[0]));
-            }
-            Err(e) if is_poll_timeout(&e) => continue,
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 /// Writes one response frame under `request_id` within a [`FrameWriter`]
 /// budget. Only the connection's dispatcher writes, so frames never
 /// interleave and no lock is taken; the frame is encoded first and goes
@@ -667,11 +686,16 @@ fn poll_first_byte(mut stream: &TcpStream) -> std::io::Result<Option<u8>> {
 fn respond(stream: &TcpStream, request_id: u64, response: &Response) -> std::io::Result<()> {
     let mut frame = Vec::new();
     write_response(request_id, response, &mut frame)?;
-    let written = FrameWriter {
+    let mut writer = FrameWriter {
         stream,
         deadline: Instant::now() + FRAME_TIMEOUT,
+        writes: 0,
+    };
+    let mut written = writer.write_all(&frame);
+    if written.is_ok() && writer.writes > 1 {
+        // The next frame's first write gets the whole budget again.
+        written = stream.set_write_timeout(Some(FRAME_TIMEOUT));
     }
-    .write_all(&frame);
     if written.is_err() {
         let _ = stream.shutdown(Shutdown::Both);
     }
@@ -688,9 +712,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// An error response carrying the wire error's rendering as its message.
-fn error_response(code: ErrorCode, err: &dyn std::fmt::Display) -> Response {
-    Response::Error(ServiceError::new(code, err.to_string()))
+/// An error response carrying `message`'s rendering.
+fn error_response(code: ErrorCode, message: impl std::fmt::Display) -> Response {
+    Response::Error(ServiceError::new(code, message.to_string()))
 }
 
 /// Executes one request against its addressee. Server-scoped requests
@@ -719,64 +743,46 @@ fn dispatch<E: SamplingService>(
     // `ListNamespaces` ignore their namespace field, while the header
     // namespace is the create/drop operand (PROTOCOL.md §2). There is no
     // lock wait, so the whole arm is the engine-work stage.
-    match request {
-        Request::Shutdown => {
-            let _stage = stage_span(trace, "server.engine", kind, ns);
-            req_obs.ns.observe_elapsed(sw);
-            return Some((Response::ShuttingDown, true));
-        }
-        Request::CreateNamespace => {
-            let _stage = stage_span(trace, "server.engine", kind, ns);
-            let response = if ns == DEFAULT_NAMESPACE {
-                Response::Error(ServiceError::new(
+    if let Request::Shutdown
+    | Request::CreateNamespace
+    | Request::DropNamespace
+    | Request::ListNamespaces = request
+    {
+        let _stage = stage_span(trace, "server.engine", kind, ns);
+        let response = match request {
+            Request::Shutdown => Response::ShuttingDown,
+            Request::CreateNamespace => match &shared.spawner {
+                _ if ns == DEFAULT_NAMESPACE => error_response(
                     ErrorCode::Unsupported,
                     "namespace 0 is the default tenant and always exists",
-                ))
-            } else {
-                match &shared.spawner {
-                    None => Response::Error(ServiceError::new(
-                        ErrorCode::Unsupported,
-                        "this server hosts a fixed tenant set (no spawner)",
-                    )),
-                    Some(spawn) => {
-                        if shared.tenants.insert(ns, spawn(ns)) {
-                            event("server.tenant.create", ns.to_string());
-                            Response::NamespaceCreated
-                        } else {
-                            Response::Error(ServiceError::new(
-                                ErrorCode::Unsupported,
-                                format!("namespace {ns} already exists"),
-                            ))
-                        }
-                    }
-                }
-            };
-            req_obs.ns.observe_elapsed(sw);
-            return Some((response, false));
-        }
-        Request::DropNamespace => {
-            let _stage = stage_span(trace, "server.engine", kind, ns);
-            let response = if ns == DEFAULT_NAMESPACE {
-                Response::Error(ServiceError::new(
+                ),
+                None => error_response(
                     ErrorCode::Unsupported,
-                    "namespace 0 is the default tenant and cannot be dropped",
-                ))
-            } else if shared.tenants.remove(ns).is_some() {
+                    "this server hosts a fixed tenant set (no spawner)",
+                ),
+                Some(spawn) if shared.tenants.insert(ns, spawn(ns)) => {
+                    event("server.tenant.create", ns.to_string());
+                    Response::NamespaceCreated
+                }
+                Some(_) => error_response(
+                    ErrorCode::Unsupported,
+                    format!("namespace {ns} already exists"),
+                ),
+            },
+            Request::DropNamespace if ns == DEFAULT_NAMESPACE => error_response(
+                ErrorCode::Unsupported,
+                "namespace 0 is the default tenant and cannot be dropped",
+            ),
+            Request::DropNamespace if shared.tenants.remove(ns).is_some() => {
                 event("server.tenant.drop", ns.to_string());
                 Response::NamespaceDropped
-            } else {
-                unknown_namespace(ns)
-            };
-            req_obs.ns.observe_elapsed(sw);
-            return Some((response, false));
-        }
-        Request::ListNamespaces => {
-            let _stage = stage_span(trace, "server.engine", kind, ns);
-            let response = Response::Namespaces(shared.tenants.list());
-            req_obs.ns.observe_elapsed(sw);
-            return Some((response, false));
-        }
-        _ => {}
+            }
+            Request::DropNamespace => unknown_namespace(ns),
+            _ => Response::Namespaces(shared.tenants.list()),
+        };
+        req_obs.ns.observe_elapsed(sw);
+        let shutdown = matches!(response, Response::ShuttingDown);
+        return Some((response, shutdown));
     }
 
     // Engine-scoped: resolve the namespace (brief map lock, Arc clone),
@@ -792,21 +798,10 @@ fn dispatch<E: SamplingService>(
         req_obs.ns.observe_elapsed(sw);
         return Some((unknown_namespace(ns), false));
     };
-    let Ok(mut engine) = tenant.lock() else {
-        return Some((
-            Response::Error(ServiceError::new(
-                ErrorCode::Internal,
-                "engine lock poisoned",
-            )),
-            false,
-        ));
+    let mut engine = match tenant.hold(&shared.shutdown) {
+        Ok(engine) => engine,
+        Err(dropped) => return dropped.map(|response| (response, false)),
     };
-    // A request that waited out shutdown on the tenant lock is dropped
-    // unanswered, like one still queued (PROTOCOL.md §4): teardown must
-    // not wait for engine work nobody will read.
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return None;
-    }
     drop(lock_span);
     obs().stage_lock_wait.observe_elapsed(lock_sw);
     let engine_sw = Stopwatch::start();
@@ -815,10 +810,9 @@ fn dispatch<E: SamplingService>(
         // Unreachable through the wire (the decoder rejects an empty
         // batch), but the dispatcher is also reachable by in-process
         // callers: keep the no-silent-no-op rule at both layers.
-        Request::IngestBatch(pairs) if pairs.is_empty() => Response::Error(ServiceError::new(
-            ErrorCode::Malformed,
-            "empty ingest batch",
-        )),
+        Request::IngestBatch(pairs) if pairs.is_empty() => {
+            error_response(ErrorCode::Malformed, "empty ingest batch")
+        }
         Request::IngestBatch(pairs) => {
             // Validate before touching the engine: an out-of-universe
             // index or an overflowing net value must become an in-band
@@ -826,20 +820,17 @@ fn dispatch<E: SamplingService>(
             // partially applied.
             let universe = engine.universe() as u64;
             match pairs.iter().find(|&&(index, _)| index >= universe) {
-                Some(&(index, _)) => Response::Error(ServiceError::new(
+                Some(&(index, _)) => error_response(
                     ErrorCode::OutOfUniverse,
                     format!("index {index} outside universe [0, {universe})"),
-                )),
+                ),
                 None => {
                     let batch: Vec<Update> = pairs
                         .iter()
                         .map(|&(index, delta)| Update::new(index, delta))
                         .collect();
                     match engine.check_values(&batch) {
-                        Err(overflow) => Response::Error(ServiceError::new(
-                            ErrorCode::ValueOverflow,
-                            overflow.to_string(),
-                        )),
+                        Err(overflow) => error_response(ErrorCode::ValueOverflow, overflow),
                         Ok(()) => {
                             engine.ingest_batch(&batch);
                             Response::Ingested {
@@ -850,10 +841,18 @@ fn dispatch<E: SamplingService>(
                 }
             }
         }
+        // One draw per hold of the tenant lock, re-taken within the engine
+        // stage: other requests may land between draws, each draw sees the
+        // state at its own time, and teardown drops the rest (PROTOCOL.md §4).
         Request::Sample { count } => {
-            let draws = (0..count)
-                .map(|_| engine.sample().map(|s| (s.index, s.estimate)))
-                .collect();
+            drop(engine);
+            let mut draws = Vec::with_capacity(count as usize);
+            for _ in 0..count {
+                match tenant.hold(&shared.shutdown) {
+                    Ok(mut engine) => draws.push(engine.sample().map(|s| (s.index, s.estimate))),
+                    Err(dropped) => return dropped.map(|response| (response, false)),
+                }
+            }
             Response::Samples(draws)
         }
         Request::Snapshot => Response::Snapshot(engine.snapshot().to_bytes()),
@@ -877,10 +876,10 @@ fn dispatch<E: SamplingService>(
         Request::Shutdown
         | Request::CreateNamespace
         | Request::DropNamespace
-        | Request::ListNamespaces => Response::Error(ServiceError::new(
+        | Request::ListNamespaces => error_response(
             ErrorCode::Internal,
             "server-scoped request reached the engine dispatcher",
-        )),
+        ),
     };
     drop(engine_span);
     obs().stage_engine.observe_elapsed(engine_sw);
@@ -892,10 +891,10 @@ fn dispatch<E: SamplingService>(
 /// this server does not host. Recoverable by design: the client can
 /// create the namespace and retry on the same connection.
 fn unknown_namespace(ns: u64) -> Response {
-    Response::Error(ServiceError::new(
+    error_response(
         ErrorCode::UnknownNamespace,
         format!("namespace {ns} does not exist on this server"),
-    ))
+    )
 }
 
 /// Classifies a checkpoint failure: a factory that cannot cross the wire
@@ -912,101 +911,114 @@ fn checkpoint_error_code(err: &std::io::Error) -> ErrorCode {
 mod tests {
     use super::*;
 
-    /// The satellite regression: a peer that delivers exactly one byte
-    /// per read must not extend the whole-frame budget — the deadline is
-    /// fixed at frame start, so the read fails within ~the budget even
-    /// though every individual read "succeeds".
-    #[test]
-    fn frame_deadline_is_a_per_frame_budget_against_byte_tricklers() {
-        /// Serves a plausible frame prefix then trickles payload bytes
-        /// forever, one per poll interval — the adversary the deadline
-        /// exists for: every individual read "succeeds", so only a fixed
-        /// per-frame budget can cut it off.
-        struct Trickler {
-            head: Vec<u8>,
-            pos: usize,
-        }
-        impl Read for Trickler {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if buf.is_empty() {
-                    return Ok(0);
-                }
-                buf[0] = if self.pos < self.head.len() {
-                    self.head[self.pos]
-                } else {
-                    // Past the header, pace the trickle like a real
-                    // 1-byte-per-poll peer.
-                    std::thread::sleep(Duration::from_millis(1));
-                    0x5A // endless "payload"
-                };
-                self.pos += 1;
-                Ok(1)
-            }
-        }
-        // magic | version | kind | len = 1 MiB, then a trickle that never
-        // delivers the full payload.
-        let mut head = Vec::new();
-        head.extend_from_slice(&pts_util::wire::WIRE_MAGIC);
-        head.push(pts_util::wire::WIRE_VERSION);
-        head.push(KIND_REQUEST);
-        head.extend_from_slice(&[0x80, 0x80, 0x40]); // varint 1 << 20
-        let mut trickler = Trickler { head, pos: 0 };
-        let budget = Duration::from_millis(100);
+    const BUDGET: Duration = Duration::from_millis(100);
+
+    /// A connected loopback pair: the server's end, then the peer's.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        (listener.accept().unwrap().0, peer)
+    }
+
+    /// Reads one request frame off `socket` under a [`BUDGET`]-long frame
+    /// deadline, as the connection reader does; returns the outcome and
+    /// the time it took.
+    fn read_one_frame(socket: &TcpStream) -> (Result<Vec<u8>, FrameError>, Duration) {
         let started = Instant::now();
-        let mut body = FrameBodyReader {
-            stream: &mut trickler,
-            deadline: Instant::now() + budget,
-        };
-        let outcome = read_frame_lenient(KIND_REQUEST, MAX_FRAME_BYTES, &mut body);
-        let elapsed = started.elapsed();
+        let mut src = BufReader::new(FrameReader {
+            stream: socket,
+            deadline: Some(started + BUDGET),
+            timed: false,
+        });
+        let outcome = read_frame_lenient(KIND_REQUEST, MAX_FRAME_BYTES, &mut src);
+        (outcome, started.elapsed())
+    }
+
+    /// magic | version | kind | a varint length of 1 MiB.
+    fn frame_head() -> Vec<u8> {
+        let mut head = pts_util::wire::WIRE_MAGIC.to_vec();
+        head.extend_from_slice(&[pts_util::wire::WIRE_VERSION, KIND_REQUEST, 0x80, 0x80, 0x40]);
+        head
+    }
+
+    /// A frame that misses its deadline dies fatally, at the deadline:
+    /// not before it, and far before the 10 s `FRAME_TIMEOUT` (generous
+    /// upper bound for slow CI).
+    fn assert_cut_off_at_budget(outcome: Result<Vec<u8>, FrameError>, took: Duration) {
         assert!(
             matches!(outcome, Err(FrameError::Fatal(_))),
-            "trickled frame must die fatally, got {outcome:?}"
+            "the frame must die fatally, got {outcome:?}"
         );
-        // Must cut off near the budget: far before the 10 s FRAME_TIMEOUT
-        // and certainly not never. Generous upper bound for slow CI.
         assert!(
-            elapsed >= budget && elapsed < Duration::from_secs(5),
-            "deadline not honored: took {elapsed:?} for a {budget:?} budget"
+            took >= BUDGET && took < Duration::from_secs(5),
+            "deadline not honored: took {took:?} for a {BUDGET:?} budget"
         );
     }
 
+    /// A peer that sends a frame head and then a payload byte every
+    /// millisecond must not extend the whole-frame budget: every read
+    /// "succeeds", so only a deadline fixed at frame start cuts it off.
+    #[test]
+    fn frame_deadline_is_a_per_frame_budget_against_byte_tricklers() {
+        let (ours, mut peer) = socket_pair();
+        let trickler = std::thread::spawn(move || {
+            peer.write_all(&frame_head()).unwrap();
+            let started = Instant::now();
+            // Ends once the reader hangs up (or after 5 s).
+            while started.elapsed() < Duration::from_secs(5) && peer.write_all(&[0x5A]).is_ok() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let (outcome, took) = read_one_frame(&ours);
+        drop(ours);
+        trickler.join().unwrap();
+        assert_cut_off_at_budget(outcome, took);
+    }
+
+    /// A peer that sends 7 bytes of a frame's header (magic, version,
+    /// kind and the first byte of its length) and then goes silent: the
+    /// socket's read timeout, set to the frame's time left, ends the wait.
+    #[test]
+    fn a_header_that_stops_midway_times_out() {
+        let (ours, mut peer) = socket_pair();
+        peer.write_all(&frame_head()[..7]).unwrap();
+        let (outcome, took) = read_one_frame(&ours);
+        assert_cut_off_at_budget(outcome, took);
+    }
+
     /// The response side of the per-frame budget: a peer that takes one
-    /// byte per write cannot stretch a frame past its deadline.
+    /// byte at a time cannot stretch a frame past its deadline.
     #[test]
     fn response_writes_keep_the_frame_budget() {
-        /// Takes up to `per_call` bytes per write, `room` in all, then
-        /// blocks like a full socket buffer.
-        struct Peer(usize, usize);
-        impl Write for Peer {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let (ours, mut peer) = socket_pair();
+        let (hang_up, hung_up) = mpsc::channel::<()>();
+        let taking = std::thread::spawn(move || {
+            let mut byte = [0u8; 1];
+            // Ends once the writer hangs up.
+            while matches!(hung_up.try_recv(), Err(mpsc::TryRecvError::Empty))
+                && matches!(peer.read(&mut byte), Ok(1))
+            {
                 std::thread::sleep(Duration::from_millis(1));
-                let n = buf.len().min(self.0).min(self.1);
-                if n == 0 {
-                    return Err(ErrorKind::WouldBlock.into());
-                }
-                self.1 -= n;
-                Ok(n)
             }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
+        });
+        // The connection's write timeout is the whole budget, as
+        // `handle_connection` sets it; the frame outgrows the socket
+        // buffers of both ends.
+        ours.set_write_timeout(Some(BUDGET)).unwrap();
+        let started = Instant::now();
+        let written = FrameWriter {
+            stream: &ours,
+            deadline: started + BUDGET,
+            writes: 0,
         }
-        let write = |mut peer: Peer, len: usize, budget: Duration| {
-            let started = Instant::now();
-            let written = FrameWriter {
-                stream: &mut peer,
-                deadline: started + budget,
-            }
-            .write_all(&vec![0; len]);
-            (written.map_err(|e| e.kind()), started.elapsed())
-        };
-        let budget = Duration::from_millis(100);
-        let (written, took) = write(Peer(1, usize::MAX), 8 << 10, budget);
-        assert_eq!(written, Err(ErrorKind::TimedOut));
+        .write_all(&vec![0; 16 << 20]);
+        let took = started.elapsed();
+        drop((hang_up, ours));
+        taking.join().unwrap();
+        assert_eq!(written.map_err(|e| e.kind()), Err(ErrorKind::TimedOut));
         assert!(
-            took >= budget && took < Duration::from_secs(5),
-            "deadline not honored: took {took:?} for a {budget:?} budget"
+            took >= BUDGET && took < Duration::from_secs(5),
+            "deadline not honored: took {took:?} for a {BUDGET:?} budget"
         );
     }
 }

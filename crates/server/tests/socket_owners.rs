@@ -4,8 +4,8 @@
 //!
 //! * `join_does_not_wait_for_idle_reads`: `Server::join` returns at once
 //!   with two idle clients and one raw peer stalled mid-frame connected.
-//!   A reader that only noticed shutdown at its next `IDLE_POLL` (50 ms)
-//!   would hold it up for most of a poll.
+//!   A reader that only noticed shutdown when a poll timer next woke it
+//!   would hold the join up for most of a tick.
 //! * `id_zero_errors_keep_their_fifo_place`: a garbage frame sent after
 //!   pipelined requests is answered under id 0 *after* their responses,
 //!   because the reader queues its error instead of writing it.
